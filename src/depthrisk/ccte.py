@@ -23,13 +23,23 @@ from typing import Callable
 
 import numpy as np
 
-from .depth import DepthModel, fit_model
-from .errors import DomainError, MissingCosts, NoMass
-from .levelset import LevelSetSpec, in_lower_set
+from .depth import DepthModel, mhd
+from .errors import (
+    DegenerateSample,
+    DimensionMismatch,
+    DomainError,
+    MissingCosts,
+    NoMass,
+    NotPositiveDefinite,
+)
+from .levelset import depth_in_lower_set
+from .linalg import build_spd, cholesky_lower, whiten
 from .rng import RngStream
 from .sampling import Sample, squared_norms
 
-_ORACLE_BATCH = 1 << 20
+# Rows per numpy pass: population batches and blocks of replicates.  Small
+# enough that the temporaries of a pass stay a few MB each.
+BATCH_ROWS = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -70,22 +80,88 @@ def ccte_under_model(
     """
     if cost_sample.costs is None:
         raise MissingCosts("cost sample has no costs attached")
+    if cost_sample.dim != model.dim:
+        raise DimensionMismatch(
+            f"cost points have dimension {cost_sample.dim}, the model {model.dim}"
+        )
+    values, hits = _ratio_under_models(
+        model.mu[None],
+        model.sigma.chol[None],
+        cost_sample.points.T[None],
+        cost_sample.costs[None],
+        alpha,
+    )
+    return _one_estimate(values, hits, n1, cost_sample.n, alpha)
+
+
+def ccte_hat_batch(level_cols, cost_cols, costs, alpha: float):
+    """Plug-in estimates for a stack of k independent replicates at once.
+
+    Points are stored as columns, one coordinate per row, so that every
+    step is a long elementwise pass.  Replicate r fits its depth model on
+    the n1 columns of ``level_cols[r]`` (shape (d, n1): sample mean and
+    1/(n1-1) covariance) and averages ``costs[r]`` over the columns of
+    ``cost_cols[r]`` (shape (d, n2)) that fall in its estimated lower set.
+    A replicate with no hit gets the value 0.0 (the 0/0 convention).
+
+    Returns
+    -------
+    (values, hits) : ndarrays of shape (k,)
+
+    Raises
+    ------
+    DegenerateSample
+        If n1 < d + 1, or the covariance of some replicate fails the
+        Cholesky pivot floor (the message names the first one).
+    """
+    level = np.asarray(level_cols, dtype=float)
+    pts = np.asarray(cost_cols, dtype=float)
+    costs = np.asarray(costs, dtype=float)
+    if level.ndim != 3 or pts.shape[:2] != level.shape[:2] or costs.shape != pts.shape[::2]:
+        raise DimensionMismatch(
+            f"expected (k, d, n1) / (k, d, n2) / (k, n2) arrays, got shapes "
+            f"{level.shape} / {pts.shape} / {costs.shape}"
+        )
+    _, d, n1 = level.shape
+    if n1 < d + 1:
+        raise DegenerateSample(f"need at least d+1 = {d + 1} points, got {n1}")
+    mu = level.mean(axis=2)
+    dev = level - mu[..., None]
+    cov = np.einsum("kin,kjn->kij", dev, dev) / (n1 - 1)
+    try:
+        low = cholesky_lower(cov)
+    except NotPositiveDefinite as err:
+        raise DegenerateSample(f"sample covariance is not positive definite: {err}") from err
+    return _ratio_under_models(mu, low, pts, costs, alpha)
+
+
+def _ratio_under_models(mu, low, cost_cols, costs, alpha: float):
+    """Per replicate r, the mean cost over the columns of ``cost_cols[r]``
+    in the lower set of the model (``mu[r]``, Cholesky factor ``low[r]``);
+    0.0 where none is in.  Returns (values, hits)."""
     if not 0.0 < alpha < 1.0:
         raise DomainError(f"alpha must lie in (0, 1), got {alpha!r}")
-    member = in_lower_set(cost_sample.points, LevelSetSpec(model, alpha))
-    hits = int(np.count_nonzero(member))
-    if hits == 0:
-        return CcteEstimate(0.0, int(n1), cost_sample.n, alpha, 0, True)
-    value = float(np.sum(cost_sample.costs[member]) / hits)
-    return CcteEstimate(value, int(n1), cost_sample.n, alpha, hits, False)
+    w = whiten(low, cost_cols - mu[..., None])
+    member = depth_in_lower_set(1.0 / (1.0 + np.einsum("kin,kin->kn", w, w)), alpha)
+    hits = np.count_nonzero(member, axis=1)
+    # summed per replicate over its members only, as for a single sample
+    sums = np.array([np.sum(c[m]) for c, m in zip(costs, member)])
+    values = np.divide(sums, hits, out=np.zeros(len(hits)), where=hits > 0)
+    return values, hits
+
+
+def _one_estimate(values, hits, n1: int, n2: int, alpha: float) -> CcteEstimate:
+    hit_count = int(hits[0])
+    return CcteEstimate(float(values[0]), int(n1), n2, alpha, hit_count, hit_count == 0)
 
 
 def ccte_hat(level_sample: Sample, cost_sample: Sample, alpha: float) -> CcteEstimate:
     """Two-sample plug-in tail expectation estimate.
 
     Fits the depth model on ``level_sample`` and averages the costs of
-    ``cost_sample`` over the estimated lower set.  The two samples must be
-    drawn independently (caller contract).
+    ``cost_sample`` over the estimated lower set: :func:`ccte_hat_batch`
+    with one replicate.  The two samples must be drawn independently
+    (caller contract).
 
     Raises
     ------
@@ -94,8 +170,12 @@ def ccte_hat(level_sample: Sample, cost_sample: Sample, alpha: float) -> CcteEst
     MissingCosts
         If the cost sample carries no costs.
     """
-    model = fit_model(level_sample)
-    return ccte_under_model(model, cost_sample, alpha, n1=level_sample.n)
+    if cost_sample.costs is None:
+        raise MissingCosts("cost sample has no costs attached")
+    values, hits = ccte_hat_batch(
+        level_sample.points.T[None], cost_sample.points.T[None], cost_sample.costs[None], alpha
+    )
+    return _one_estimate(values, hits, level_sample.n, cost_sample.n, alpha)
 
 
 def ccte_hat_split(sample: Sample, alpha: float) -> CcteEstimate:
@@ -148,7 +228,7 @@ def estimate_population_model(
     sum_x = None
     sum_xx = None
     while total < n_mc:
-        m = min(_ORACLE_BATCH, n_mc - total)
+        m = min(BATCH_ROWS, n_mc - total)
         pts = np.asarray(draw(m, rng), dtype=float)
         if sum_x is None:
             sum_x = pts.sum(axis=0)
@@ -159,14 +239,10 @@ def estimate_population_model(
         total += m
     mean = sum_x / total
     cov = (sum_xx - total * np.outer(mean, mean)) / (total - 1)
-    from .linalg import build_spd
-
     return DepthModel(mean, build_spd(cov))
 
 
-def ccte_true_oracle(
-    population: Population, alpha: float, n_mc: int, rng: RngStream
-) -> tuple[float, float]:
+def ccte_true_oracle(population: Population, alpha, n_mc: int, rng: RngStream):
     """Monte Carlo ground truth for the tail expectation, with standard error.
 
     Draws ``n_mc`` points from the population, applies the noise-free cost
@@ -174,34 +250,53 @@ def ccte_true_oracle(
     L(alpha) under the population depth model.  The standard error is the
     delta-method expansion of the ratio.
 
+    ``alpha`` is one level or a sequence of levels.  All levels share one
+    pass: each batch is drawn, and its depths and costs computed, once, then
+    thresholded per level.  One level returns ``(value, se)``; a sequence
+    returns a list of them in order, each equal to the one-level call on
+    the same stream.
+
     Raises
     ------
     NoMass
-        If not a single draw lands in the region.
+        If not a single draw lands in the region of some level.
     """
-    if not 0.0 < alpha < 1.0:
-        raise DomainError(f"alpha must lie in (0, 1), got {alpha!r}")
+    if np.ndim(alpha) > 1 or np.size(alpha) == 0:
+        raise DomainError("alpha must be one level or a nonempty sequence of levels")
+    levels = [float(a) for a in np.atleast_1d(alpha)]
+    for a in levels:
+        if not 0.0 < a < 1.0:
+            raise DomainError(f"alpha must lie in (0, 1), got {a!r}")
     if n_mc < 100_000:
         raise DomainError("oracle needs n_mc >= 1e5 for a meaningful standard error")
-    spec = LevelSetSpec(population.model, alpha)
     # accumulated over fixed-size batches in a fixed order: deterministic
-    count_in = 0.0
-    sum_cost = 0.0
-    sum_cost_sq = 0.0
+    count_in = [0.0] * len(levels)
+    sum_cost = [0.0] * len(levels)
+    sum_cost_sq = [0.0] * len(levels)
     total = 0
     while total < n_mc:
-        m = min(_ORACLE_BATCH, n_mc - total)
+        m = min(BATCH_ROWS, n_mc - total)
         pts = np.asarray(population.draw(m, rng), dtype=float)
-        member = in_lower_set(pts, spec)
-        cost = squared_norms(pts[member])
-        count_in += float(np.count_nonzero(member))
-        sum_cost += float(np.sum(cost))
-        sum_cost_sq += float(np.sum(cost * cost))
+        depth = mhd(pts, population.model)
+        cost = squared_norms(pts)
+        for k, a in enumerate(levels):
+            member = depth_in_lower_set(depth, a)
+            hit_cost = cost[member]
+            count_in[k] += float(np.count_nonzero(member))
+            sum_cost[k] += float(np.sum(hit_cost))
+            sum_cost_sq[k] += float(np.sum(hit_cost * hit_cost))
         total += m
-    if count_in == 0:
-        raise NoMass(f"no draw out of {n_mc} landed in the level set at alpha={alpha}")
+    results = []
+    for a, count, s1, s2 in zip(levels, count_in, sum_cost, sum_cost_sq):
+        if count == 0:
+            raise NoMass(f"no draw out of {n_mc} landed in the level set at alpha={a}")
+        results.append(_ratio_with_se(count, s1, s2, total))
+    return results[0] if np.ndim(alpha) == 0 else results
+
+
+def _ratio_with_se(count_in: float, sum_cost: float, sum_cost_sq: float, total: int):
+    """Ratio mean(R 1_A) / mean(1_A) and its delta-method standard error."""
     value = sum_cost / count_in
-    # delta method for the ratio mean(R 1_A) / mean(1_A)
     p_in = count_in / total
     mean_y = sum_cost / total
     var_y = sum_cost_sq / total - mean_y * mean_y

@@ -401,7 +401,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("experiment", help="run a replication study from a config")
     p.add_argument("--config", type=Path, required=True)
     p.add_argument("--seed", type=int, help="override the config master seed")
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=int, default=1,
+                   help="study pool size, capped at the core count (same output at any count)")
     p.add_argument("--json", action="store_true", help="print a summary to stdout")
     p.add_argument("-o", "--out", type=Path, default=Path("."))
     p.set_defaults(func=_cmd_experiment)

@@ -14,13 +14,20 @@ import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 from typing import Callable, Union
 
 import numpy as np
 
 from ._version import __version__
-from .ccte import Population, ccte_hat, ccte_true_oracle, estimate_population_model
+from .ccte import (
+    BATCH_ROWS,
+    Population,
+    ccte_hat_batch,
+    ccte_true_oracle,
+    estimate_population_model,
+)
 from .depth import DepthModel
 from .errors import ConfigError, DomainError, IoError, NonPositiveStatistic
 from .linalg import build_spd
@@ -55,8 +62,10 @@ class GaussianConfig:
         problems = []
         if len(self.mu) == 0:
             problems.append("mu: must be nonempty")
-        if not (self.noise_var >= 0.0):
-            problems.append("noise_var: must be >= 0")
+        elif not np.all(np.isfinite(self.mu)):
+            problems.append("mu: entries must be finite")
+        if not (np.isfinite(self.noise_var) and self.noise_var >= 0.0):
+            problems.append("noise_var: must be finite and >= 0")
         if not problems:
             try:
                 self.model()
@@ -147,6 +156,18 @@ def config_to_json(cfg: ExperimentConfig) -> dict:
     }
 
 
+def _json_int(value) -> int:
+    """A JSON integer field: an int, or a float with an exact integer value.
+
+    Booleans, strings and fractional or non-finite floats are the wrong
+    type: they raise rather than being truncated.
+    """
+    whole = isinstance(value, int) or (isinstance(value, float) and value.is_integer())
+    if isinstance(value, bool) or not whole:
+        raise TypeError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
 def config_from_json(obj: dict) -> ExperimentConfig:
     """Build a study config from parsed JSON.
 
@@ -175,12 +196,12 @@ def config_from_json(obj: dict) -> ExperimentConfig:
 
     plain = {}
     converters = [
-        ("n_values", lambda v: tuple(int(x) for x in v)),
+        ("n_values", lambda v: tuple(_json_int(x) for x in v)),
         ("alpha_values", lambda v: tuple(float(x) for x in v)),
-        ("replications", int),
+        ("replications", _json_int),
         ("delta_values", lambda v: tuple(float(x) for x in v)),
-        ("truth_n_mc", int),
-        ("master_seed", int),
+        ("truth_n_mc", _json_int),
+        ("master_seed", _json_int),
     ]
     optional = {"delta_values": (), "truth_n_mc": 1_000_000, "master_seed": 0}
     for key, conv in converters:
@@ -247,11 +268,48 @@ def _population_parts(cfg: ExperimentConfig):
     return draw, data.noise_var, None
 
 
-def _one_replicate(draw, noise_var: float, n: int, alpha: float, stream: RngStream):
-    pts = draw(2 * n, stream)
-    level = Sample(pts[:n])
-    cost = attach_costs(Sample(pts[n:]), noise_var, stream)
-    return ccte_hat(level, cost, alpha)
+def pool_size(threads: int, tasks: int) -> int:
+    """Worker threads for ``tasks`` tasks: min(threads, cores, tasks)."""
+    if threads < 1:
+        raise DomainError("threads must be >= 1")
+    return min(threads, os.cpu_count() or 1, tasks)
+
+
+def _run_tasks(tasks: list[Callable[[], object]], threads: int) -> list:
+    """Run the tasks on one pool and return their results by task index."""
+    workers = pool_size(threads, len(tasks))
+    if workers == 1:
+        return [task() for task in tasks]
+    pool = ThreadPoolExecutor(max_workers=workers)
+    try:
+        futures = [pool.submit(task) for task in tasks]
+        return [f.result() for f in futures]
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
+def cell_estimates(
+    draw, noise_var: float, n: int, alpha: float, streams: list[RngStream]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Estimates and hit counts of one cell, one replicate per stream.
+
+    Each stream draws 2n points (level half, then cost half) and then the
+    cost noise; replicates are evaluated together in blocks of at most
+    ``BATCH_ROWS`` drawn rows.
+    """
+    per_block = max(1, BATCH_ROWS // (2 * n))
+    values, hits = [], []
+    for start in range(0, len(streams), per_block):
+        points, costs = [], []
+        for stream in streams[start : start + per_block]:
+            pts = draw(2 * n, stream)
+            points.append(pts.T)
+            costs.append(attach_costs(Sample(pts[n:]), noise_var, stream).costs)
+        cols = np.stack(points)
+        v, h = ccte_hat_batch(cols[..., :n], cols[..., n:], np.stack(costs), alpha)
+        values.append(v)
+        hits.append(h)
+    return np.concatenate(values), np.concatenate(hits)
 
 
 def run_replications(
@@ -262,64 +320,57 @@ def run_replications(
     """Run the full study grid and aggregate per-cell statistics.
 
     Replicate j of cell (n, alpha_i) owns the substream hashed from
-    (tag, n, i, j), so results do not depend on execution order or thread
-    count: the threaded path buffers estimates by replicate index.
+    (tag, n, i, j), and the truths of all levels come from one pass on one
+    truth stream.  The population pass and the cells are the tasks of one
+    pool of ``pool_size(threads, tasks)`` threads, gathered by task index,
+    so results do not depend on execution order or thread count.
     """
-    if threads < 1:
-        raise DomainError("threads must be >= 1")
     t0 = time.monotonic()
     say = progress if progress is not None else (lambda _msg: None)
     draw, noise_var, exact_model = _population_parts(cfg)
 
-    if exact_model is None:
-        say("estimating population moments")
-        moment_rng = RngStream(cfg.master_seed, mix64(_TAG_MOMENTS))
-        pop_model = estimate_population_model(draw, cfg.truth_n_mc, moment_rng)
-    else:
-        pop_model = exact_model
-    population = Population(model=pop_model, draw=draw)
-
-    truths = []
-    for i, alpha in enumerate(cfg.alpha_values):
-        say(f"truth for alpha={alpha}")
-        truth_rng = RngStream(cfg.master_seed, mix64(_TAG_TRUTH, i))
-        truths.append(ccte_true_oracle(population, alpha, cfg.truth_n_mc, truth_rng))
+    def population_pass() -> list[tuple[float, float]]:
+        if exact_model is None:
+            say("estimating population moments")
+            moment_rng = RngStream(cfg.master_seed, mix64(_TAG_MOMENTS))
+            pop_model = estimate_population_model(draw, cfg.truth_n_mc, moment_rng)
+        else:
+            pop_model = exact_model
+        say("truth for alpha in " + ", ".join(repr(a) for a in cfg.alpha_values))
+        truth_rng = RngStream(cfg.master_seed, mix64(_TAG_TRUTH))
+        population = Population(model=pop_model, draw=draw)
+        return ccte_true_oracle(population, cfg.alpha_values, cfg.truth_n_mc, truth_rng)
 
     r = cfg.replications
+    grid = [(n, i, alpha) for n in cfg.n_values for i, alpha in enumerate(cfg.alpha_values)]
+
+    def cell(n: int, i: int, alpha: float):
+        say(f"cell n={n} alpha={alpha}")
+        streams = [RngStream(cfg.master_seed, mix64(_TAG_REPLICATE, n, i, j)) for j in range(r)]
+        return cell_estimates(draw, noise_var, n, alpha, streams)
+
+    tasks = [population_pass] + [partial(cell, *c) for c in grid]
+    truths, *cell_results = _run_tasks(tasks, threads)
+
     cells = []
-    for n in cfg.n_values:
-        for i, alpha in enumerate(cfg.alpha_values):
-            say(f"cell n={n} alpha={alpha}")
-
-            def one(j: int, _n=n, _i=i, _alpha=alpha):
-                stream = RngStream(cfg.master_seed, mix64(_TAG_REPLICATE, _n, _i, j))
-                return _one_replicate(draw, noise_var, _n, _alpha, stream)
-
-            if threads > 1:
-                with ThreadPoolExecutor(max_workers=threads) as pool:
-                    results = list(pool.map(one, range(r)))
-            else:
-                results = [one(j) for j in range(r)]
-
-            estimates = np.array([est.value for est in results])
-            degenerate = sum(1 for est in results if est.degenerate)
-            truth, truth_se = truths[i]
-            mean = float(np.mean(estimates))
-            sigma_hat = float(np.sqrt(np.sum((estimates - mean) ** 2) / (r - 1)))
-            rmae = float(np.mean(np.abs(estimates - truth)) / abs(truth))
-            cells.append(
-                CellResult(
-                    n=n,
-                    alpha=alpha,
-                    truth=truth,
-                    truth_se=truth_se,
-                    estimates=estimates,
-                    mean=mean,
-                    sigma_hat=sigma_hat,
-                    rmae=rmae,
-                    degenerate_count=degenerate,
-                )
+    for (n, i, alpha), (estimates, hits) in zip(grid, cell_results):
+        truth, truth_se = truths[i]
+        mean = float(np.mean(estimates))
+        sigma_hat = float(np.sqrt(np.sum((estimates - mean) ** 2) / (r - 1)))
+        rmae = float(np.mean(np.abs(estimates - truth)) / abs(truth))
+        cells.append(
+            CellResult(
+                n=n,
+                alpha=alpha,
+                truth=truth,
+                truth_se=truth_se,
+                estimates=estimates,
+                mean=mean,
+                sigma_hat=sigma_hat,
+                rmae=rmae,
+                degenerate_count=int(np.count_nonzero(hits == 0)),
             )
+        )
     return ReplicationReport(
         config=cfg, cells=tuple(cells), wall_clock_seconds=time.monotonic() - t0
     )

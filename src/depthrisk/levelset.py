@@ -67,8 +67,14 @@ def in_lower_set(x, spec: LevelSetSpec):
     """
     pts = np.asarray(x, dtype=float)
     single = pts.ndim == 1
-    member = mhd(pts, spec.model) <= spec.alpha + BOUNDARY_TOL
+    member = depth_in_lower_set(mhd(pts, spec.model), spec.alpha)
     return bool(member) if single else member
+
+
+def depth_in_lower_set(depth, alpha: float):
+    """The membership rule on depths already computed: ``depth <= alpha``,
+    with depths within 1e-12 above alpha counted in."""
+    return depth <= alpha + BOUNDARY_TOL
 
 
 def _sphere_directions(d: int, m: int) -> np.ndarray:

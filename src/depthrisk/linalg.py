@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.linalg import solve_triangular
 
-from .errors import DimensionMismatch, NotPositiveDefinite, NotSymmetric
+from .errors import DimensionMismatch, DomainError, NotPositiveDefinite, NotSymmetric
 
 SYMMETRY_TOL = 1e-12
 PIVOT_FLOOR = 1e-300
@@ -30,6 +30,8 @@ def _checked_symmetric(matrix) -> np.ndarray:
         raise DimensionMismatch(f"expected a square matrix, got shape {a.shape}")
     if a.shape[0] == 0:
         raise DimensionMismatch("matrix must have at least one row")
+    if not np.all(np.isfinite(a)):
+        raise DomainError("matrix entries must be finite")
     gap = float(np.max(np.abs(a - a.T)))
     if gap > SYMMETRY_TOL:
         raise NotSymmetric(
@@ -38,18 +40,58 @@ def _checked_symmetric(matrix) -> np.ndarray:
     return 0.5 * (a + a.T)
 
 
-def _cholesky_lower(a: np.ndarray) -> np.ndarray:
-    """Lower Cholesky factor with an explicit pivot floor."""
-    d = a.shape[0]
-    low = np.zeros_like(a)
-    for j in range(d):
-        pivot = a[j, j] - low[j, :j] @ low[j, :j]
-        if pivot <= PIVOT_FLOOR:
-            raise NotPositiveDefinite(f"Cholesky pivot {pivot:.3e} at column {j}")
-        low[j, j] = np.sqrt(pivot)
-        if j + 1 < d:
-            low[j + 1 :, j] = (a[j + 1 :, j] - low[j + 1 :, :j] @ low[j, :j]) / low[j, j]
-    return low
+def cholesky_lower(matrices) -> np.ndarray:
+    """Lower Cholesky factors of one (d, d) matrix or a (k, d, d) stack.
+
+    Only the lower triangle is read.  Every pivot must exceed the floor
+    1e-300; a failure names the index of the first failing matrix.
+
+    Raises
+    ------
+    DomainError
+        If any entry is NaN or infinite.
+    NotPositiveDefinite
+        If a pivot of some matrix is at or below the floor.
+    """
+    a = np.asarray(matrices, dtype=float)
+    if not np.all(np.isfinite(a)):
+        raise DomainError("matrix entries must be finite")
+    stack = a.reshape(-1, *a.shape[-2:])
+    try:
+        low = np.linalg.cholesky(stack)
+    except np.linalg.LinAlgError:
+        # LAPACK stops without naming the failing matrix: factor one by one
+        low = np.stack([_cholesky_or_nan(m) for m in stack])
+    pivots = np.diagonal(low, axis1=1, axis2=2) ** 2
+    bad = np.flatnonzero(~np.all(pivots > PIVOT_FLOOR, axis=1))
+    if bad.size:
+        where = f"matrix {bad[0]} of the stack: " if a.ndim > 2 else ""
+        raise NotPositiveDefinite(f"{where}a Cholesky pivot is at or below {PIVOT_FLOOR:.0e}")
+    return low.reshape(a.shape)
+
+
+def _cholesky_or_nan(m: np.ndarray) -> np.ndarray:
+    try:
+        return np.linalg.cholesky(m)
+    except np.linalg.LinAlgError:
+        return np.full_like(m, np.nan)
+
+
+def whiten(low, cols) -> np.ndarray:
+    """Solve ``L w = x`` for each column x by forward substitution.
+
+    ``low`` is a lower factor (d, d) with columns ``cols`` of shape (d, n),
+    or a stack of factors (k, d, d) with columns (k, d, n).  Each step of the
+    solve is one elementwise pass over a coordinate of all n vectors: d is
+    small and n large, and no BLAS call is made.
+    """
+    w = np.array(cols, dtype=float)
+    low = np.asarray(low, dtype=float)
+    for j in range(w.shape[-2]):
+        for m in range(j):
+            w[..., j, :] -= w[..., m, :] * low[..., j, m, None]
+        w[..., j, :] /= low[..., j, j, None]
+    return w
 
 
 class SpdMatrix:
@@ -66,6 +108,8 @@ class SpdMatrix:
 
     Raises
     ------
+    DomainError
+        If an entry is NaN or infinite.
     NotSymmetric
         If the input is asymmetric beyond 1e-12 (absolute, entrywise).
     NotPositiveDefinite
@@ -80,7 +124,7 @@ class SpdMatrix:
         a = _checked_symmetric(entries)
         self.dim = a.shape[0]
         self.entries = a
-        self.chol = _cholesky_lower(a)
+        self.chol = cholesky_lower(a)
         self.entries.setflags(write=False)
         self.chol.setflags(write=False)
 
@@ -102,8 +146,24 @@ class SpdMatrix:
         Accepts a single vector of length dim or an (n, dim) array of rows.
         """
         r, single = self._check_rows(rows)
-        w = solve_triangular(self.chol, r.T, lower=True, check_finite=False).T
+        w = whiten(self.chol, r.T).T
         return w[0] if single else w
+
+    def color_rows(self, rows) -> np.ndarray:
+        """Map each row z to ``L z``, the inverse of :meth:`whiten_rows`.
+
+        Rows with identity covariance come out with covariance A.  Like
+        :func:`whiten`, it makes one elementwise pass per term and no BLAS
+        call; the result is the transpose of a (dim, n) array.
+        """
+        z, single = self._check_rows(rows)
+        zt = z.T
+        x = np.empty(zt.shape)
+        for i in range(self.dim):
+            np.multiply(zt[0], self.chol[i, 0], out=x[i])
+            for j in range(1, i + 1):
+                x[i] += zt[j] * self.chol[i, j]
+        return x.T[0] if single else x.T
 
     def solve_rows(self, rows) -> np.ndarray:
         """Apply ``A^{-1}`` to each row through two triangular solves."""

@@ -64,13 +64,18 @@ class FrankGumbelConfig:
 
     def __post_init__(self):
         problems = []
-        if self.theta == 0.0:
+        if not np.isfinite(self.theta):
+            problems.append("theta: must be finite")
+        elif self.theta == 0.0:
             problems.append("theta: must be nonzero")
-        if not self.marg1.beta > 0:
-            problems.append("marginals[0].beta: must be > 0")
-        if not self.marg2.beta > 0:
-            problems.append("marginals[1].beta: must be > 0")
-        if self.noise_var < 0:
+        for i, marg in enumerate((self.marg1, self.marg2)):
+            if not np.isfinite(marg.mu):
+                problems.append(f"marginals[{i}].mu: must be finite")
+            if not (np.isfinite(marg.beta) and marg.beta > 0):
+                problems.append(f"marginals[{i}].beta: must be finite and > 0")
+        if not np.isfinite(self.noise_var):
+            problems.append("noise_var: must be finite")
+        elif self.noise_var < 0:
             problems.append("noise_var: must be >= 0")
         if problems:
             raise ConfigError("; ".join(problems))
@@ -313,4 +318,4 @@ def sample_gaussian(n: int, model: "DepthModel", rng: RngStream) -> Sample:
         raise DomainError("n must be >= 1")
     d = model.dim
     z = rng.normals(n * d).reshape(n, d)
-    return Sample(model.mu + z @ model.sigma.chol.T)
+    return Sample(model.mu + model.sigma.color_rows(z))

@@ -7,7 +7,9 @@ import pytest
 
 from depthrisk import (
     CcteEstimate,
+    DegenerateSample,
     DepthModel,
+    DimensionMismatch,
     DomainError,
     FrankGumbelConfig,
     GumbelMarginal,
@@ -28,6 +30,7 @@ from depthrisk import (
     sample_gaussian,
     sample_risk_factors,
 )
+from depthrisk.ccte import ccte_hat_batch
 
 FRANK_CFG = FrankGumbelConfig(
     theta=5.0,
@@ -196,6 +199,42 @@ class TestBruteForce:
             assert est.value == total / k
 
 
+class TestBatch:
+    # the kernel takes points as columns: (replicates, d, points)
+
+    def test_degenerate_replicate_is_named(self):
+        # replicate 1 has a constant second coordinate: singular covariance
+        rng = RngStream(38, 0)
+        level = rng.normals(3 * 2 * 20).reshape(3, 2, 20)
+        level[1, 1, :] = 0.5
+        cost = rng.normals(3 * 2 * 10).reshape(3, 2, 10)
+        with pytest.raises(DegenerateSample, match="matrix 1 of the stack"):
+            ccte_hat_batch(level, cost, np.ones((3, 10)), 0.5)
+
+    def test_too_few_level_points(self):
+        with pytest.raises(DegenerateSample):
+            ccte_hat_batch(np.zeros((2, 2, 2)), np.zeros((2, 2, 4)), np.ones((2, 4)), 0.5)
+
+    def test_shape_mismatch(self):
+        with pytest.raises(DimensionMismatch):
+            ccte_hat_batch(np.zeros((2, 2, 8)), np.zeros((3, 2, 4)), np.ones((3, 4)), 0.5)
+        with pytest.raises(DimensionMismatch):
+            ccte_hat_batch(np.zeros((2, 2, 8)), np.zeros((2, 2, 4)), np.ones((2, 5)), 0.5)
+
+    def test_matches_one_replicate_calls(self):
+        rng = RngStream(39, 0)
+        level = rng.normals(4 * 30 * 2).reshape(4, 30, 2)
+        cost = rng.normals(4 * 25 * 2).reshape(4, 25, 2) * 1.5
+        costs = rng.uniforms(4 * 25).reshape(4, 25)
+        values, hits = ccte_hat_batch(
+            level.transpose(0, 2, 1), cost.transpose(0, 2, 1), costs, 0.3
+        )
+        for r in range(4):
+            est = ccte_hat(Sample(level[r]), costed(cost[r], costs[r]), 0.3)
+            assert est.hits == hits[r]
+            assert est.value == pytest.approx(values[r], rel=1e-12, abs=0.0)
+
+
 class TestSplitMode:
     def test_matches_manual_split(self):
         rng = RngStream(37, 0)
@@ -255,6 +294,31 @@ class TestTrueOracle:
         a = ccte_true_oracle(pop, 0.5, 100_000, RngStream(44, 9))
         b = ccte_true_oracle(pop, 0.5, 100_000, RngStream(44, 9))
         assert a == b
+
+    @pytest.mark.parametrize("population", ["gaussian", "frank"])
+    def test_levels_share_one_pass(self, population):
+        # more draws than one internal batch; every level of the shared
+        # pass equals the one-level call on the same stream, bit for bit
+        if population == "gaussian":
+            pop = gaussian_population(DepthModel([0.5, -1.0], build_spd([[2.0, 0.6], [0.6, 1.0]])))
+        else:
+            from depthrisk import Population
+
+            draw = lambda n, rng: sample_risk_factors(n, FRANK_CFG, rng).points
+            pop = Population(estimate_population_model(draw, 100_000, RngStream(49, 0)), draw)
+        levels = (0.1, 0.5, 0.9)
+        shared = ccte_true_oracle(pop, levels, 300_000, RngStream(49, 1))
+        assert len(shared) == len(levels)
+        for alpha, pair in zip(levels, shared):
+            assert pair == ccte_true_oracle(pop, alpha, 300_000, RngStream(49, 1))
+
+    def test_level_sequence_validation(self):
+        pop = gaussian_population(std_model())
+        for bad in ((), (0.5, 1.0), [[0.5]]):
+            with pytest.raises(DomainError):
+                ccte_true_oracle(pop, bad, 100_000, RngStream(0))
+        with pytest.raises(NoMass):
+            ccte_true_oracle(pop, (0.5, 1e-4), 100_000, RngStream(43, 0))
 
     def test_gaussian_population_wrapper(self):
         model = std_model()

@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -15,16 +16,27 @@ from depthrisk import (
     GumbelMarginal,
     IoError,
     NonPositiveStatistic,
+    RngStream,
+    Sample,
+    attach_costs,
+    ccte_under_model,
     config_from_json,
     config_to_json,
     emit_tables,
+    fit_model,
+    mix64,
     rate_slope,
     rate_table,
     run_replications,
 )
+from depthrisk.ccte import BATCH_ROWS
 from depthrisk.experiments import (
+    _TAG_REPLICATE,
     RATES_HEADER,
     SUMMARY_HEADER,
+    _population_parts,
+    cell_estimates,
+    pool_size,
     rates_csv_text,
     summary_csv_text,
 )
@@ -192,6 +204,129 @@ class TestConfigJson:
                               "n_values": "many", "alpha_values": [0.5],
                               "replications": 2})
         assert "n_values: wrong type" in str(exc.value)
+
+
+class TestStrictIntegers:
+    BASE = {
+        "data": {"kind": "gaussian", "mu": [0.0, 0.0], "sigma": [[1.0, 0.0], [0.0, 1.0]]},
+        "n_values": [8],
+        "alpha_values": [0.5],
+        "replications": 2,
+        "truth_n_mc": 100_000,
+        "master_seed": 3,
+    }
+
+    @pytest.mark.parametrize("key", ["n_values", "replications", "truth_n_mc", "master_seed"])
+    @pytest.mark.parametrize("bad", [250.7, 2.9, 1.5, True, float("inf"), "5"])
+    def test_non_integers_rejected(self, key, bad):
+        obj = dict(self.BASE, **{key: [bad] if key == "n_values" else bad})
+        with pytest.raises(ConfigError) as exc:
+            config_from_json(obj)
+        assert f"{key}: wrong type" in str(exc.value)
+
+    def test_integral_floats_accepted_exactly(self):
+        cfg = config_from_json(
+            dict(self.BASE, n_values=[250.0], replications=2.0, truth_n_mc=1e6, master_seed=5.0)
+        )
+        assert cfg.n_values == (250,) and type(cfg.n_values[0]) is int
+        assert cfg.replications == 2 and type(cfg.replications) is int
+        assert cfg.truth_n_mc == 1_000_000 and type(cfg.truth_n_mc) is int
+        assert cfg.master_seed == 5 and type(cfg.master_seed) is int
+
+
+class TestGaussianConfigFinite:
+    @pytest.mark.parametrize("noise_var", [float("nan"), float("inf")])
+    def test_noise_var(self, noise_var):
+        with pytest.raises(ConfigError, match="noise_var"):
+            GaussianConfig(mu=(0.0, 0.0), sigma=EYE2, noise_var=noise_var)
+
+    def test_mu(self):
+        with pytest.raises(ConfigError, match="mu"):
+            GaussianConfig(mu=(0.0, float("nan")), sigma=EYE2)
+
+    def test_sigma(self):
+        with pytest.raises(ConfigError, match="sigma"):
+            GaussianConfig(mu=(0.0, 0.0), sigma=((1.0, 0.0), (0.0, float("inf"))))
+
+
+def v0_replicate(draw, noise_var, n, alpha, stream):
+    """One replicate the unbatched way: fit_model, in_lower_set, ratio."""
+    pts = draw(2 * n, stream)
+    level = Sample(pts[:n])
+    cost = attach_costs(Sample(pts[n:]), noise_var, stream)
+    return ccte_under_model(fit_model(level), cost, alpha, n1=n)
+
+
+class TestBatchedCell:
+    @pytest.mark.parametrize(
+        "kind, n, alpha, r",
+        [
+            ("gaussian", 16, 0.05, 40),  # mostly zero-hit replicates
+            ("gaussian", 64, 0.5, 20),
+            ("frank", 16, 0.05, 40),
+            ("frank", 100, 0.1, 30),
+            ("frank", 5000, 0.5, 30),  # more than one block
+        ],
+    )
+    def test_matches_per_replicate_path(self, kind, n, alpha, r):
+        cfg = gaussian_cfg() if kind == "gaussian" else frank_cfg()
+        draw, noise_var, _ = _population_parts(cfg)
+        if n == 5000:
+            assert r * 2 * n > BATCH_ROWS
+        streams = lambda: [RngStream(99, mix64(n, j)) for j in range(r)]
+        values, hits = cell_estimates(draw, noise_var, n, alpha, streams())
+        expect = [v0_replicate(draw, noise_var, n, alpha, s) for s in streams()]
+        assert list(hits) == [e.hits for e in expect]
+        assert [h == 0 for h in hits] == [e.degenerate for e in expect]
+        for got, e in zip(values, expect):
+            assert abs(got - e.value) <= 1e-12 * abs(e.value)
+        if alpha == 0.05:
+            assert any(e.degenerate for e in expect)
+
+    def test_study_cells_use_replicate_streams(self):
+        cfg = frank_cfg(n_values=(16, 32), alpha_values=(0.1, 0.5), replications=4)
+        report = run_replications(cfg)
+        draw, noise_var, _ = _population_parts(cfg)
+        for n in cfg.n_values:
+            for i, alpha in enumerate(cfg.alpha_values):
+                streams = [RngStream(cfg.master_seed, mix64(_TAG_REPLICATE, n, i, j))
+                           for j in range(cfg.replications)]
+                values, hits = cell_estimates(draw, noise_var, n, alpha, streams)
+                cell = report.cell(n, alpha)
+                assert np.array_equal(cell.estimates, values)
+                assert cell.degenerate_count == int(np.sum(hits == 0))
+
+
+class TestPool:
+    def test_cap_uses_core_count(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        assert pool_size(10_000, 10) == 2
+        assert pool_size(10_000, 1) == 1
+        assert pool_size(1, 10) == 1
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert pool_size(4, 10) == 1
+
+    def test_cap_rejects_nonpositive(self):
+        for threads in (0, -1):
+            with pytest.raises(DomainError):
+                pool_size(threads, 3)
+
+    def test_study_builds_one_capped_pool(self, monkeypatch):
+        import depthrisk.experiments as experiments
+
+        made = []
+
+        class Recording(experiments.ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                made.append(max_workers)
+                super().__init__(max_workers=max_workers)
+
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(experiments, "ThreadPoolExecutor", Recording)
+        cfg = gaussian_cfg(n_values=(8, 16), alpha_values=(0.2, 0.5))
+        threaded = run_replications(cfg, threads=10_000)
+        assert made == [2]
+        assert summary_csv_text(threaded) == summary_csv_text(run_replications(cfg))
 
 
 class TestRunReplications:

@@ -5,6 +5,7 @@ import pytest
 
 from depthrisk import (
     DimensionMismatch,
+    DomainError,
     NotPositiveDefinite,
     NotSymmetric,
     build_spd,
@@ -13,6 +14,7 @@ from depthrisk import (
     quad_forms,
     sq_norm,
 )
+from depthrisk.linalg import cholesky_lower
 
 
 def random_spd(rng, d):
@@ -163,3 +165,31 @@ class TestOperatorNorm:
             assert operator_norm(c * a) == pytest.approx(
                 abs(c) * base, rel=1e-10, abs=1e-12
             )
+
+
+class TestNonFiniteAndStacks:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_build_spd_rejects_non_finite(self, bad):
+        with pytest.raises(DomainError):
+            build_spd([[1.0, 0.0], [0.0, bad]])
+        with pytest.raises(DomainError):
+            build_spd([[2.0, bad], [bad, 2.0]])
+
+    def test_stack_matches_single_factors(self):
+        rng = np.random.default_rng(12)
+        stack = np.stack([random_spd(rng, 3) for _ in range(5)])
+        low = cholesky_lower(stack)
+        for a, l in zip(stack, low):
+            assert np.array_equal(l, cholesky_lower(a))
+            assert np.allclose(l @ l.T, a, rtol=1e-12, atol=0.0)
+
+    def test_stack_failure_names_the_matrix(self):
+        # LAPACK failure (indefinite) and pivot floor (tiny positive pivot)
+        for bad in ([[1.0, 2.0], [2.0, 1.0]], [[1.0, 0.0], [0.0, 1e-305]]):
+            stack = np.stack([np.eye(2), np.asarray(bad), np.eye(2)])
+            with pytest.raises(NotPositiveDefinite, match="matrix 1 of the stack"):
+                cholesky_lower(stack)
+
+    def test_pivot_floor_applies_to_build_spd(self):
+        with pytest.raises(NotPositiveDefinite):
+            build_spd([[1.0, 0.0], [0.0, 1e-305]])

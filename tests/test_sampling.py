@@ -304,6 +304,22 @@ class TestFrankGumbelConfig:
         assert "marginals[0].beta" in msg
         assert "noise_var" in msg
 
+    @pytest.mark.parametrize("field", ["theta", "noise_var"])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_rejected(self, field, bad):
+        params = dict(theta=5.0, marg1=GumbelMarginal(0.0, 0.25),
+                      marg2=GumbelMarginal(-0.5, 0.25), noise_var=0.005)
+        params[field] = bad
+        with pytest.raises(ConfigError) as exc:
+            FrankGumbelConfig(**params)
+        assert f"{field}: must be finite" in str(exc.value)
+
+    @pytest.mark.parametrize("marg", [GumbelMarginal(float("nan"), 0.25),
+                                      GumbelMarginal(0.0, float("inf"))])
+    def test_non_finite_marginal_rejected(self, marg):
+        with pytest.raises(ConfigError, match=r"marginals\[1\]"):
+            FrankGumbelConfig(theta=5.0, marg1=GumbelMarginal(0.0, 0.25), marg2=marg)
+
     def test_json_round_trip(self):
         back = FrankGumbelConfig.from_json(CFG.to_json())
         assert back == CFG
