@@ -35,7 +35,7 @@ from .errors import (
 from .levelset import depth_in_lower_set
 from .linalg import build_spd, cholesky_lower, whiten
 from .rng import RngStream
-from .sampling import Sample, squared_norms
+from .sampling import Sample, sample_gaussian, squared_norms
 
 # Rows per numpy pass: population batches and blocks of replicates.  Small
 # enough that the temporaries of a pass stay a few MB each.
@@ -208,8 +208,6 @@ class Population:
 
 def gaussian_population(model: DepthModel) -> Population:
     """Population wrapper for N(mu, Sigma) with its exact depth model."""
-    from .sampling import sample_gaussian
-
     return Population(model, lambda n, rng: sample_gaussian(n, model, rng).points)
 
 

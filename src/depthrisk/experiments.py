@@ -1,10 +1,12 @@
-"""Seeded replication studies of conditional tail expectation convergence.
+"""Seeded studies of how fast the plug-in estimators converge.
 
-A study draws repeated two-part samples from a fixed population, estimates
-the depth-conditioned expectation on each replicate, and aggregates per-cell
-error statistics against a high-precision Monte Carlo truth.  All randomness
-descends from one master seed through tagged substreams, so reruns (and
-threaded runs) reproduce output files byte for byte.
+A replication study draws repeated two-part samples from a fixed population,
+estimates the depth-conditioned expectation on each replicate, and
+aggregates per-cell error statistics against a high-precision Monte Carlo
+truth.  A convergence study fits depth models to Gaussian samples of growing
+size and measures three fitted-vs-truth distances.  All randomness descends
+from one master seed through tagged substreams, so reruns (and threaded
+runs) reproduce output files byte for byte.
 """
 
 from __future__ import annotations
@@ -27,9 +29,20 @@ from .ccte import (
     ccte_hat_batch,
     ccte_true_oracle,
     estimate_population_model,
+    gaussian_population,
 )
-from .depth import DepthModel
-from .errors import ConfigError, DomainError, IoError, NonPositiveStatistic
+from .depth import DepthModel, fit_model, sup_norm_distance
+from .errors import ConfigError, DomainError, NonPositiveStatistic
+from .io import (
+    atomic_write_text,
+    csv_text,
+    json_fields,
+    json_floats,
+    json_int,
+    json_ints,
+    make_out_dir,
+)
+from .levelset import LevelSetSpec, hausdorff_report, sym_diff_volume
 from .linalg import build_spd
 from .rng import RngStream, mix64
 from .sampling import (
@@ -45,9 +58,40 @@ from .sampling import (
 _TAG_MOMENTS = 1
 _TAG_TRUTH = 2
 _TAG_REPLICATE = 3
+_TAG_CONV_SAMPLE = 101
+_TAG_CONV_MC = 102
 
 SUMMARY_HEADER = "n,alpha,truth,truth_se,mean,sigma_hat,rmae,degenerate_count"
 RATES_HEADER = "n,alpha,delta,V"
+CONVERGENCE_STATS = ("supnorm", "hausdorff", "symdiff")
+
+
+def _is_count(value, least: int) -> bool:
+    """An integer (not a bool) of at least ``least``."""
+    whole = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+    return whole and value >= least
+
+
+def _field_problems(checks, values: dict) -> list[str]:
+    """Problems of the fields present in ``values`` under a table of
+    (field, check, reason)."""
+    return [f"{key}: {why}" for key, ok, why in checks if key in values and not ok(values[key])]
+
+
+def _fields_from_json(cls, obj: dict, table: dict, required) -> dict:
+    """The fields of a config dataclass ``cls``, converted from parsed JSON
+    by a table of converters (see :func:`~depthrisk.io.json_fields`).
+
+    Missing required fields, unconvertible fields and fields failing the
+    class's checks are all named in one ConfigError.  Absent optional fields
+    are left out, so they take the class defaults.
+    """
+    problems: list[str] = []
+    fields = json_fields(obj, table, required, problems)
+    problems += _field_problems(cls._checks, fields)
+    if problems:
+        raise ConfigError("; ".join(problems))
+    return fields
 
 
 @dataclass(frozen=True)
@@ -58,14 +102,13 @@ class GaussianConfig:
     sigma: tuple[tuple[float, ...], ...]
     noise_var: float = 0.005
 
+    _checks = (
+        ("mu", lambda v: len(v) > 0 and np.all(np.isfinite(v)), "must be nonempty and finite"),
+        ("noise_var", lambda v: np.isfinite(v) and v >= 0.0, "must be finite and >= 0"),
+    )
+
     def __post_init__(self) -> None:
-        problems = []
-        if len(self.mu) == 0:
-            problems.append("mu: must be nonempty")
-        elif not np.all(np.isfinite(self.mu)):
-            problems.append("mu: entries must be finite")
-        if not (np.isfinite(self.noise_var) and self.noise_var >= 0.0):
-            problems.append("noise_var: must be finite and >= 0")
+        problems = _field_problems(self._checks, vars(self))
         if not problems:
             try:
                 self.model()
@@ -87,18 +130,12 @@ class GaussianConfig:
 
     @classmethod
     def from_json(cls, obj: dict) -> "GaussianConfig":
-        problems = []
-        for key in ("mu", "sigma"):
-            if key not in obj:
-                problems.append(f"{key}: missing")
-        if problems:
-            raise ConfigError("; ".join(problems))
-        try:
-            mu = tuple(float(v) for v in obj["mu"])
-            sigma = tuple(tuple(float(v) for v in row) for row in obj["sigma"])
-        except (TypeError, ValueError):
-            raise ConfigError("mu, sigma: must be numeric arrays") from None
-        return cls(mu=mu, sigma=sigma, noise_var=float(obj.get("noise_var", 0.005)))
+        table = {
+            "mu": json_floats,
+            "sigma": lambda rows: tuple(json_floats(row) for row in rows),
+            "noise_var": float,
+        }
+        return cls(**_fields_from_json(cls, obj, table, ("mu", "sigma")))
 
 
 DataConfig = Union[GaussianConfig, FrankGumbelConfig]
@@ -120,33 +157,25 @@ class ExperimentConfig:
     truth_n_mc: int = 1_000_000
     master_seed: int = 0
 
+    _checks = (
+        ("n_values", lambda v: len(v) > 0 and all(_is_count(n, 2) for n in v),
+         "must be a nonempty list of integers >= 2"),
+        ("alpha_values", lambda v: len(v) > 0 and all(0.0 < a < 1.0 for a in v),
+         "must be a nonempty list of levels in (0, 1)"),
+        ("replications", lambda v: _is_count(v, 2), "must be an integer >= 2"),
+        ("truth_n_mc", lambda v: _is_count(v, 100_000), "must be an integer >= 100000"),
+        ("master_seed", lambda v: _is_count(v, 0), "must be a nonnegative integer"),
+    )
+
     def __post_init__(self) -> None:
-        problems = []
-        if len(self.n_values) == 0:
-            problems.append("n_values: must be nonempty")
-        elif any(int(n) != n or n < 2 for n in self.n_values):
-            problems.append("n_values: every entry must be an integer >= 2")
-        if len(self.alpha_values) == 0:
-            problems.append("alpha_values: must be nonempty")
-        elif any(not (0.0 < a < 1.0) for a in self.alpha_values):
-            problems.append("alpha_values: every entry must lie in (0, 1)")
-        if self.replications < 2:
-            problems.append("replications: must be >= 2")
-        if self.truth_n_mc < 100_000:
-            problems.append("truth_n_mc: must be >= 100000")
-        if int(self.master_seed) != self.master_seed or self.master_seed < 0:
-            problems.append("master_seed: must be a nonnegative integer")
+        problems = _field_problems(self._checks, vars(self))
         if problems:
             raise ConfigError("; ".join(problems))
 
 
 def config_to_json(cfg: ExperimentConfig) -> dict:
-    data = dict(cfg.data_cfg.to_json())
-    data.setdefault(
-        "kind", "gaussian" if isinstance(cfg.data_cfg, GaussianConfig) else "frank_gumbel"
-    )
     return {
-        "data": data,
+        "data": cfg.data_cfg.to_json(),
         "n_values": list(cfg.n_values),
         "alpha_values": list(cfg.alpha_values),
         "replications": cfg.replications,
@@ -156,16 +185,14 @@ def config_to_json(cfg: ExperimentConfig) -> dict:
     }
 
 
-def _json_int(value) -> int:
-    """A JSON integer field: an int, or a float with an exact integer value.
-
-    Booleans, strings and fractional or non-finite floats are the wrong
-    type: they raise rather than being truncated.
-    """
-    whole = isinstance(value, int) or (isinstance(value, float) and value.is_integer())
-    if isinstance(value, bool) or not whole:
-        raise TypeError(f"expected an integer, got {value!r}")
-    return int(value)
+def _data_config_from_json(obj) -> DataConfig:
+    """The population law of a study, chosen by its ``kind``."""
+    makers = {"gaussian": GaussianConfig.from_json, "frank_gumbel": FrankGumbelConfig.from_json}
+    if not isinstance(obj, dict):
+        raise TypeError("expected an object")
+    if obj.get("kind") not in makers:
+        raise ConfigError("kind: must be 'gaussian' or 'frank_gumbel'")
+    return makers[obj["kind"]](obj)
 
 
 def config_from_json(obj: dict) -> ExperimentConfig:
@@ -174,49 +201,18 @@ def config_from_json(obj: dict) -> ExperimentConfig:
     Raises ConfigError naming every problem found in one message, so a bad
     file can be fixed in a single edit pass.
     """
-    problems = []
-    data_cfg = None
-    data_obj = obj.get("data")
-    if not isinstance(data_obj, dict):
-        problems.append("data: missing or not an object")
-    else:
-        kind = data_obj.get("kind")
-        if kind == "gaussian":
-            maker = GaussianConfig.from_json
-        elif kind == "frank_gumbel":
-            maker = FrankGumbelConfig.from_json
-        else:
-            maker = None
-            problems.append("data.kind: must be 'gaussian' or 'frank_gumbel'")
-        if maker is not None:
-            try:
-                data_cfg = maker(data_obj)
-            except ConfigError as exc:
-                problems.extend("data." + part for part in str(exc).split("; "))
-
-    plain = {}
-    converters = [
-        ("n_values", lambda v: tuple(_json_int(x) for x in v)),
-        ("alpha_values", lambda v: tuple(float(x) for x in v)),
-        ("replications", _json_int),
-        ("delta_values", lambda v: tuple(float(x) for x in v)),
-        ("truth_n_mc", _json_int),
-        ("master_seed", _json_int),
-    ]
-    optional = {"delta_values": (), "truth_n_mc": 1_000_000, "master_seed": 0}
-    for key, conv in converters:
-        if key in obj:
-            try:
-                plain[key] = conv(obj[key])
-            except (TypeError, ValueError):
-                problems.append(f"{key}: wrong type")
-        elif key in optional:
-            plain[key] = optional[key]
-        else:
-            problems.append(f"{key}: missing")
-    if problems:
-        raise ConfigError("; ".join(problems))
-    return ExperimentConfig(data_cfg=data_cfg, **plain)
+    table = {
+        "data": _data_config_from_json,
+        "n_values": json_ints,
+        "alpha_values": json_floats,
+        "replications": json_int,
+        "delta_values": json_floats,
+        "truth_n_mc": json_int,
+        "master_seed": json_int,
+    }
+    required = ("data", "n_values", "alpha_values", "replications")
+    fields = _fields_from_json(ExperimentConfig, obj, table, required)
+    return ExperimentConfig(data_cfg=fields.pop("data"), **fields)
 
 
 @dataclass(frozen=True)
@@ -255,12 +251,8 @@ def _population_parts(cfg: ExperimentConfig):
     """
     data = cfg.data_cfg
     if isinstance(data, GaussianConfig):
-        model = data.model()
-
-        def draw(n: int, rng: RngStream) -> np.ndarray:
-            return sample_gaussian(n, model, rng).points
-
-        return draw, data.noise_var, model
+        population = gaussian_population(data.model())
+        return population.draw, data.noise_var, population.model
 
     def draw(n: int, rng: RngStream) -> np.ndarray:
         return sample_risk_factors(n, data, rng).points
@@ -389,6 +381,18 @@ def rate_table(
     return rows
 
 
+def _loglog_slope(ns, stats) -> float | None:
+    """Least-squares slope of log(stat) against log(n); None when the sample
+    sizes are all equal."""
+    x = np.log(np.asarray(ns, dtype=float))
+    y = np.log(np.asarray(stats, dtype=float))
+    xc = x - x.mean()
+    denom = float(np.dot(xc, xc))
+    if denom == 0.0:
+        return None
+    return float(np.dot(xc, y - y.mean()) / denom)
+
+
 def rate_slope(points: list[tuple[float, float]]) -> float:
     """Least-squares slope of log(stat) against log(n).
 
@@ -403,62 +407,22 @@ def rate_slope(points: list[tuple[float, float]]) -> float:
         raise DomainError("sample sizes must be positive")
     if np.any(stats <= 0.0):
         raise NonPositiveStatistic("all statistics must be > 0 to fit a log-log slope")
-    x = np.log(ns)
-    y = np.log(stats)
-    xc = x - x.mean()
-    denom = float(np.dot(xc, xc))
-    if denom == 0.0:
+    slope = _loglog_slope(ns, stats)
+    if slope is None:
         raise DomainError("sample sizes must not all be equal")
-    return float(np.dot(xc, y - y.mean()) / denom)
-
-
-def _fmt(value) -> str:
-    """Shortest decimal string that round-trips the value."""
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return repr(float(value))
-
-
-def _atomic_write_text(path: Path, text: str) -> None:
-    """Write the whole file or nothing: temp file in place, then rename."""
-    tmp = path.with_name(path.name + ".tmp")
-    try:
-        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except OSError as exc:
-        try:
-            tmp.unlink(missing_ok=True)
-        except OSError:
-            pass
-        raise IoError(f"cannot write {path}: {exc}") from exc
+    return slope
 
 
 def summary_csv_text(report: ReplicationReport) -> str:
-    lines = [SUMMARY_HEADER]
-    for c in report.cells:
-        lines.append(
-            ",".join(
-                [
-                    _fmt(c.n),
-                    _fmt(c.alpha),
-                    _fmt(c.truth),
-                    _fmt(c.truth_se),
-                    _fmt(c.mean),
-                    _fmt(c.sigma_hat),
-                    _fmt(c.rmae),
-                    _fmt(c.degenerate_count),
-                ]
-            )
-        )
-    return "\n".join(lines) + "\n"
+    rows = (
+        (c.n, c.alpha, c.truth, c.truth_se, c.mean, c.sigma_hat, c.rmae, c.degenerate_count)
+        for c in report.cells
+    )
+    return csv_text(SUMMARY_HEADER, rows)
 
 
 def rates_csv_text(rows: list[tuple[int, float, float, float]]) -> str:
-    lines = [RATES_HEADER]
-    for n, alpha, delta, v in rows:
-        lines.append(",".join([_fmt(n), _fmt(alpha), _fmt(delta), _fmt(v)]))
-    return "\n".join(lines) + "\n"
+    return csv_text(RATES_HEADER, rows)
 
 
 def emit_tables(
@@ -475,12 +439,7 @@ def emit_tables(
     """
     if rate is None:
         rate = rate_table(report)
-    out = Path(out_dir)
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise IoError(f"cannot create {out}: {exc}") from exc
-
+    out = make_out_dir(out_dir)
     paths = {
         "summary": out / "summary.csv",
         "rates": out / "rates.csv",
@@ -492,19 +451,114 @@ def emit_tables(
         "version": __version__,
         "wall_clock_seconds": report.wall_clock_seconds,
     }
-    _atomic_write_text(paths["summary"], summary_csv_text(report))
-    _atomic_write_text(paths["rates"], rates_csv_text(rate))
-    _atomic_write_text(
+    atomic_write_text(paths["summary"], summary_csv_text(report))
+    atomic_write_text(paths["rates"], rates_csv_text(rate))
+    atomic_write_text(
         paths["manifest"], json.dumps(manifest, indent=2, sort_keys=True) + "\n"
     )
     return paths
 
 
-def gaussian_truth_population(cfg: GaussianConfig) -> Population:
-    """Population wrapper for a closed-form normal model."""
-    model = cfg.model()
+@dataclass(frozen=True)
+class ConvergenceConfig:
+    """A fitted-vs-truth distance decay study.
 
-    def draw(n: int, rng: RngStream) -> np.ndarray:
-        return sample_gaussian(n, model, rng).points
+    For each sample size in ``n_values`` and each of ``seeds`` seeds, a
+    sample is drawn from N(model) and fitted; the fit is compared with
+    ``model`` by depth sup-norm, boundary Hausdorff distance at level
+    ``alpha`` (``boundary_m`` boundary points) and the Monte Carlo volume
+    of the symmetric difference of the level sets (``symdiff_n_mc`` draws).
+    """
 
-    return Population(model=model, draw=draw)
+    model: DepthModel
+    n_values: tuple[int, ...]
+    seeds: int
+    alpha: float = 0.5
+    boundary_m: int = 4096
+    symdiff_n_mc: int = 100_000
+    master_seed: int = 0
+
+    _checks = (
+        ("n_values", lambda v: len(v) > 0 and all(_is_count(n, 2) for n in v),
+         "must be a nonempty list of integers >= 2"),
+        ("seeds", lambda v: _is_count(v, 1), "must be an integer >= 1"),
+        ("alpha", lambda v: 0.0 < v < 1.0, "must lie in (0, 1)"),
+        ("boundary_m", lambda v: _is_count(v, 64), "must be an integer >= 64"),
+        ("symdiff_n_mc", lambda v: _is_count(v, 1000), "must be an integer >= 1000"),
+        ("master_seed", lambda v: _is_count(v, 0), "must be a nonnegative integer"),
+    )
+
+    def __post_init__(self) -> None:
+        problems = _field_problems(self._checks, vars(self))
+        if problems:
+            raise ConfigError("; ".join(problems))
+
+
+def convergence_config_from_json(obj: dict) -> ConvergenceConfig:
+    """Build a convergence study config from parsed JSON.
+
+    Raises ConfigError naming every problem found in one message.
+    """
+    table = {
+        "model": DepthModel.from_json,
+        "n_values": json_ints,
+        "seeds": json_int,
+        "alpha": float,
+        "boundary_m": json_int,
+        "symdiff_n_mc": json_int,
+        "master_seed": json_int,
+    }
+    required = ("model", "n_values", "seeds")
+    return ConvergenceConfig(**_fields_from_json(ConvergenceConfig, obj, table, required))
+
+
+def run_convergence(
+    cfg: ConvergenceConfig, progress: Callable[[str], None] | None = None
+) -> dict[str, np.ndarray]:
+    """Fitted-vs-truth distances for every sample size and seed.
+
+    Returns, for each name in ``CONVERGENCE_STATS``, an array with one row
+    per entry of ``cfg.n_values`` and one column per seed.  Seed s at size
+    n draws its sample and its Monte Carlo points from their own substreams
+    hashed from (tag, n, s).
+    """
+    say = progress if progress is not None else (lambda _msg: None)
+    truth_spec = LevelSetSpec(cfg.model, cfg.alpha)
+    shape = (len(cfg.n_values), cfg.seeds)
+    distances = {name: np.empty(shape) for name in CONVERGENCE_STATS}
+    for k, n in enumerate(cfg.n_values):
+        for s in range(cfg.seeds):
+            rng = RngStream(cfg.master_seed, mix64(_TAG_CONV_SAMPLE, n, s))
+            fitted = fit_model(sample_gaussian(n, cfg.model, rng))
+            fit_spec = LevelSetSpec(fitted, cfg.alpha)
+            distances["supnorm"][k, s] = sup_norm_distance(fitted, cfg.model)
+            distances["hausdorff"][k, s] = hausdorff_report(
+                fit_spec, truth_spec, cfg.boundary_m
+            ).distance
+            mc_rng = RngStream(cfg.master_seed, mix64(_TAG_CONV_MC, n, s))
+            distances["symdiff"][k, s], _ = sym_diff_volume(
+                fit_spec, truth_spec, cfg.symdiff_n_mc, mc_rng
+            )
+        say(f"n={n}: {cfg.seeds} seeds done")
+    return distances
+
+
+def convergence_csv_text(n_values, distances: dict[str, np.ndarray]) -> str:
+    """The convergence table of a :func:`run_convergence` result.
+
+    One row per sample size with the median and quartiles of each distance,
+    then a ``slope`` row of log-log slopes against n, ``NA`` where a slope
+    is undefined (one sample size, or a distance that is not positive).
+    """
+    header = ["n"]
+    rows = [[n] for n in n_values]
+    slopes = ["slope"]
+    for name in CONVERGENCE_STATS:
+        q25, med, q75 = np.percentile(distances[name], [25.0, 50.0, 75.0], axis=1)
+        for suffix, column in (("median", med), ("q25", q25), ("q75", q75)):
+            header.append(f"{name}_{suffix}")
+            for row, value in zip(rows, column):
+                row.append(float(value))
+            slope = None if np.any(column <= 0.0) else _loglog_slope(n_values, column)
+            slopes.append("NA" if slope is None else slope)
+    return csv_text(",".join(header), rows + [slopes])

@@ -1,0 +1,171 @@
+"""File formats: numeric CSV tables, JSON config objects, atomic writes.
+
+Every table the package writes goes through :func:`csv_text` (shortest
+round-trip decimals, one LF per line) and :func:`atomic_write_text`; every
+JSON config is read by :func:`load_json_object` and converted field by field
+through :func:`json_fields`, so a bad file is reported in one message.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+from pathlib import Path
+
+import numpy as np
+
+from .errors import ConfigError, DepthRiskError, IoError
+
+
+def fmt(value) -> str:
+    """Shortest decimal string that round-trips the value; strings pass as is."""
+    if isinstance(value, str):
+        return value
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    return repr(float(value))
+
+
+def csv_text(header: str, rows) -> str:
+    """The header line, then one line of :func:`fmt` cells per row, each line
+    ending with a single LF."""
+    lines = [header] + [",".join(fmt(v) for v in row) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+def atomic_write_text(path, text: str) -> None:
+    """Write the whole file or nothing.
+
+    The text goes to a new temporary file of its own in the same directory,
+    is flushed to disk, and is renamed over ``path``; writers running at
+    once each use their own temporary file, so a reader sees one complete
+    text.  On failure the temporary file is removed.
+    """
+    path = Path(path)
+    # a random name opened exclusively, created with the usual permissions
+    # (mkstemp would make the output readable by its owner only)
+    tmp = path.with_name(f".{path.name}.{os.urandom(8).hex()}.tmp")
+    try:
+        with open(tmp, "x", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except OSError as exc:
+        try:
+            tmp.unlink(missing_ok=True)
+        except OSError:
+            pass
+        raise IoError(f"cannot write {path}: {exc}") from exc
+
+
+def make_out_dir(path) -> Path:
+    """Create the output directory (and its parents) if needed."""
+    out = Path(path)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise IoError(f"cannot create {out}: {exc}") from exc
+    return out
+
+
+def load_json_object(path, what: str) -> dict:
+    """Parse a JSON file that must hold one object; ``what`` names it in errors."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise ConfigError(f"{what}: cannot read {path}: {exc}") from exc
+    try:
+        obj = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{what}: {path}: invalid JSON: {exc}") from exc
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{what}: {path}: expected a JSON object")
+    return obj
+
+
+def read_matrix_csv(path, expect_cols: int | None = None) -> np.ndarray:
+    """Parse a numeric CSV, skipping one optional header line.
+
+    Errors name the offending line so the file can be fixed directly.
+    """
+    rows: list[list[float]] = []
+    ncols = expect_cols
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                stripped = line.strip()
+                if not stripped:
+                    continue
+                parts = [p.strip() for p in stripped.split(",")]
+                try:
+                    vals = [float(p) for p in parts]
+                except ValueError:
+                    if lineno == 1:
+                        continue
+                    raise IoError(
+                        f"{path}: line {lineno}: cannot parse '{stripped}'"
+                    ) from None
+                if ncols is None:
+                    ncols = len(vals)
+                if len(vals) != ncols:
+                    raise IoError(
+                        f"{path}: line {lineno}: expected {ncols} columns, got {len(vals)}"
+                    )
+                rows.append(vals)
+    except OSError as exc:
+        raise IoError(f"cannot read {path}: {exc}") from exc
+    if not rows:
+        raise IoError(f"{path}: no data rows")
+    return np.array(rows, dtype=float)
+
+
+def json_int(value) -> int:
+    """A JSON integer field: an int, or a float with an exact integer value.
+
+    Booleans, strings and fractional or non-finite floats are the wrong
+    type: they raise rather than being truncated.
+    """
+    whole = isinstance(value, int) or (isinstance(value, float) and value.is_integer())
+    if isinstance(value, bool) or not whole:
+        raise TypeError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
+def json_ints(value) -> tuple[int, ...]:
+    """A JSON array of integers, each read by :func:`json_int`."""
+    return tuple(json_int(x) for x in value)
+
+
+def json_floats(value) -> tuple[float, ...]:
+    """A JSON array of numbers."""
+    return tuple(float(x) for x in value)
+
+
+def json_fields(obj: dict, table: dict, required, problems: list[str], prefix: str = "") -> dict:
+    """Convert the fields of a parsed JSON object by a table of converters.
+
+    ``table`` maps each key to its converter.  A key absent from ``obj`` is
+    a problem when it is in ``required`` and is left out otherwise.  A
+    converter raising TypeError or ValueError makes the field the wrong
+    type; a ConfigError's problems are each reported under the field as
+    ``key.problem``, and any other DepthRiskError by its message.  Problem
+    texts, each naming ``prefix + key``, are appended to ``problems``; the
+    converted fields are returned by key.
+    """
+    fields = {}
+    for key, convert in table.items():
+        name = prefix + key
+        if key not in obj:
+            if key in required:
+                problems.append(f"{name}: missing")
+            continue
+        try:
+            fields[key] = convert(obj[key])
+        except ConfigError as exc:
+            problems.extend(f"{name}.{part}" for part in str(exc).split("; "))
+        except DepthRiskError as exc:
+            problems.append(f"{name}: {exc}")
+        except (TypeError, ValueError):
+            problems.append(f"{name}: wrong type")
+    return fields

@@ -150,11 +150,6 @@ def hausdorff_report(a: LevelSetSpec, b: LevelSetSpec, m: int) -> HausdorffResul
     return HausdorffResult(max(d_ab, d_ba), max(_nn_gap(pa), _nn_gap(pb)))
 
 
-def hausdorff_boundaries(a: LevelSetSpec, b: LevelSetSpec, m: int) -> float:
-    """Hausdorff distance between the two boundary ellipsoids, sampled at m points."""
-    return hausdorff_report(a, b, m).distance
-
-
 def boundary_perimeter(spec: LevelSetSpec, m: int = 4096) -> float:
     """Perimeter of the boundary ellipse (dimension 2 only), by dense polyline."""
     if spec.dim != 2:

@@ -1,9 +1,9 @@
 """Dense symmetric positive definite linear algebra.
 
 Small-dimension building blocks for depth computation: an eagerly factored
-SPD matrix type, quadratic forms through triangular solves, and a Jacobi
-operator norm.  An explicit inverse is never materialized; every solve goes
-through the cached Cholesky factor.
+SPD matrix type and quadratic forms through triangular solves.  An explicit
+inverse is never materialized; every solve goes through the cached
+Cholesky factor.
 """
 
 from __future__ import annotations
@@ -15,8 +15,6 @@ from .errors import DimensionMismatch, DomainError, NotPositiveDefinite, NotSymm
 
 SYMMETRY_TOL = 1e-12
 PIVOT_FLOOR = 1e-300
-_JACOBI_TARGET = 1e-12
-_MAX_SWEEPS = 60
 
 
 def _checked_symmetric(matrix) -> np.ndarray:
@@ -178,86 +176,9 @@ def build_spd(entries) -> SpdMatrix:
     return SpdMatrix(entries)
 
 
-def sq_norm(v) -> float:
-    """Squared Euclidean norm, the summation order used across this package."""
-    v = np.asarray(v, dtype=float)
-    return float(np.dot(v, v))
-
-
-def quad_form(m: SpdMatrix, v) -> float:
-    """Quadratic form ``v' m^{-1} v`` through two triangular solves.
-
-    Parameters
-    ----------
-    m : SpdMatrix
-    v : array_like, shape (dim,)
-
-    Returns
-    -------
-    float
-        Nonnegative; zero exactly when ``v`` is the zero vector.
-
-    Raises
-    ------
-    DimensionMismatch
-        If ``v`` does not have length ``m.dim``.
-    """
-    v = np.asarray(v, dtype=float)
-    if v.ndim != 1:
-        raise DimensionMismatch(f"expected a vector, got shape {v.shape}")
-    w = m.whiten_rows(v)
-    return sq_norm(w)
-
-
 def quad_forms(m: SpdMatrix, rows) -> np.ndarray:
-    """Vectorized :func:`quad_form` over an (n, dim) array of row vectors."""
-    w = m.whiten_rows(np.asarray(rows, dtype=float).reshape(-1, m.dim))
+    """Quadratic forms ``v' m^{-1} v`` of the rows v of an (n, dim) array,
+    through the Cholesky factor; each is nonnegative, and zero exactly for a
+    zero row."""
+    w = m.whiten_rows(np.atleast_2d(rows))
     return np.einsum("ij,ij->i", w, w)
-
-
-def operator_norm(matrix) -> float:
-    """Largest absolute eigenvalue of a symmetric matrix.
-
-    Runs cyclic Jacobi rotations until the off-diagonal Frobenius norm
-    drops below 1e-12 (or stops moving at floating point resolution, which
-    only matters for inputs scaled far beyond order one).  Deterministic,
-    and accurate to machine precision at the small dimensions used here.
-
-    Raises
-    ------
-    NotSymmetric
-        If the input is asymmetric beyond 1e-12.
-    """
-    a = _checked_symmetric(matrix).copy()
-    d = a.shape[0]
-    for _ in range(_MAX_SWEEPS):
-        off = np.sqrt(max(0.0, np.sum(a * a) - np.sum(np.diag(a) ** 2)))
-        if off < _JACOBI_TARGET:
-            break
-        before = off
-        for p in range(d - 1):
-            for q in range(p + 1, d):
-                apq = a[p, q]
-                if apq == 0.0:
-                    continue
-                tau = (a[q, q] - a[p, p]) / (2.0 * apq)
-                if tau == 0.0:
-                    t = 1.0
-                else:
-                    t = np.sign(tau) / (abs(tau) + np.sqrt(1.0 + tau * tau))
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = t * c
-                col_p = a[:, p].copy()
-                col_q = a[:, q].copy()
-                a[:, p] = c * col_p - s * col_q
-                a[:, q] = s * col_p + c * col_q
-                row_p = a[p, :].copy()
-                row_q = a[q, :].copy()
-                a[p, :] = c * row_p - s * row_q
-                a[q, :] = s * row_p + c * row_q
-        after = np.sqrt(max(0.0, np.sum(a * a) - np.sum(np.diag(a) ** 2)))
-        if after >= before:
-            # floating point fixed point; the diagonal is as converged as
-            # this scale allows
-            break
-    return float(np.max(np.abs(np.diag(a))))

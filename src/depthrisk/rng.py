@@ -17,6 +17,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import DomainError
+
 _MASK64 = (1 << 64) - 1
 
 
@@ -46,6 +48,13 @@ def mix64(*parts: int) -> int:
         acc = (acc * 0x94D049BB133111EB) & _MASK64
         acc ^= acc >> 31
     return acc
+
+
+def _draw_count(n) -> int:
+    n = int(n)
+    if n < 0:
+        raise DomainError(f"draw count must be nonnegative, got {n}")
+    return n
 
 
 class RngStream:
@@ -80,9 +89,7 @@ class RngStream:
         result is always strictly inside (0, 1) and downstream log or
         quantile transforms never see an endpoint.
         """
-        n = int(n)
-        if n < 0:
-            raise ValueError("n must be nonnegative")
+        n = _draw_count(n)
         raw = self._bitgen.random_raw(n)
         if n == 0:
             return np.empty(0, dtype=float)
@@ -96,7 +103,7 @@ class RngStream:
         keeps the draw sequence identical on every platform.  An odd ``n``
         still consumes a whole pair of uniforms and discards one normal.
         """
-        n = int(n)
+        n = _draw_count(n)
         if n == 0:
             return np.empty(0, dtype=float)
         m = (n + 1) // 2

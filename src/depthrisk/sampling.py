@@ -22,6 +22,7 @@ from .errors import (
     DimensionMismatch,
     DomainError,
 )
+from .io import json_fields
 from .rng import RngStream
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -50,17 +51,14 @@ class FrankGumbelConfig:
     ``theta`` has no universal default in the modeling literature; shipped
     experiment configs record it explicitly, and 5.0 (moderate positive
     dependence, Kendall tau about 0.457) is the documented choice used in
-    the bundled configs.
-
-    ``seed`` is an optional default master seed carried by serialized
-    configs; experiment runners override it with their own master seed.
+    the bundled configs.  Draws are seeded by the study that uses the
+    config, never by the config itself.
     """
 
     theta: float
     marg1: GumbelMarginal
     marg2: GumbelMarginal
     noise_var: float = 0.005
-    seed: int | None = None
 
     def __post_init__(self):
         problems = []
@@ -81,7 +79,8 @@ class FrankGumbelConfig:
             raise ConfigError("; ".join(problems))
 
     def to_json(self) -> dict:
-        obj = {
+        return {
+            "kind": "frank_gumbel",
             "theta": self.theta,
             "marginals": [
                 {"mu": self.marg1.mu, "beta": self.marg1.beta},
@@ -89,34 +88,34 @@ class FrankGumbelConfig:
             ],
             "noise_var": self.noise_var,
         }
-        if self.seed is not None:
-            obj["seed"] = self.seed
-        return obj
 
     @staticmethod
     def from_json(obj: dict) -> "FrankGumbelConfig":
-        problems = []
-        for key in ("theta", "marginals", "noise_var"):
-            if key not in obj:
-                problems.append(f"{key}: missing")
-        marginals = obj.get("marginals", [])
-        if "marginals" in obj:
-            if not isinstance(marginals, (list, tuple)) or len(marginals) != 2:
-                problems.append("marginals: expected a list of two entries")
-            else:
-                for i, m in enumerate(marginals):
-                    for key in ("mu", "beta"):
-                        if not isinstance(m, dict) or key not in m:
-                            problems.append(f"marginals[{i}].{key}: missing")
+        problems: list[str] = []
+        if "seed" in obj:
+            problems.append("seed: not a data field; set the study's master_seed instead")
+        table = {"theta": float, "marginals": _two_objects, "noise_var": float}
+        fields = json_fields(obj, table, tuple(table), problems)
+        marginal = {"mu": float, "beta": float}
+        margs = [
+            json_fields(m, marginal, tuple(marginal), problems, f"marginals[{i}].")
+            for i, m in enumerate(fields.get("marginals", ()))
+        ]
         if problems:
             raise ConfigError("; ".join(problems))
         return FrankGumbelConfig(
-            theta=float(obj["theta"]),
-            marg1=GumbelMarginal(float(marginals[0]["mu"]), float(marginals[0]["beta"])),
-            marg2=GumbelMarginal(float(marginals[1]["mu"]), float(marginals[1]["beta"])),
-            noise_var=float(obj["noise_var"]),
-            seed=None if obj.get("seed") is None else int(obj["seed"]),
+            theta=fields["theta"],
+            marg1=GumbelMarginal(**margs[0]),
+            marg2=GumbelMarginal(**margs[1]),
+            noise_var=fields["noise_var"],
         )
+
+
+def _two_objects(value) -> list:
+    objects = isinstance(value, (list, tuple)) and all(isinstance(m, dict) for m in value)
+    if not (objects and len(value) == 2):
+        raise DomainError("expected a list of two objects")
+    return value
 
 
 class Sample:

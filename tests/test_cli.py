@@ -378,6 +378,29 @@ class TestConvergenceCommand:
             tmp_path / "b" / "convergence.csv"
         ).read_bytes()
 
+    @pytest.mark.parametrize("field, value", [
+        ("seeds", 2.9),
+        ("n_values", [250.7]),
+        ("master_seed", True),
+        ("boundary_m", "4096"),
+        ("symdiff_n_mc", 100000.5),
+    ])
+    def test_non_integer_fields_rejected(self, tmp_path, capsys, field, value):
+        cfg = self._config_path(tmp_path, **{field: value})
+        out = tmp_path / "out"
+        code = main(["convergence", "--config", str(cfg), "-o", str(out)])
+        assert code == 2
+        assert f"{field}: wrong type" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_integral_float_reads_as_integer(self, tmp_path):
+        for name, m in (("a", 4096), ("b", 4096.0)):
+            cfg = self._config_path(tmp_path, n_values=[16], seeds=1, boundary_m=m)
+            assert main(["convergence", "--config", str(cfg), "-o", str(tmp_path / name)]) == 0
+        assert (tmp_path / "a" / "convergence.csv").read_bytes() == (
+            tmp_path / "b" / "convergence.csv"
+        ).read_bytes()
+
     def test_config_problems_all_reported(self, tmp_path, capsys):
         path = tmp_path / "conv.json"
         path.write_text(json.dumps({"model": UNIT_MODEL, "alpha": 2.0}))

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import re
 
 import numpy as np
 import pytest
@@ -151,6 +152,19 @@ class TestExperimentConfig:
         with pytest.raises(ConfigError):
             gaussian_cfg(n_values=(10.5,))
 
+    @pytest.mark.parametrize("field, value", [
+        ("replications", 2.5),
+        ("replications", 3.0),
+        ("truth_n_mc", 1e6),
+        ("n_values", (8.0,)),
+        ("n_values", (True, 8)),
+        ("master_seed", True),
+        ("master_seed", 1.0),
+    ])
+    def test_non_integer_counts_rejected(self, field, value):
+        with pytest.raises(ConfigError, match=f"{field}: must be"):
+            gaussian_cfg(**{field: value})
+
 
 class TestConfigJson:
     def test_gaussian_round_trip(self):
@@ -196,6 +210,18 @@ class TestConfigJson:
                 "noise_var": 0.005},
                 "n_values": [8], "alpha_values": [0.5], "replications": 2})
         assert "data.theta: missing" in str(exc.value)
+
+    @pytest.mark.parametrize("name, cfg, edit", [
+        ("data.noise_var", gaussian_cfg, lambda d: d.update(noise_var="x")),
+        ("data.theta", frank_cfg, lambda d: d.update(theta="abc")),
+        ("data.marginals[0].mu", frank_cfg, lambda d: d["marginals"][0].update(mu="abc")),
+        ("data.marginals[1].beta", frank_cfg, lambda d: d["marginals"][1].update(beta="x")),
+    ], ids=["noise_var", "theta", "marginal_mu", "marginal_beta"])
+    def test_non_numeric_data_field_named(self, name, cfg, edit):
+        obj = config_to_json(cfg())
+        edit(obj["data"])
+        with pytest.raises(ConfigError, match=re.escape(f"{name}: wrong type")):
+            config_from_json(obj)
 
     def test_wrong_type_reported(self):
         with pytest.raises(ConfigError) as exc:

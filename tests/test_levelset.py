@@ -15,7 +15,6 @@ from depthrisk import (
     boundary_points,
     build_spd,
     fit_model,
-    hausdorff_boundaries,
     hausdorff_report,
     in_lower_set,
     mhd,
@@ -121,18 +120,18 @@ class TestBoundaryPoints:
 class TestHausdorff:
     def test_identical_specs(self):
         spec = LevelSetSpec(std_model(), 0.5)
-        assert hausdorff_boundaries(spec, spec, 512) == 0.0
+        assert hausdorff_report(spec, spec, 512).distance == 0.0
 
     def test_concentric_circles(self):
         # radii 1 and 2, so the boundary gap is exactly 1 everywhere
-        d = hausdorff_boundaries(circle_spec(1.0), circle_spec(2.0), 4096)
+        d = hausdorff_report(circle_spec(1.0), circle_spec(2.0), 4096).distance
         assert abs(d - 1.0) < 1e-10
 
     def test_translated_circles(self):
         # unit circles with centers 0.1 apart: distance exactly 0.1
-        d = hausdorff_boundaries(
+        d = hausdorff_report(
             circle_spec(1.0), circle_spec(1.0, center=(0.1, 0.0)), 4096
-        )
+        ).distance
         assert abs(d - 0.1) < 1e-10
 
     def test_coarse_oracle_agreement(self):
@@ -141,7 +140,7 @@ class TestHausdorff:
         b = LevelSetSpec(
             DepthModel(np.zeros(2), build_spd([[2.0, 0.3], [0.3, 0.5]])), 0.4
         )
-        got = hausdorff_boundaries(a, b, 2048)
+        got = hausdorff_report(a, b, 2048).distance
         pa = boundary_points(a, 2048)
         pb = boundary_points(b, 2048)
         d2 = np.sum((pa[:, None, :] - pb[None, :, :]) ** 2, axis=2)
@@ -153,17 +152,17 @@ class TestHausdorff:
     def test_symmetry(self):
         a = circle_spec(1.0)
         b = circle_spec(2.5, center=(0.3, -0.2))
-        assert hausdorff_boundaries(a, b, 1024) == hausdorff_boundaries(b, a, 1024)
+        assert hausdorff_report(a, b, 1024).distance == hausdorff_report(b, a, 1024).distance
 
     def test_min_points(self):
         with pytest.raises(DomainError):
-            hausdorff_boundaries(circle_spec(1.0), circle_spec(2.0), 63)
+            hausdorff_report(circle_spec(1.0), circle_spec(2.0), 63).distance
 
     def test_dim_mismatch(self):
         with pytest.raises(DimensionMismatch):
-            hausdorff_boundaries(
+            hausdorff_report(
                 LevelSetSpec(std_model(2), 0.5), LevelSetSpec(std_model(3), 0.5), 256
-            )
+            ).distance
 
     def test_resolution_tracks_m(self):
         a = circle_spec(1.0)
@@ -314,9 +313,9 @@ class TestFittedGeometryScales:
             for seed in range(20):
                 s = sample_gaussian(n, pop, RngStream(seed, mix64(31, n)))
                 fitted = fit_model(s)
-                h = hausdorff_boundaries(
+                h = hausdorff_report(
                     LevelSetSpec(fitted, 0.5), pop_spec, 4096
-                )
+                ).distance
                 g = sup_norm_distance(fitted, pop)
                 ratios.append(h / g)
         assert max(ratios) / min(ratios) < 3.0

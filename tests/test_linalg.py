@@ -1,4 +1,4 @@
-"""SPD matrix toolkit: construction, quadratic forms, operator norm."""
+"""SPD matrix toolkit: construction, factors, quadratic forms."""
 
 import numpy as np
 import pytest
@@ -9,10 +9,7 @@ from depthrisk import (
     NotPositiveDefinite,
     NotSymmetric,
     build_spd,
-    operator_norm,
-    quad_form,
     quad_forms,
-    sq_norm,
 )
 from depthrisk.linalg import cholesky_lower
 
@@ -71,19 +68,11 @@ class TestBuildSpd:
 class TestQuadForm:
     def test_identity_is_squared_norm(self):
         m = build_spd(np.eye(2))
-        assert quad_form(m, np.array([3.0, 4.0])) == 25.0
-
-    def test_identity_matches_sq_norm_bitwise(self):
-        # same summation order contract
-        rng = np.random.default_rng(3)
-        m = build_spd(np.eye(4))
-        for _ in range(100):
-            v = rng.normal(size=4)
-            assert quad_form(m, v) == sq_norm(v)
+        assert quad_forms(m, [np.array([3.0, 4.0])])[0] == 25.0
 
     def test_diagonal_inverse(self):
         m = build_spd([[4.0, 0.0], [0.0, 1.0]])
-        assert quad_form(m, np.array([2.0, 0.0])) == 1.0
+        assert quad_forms(m, [np.array([2.0, 0.0])])[0] == 1.0
 
     def test_against_cofactor_inverse_3x3(self):
         rng = np.random.default_rng(5)
@@ -99,7 +88,7 @@ class TestQuadForm:
                     c[i, j] = (-1) ** (i + j) * np.linalg.det(minor)
             inv = c.T / np.linalg.det(a)
             expect = float(v @ inv @ v)
-            got = quad_form(m, v)
+            got = quad_forms(m, [v])[0]
             assert abs(got - expect) <= 1e-10 * max(1.0, abs(expect))
 
     def test_nonnegative_zero_iff_zero(self):
@@ -108,63 +97,25 @@ class TestQuadForm:
             d = rng.integers(1, 5)
             m = build_spd(random_spd(rng, d))
             v = rng.normal(size=d)
-            assert quad_form(m, v) >= 0.0
-            assert quad_form(m, np.zeros(d)) <= 1e-14
+            assert quad_forms(m, [v])[0] >= 0.0
+            assert quad_forms(m, [np.zeros(d)])[0] <= 1e-14
 
     def test_dimension_mismatch(self):
         m = build_spd(np.eye(2))
         with pytest.raises(DimensionMismatch):
-            quad_form(m, np.ones(3))
+            quad_forms(m, np.ones(3))
         with pytest.raises(DimensionMismatch):
-            quad_form(m, np.ones((2, 2)))
+            quad_forms(m, np.ones((2, 3)))
+        with pytest.raises(DimensionMismatch):
+            quad_forms(m, np.ones((2, 2, 2)))
 
     def test_batch_matches_single(self):
         rng = np.random.default_rng(17)
         m = build_spd(random_spd(rng, 3))
         rows = rng.normal(size=(50, 3))
         batch = quad_forms(m, rows)
-        single = np.array([quad_form(m, r) for r in rows])
+        single = np.array([quad_forms(m, [r])[0] for r in rows])
         assert np.allclose(batch, single, rtol=1e-13, atol=1e-13)
-
-
-class TestOperatorNorm:
-    @pytest.mark.parametrize("d", [1, 2, 5, 8])
-    def test_identity(self, d):
-        assert operator_norm(np.eye(d)) == pytest.approx(1.0, abs=1e-12)
-
-    def test_diagonal(self):
-        assert operator_norm(np.diag([2.0, -5.0])) == pytest.approx(5.0, abs=1e-12)
-
-    def test_swap_matrix(self):
-        # eigenvalues are +1 and -1
-        assert operator_norm(np.array([[0.0, 1.0], [1.0, 0.0]])) == pytest.approx(
-            1.0, abs=1e-12
-        )
-
-    def test_asymmetric_rejected(self):
-        with pytest.raises(NotSymmetric):
-            operator_norm(np.array([[0.0, 1.0], [0.0, 0.0]]))
-
-    def test_against_eigvalsh(self):
-        rng = np.random.default_rng(23)
-        for _ in range(300):
-            d = rng.integers(1, 7)
-            a = rng.normal(size=(d, d))
-            a = (a + a.T) / 2
-            expect = float(np.max(np.abs(np.linalg.eigvalsh(a))))
-            assert operator_norm(a) == pytest.approx(expect, rel=1e-10, abs=1e-10)
-
-    def test_negation_and_scaling(self):
-        rng = np.random.default_rng(29)
-        for _ in range(100):
-            a = rng.normal(size=(4, 4))
-            a = (a + a.T) / 2
-            c = rng.normal()
-            base = operator_norm(a)
-            assert operator_norm(-a) == pytest.approx(base, abs=1e-12)
-            assert operator_norm(c * a) == pytest.approx(
-                abs(c) * base, rel=1e-10, abs=1e-12
-            )
 
 
 class TestNonFiniteAndStacks:

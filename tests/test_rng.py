@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from depthrisk import RngStream, mix64
+from depthrisk import DomainError, RngStream, mix64
 
 # Values pinned from the first release; any change here is a breaking
 # change to the reproducibility contract.
@@ -65,8 +65,11 @@ class TestDeterminism:
         assert np.array_equal(s.uniforms(3), RngStream(1).uniforms(3))
 
     def test_negative_count_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(DomainError):
             RngStream(1).uniforms(-1)
+        for n in (-1, -3):
+            with pytest.raises(DomainError):
+                RngStream(1).normals(n)
 
 
 class TestOpenInterval:

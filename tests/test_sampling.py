@@ -324,14 +324,10 @@ class TestFrankGumbelConfig:
         back = FrankGumbelConfig.from_json(CFG.to_json())
         assert back == CFG
 
-    def test_json_round_trip_with_seed(self):
-        cfg = FrankGumbelConfig(
-            theta=2.0,
-            marg1=GumbelMarginal(0.0, 1.0),
-            marg2=GumbelMarginal(0.0, 1.0),
-            seed=99,
-        )
-        assert FrankGumbelConfig.from_json(cfg.to_json()) == cfg
+    def test_seed_key_points_to_master_seed(self):
+        obj = dict(CFG.to_json(), seed=99)
+        with pytest.raises(ConfigError, match=r"seed: .*master_seed"):
+            FrankGumbelConfig.from_json(obj)
 
     def test_missing_keys_all_listed(self):
         with pytest.raises(ConfigError) as exc:
