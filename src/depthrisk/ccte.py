@@ -178,22 +178,6 @@ def ccte_hat(level_sample: Sample, cost_sample: Sample, alpha: float) -> CcteEst
     return _one_estimate(values, hits, level_sample.n, cost_sample.n, alpha)
 
 
-def ccte_hat_split(sample: Sample, alpha: float) -> CcteEstimate:
-    """Convenience mode with n1 = n2: one even-sized sample, split in half.
-
-    The first half fits the model, the second half (with its costs)
-    feeds the ratio, so the halves are independent when the sample is iid.
-    """
-    if sample.costs is None:
-        raise MissingCosts("split estimation needs costs on the sample")
-    if sample.n % 2 != 0 or sample.n < 2:
-        raise DomainError("split estimation needs an even sample size")
-    half = sample.n // 2
-    level = Sample(sample.points[:half])
-    cost = Sample(sample.points[half:], sample.costs[half:])
-    return ccte_hat(level, cost, alpha)
-
-
 @dataclass(frozen=True)
 class Population:
     """A synthetic population: exact depth model plus a point sampler.
@@ -211,6 +195,13 @@ def gaussian_population(model: DepthModel) -> Population:
     return Population(model, lambda n, rng: sample_gaussian(n, model, rng).points)
 
 
+def _batches(draw: Callable[[int, RngStream], np.ndarray], n_mc: int, rng: RngStream):
+    """Yield ``n_mc`` draws of ``draw`` from ``rng`` as float arrays of at
+    most ``BATCH_ROWS`` rows each, in order."""
+    for start in range(0, n_mc, BATCH_ROWS):
+        yield np.asarray(draw(min(BATCH_ROWS, n_mc - start), rng), dtype=float)
+
+
 def estimate_population_model(
     draw: Callable[[int, RngStream], np.ndarray], n_mc: int, rng: RngStream
 ) -> DepthModel:
@@ -222,21 +213,12 @@ def estimate_population_model(
     """
     if n_mc < 2:
         raise DomainError("n_mc must be at least 2")
-    total = 0
-    sum_x = None
-    sum_xx = None
-    while total < n_mc:
-        m = min(BATCH_ROWS, n_mc - total)
-        pts = np.asarray(draw(m, rng), dtype=float)
-        if sum_x is None:
-            sum_x = pts.sum(axis=0)
-            sum_xx = pts.T @ pts
-        else:
-            sum_x += pts.sum(axis=0)
-            sum_xx += pts.T @ pts
-        total += m
-    mean = sum_x / total
-    cov = (sum_xx - total * np.outer(mean, mean)) / (total - 1)
+    sum_x = sum_xx = 0.0
+    for pts in _batches(draw, n_mc, rng):
+        sum_x += pts.sum(axis=0)
+        sum_xx += pts.T @ pts
+    mean = sum_x / n_mc
+    cov = (sum_xx - n_mc * np.outer(mean, mean)) / (n_mc - 1)
     return DepthModel(mean, build_spd(cov))
 
 
@@ -271,10 +253,7 @@ def ccte_true_oracle(population: Population, alpha, n_mc: int, rng: RngStream):
     count_in = [0.0] * len(levels)
     sum_cost = [0.0] * len(levels)
     sum_cost_sq = [0.0] * len(levels)
-    total = 0
-    while total < n_mc:
-        m = min(BATCH_ROWS, n_mc - total)
-        pts = np.asarray(population.draw(m, rng), dtype=float)
+    for pts in _batches(population.draw, n_mc, rng):
         depth = mhd(pts, population.model)
         cost = squared_norms(pts)
         for k, a in enumerate(levels):
@@ -283,12 +262,11 @@ def ccte_true_oracle(population: Population, alpha, n_mc: int, rng: RngStream):
             count_in[k] += float(np.count_nonzero(member))
             sum_cost[k] += float(np.sum(hit_cost))
             sum_cost_sq[k] += float(np.sum(hit_cost * hit_cost))
-        total += m
     results = []
     for a, count, s1, s2 in zip(levels, count_in, sum_cost, sum_cost_sq):
         if count == 0:
             raise NoMass(f"no draw out of {n_mc} landed in the level set at alpha={a}")
-        results.append(_ratio_with_se(count, s1, s2, total))
+        results.append(_ratio_with_se(count, s1, s2, n_mc))
     return results[0] if np.ndim(alpha) == 0 else results
 
 

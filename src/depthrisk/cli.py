@@ -84,7 +84,7 @@ def _cmd_depth(args) -> int:
         pts = read_matrix_csv(args.fit)
         model = fit_model(Sample(pts))
     if args.points is not None:
-        points = read_matrix_csv(args.points, expect_cols=model.dim)
+        points = Sample(read_matrix_csv(args.points, expect_cols=model.dim)).points
     else:
         points = _parse_grid(args.grid, model.dim)
     depths = np.atleast_1d(mhd(points, model))

@@ -19,8 +19,10 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
+from scipy.linalg import solve_triangular
 
 from .errors import DegenerateSample, DimensionMismatch, DomainError, NotPositiveDefinite
+from .io import json_floats
 from .linalg import SpdMatrix, build_spd, quad_forms
 from .rng import RngStream, mix64
 
@@ -69,7 +71,12 @@ class DepthModel:
     def from_json(obj: dict) -> "DepthModel":
         if "mu" not in obj or "sigma" not in obj:
             raise DimensionMismatch("model JSON needs 'mu' and 'sigma' entries")
-        return DepthModel(np.asarray(obj["mu"], dtype=float), build_spd(obj["sigma"]))
+        try:
+            mu = np.array(json_floats(obj["mu"]), dtype=float)
+            sigma = np.array([json_floats(row) for row in obj["sigma"]], dtype=float)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise DomainError(f"mu and sigma must be arrays of numbers: {exc}") from None
+        return DepthModel(mu, build_spd(sigma))
 
 
 def _point_rows(x, model: DepthModel) -> tuple[np.ndarray, bool]:
@@ -108,7 +115,9 @@ def mhd_gradient(x, model: DepthModel):
     pts, single = _point_rows(x, model)
     centered = pts - model.mu
     depth = 1.0 / (1.0 + quad_forms(model.sigma, centered))
-    grad = (-2.0 * depth * depth)[:, None] * model.sigma.solve_rows(centered)
+    half = solve_triangular(model.sigma.chol, centered.T, lower=True, check_finite=False)
+    full = solve_triangular(model.sigma.chol.T, half, lower=False, check_finite=False)
+    grad = (-2.0 * depth * depth)[:, None] * full.T
     return grad[0] if single else grad
 
 
@@ -137,26 +146,29 @@ def fit_model(s: "Sample") -> DepthModel:
     return DepthModel(mu, sigma)
 
 
+# Probe box half-width in marginal SDs, far-point radius, far-point stream seed.
+PROBE_BOX_SDS = 6.0
+PROBE_FAR_RADIUS = 1_000.0
+_PROBE_SEED = 0x5EEDFA11
+
+
 @dataclass(frozen=True)
 class ProbeGrid:
     """Probe set specification for sup-norm depth comparisons.
 
     The probe set is a tensor grid over the union of the two models' boxes
-    mu +- box_sds * sqrt(diag(Sigma)), plus ``far_points`` random points at
-    radius up to ``far_radius`` from the box center.  Depth differences
-    localize near the centers and vanish at infinity, so the grid carries
-    the maximum and the far points guard the tail.
+    mu +- 6 * sqrt(diag(Sigma)), plus ``far_points`` random points at radius
+    up to 1000 from the box center.  Depth differences localize near the
+    centers and vanish at infinity, so the grid carries the maximum and the
+    far points guard the tail.
 
     ``per_axis`` defaults by dimension (201 for d <= 2, 41 for d = 3, 9
     beyond) to keep the grid size bounded.  The far points come from a
-    dedicated stream seeded by ``seed``, so distances are deterministic.
+    dedicated stream with a fixed seed, so distances are deterministic.
     """
 
     per_axis: int | None = None
-    box_sds: float = 6.0
     far_points: int = 10_000
-    far_radius: float = 1_000.0
-    seed: int = 0x5EEDFA11
 
     def axis_count(self, dim: int) -> int:
         if self.per_axis is not None:
@@ -180,8 +192,8 @@ def probe_points(a: DepthModel, b: DepthModel, probe: ProbeGrid) -> np.ndarray:
     highs = np.empty(d)
     for i in range(d):
         spans = [
-            (m.mu[i] - probe.box_sds * np.sqrt(m.sigma.entries[i, i]),
-             m.mu[i] + probe.box_sds * np.sqrt(m.sigma.entries[i, i]))
+            (m.mu[i] - PROBE_BOX_SDS * np.sqrt(m.sigma.entries[i, i]),
+             m.mu[i] + PROBE_BOX_SDS * np.sqrt(m.sigma.entries[i, i]))
             for m in (a, b)
         ]
         lows[i] = min(s[0] for s in spans)
@@ -194,11 +206,11 @@ def probe_points(a: DepthModel, b: DepthModel, probe: ProbeGrid) -> np.ndarray:
         grid = np.empty((0, d))
     if probe.far_points <= 0:
         return grid
-    stream = RngStream(probe.seed, mix64(d, probe.far_points))
+    stream = RngStream(_PROBE_SEED, mix64(d, probe.far_points))
     z = stream.normals(probe.far_points * d).reshape(probe.far_points, d)
     norms = np.sqrt(np.einsum("ij,ij->i", z, z))
     norms[norms == 0.0] = 1.0
-    radii = probe.far_radius * stream.uniforms(probe.far_points)
+    radii = PROBE_FAR_RADIUS * stream.uniforms(probe.far_points)
     center = 0.5 * (lows + highs)
     far = center + (radii / norms)[:, None] * z
     return np.vstack([grid, far])

@@ -37,6 +37,7 @@ from .io import (
     atomic_write_text,
     csv_text,
     json_fields,
+    json_float,
     json_floats,
     json_int,
     json_ints,
@@ -133,7 +134,7 @@ class GaussianConfig:
         table = {
             "mu": json_floats,
             "sigma": lambda rows: tuple(json_floats(row) for row in rows),
-            "noise_var": float,
+            "noise_var": json_float,
         }
         return cls(**_fields_from_json(cls, obj, table, ("mu", "sigma")))
 
@@ -162,6 +163,7 @@ class ExperimentConfig:
          "must be a nonempty list of integers >= 2"),
         ("alpha_values", lambda v: len(v) > 0 and all(0.0 < a < 1.0 for a in v),
          "must be a nonempty list of levels in (0, 1)"),
+        ("delta_values", lambda v: np.all(np.isfinite(v)), "must be finite"),
         ("replications", lambda v: _is_count(v, 2), "must be an integer >= 2"),
         ("truth_n_mc", lambda v: _is_count(v, 100_000), "must be an integer >= 100000"),
         ("master_seed", lambda v: _is_count(v, 0), "must be a nonnegative integer"),
@@ -503,7 +505,7 @@ def convergence_config_from_json(obj: dict) -> ConvergenceConfig:
         "model": DepthModel.from_json,
         "n_values": json_ints,
         "seeds": json_int,
-        "alpha": float,
+        "alpha": json_float,
         "boundary_m": json_int,
         "symdiff_n_mc": json_int,
         "master_seed": json_int,

@@ -137,9 +137,16 @@ def json_ints(value) -> tuple[int, ...]:
     return tuple(json_int(x) for x in value)
 
 
+def json_float(value) -> float:
+    """A JSON number field: an int or a float, never a bool or a string."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"expected a number, got {value!r}")
+    return float(value)
+
+
 def json_floats(value) -> tuple[float, ...]:
-    """A JSON array of numbers."""
-    return tuple(float(x) for x in value)
+    """A JSON array of numbers, each read by :func:`json_float`."""
+    return tuple(json_float(x) for x in value)
 
 
 def json_fields(obj: dict, table: dict, required, problems: list[str], prefix: str = "") -> dict:
@@ -147,11 +154,11 @@ def json_fields(obj: dict, table: dict, required, problems: list[str], prefix: s
 
     ``table`` maps each key to its converter.  A key absent from ``obj`` is
     a problem when it is in ``required`` and is left out otherwise.  A
-    converter raising TypeError or ValueError makes the field the wrong
-    type; a ConfigError's problems are each reported under the field as
-    ``key.problem``, and any other DepthRiskError by its message.  Problem
-    texts, each naming ``prefix + key``, are appended to ``problems``; the
-    converted fields are returned by key.
+    converter raising TypeError, ValueError or OverflowError makes the field
+    the wrong type; a ConfigError's problems are each reported under the
+    field as ``key.problem``, and any other DepthRiskError by its message.
+    Problem texts, each naming ``prefix + key``, are appended to
+    ``problems``; the converted fields are returned by key.
     """
     fields = {}
     for key, convert in table.items():
@@ -166,6 +173,6 @@ def json_fields(obj: dict, table: dict, required, problems: list[str], prefix: s
             problems.extend(f"{name}.{part}" for part in str(exc).split("; "))
         except DepthRiskError as exc:
             problems.append(f"{name}: {exc}")
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             problems.append(f"{name}: wrong type")
     return fields

@@ -65,10 +65,8 @@ def in_lower_set(x, spec: LevelSetSpec):
     Boundary points count as members: depth within 1e-12 of alpha is in.
     Accepts a single point (returns bool) or an (n, d) batch (bool array).
     """
-    pts = np.asarray(x, dtype=float)
-    single = pts.ndim == 1
-    member = depth_in_lower_set(mhd(pts, spec.model), spec.alpha)
-    return bool(member) if single else member
+    member = depth_in_lower_set(mhd(x, spec.model), spec.alpha)
+    return bool(member) if np.ndim(member) == 0 else member
 
 
 def depth_in_lower_set(depth, alpha: float):
@@ -115,10 +113,10 @@ def boundary_points(spec: LevelSetSpec, m: int) -> np.ndarray:
     return spec.model.mu + r * (u @ spec.model.sigma.chol.T)
 
 
-def _nn_gap(points: np.ndarray) -> float:
-    """Max distance from any point to its nearest distinct-index neighbor."""
-    tree = cKDTree(points)
-    dist, _ = tree.query(points, k=2)
+def _nn_gap(tree: cKDTree) -> float:
+    """Max distance from any point of the tree to its nearest distinct-index
+    neighbor."""
+    dist, _ = tree.query(tree.data, k=2)
     return float(np.max(dist[:, 1]))
 
 
@@ -147,16 +145,7 @@ def hausdorff_report(a: LevelSetSpec, b: LevelSetSpec, m: int) -> HausdorffResul
     tree_b = cKDTree(pb)
     d_ab = float(np.max(tree_b.query(pa)[0]))
     d_ba = float(np.max(tree_a.query(pb)[0]))
-    return HausdorffResult(max(d_ab, d_ba), max(_nn_gap(pa), _nn_gap(pb)))
-
-
-def boundary_perimeter(spec: LevelSetSpec, m: int = 4096) -> float:
-    """Perimeter of the boundary ellipse (dimension 2 only), by dense polyline."""
-    if spec.dim != 2:
-        raise DomainError("perimeter is only defined for 2-d boundaries here")
-    pts = boundary_points(spec, m)
-    closed = np.vstack([pts, pts[:1]])
-    return float(np.sum(np.sqrt(np.sum(np.diff(closed, axis=0) ** 2, axis=1))))
+    return HausdorffResult(max(d_ab, d_ba), max(_nn_gap(tree_a), _nn_gap(tree_b)))
 
 
 def _union_box(a: LevelSetSpec, b: LevelSetSpec) -> tuple[np.ndarray, np.ndarray]:
@@ -195,14 +184,13 @@ def sym_diff_volume(
         raise DomainError("n_mc must be at least 1000")
     lo, hi = _union_box(a, b)
     d = a.dim
-    u = rng.uniforms(n_mc * d).reshape(n_mc, d)
-    pts = lo + u * (hi - lo)
-    differ = in_lower_set(pts, a) ^ in_lower_set(pts, b)
-    frac = float(np.count_nonzero(differ)) / n_mc
+
+    def uniform_box(n: int, stream: RngStream) -> np.ndarray:
+        return lo + stream.uniforms(n * d).reshape(n, d) * (hi - lo)
+
+    frac, se = sym_diff_probability(a, b, uniform_box, n_mc, rng)
     box_vol = float(np.prod(hi - lo))
-    est = box_vol * frac
-    se = box_vol * np.sqrt(frac * (1.0 - frac) / n_mc)
-    return est, float(se)
+    return box_vol * frac, box_vol * se
 
 
 def sym_diff_probability(

@@ -9,7 +9,6 @@ Cholesky factor.
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .errors import DimensionMismatch, DomainError, NotPositiveDefinite, NotSymmetric
 
@@ -92,6 +91,23 @@ def whiten(low, cols) -> np.ndarray:
     return w
 
 
+def color(low, cols) -> np.ndarray:
+    """Map each column z to ``L z``, the inverse of :func:`whiten`.
+
+    ``low`` is a lower factor (d, d) and ``cols`` has shape (d, n); columns
+    with identity covariance come out with covariance ``L L'``.  Like
+    :func:`whiten`, it makes one elementwise pass per term and no BLAS call.
+    """
+    z = np.asarray(cols, dtype=float)
+    low = np.asarray(low, dtype=float)
+    x = np.empty(z.shape)
+    for i in range(z.shape[0]):
+        np.multiply(z[0], low[i, 0], out=x[i])
+        for j in range(1, i + 1):
+            x[i] += z[j] * low[i, j]
+    return x
+
+
 class SpdMatrix:
     """A symmetric positive definite matrix factored once at construction.
 
@@ -129,47 +145,6 @@ class SpdMatrix:
     def __repr__(self) -> str:  # pragma: no cover
         return f"SpdMatrix(dim={self.dim})"
 
-    def _check_rows(self, rows) -> tuple[np.ndarray, bool]:
-        r = np.asarray(rows, dtype=float)
-        single = r.ndim == 1
-        if r.shape[-1] != self.dim or r.ndim not in (1, 2):
-            raise DimensionMismatch(
-                f"expected vectors of length {self.dim}, got shape {r.shape}"
-            )
-        return r.reshape(-1, self.dim), single
-
-    def whiten_rows(self, rows) -> np.ndarray:
-        """Solve ``L w = r`` for each row r, so that ``|w|^2 = r' A^{-1} r``.
-
-        Accepts a single vector of length dim or an (n, dim) array of rows.
-        """
-        r, single = self._check_rows(rows)
-        w = whiten(self.chol, r.T).T
-        return w[0] if single else w
-
-    def color_rows(self, rows) -> np.ndarray:
-        """Map each row z to ``L z``, the inverse of :meth:`whiten_rows`.
-
-        Rows with identity covariance come out with covariance A.  Like
-        :func:`whiten`, it makes one elementwise pass per term and no BLAS
-        call; the result is the transpose of a (dim, n) array.
-        """
-        z, single = self._check_rows(rows)
-        zt = z.T
-        x = np.empty(zt.shape)
-        for i in range(self.dim):
-            np.multiply(zt[0], self.chol[i, 0], out=x[i])
-            for j in range(1, i + 1):
-                x[i] += zt[j] * self.chol[i, j]
-        return x.T[0] if single else x.T
-
-    def solve_rows(self, rows) -> np.ndarray:
-        """Apply ``A^{-1}`` to each row through two triangular solves."""
-        r, single = self._check_rows(rows)
-        half = solve_triangular(self.chol, r.T, lower=True, check_finite=False)
-        full = solve_triangular(self.chol.T, half, lower=False, check_finite=False).T
-        return full[0] if single else full
-
 
 def build_spd(entries) -> SpdMatrix:
     """Construct an :class:`SpdMatrix`, validating symmetry and definiteness."""
@@ -180,5 +155,8 @@ def quad_forms(m: SpdMatrix, rows) -> np.ndarray:
     """Quadratic forms ``v' m^{-1} v`` of the rows v of an (n, dim) array,
     through the Cholesky factor; each is nonnegative, and zero exactly for a
     zero row."""
-    w = m.whiten_rows(np.atleast_2d(rows))
+    r = np.atleast_2d(np.asarray(rows, dtype=float))
+    if r.ndim != 2 or r.shape[1] != m.dim:
+        raise DimensionMismatch(f"expected vectors of length {m.dim}, got shape {r.shape}")
+    w = whiten(m.chol, r.T).T
     return np.einsum("ij,ij->i", w, w)

@@ -22,7 +22,8 @@ from .errors import (
     DimensionMismatch,
     DomainError,
 )
-from .io import json_fields
+from .io import json_fields, json_float
+from .linalg import color
 from .rng import RngStream
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -94,9 +95,9 @@ class FrankGumbelConfig:
         problems: list[str] = []
         if "seed" in obj:
             problems.append("seed: not a data field; set the study's master_seed instead")
-        table = {"theta": float, "marginals": _two_objects, "noise_var": float}
+        table = {"theta": json_float, "marginals": _two_objects, "noise_var": json_float}
         fields = json_fields(obj, table, tuple(table), problems)
-        marginal = {"mu": float, "beta": float}
+        marginal = {"mu": json_float, "beta": json_float}
         margs = [
             json_fields(m, marginal, tuple(marginal), problems, f"marginals[{i}].")
             for i, m in enumerate(fields.get("marginals", ()))
@@ -119,7 +120,7 @@ def _two_objects(value) -> list:
 
 
 class Sample:
-    """An n-by-d matrix of observations, optionally paired with costs.
+    """An n-by-d matrix of finite observations, optionally with finite costs.
 
     Attributes
     ----------
@@ -135,12 +136,16 @@ class Sample:
             raise DimensionMismatch(f"points must be 2-d (n, d), got shape {pts.shape}")
         if pts.shape[0] < 1:
             raise DimensionMismatch("a sample needs at least one point")
+        if not np.isfinite(pts).all():
+            raise DomainError("points must be finite")
         if costs is not None:
             costs = np.asarray(costs, dtype=float)
             if costs.shape != (pts.shape[0],):
                 raise DimensionMismatch(
                     f"costs must have shape ({pts.shape[0]},), got {costs.shape}"
                 )
+            if not np.isfinite(costs).all():
+                raise DomainError("costs must be finite")
             if not costs.flags.owndata:
                 costs = costs.copy()
             costs.setflags(write=False)
@@ -317,4 +322,4 @@ def sample_gaussian(n: int, model: "DepthModel", rng: RngStream) -> Sample:
         raise DomainError("n must be >= 1")
     d = model.dim
     z = rng.normals(n * d).reshape(n, d)
-    return Sample(model.mu + model.sigma.color_rows(z))
+    return Sample(model.mu + color(model.sigma.chol, z.T).T)

@@ -20,7 +20,6 @@ from depthrisk import (
     attach_costs,
     build_spd,
     ccte_hat,
-    ccte_hat_split,
     ccte_true_oracle,
     ccte_under_model,
     estimate_population_model,
@@ -236,25 +235,6 @@ class TestBatch:
 
 
 class TestSplitMode:
-    def test_matches_manual_split(self):
-        rng = RngStream(37, 0)
-        pts = rng.normals(400).reshape(200, 2)
-        s = attach_costs(Sample(pts), 0.005, rng)
-        est = ccte_hat_split(s, 0.5)
-        manual = ccte_hat(
-            Sample(pts[:100]), Sample(pts[100:], s.costs[100:]), 0.5
-        )
-        assert est == manual
-
-    def test_odd_size_rejected(self):
-        s = costed([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]], [1.0, 2.0, 3.0])
-        with pytest.raises(DomainError):
-            ccte_hat_split(s, 0.5)
-
-    def test_missing_costs(self):
-        with pytest.raises(MissingCosts):
-            ccte_hat_split(Sample([[1.0, 0.0], [0.0, 1.0]]), 0.5)
-
     def test_missing_costs_two_sample(self):
         with pytest.raises(MissingCosts):
             ccte_hat(Sample(np.eye(3)[:, :2] + 1.0), Sample([[1.0, 1.0]]), 0.5)

@@ -102,6 +102,35 @@ class TestDepthCommand:
         code = main(["depth", "--grid=0:1:2,0:1:2", "-o", str(tmp_path)])
         assert code == 2
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("source", ["points", "fit"])
+    def test_non_finite_cell_rejected(self, tmp_path, unit_model_path, capsys, source, cell):
+        pts = write_csv(tmp_path / "pts.csv", [[cell, 0.0], [1.0, 2.0], [0.5, -1.0], [2.0, 1.0]])
+        if source == "points":
+            args = ["--model", str(unit_model_path), "--points", str(pts)]
+        else:
+            args = ["--fit", str(pts), "--grid=0:1:2,0:1:2"]
+        out = tmp_path / "out"
+        code = main(["depth", *args, "-o", str(out)])
+        assert code == 1
+        assert "points must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("model", [
+        {"mu": ["0", 0.0], "sigma": [[1.0, 0.0], [0.0, 1.0]]},
+        {"mu": [0.0, True], "sigma": [[1.0, 0.0], [0.0, 1.0]]},
+        {"mu": [0.0, 0.0], "sigma": [["1", 0.0], [0.0, 1.0]]},
+        {"mu": [0.0, 0.0], "sigma": [[1.0, 0.0], [0.0]]},
+        {"mu": [10**400, 0.0], "sigma": [[1.0, 0.0], [0.0, 1.0]]},
+    ], ids=["mu_str", "mu_bool", "sigma_str", "sigma_ragged", "mu_huge_int"])
+    def test_non_numeric_model_file(self, tmp_path, capsys, model):
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(model))
+        code = main(["depth", "--model", str(path), "--grid=0:1:2,0:1:2",
+                     "-o", str(tmp_path / "out")])
+        assert code == 2
+        assert "mu and sigma must be arrays of numbers" in capsys.readouterr().err
+
     def test_bad_model_file(self, tmp_path, capsys):
         bad = tmp_path / "m.json"
         bad.write_text("{not json")
@@ -198,6 +227,21 @@ class TestCcteCommand:
         assert capsys.readouterr().out == ""
         doc = json.loads((out / "estimate.json").read_text())
         assert doc["value"] == 15.0
+
+    @pytest.mark.parametrize("row, what", [
+        ([math.nan, 0.0, 5.0], "points"),
+        ([0.0, math.inf, 5.0], "points"),
+        ([0.0, 3.0, math.nan], "costs"),
+    ], ids=["nan_point", "inf_point", "nan_cost"])
+    def test_non_finite_cost_file_rejected(self, tmp_path, capsys, row, what):
+        level, _ = self._write_inputs(tmp_path)
+        cost = write_csv(tmp_path / "cost.csv", [[2.0, 0.0, 10.0], row], header="x,y,cost")
+        code = main(["ccte", "--level", str(level), "--cost", str(cost),
+                     "--alpha", "0.5", "--json"])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert f"{what} must be finite" in captured.err
+        assert captured.out == ""
 
     def test_cost_column_count_checked(self, tmp_path, capsys):
         level, _ = self._write_inputs(tmp_path)

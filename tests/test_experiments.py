@@ -23,6 +23,7 @@ from depthrisk import (
     ccte_under_model,
     config_from_json,
     config_to_json,
+    convergence_config_from_json,
     emit_tables,
     fit_model,
     mix64,
@@ -258,6 +259,67 @@ class TestStrictIntegers:
         assert cfg.replications == 2 and type(cfg.replications) is int
         assert cfg.truth_n_mc == 1_000_000 and type(cfg.truth_n_mc) is int
         assert cfg.master_seed == 5 and type(cfg.master_seed) is int
+
+
+class TestStrictFloats:
+    CONVERGENCE = {
+        "model": {"mu": [0.0, 0.0], "sigma": [[1.0, 0.0], [0.0, 1.0]]},
+        "n_values": [16],
+        "seeds": 1,
+        "alpha": 0.5,
+    }
+
+    @pytest.mark.parametrize("name, cfg, edit", [
+        ("alpha_values", gaussian_cfg, lambda o: o.update(alpha_values=["0.5"])),
+        ("delta_values", gaussian_cfg, lambda o: o.update(delta_values=[0.0, True])),
+        ("data.mu", gaussian_cfg, lambda o: o["data"].update(mu=["0", True])),
+        ("data.sigma", gaussian_cfg, lambda o: o["data"].update(sigma=[["1", 0], [0, 1]])),
+        ("data.noise_var", gaussian_cfg, lambda o: o["data"].update(noise_var="0.01")),
+        ("data.noise_var", frank_cfg, lambda o: o["data"].update(noise_var=False)),
+        ("data.noise_var", gaussian_cfg, lambda o: o["data"].update(noise_var=10**400)),
+        ("data.theta", frank_cfg, lambda o: o["data"].update(theta=True)),
+        ("data.marginals[1].mu", frank_cfg, lambda o: o["data"]["marginals"][1].update(mu="0")),
+    ], ids=["alpha_values", "delta_values", "mu", "sigma", "noise_var_str", "noise_var_bool",
+            "noise_var_huge_int", "theta_bool", "marginal_mu_str"])
+    def test_strings_and_bools_rejected(self, name, cfg, edit):
+        obj = config_to_json(cfg())
+        edit(obj)
+        with pytest.raises(ConfigError, match=re.escape(f"{name}: wrong type")):
+            config_from_json(obj)
+
+    def test_ints_read_as_floats(self):
+        obj = config_to_json(gaussian_cfg())
+        obj["delta_values"] = [0, 1]
+        obj["data"].update(mu=[0, 1], sigma=[[2, 0], [0, 1]], noise_var=0)
+        cfg = config_from_json(obj)
+        assert cfg.delta_values == (0.0, 1.0) and type(cfg.delta_values[0]) is float
+        assert cfg.data_cfg.mu == (0.0, 1.0) and type(cfg.data_cfg.noise_var) is float
+
+    @pytest.mark.parametrize("name, edit", [
+        ("alpha: wrong type", lambda o: o.update(alpha="0.5")),
+        ("alpha: wrong type", lambda o: o.update(alpha=True)),
+        ("model: mu and sigma must be arrays of numbers",
+         lambda o: o.update(model={"mu": ["0", True], "sigma": [[1, 0], [0, 1]]})),
+    ], ids=["alpha_str", "alpha_bool", "model_mu"])
+    def test_convergence_fields(self, name, edit):
+        obj = json.loads(json.dumps(self.CONVERGENCE))
+        edit(obj)
+        with pytest.raises(ConfigError, match=re.escape(name)):
+            convergence_config_from_json(obj)
+
+
+class TestDeltaValuesFinite:
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+    def test_json_literal_rejected(self, literal):
+        obj = config_to_json(gaussian_cfg())
+        obj["delta_values"] = json.loads(f"[0.0, {literal}]")
+        with pytest.raises(ConfigError, match="delta_values: must be finite"):
+            config_from_json(obj)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_direct_construction_rejected(self, bad):
+        with pytest.raises(ConfigError, match="delta_values: must be finite"):
+            gaussian_cfg(delta_values=(0.0, bad))
 
 
 class TestGaussianConfigFinite:

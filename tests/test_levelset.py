@@ -11,7 +11,6 @@ from depthrisk import (
     DomainError,
     LevelSetSpec,
     RngStream,
-    boundary_perimeter,
     boundary_points,
     build_spd,
     fit_model,
@@ -283,22 +282,6 @@ class TestSymDiffProbability:
                 circle_spec(1.0), circle_spec(2.0),
                 lambda n, r: np.zeros((n, 3)), 1000, RngStream(0),
             )
-
-
-class TestPerimeter:
-    def test_unit_circle(self):
-        p = boundary_perimeter(LevelSetSpec(std_model(), 0.5), m=4096)
-        assert abs(p - 2.0 * math.pi) < 1e-5
-        # an inscribed polyline can only undershoot
-        assert p < 2.0 * math.pi
-
-    def test_scales_with_radius(self):
-        p = boundary_perimeter(circle_spec(3.0), m=4096)
-        assert p == pytest.approx(6.0 * math.pi, rel=1e-5)
-
-    def test_dim_restriction(self):
-        with pytest.raises(DomainError):
-            boundary_perimeter(LevelSetSpec(std_model(3), 0.5))
 
 
 class TestFittedGeometryScales:

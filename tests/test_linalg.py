@@ -1,4 +1,4 @@
-"""SPD matrix toolkit: construction, factors, quadratic forms."""
+"""SPD matrix toolkit: construction, factors, column kernels, quadratic forms."""
 
 import numpy as np
 import pytest
@@ -11,7 +11,7 @@ from depthrisk import (
     build_spd,
     quad_forms,
 )
-from depthrisk.linalg import cholesky_lower
+from depthrisk.linalg import cholesky_lower, color, whiten
 
 
 def random_spd(rng, d):
@@ -116,6 +116,17 @@ class TestQuadForm:
         batch = quad_forms(m, rows)
         single = np.array([quad_forms(m, [r])[0] for r in rows])
         assert np.allclose(batch, single, rtol=1e-13, atol=1e-13)
+
+
+class TestColumnKernels:
+    @pytest.mark.parametrize("d", [1, 2, 3, 5])
+    def test_color_is_the_inverse_of_whiten(self, d):
+        rng = np.random.default_rng(d)
+        low = cholesky_lower(random_spd(rng, d))
+        cols = rng.normal(size=(d, 40))
+        colored = color(low, cols)
+        assert np.allclose(colored, low @ cols, rtol=1e-12, atol=1e-12)
+        assert np.allclose(whiten(low, colored), cols, rtol=1e-9, atol=1e-9)
 
 
 class TestNonFiniteAndStacks:

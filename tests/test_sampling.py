@@ -284,6 +284,13 @@ class TestSample:
         with pytest.raises(DimensionMismatch):
             Sample([[1.0, 2.0]], costs=[1.0, 2.0])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(DomainError, match="points must be finite"):
+            Sample([[bad, 0.0], [1.0, 2.0]])
+        with pytest.raises(DomainError, match="costs must be finite"):
+            Sample([[0.0, 0.0], [1.0, 2.0]], costs=[1.0, bad])
+
     def test_properties(self):
         s = Sample(np.ones((7, 3)))
         assert s.n == 7
