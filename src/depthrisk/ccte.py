@@ -94,7 +94,7 @@ def ccte_under_model(
     return _one_estimate(values, hits, n1, cost_sample.n, alpha)
 
 
-def ccte_hat_batch(level_cols, cost_cols, costs, alpha: float):
+def ccte_hat_batch(level_cols, cost_cols, costs, alpha):
     """Plug-in estimates for a stack of k independent replicates at once.
 
     Points are stored as columns, one coordinate per row, so that every
@@ -104,15 +104,22 @@ def ccte_hat_batch(level_cols, cost_cols, costs, alpha: float):
     ``cost_cols[r]`` (shape (d, n2)) that fall in its estimated lower set.
     A replicate with no hit gets the value 0.0 (the 0/0 convention).
 
+    ``alpha`` is one level or a sequence of levels.  Each replicate is
+    fitted, and the depths of its cost points computed, once; the depths
+    are then thresholded per level.
+
     Returns
     -------
-    (values, hits) : ndarrays of shape (k,)
+    (values, hits) : ndarrays of shape (k,) for one level, (levels, k) for
+        a sequence; row i equals the one-level call at ``alpha[i]``.
 
     Raises
     ------
     DegenerateSample
         If n1 < d + 1, or the covariance of some replicate fails the
         Cholesky pivot floor (the message names the first one).
+    DomainError
+        If ``alpha`` is not one level or a nonempty sequence in (0, 1).
     """
     level = np.asarray(level_cols, dtype=float)
     pts = np.asarray(cost_cols, dtype=float)
@@ -135,18 +142,37 @@ def ccte_hat_batch(level_cols, cost_cols, costs, alpha: float):
     return _ratio_under_models(mu, low, pts, costs, alpha)
 
 
-def _ratio_under_models(mu, low, cost_cols, costs, alpha: float):
+def _levels(alpha) -> list[float]:
+    """The levels of ``alpha``, one level or a nonempty sequence of them,
+    each checked to lie in (0, 1)."""
+    if np.ndim(alpha) > 1 or np.size(alpha) == 0:
+        raise DomainError("alpha must be one level or a nonempty sequence of levels")
+    levels = [float(a) for a in np.atleast_1d(alpha)]
+    for a in levels:
+        if not 0.0 < a < 1.0:
+            raise DomainError(f"alpha must lie in (0, 1), got {a!r}")
+    return levels
+
+
+def _ratio_under_models(mu, low, cost_cols, costs, alpha):
     """Per replicate r, the mean cost over the columns of ``cost_cols[r]``
     in the lower set of the model (``mu[r]``, Cholesky factor ``low[r]``);
-    0.0 where none is in.  Returns (values, hits)."""
-    if not 0.0 < alpha < 1.0:
-        raise DomainError(f"alpha must lie in (0, 1), got {alpha!r}")
+    0.0 where none is in.  Returns (values, hits), of shape (k,) for one
+    level and (levels, k) for a sequence."""
+    levels = _levels(alpha)
     w = whiten(low, cost_cols - mu[..., None])
-    member = depth_in_lower_set(1.0 / (1.0 + np.einsum("kin,kin->kn", w, w)), alpha)
-    hits = np.count_nonzero(member, axis=1)
-    # summed per replicate over its members only, as for a single sample
-    sums = np.array([np.sum(c[m]) for c, m in zip(costs, member)])
-    values = np.divide(sums, hits, out=np.zeros(len(hits)), where=hits > 0)
+    depth = 1.0 / (1.0 + np.einsum("kin,kin->kn", w, w))
+    values = np.zeros((len(levels), len(depth)))
+    hits = np.zeros((len(levels), len(depth)), dtype=np.intp)
+    # one (k, n2) mask at a time, never one per level at once
+    for i, a in enumerate(levels):
+        member = depth_in_lower_set(depth, a)
+        hits[i] = np.count_nonzero(member, axis=1)
+        # summed per replicate over its members only, as for a single sample
+        sums = np.array([np.sum(c[m]) for c, m in zip(costs, member)])
+        np.divide(sums, hits[i], out=values[i], where=hits[i] > 0)
+    if np.ndim(alpha) == 0:
+        return values[0], hits[0]
     return values, hits
 
 
@@ -241,12 +267,7 @@ def ccte_true_oracle(population: Population, alpha, n_mc: int, rng: RngStream):
     NoMass
         If not a single draw lands in the region of some level.
     """
-    if np.ndim(alpha) > 1 or np.size(alpha) == 0:
-        raise DomainError("alpha must be one level or a nonempty sequence of levels")
-    levels = [float(a) for a in np.atleast_1d(alpha)]
-    for a in levels:
-        if not 0.0 < a < 1.0:
-            raise DomainError(f"alpha must lie in (0, 1), got {a!r}")
+    levels = _levels(alpha)
     if n_mc < 100_000:
         raise DomainError("oracle needs n_mc >= 1e5 for a meaningful standard error")
     # accumulated over fixed-size batches in a fixed order: deterministic

@@ -70,6 +70,8 @@ def _parse_grid(spec: str, dim: int) -> np.ndarray:
                 ok = False
         if not ok:
             raise ConfigError(f"grid: axis {i + 1}: expected 'lo:hi:count'")
+        if not (np.isfinite(lo) and np.isfinite(hi)):
+            raise ConfigError(f"grid: axis {i + 1}: bounds must be finite")
         if count < 1:
             raise ConfigError(f"grid: axis {i + 1}: count must be >= 1")
         axes.append(np.linspace(lo, hi, count))

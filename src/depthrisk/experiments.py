@@ -46,16 +46,10 @@ from .io import (
 from .levelset import LevelSetSpec, hausdorff_report, sym_diff_volume
 from .linalg import build_spd
 from .rng import RngStream, mix64
-from .sampling import (
-    FrankGumbelConfig,
-    Sample,
-    attach_costs,
-    sample_gaussian,
-    sample_risk_factors,
-)
+from .sampling import FrankGumbelConfig, sample_gaussian, sample_risk_factors, squared_norms
 
 # Substream tags.  Each purpose gets a distinct tag so no two draws in a
-# study can collide even when (n, alpha index, replicate) tuples repeat.
+# study can collide even when (n, replicate) pairs repeat.
 _TAG_MOMENTS = 1
 _TAG_TRUTH = 2
 _TAG_REPLICATE = 3
@@ -283,27 +277,40 @@ def _run_tasks(tasks: list[Callable[[], object]], threads: int) -> list:
 
 
 def cell_estimates(
-    draw, noise_var: float, n: int, alpha: float, streams: list[RngStream]
+    draw, noise_var: float, n: int, alphas, streams: list[RngStream]
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Estimates and hit counts of one cell, one replicate per stream.
+    """Estimates and hit counts at sample size n, one replicate per stream.
 
     Each stream draws 2n points (level half, then cost half) and then the
-    cost noise; replicates are evaluated together in blocks of at most
-    ``BATCH_ROWS`` drawn rows.
+    cost noise; replicates are fitted together in blocks of at most
+    ``BATCH_ROWS`` drawn rows, and each is scored at every level of
+    ``alphas`` (one level, or a sequence).  The arrays have shape (k,) for
+    one level and (levels, k) for a sequence, one column per stream.
     """
     per_block = max(1, BATCH_ROWS // (2 * n))
     values, hits = [], []
     for start in range(0, len(streams), per_block):
-        points, costs = [], []
-        for stream in streams[start : start + per_block]:
-            pts = draw(2 * n, stream)
-            points.append(pts.T)
-            costs.append(attach_costs(Sample(pts[n:]), noise_var, stream).costs)
-        cols = np.stack(points)
-        v, h = ccte_hat_batch(cols[..., :n], cols[..., n:], np.stack(costs), alpha)
+        cols, costs = _replicate_block(draw, noise_var, n, streams[start : start + per_block])
+        v, h = ccte_hat_batch(cols[..., :n], cols[..., n:], costs, alphas)
         values.append(v)
         hits.append(h)
-    return np.concatenate(values), np.concatenate(hits)
+    return np.concatenate(values, axis=-1), np.concatenate(hits, axis=-1)
+
+
+def _replicate_block(draw, noise_var: float, n: int, streams: list[RngStream]):
+    """The (k, d, 2n) point columns and (k, n) costs of one replicate per
+    stream.  The per-replicate arrays are freed on return, before the block
+    is evaluated."""
+    points, costs = [], []
+    for stream in streams:
+        pts = draw(2 * n, stream)
+        points.append(pts.T)
+        # the costs attach_costs gives, without re-checking the points
+        cost = squared_norms(pts[n:])
+        if noise_var > 0.0:
+            cost = cost + np.sqrt(noise_var) * stream.normals(n)
+        costs.append(cost)
+    return np.stack(points), np.stack(costs)
 
 
 def run_replications(
@@ -313,11 +320,13 @@ def run_replications(
 ) -> ReplicationReport:
     """Run the full study grid and aggregate per-cell statistics.
 
-    Replicate j of cell (n, alpha_i) owns the substream hashed from
-    (tag, n, i, j), and the truths of all levels come from one pass on one
-    truth stream.  The population pass and the cells are the tasks of one
-    pool of ``pool_size(threads, tasks)`` threads, gathered by task index,
-    so results do not depend on execution order or thread count.
+    Replicate j at sample size n owns the substream hashed from (tag, n, j);
+    it is drawn and fitted once and scored at every level, so the cells at
+    one n share their replicates across levels.  The truths of all levels
+    come from one pass on one truth stream.  The population pass and one
+    task per sample size run on one pool of ``pool_size(threads, tasks)``
+    threads, gathered by task index, so results do not depend on execution
+    order or thread count.
     """
     t0 = time.monotonic()
     say = progress if progress is not None else (lambda _msg: None)
@@ -336,35 +345,36 @@ def run_replications(
         return ccte_true_oracle(population, cfg.alpha_values, cfg.truth_n_mc, truth_rng)
 
     r = cfg.replications
-    grid = [(n, i, alpha) for n in cfg.n_values for i, alpha in enumerate(cfg.alpha_values)]
 
-    def cell(n: int, i: int, alpha: float):
-        say(f"cell n={n} alpha={alpha}")
-        streams = [RngStream(cfg.master_seed, mix64(_TAG_REPLICATE, n, i, j)) for j in range(r)]
-        return cell_estimates(draw, noise_var, n, alpha, streams)
+    def cells_at(n: int):
+        say(f"cells n={n}")
+        streams = [RngStream(cfg.master_seed, mix64(_TAG_REPLICATE, n, j)) for j in range(r)]
+        return cell_estimates(draw, noise_var, n, cfg.alpha_values, streams)
 
-    tasks = [population_pass] + [partial(cell, *c) for c in grid]
-    truths, *cell_results = _run_tasks(tasks, threads)
+    tasks = [population_pass] + [partial(cells_at, n) for n in cfg.n_values]
+    truths, *per_n = _run_tasks(tasks, threads)
 
     cells = []
-    for (n, i, alpha), (estimates, hits) in zip(grid, cell_results):
-        truth, truth_se = truths[i]
-        mean = float(np.mean(estimates))
-        sigma_hat = float(np.sqrt(np.sum((estimates - mean) ** 2) / (r - 1)))
-        rmae = float(np.mean(np.abs(estimates - truth)) / abs(truth))
-        cells.append(
-            CellResult(
-                n=n,
-                alpha=alpha,
-                truth=truth,
-                truth_se=truth_se,
-                estimates=estimates,
-                mean=mean,
-                sigma_hat=sigma_hat,
-                rmae=rmae,
-                degenerate_count=int(np.count_nonzero(hits == 0)),
+    for n, (values, hit_rows) in zip(cfg.n_values, per_n):
+        for alpha, (truth, truth_se), estimates, hits in zip(
+            cfg.alpha_values, truths, values, hit_rows
+        ):
+            mean = float(np.mean(estimates))
+            sigma_hat = float(np.sqrt(np.sum((estimates - mean) ** 2) / (r - 1)))
+            rmae = float(np.mean(np.abs(estimates - truth)) / abs(truth))
+            cells.append(
+                CellResult(
+                    n=n,
+                    alpha=alpha,
+                    truth=truth,
+                    truth_se=truth_se,
+                    estimates=estimates,
+                    mean=mean,
+                    sigma_hat=sigma_hat,
+                    rmae=rmae,
+                    degenerate_count=int(np.count_nonzero(hits == 0)),
+                )
             )
-        )
     return ReplicationReport(
         config=cfg, cells=tuple(cells), wall_clock_seconds=time.monotonic() - t0
     )

@@ -233,6 +233,29 @@ class TestBatch:
             assert est.hits == hits[r]
             assert est.value == pytest.approx(values[r], rel=1e-12, abs=0.0)
 
+    def test_level_sequence_gives_one_row_per_level(self):
+        rng = RngStream(40, 0)
+        level = rng.normals(5 * 2 * 30).reshape(5, 2, 30)
+        cost = rng.normals(5 * 2 * 25).reshape(5, 2, 25) * 1.5
+        costs = rng.uniforms(5 * 25).reshape(5, 25)
+        levels = (0.05, 0.3, 0.9)
+        values, hits = ccte_hat_batch(level, cost, costs, levels)
+        assert values.shape == hits.shape == (3, 5)
+        for i, alpha in enumerate(levels):
+            one_values, one_hits = ccte_hat_batch(level, cost, costs, alpha)
+            assert one_values.shape == one_hits.shape == (5,)
+            assert np.array_equal(values[i], one_values)
+            assert np.array_equal(hits[i], one_hits)
+        one_row = ccte_hat_batch(level, cost, costs, [0.3])
+        assert one_row[0].shape == one_row[1].shape == (1, 5)
+
+    @pytest.mark.parametrize("alpha", [(), (0.5, 1.0), (0.0, 0.5), [[0.5]], 1.0, -0.1])
+    def test_level_validation(self, alpha):
+        rng = RngStream(40, 1)
+        level = rng.normals(2 * 2 * 10).reshape(2, 2, 10)
+        with pytest.raises(DomainError):
+            ccte_hat_batch(level, level, np.ones((2, 10)), alpha)
+
 
 class TestSplitMode:
     def test_missing_costs_two_sample(self):

@@ -98,6 +98,21 @@ class TestDepthCommand:
         assert code == 2
         assert "grid" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("bound", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("side", ["lo", "hi"])
+    @pytest.mark.parametrize("axis", [1, 2])
+    def test_non_finite_grid_bound_rejected(
+        self, tmp_path, unit_model_path, capsys, axis, side, bound
+    ):
+        axes = [["0", "1", "2"], ["0", "1", "2"]]
+        axes[axis - 1][0 if side == "lo" else 1] = bound
+        spec = ",".join(":".join(a) for a in axes)
+        out = tmp_path / "out"
+        code = main(["depth", "--model", str(unit_model_path), f"--grid={spec}", "-o", str(out)])
+        assert code == 2
+        assert f"grid: axis {axis}: bounds must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_source_is_usage_error(self, tmp_path, capsys):
         code = main(["depth", "--grid=0:1:2,0:1:2", "-o", str(tmp_path)])
         assert code == 2

@@ -371,18 +371,43 @@ class TestBatchedCell:
         if alpha == 0.05:
             assert any(e.degenerate for e in expect)
 
+    @pytest.mark.parametrize(
+        "kind, n, r",
+        [
+            ("gaussian", 16, 40),  # mostly zero-hit replicates at 0.05
+            ("gaussian", 64, 20),
+            ("frank", 16, 40),
+            ("frank", 5000, 30),  # more than one block
+        ],
+    )
+    def test_level_sequence_matches_one_level_calls(self, kind, n, r):
+        cfg = gaussian_cfg() if kind == "gaussian" else frank_cfg()
+        draw, noise_var, _ = _population_parts(cfg)
+        if n == 5000:
+            assert r * 2 * n > BATCH_ROWS
+        levels = (0.05, 0.5, 0.9)
+        streams = lambda: [RngStream(98, mix64(n, j)) for j in range(r)]
+        values, hits = cell_estimates(draw, noise_var, n, levels, streams())
+        assert values.shape == hits.shape == (len(levels), r)
+        for i, alpha in enumerate(levels):
+            one_values, one_hits = cell_estimates(draw, noise_var, n, alpha, streams())
+            assert np.array_equal(values[i], one_values)
+            assert np.array_equal(hits[i], one_hits)
+        if n == 16:
+            assert np.any(hits[0] == 0)
+
     def test_study_cells_use_replicate_streams(self):
         cfg = frank_cfg(n_values=(16, 32), alpha_values=(0.1, 0.5), replications=4)
         report = run_replications(cfg)
         draw, noise_var, _ = _population_parts(cfg)
         for n in cfg.n_values:
+            streams = [RngStream(cfg.master_seed, mix64(_TAG_REPLICATE, n, j))
+                       for j in range(cfg.replications)]
+            values, hits = cell_estimates(draw, noise_var, n, cfg.alpha_values, streams)
             for i, alpha in enumerate(cfg.alpha_values):
-                streams = [RngStream(cfg.master_seed, mix64(_TAG_REPLICATE, n, i, j))
-                           for j in range(cfg.replications)]
-                values, hits = cell_estimates(draw, noise_var, n, alpha, streams)
                 cell = report.cell(n, alpha)
-                assert np.array_equal(cell.estimates, values)
-                assert cell.degenerate_count == int(np.sum(hits == 0))
+                assert np.array_equal(cell.estimates, values[i])
+                assert cell.degenerate_count == int(np.sum(hits[i] == 0))
 
 
 class TestPool:
@@ -415,6 +440,20 @@ class TestPool:
         threaded = run_replications(cfg, threads=10_000)
         assert made == [2]
         assert summary_csv_text(threaded) == summary_csv_text(run_replications(cfg))
+
+    def test_one_task_per_sample_size(self, monkeypatch):
+        import depthrisk.experiments as experiments
+
+        counts = []
+        run_tasks = experiments._run_tasks
+
+        def counting(tasks, threads):
+            counts.append(len(tasks))
+            return run_tasks(tasks, threads)
+
+        monkeypatch.setattr(experiments, "_run_tasks", counting)
+        run_replications(gaussian_cfg(n_values=(8, 16, 32), alpha_values=(0.2, 0.5)))
+        assert counts == [1 + 3]
 
 
 class TestRunReplications:
