@@ -23,17 +23,10 @@ from typing import Callable
 
 import numpy as np
 
-from .depth import DepthModel, mhd
-from .errors import (
-    DegenerateSample,
-    DimensionMismatch,
-    DomainError,
-    MissingCosts,
-    NoMass,
-    NotPositiveDefinite,
-)
-from .levelset import depth_in_lower_set
-from .linalg import build_spd, cholesky_lower, whiten
+from .depth import DepthModel, fit_columns, mhd
+from .errors import DimensionMismatch, DomainError, MissingCosts, NoMass
+from .levelset import check_level, depth_in_lower_set
+from .linalg import build_spd, whiten
 from .rng import RngStream
 from .sampling import Sample, sample_gaussian, squared_norms
 
@@ -99,9 +92,9 @@ def ccte_hat_batch(level_cols, cost_cols, costs, alpha):
 
     Points are stored as columns, one coordinate per row, so that every
     step is a long elementwise pass.  Replicate r fits its depth model on
-    the n1 columns of ``level_cols[r]`` (shape (d, n1): sample mean and
-    1/(n1-1) covariance) and averages ``costs[r]`` over the columns of
-    ``cost_cols[r]`` (shape (d, n2)) that fall in its estimated lower set.
+    the n1 columns of ``level_cols[r]`` (shape (d, n1), by
+    :func:`~depthrisk.depth.fit_columns`) and averages ``costs[r]`` over the
+    columns of ``cost_cols[r]`` (shape (d, n2)) in its estimated lower set.
     A replicate with no hit gets the value 0.0 (the 0/0 convention).
 
     ``alpha`` is one level or a sequence of levels.  Each replicate is
@@ -116,8 +109,7 @@ def ccte_hat_batch(level_cols, cost_cols, costs, alpha):
     Raises
     ------
     DegenerateSample
-        If n1 < d + 1, or the covariance of some replicate fails the
-        Cholesky pivot floor (the message names the first one).
+        As :func:`~depthrisk.depth.fit_columns` raises it.
     DomainError
         If ``alpha`` is not one level or a nonempty sequence in (0, 1).
     """
@@ -129,29 +121,15 @@ def ccte_hat_batch(level_cols, cost_cols, costs, alpha):
             f"expected (k, d, n1) / (k, d, n2) / (k, n2) arrays, got shapes "
             f"{level.shape} / {pts.shape} / {costs.shape}"
         )
-    _, d, n1 = level.shape
-    if n1 < d + 1:
-        raise DegenerateSample(f"need at least d+1 = {d + 1} points, got {n1}")
-    mu = level.mean(axis=2)
-    dev = level - mu[..., None]
-    cov = np.einsum("kin,kjn->kij", dev, dev) / (n1 - 1)
-    try:
-        low = cholesky_lower(cov)
-    except NotPositiveDefinite as err:
-        raise DegenerateSample(f"sample covariance is not positive definite: {err}") from err
+    mu, _, low = fit_columns(level)
     return _ratio_under_models(mu, low, pts, costs, alpha)
 
 
 def _levels(alpha) -> list[float]:
-    """The levels of ``alpha``, one level or a nonempty sequence of them,
-    each checked to lie in (0, 1)."""
+    """The levels of ``alpha``, one or a nonempty sequence, each by :func:`check_level`."""
     if np.ndim(alpha) > 1 or np.size(alpha) == 0:
         raise DomainError("alpha must be one level or a nonempty sequence of levels")
-    levels = [float(a) for a in np.atleast_1d(alpha)]
-    for a in levels:
-        if not 0.0 < a < 1.0:
-            raise DomainError(f"alpha must lie in (0, 1), got {a!r}")
-    return levels
+    return [check_level(a) for a in np.atleast_1d(alpha).tolist()]
 
 
 def _ratio_under_models(mu, low, cost_cols, costs, alpha):

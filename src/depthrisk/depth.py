@@ -23,7 +23,7 @@ from scipy.linalg import solve_triangular
 
 from .errors import DegenerateSample, DimensionMismatch, DomainError, NotPositiveDefinite
 from .io import json_floats
-from .linalg import SpdMatrix, build_spd, quad_forms
+from .linalg import SpdMatrix, build_spd, cholesky_lower, quad_forms
 from .rng import RngStream, mix64
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -121,29 +121,31 @@ def mhd_gradient(x, model: DepthModel):
     return grad[0] if single else grad
 
 
-def fit_model(s: "Sample") -> DepthModel:
-    """Fit the plug-in depth model: sample mean and unbiased covariance.
-
-    The covariance uses the 1/(n-1) normalization.
-
-    Raises
-    ------
-    DegenerateSample
-        If n < d + 1, or the sample lies in an affine hyperplane so the
-        covariance is not positive definite.
-    """
-    pts = s.points
-    n, d = pts.shape
+def fit_columns(cols) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Plug-in fits of a stack of k samples of n points each, stored as
+    columns of shape (k, d, n): the means (k, d), the covariances (k, d, d)
+    with the 1/(n-1) normalization, and their lower Cholesky factors.
+    Raises DegenerateSample if n < d + 1, or if the covariance of some
+    sample fails the Cholesky pivot floor (the message names the first)."""
+    _, d, n = cols.shape
     if n < d + 1:
         raise DegenerateSample(f"need at least d+1 = {d + 1} points, got {n}")
-    mu = pts.mean(axis=0)
-    dev = pts - mu
-    cov = (dev.T @ dev) / (n - 1)
+    mu = cols.mean(axis=2)
+    dev = cols - mu[..., None]
+    cov = np.einsum("kin,kjn->kij", dev, dev) / (n - 1)
     try:
-        sigma = build_spd(cov)
+        low = cholesky_lower(cov)
     except NotPositiveDefinite as err:
         raise DegenerateSample(f"sample covariance is not positive definite: {err}") from err
-    return DepthModel(mu, sigma)
+    return mu, cov, low
+
+
+def fit_model(s: "Sample") -> DepthModel:
+    """Fit the plug-in depth model, sample mean and unbiased covariance:
+    :func:`fit_columns` of one sample, raising DegenerateSample as it does
+    (n < d + 1, or points in an affine hyperplane)."""
+    mu, cov, _ = fit_columns(s.points.T[None])
+    return DepthModel(mu[0], build_spd(cov[0]))
 
 
 # Probe box half-width in marginal SDs, far-point radius, far-point stream seed.

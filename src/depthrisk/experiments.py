@@ -18,7 +18,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
-from typing import Callable, Union
+from typing import Callable
 
 import numpy as np
 
@@ -29,24 +29,25 @@ from .ccte import (
     ccte_hat_batch,
     ccte_true_oracle,
     estimate_population_model,
-    gaussian_population,
 )
 from .depth import DepthModel, fit_model, sup_norm_distance
-from .errors import ConfigError, DomainError, NonPositiveStatistic
+from .errors import DomainError, NonPositiveStatistic
 from .io import (
     atomic_write_text,
     csv_text,
-    json_fields,
+    field_problems,
+    fields_from_json,
+    is_count,
     json_float,
     json_floats,
     json_int,
     json_ints,
     make_out_dir,
+    raise_problems,
 )
-from .levelset import LevelSetSpec, hausdorff_report, sym_diff_volume
-from .linalg import build_spd
+from .levelset import LevelSetSpec, check_level, hausdorff_report, sym_diff_volume
 from .rng import RngStream, mix64
-from .sampling import FrankGumbelConfig, sample_gaussian, sample_risk_factors, squared_norms
+from .sampling import Law, _noisy_costs, law_from_json, sample_gaussian
 
 # Substream tags.  Each purpose gets a distinct tag so no two draws in a
 # study can collide even when (n, replicate) pairs repeat.
@@ -61,90 +62,17 @@ RATES_HEADER = "n,alpha,delta,V"
 CONVERGENCE_STATS = ("supnorm", "hausdorff", "symdiff")
 
 
-def _is_count(value, least: int) -> bool:
-    """An integer (not a bool) of at least ``least``."""
-    whole = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-    return whole and value >= least
-
-
-def _field_problems(checks, values: dict) -> list[str]:
-    """Problems of the fields present in ``values`` under a table of
-    (field, check, reason)."""
-    return [f"{key}: {why}" for key, ok, why in checks if key in values and not ok(values[key])]
-
-
-def _fields_from_json(cls, obj: dict, table: dict, required) -> dict:
-    """The fields of a config dataclass ``cls``, converted from parsed JSON
-    by a table of converters (see :func:`~depthrisk.io.json_fields`).
-
-    Missing required fields, unconvertible fields and fields failing the
-    class's checks are all named in one ConfigError.  Absent optional fields
-    are left out, so they take the class defaults.
-    """
-    problems: list[str] = []
-    fields = json_fields(obj, table, required, problems)
-    problems += _field_problems(cls._checks, fields)
-    if problems:
-        raise ConfigError("; ".join(problems))
-    return fields
-
-
-@dataclass(frozen=True)
-class GaussianConfig:
-    """Multivariate normal population with quadratic costs plus noise."""
-
-    mu: tuple[float, ...]
-    sigma: tuple[tuple[float, ...], ...]
-    noise_var: float = 0.005
-
-    _checks = (
-        ("mu", lambda v: len(v) > 0 and np.all(np.isfinite(v)), "must be nonempty and finite"),
-        ("noise_var", lambda v: np.isfinite(v) and v >= 0.0, "must be finite and >= 0"),
-    )
-
-    def __post_init__(self) -> None:
-        problems = _field_problems(self._checks, vars(self))
-        if not problems:
-            try:
-                self.model()
-            except Exception as exc:
-                problems.append(f"sigma: {exc}")
-        if problems:
-            raise ConfigError("; ".join(problems))
-
-    def model(self) -> DepthModel:
-        return DepthModel(np.array(self.mu, dtype=float), build_spd(self.sigma))
-
-    def to_json(self) -> dict:
-        return {
-            "kind": "gaussian",
-            "mu": list(self.mu),
-            "sigma": [list(row) for row in self.sigma],
-            "noise_var": self.noise_var,
-        }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "GaussianConfig":
-        table = {
-            "mu": json_floats,
-            "sigma": lambda rows: tuple(json_floats(row) for row in rows),
-            "noise_var": json_float,
-        }
-        return cls(**_fields_from_json(cls, obj, table, ("mu", "sigma")))
-
-
-DataConfig = Union[GaussianConfig, FrankGumbelConfig]
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Full description of a replication study.
 
+    ``data_cfg`` is the population law: the study reads only its ``draw``,
+    ``noise_var`` and ``exact_model``.
     ``delta_values`` may be empty (the rate table is then header-only); the
     sample sizes and levels may not be.
     """
 
-    data_cfg: DataConfig
+    data_cfg: Law
     n_values: tuple[int, ...]
     alpha_values: tuple[float, ...]
     replications: int
@@ -153,20 +81,18 @@ class ExperimentConfig:
     master_seed: int = 0
 
     _checks = (
-        ("n_values", lambda v: len(v) > 0 and all(_is_count(n, 2) for n in v),
+        ("n_values", lambda v: len(v) > 0 and all(is_count(n, 2) for n in v),
          "must be a nonempty list of integers >= 2"),
-        ("alpha_values", lambda v: len(v) > 0 and all(0.0 < a < 1.0 for a in v),
+        ("alpha_values", lambda v: len(v) > 0 and all(check_level(a) for a in v),
          "must be a nonempty list of levels in (0, 1)"),
         ("delta_values", lambda v: np.all(np.isfinite(v)), "must be finite"),
-        ("replications", lambda v: _is_count(v, 2), "must be an integer >= 2"),
-        ("truth_n_mc", lambda v: _is_count(v, 100_000), "must be an integer >= 100000"),
-        ("master_seed", lambda v: _is_count(v, 0), "must be a nonnegative integer"),
+        ("replications", lambda v: is_count(v, 2), "must be an integer >= 2"),
+        ("truth_n_mc", lambda v: is_count(v, 100_000), "must be an integer >= 100000"),
+        ("master_seed", lambda v: is_count(v, 0), "must be a nonnegative integer"),
     )
 
     def __post_init__(self) -> None:
-        problems = _field_problems(self._checks, vars(self))
-        if problems:
-            raise ConfigError("; ".join(problems))
+        raise_problems(field_problems(self._checks, vars(self)))
 
 
 def config_to_json(cfg: ExperimentConfig) -> dict:
@@ -181,16 +107,6 @@ def config_to_json(cfg: ExperimentConfig) -> dict:
     }
 
 
-def _data_config_from_json(obj) -> DataConfig:
-    """The population law of a study, chosen by its ``kind``."""
-    makers = {"gaussian": GaussianConfig.from_json, "frank_gumbel": FrankGumbelConfig.from_json}
-    if not isinstance(obj, dict):
-        raise TypeError("expected an object")
-    if obj.get("kind") not in makers:
-        raise ConfigError("kind: must be 'gaussian' or 'frank_gumbel'")
-    return makers[obj["kind"]](obj)
-
-
 def config_from_json(obj: dict) -> ExperimentConfig:
     """Build a study config from parsed JSON.
 
@@ -198,7 +114,7 @@ def config_from_json(obj: dict) -> ExperimentConfig:
     file can be fixed in a single edit pass.
     """
     table = {
-        "data": _data_config_from_json,
+        "data": law_from_json,
         "n_values": json_ints,
         "alpha_values": json_floats,
         "replications": json_int,
@@ -207,7 +123,7 @@ def config_from_json(obj: dict) -> ExperimentConfig:
         "master_seed": json_int,
     }
     required = ("data", "n_values", "alpha_values", "replications")
-    fields = _fields_from_json(ExperimentConfig, obj, table, required)
+    fields = fields_from_json(ExperimentConfig, obj, table, required)
     return ExperimentConfig(data_cfg=fields.pop("data"), **fields)
 
 
@@ -239,23 +155,6 @@ class ReplicationReport:
         raise KeyError(f"no cell for n={n}, alpha={alpha}")
 
 
-def _population_parts(cfg: ExperimentConfig):
-    """Return (draw, noise_var, model_or_none) for the configured data law.
-
-    ``model_or_none`` is the exact depth model when it is known in closed
-    form; None means the caller must estimate it from Monte Carlo moments.
-    """
-    data = cfg.data_cfg
-    if isinstance(data, GaussianConfig):
-        population = gaussian_population(data.model())
-        return population.draw, data.noise_var, population.model
-
-    def draw(n: int, rng: RngStream) -> np.ndarray:
-        return sample_risk_factors(n, data, rng).points
-
-    return draw, data.noise_var, None
-
-
 def pool_size(threads: int, tasks: int) -> int:
     """Worker threads for ``tasks`` tasks: min(threads, cores, tasks)."""
     if threads < 1:
@@ -277,39 +176,36 @@ def _run_tasks(tasks: list[Callable[[], object]], threads: int) -> list:
 
 
 def cell_estimates(
-    draw, noise_var: float, n: int, alphas, streams: list[RngStream]
+    law: Law, n: int, alphas, streams: list[RngStream]
 ) -> tuple[np.ndarray, np.ndarray]:
     """Estimates and hit counts at sample size n, one replicate per stream.
 
-    Each stream draws 2n points (level half, then cost half) and then the
-    cost noise; replicates are fitted together in blocks of at most
-    ``BATCH_ROWS`` drawn rows, and each is scored at every level of
-    ``alphas`` (one level, or a sequence).  The arrays have shape (k,) for
-    one level and (levels, k) for a sequence, one column per stream.
+    Each stream draws 2n points of the population ``law`` (level half, then
+    cost half) and then the cost noise; replicates are fitted together in
+    blocks of at most ``BATCH_ROWS`` drawn rows, and each is scored at every
+    level of ``alphas`` (one level, or a sequence).  The arrays have shape
+    (k,) for one level and (levels, k) for a sequence, one column per
+    stream.
     """
     per_block = max(1, BATCH_ROWS // (2 * n))
     values, hits = [], []
     for start in range(0, len(streams), per_block):
-        cols, costs = _replicate_block(draw, noise_var, n, streams[start : start + per_block])
+        cols, costs = _replicate_block(law, n, streams[start : start + per_block])
         v, h = ccte_hat_batch(cols[..., :n], cols[..., n:], costs, alphas)
         values.append(v)
         hits.append(h)
     return np.concatenate(values, axis=-1), np.concatenate(hits, axis=-1)
 
 
-def _replicate_block(draw, noise_var: float, n: int, streams: list[RngStream]):
+def _replicate_block(law: Law, n: int, streams: list[RngStream]):
     """The (k, d, 2n) point columns and (k, n) costs of one replicate per
     stream.  The per-replicate arrays are freed on return, before the block
     is evaluated."""
     points, costs = [], []
     for stream in streams:
-        pts = draw(2 * n, stream)
+        pts = law.draw(2 * n, stream)
         points.append(pts.T)
-        # the costs attach_costs gives, without re-checking the points
-        cost = squared_norms(pts[n:])
-        if noise_var > 0.0:
-            cost = cost + np.sqrt(noise_var) * stream.normals(n)
-        costs.append(cost)
+        costs.append(_noisy_costs(pts[n:], law.noise_var, stream))
     return np.stack(points), np.stack(costs)
 
 
@@ -330,18 +226,17 @@ def run_replications(
     """
     t0 = time.monotonic()
     say = progress if progress is not None else (lambda _msg: None)
-    draw, noise_var, exact_model = _population_parts(cfg)
+    law = cfg.data_cfg
 
     def population_pass() -> list[tuple[float, float]]:
-        if exact_model is None:
+        pop_model = law.exact_model
+        if pop_model is None:
             say("estimating population moments")
             moment_rng = RngStream(cfg.master_seed, mix64(_TAG_MOMENTS))
-            pop_model = estimate_population_model(draw, cfg.truth_n_mc, moment_rng)
-        else:
-            pop_model = exact_model
+            pop_model = estimate_population_model(law.draw, cfg.truth_n_mc, moment_rng)
         say("truth for alpha in " + ", ".join(repr(a) for a in cfg.alpha_values))
         truth_rng = RngStream(cfg.master_seed, mix64(_TAG_TRUTH))
-        population = Population(model=pop_model, draw=draw)
+        population = Population(model=pop_model, draw=law.draw)
         return ccte_true_oracle(population, cfg.alpha_values, cfg.truth_n_mc, truth_rng)
 
     r = cfg.replications
@@ -349,7 +244,7 @@ def run_replications(
     def cells_at(n: int):
         say(f"cells n={n}")
         streams = [RngStream(cfg.master_seed, mix64(_TAG_REPLICATE, n, j)) for j in range(r)]
-        return cell_estimates(draw, noise_var, n, cfg.alpha_values, streams)
+        return cell_estimates(law, n, cfg.alpha_values, streams)
 
     tasks = [population_pass] + [partial(cells_at, n) for n in cfg.n_values]
     truths, *per_n = _run_tasks(tasks, threads)
@@ -491,19 +386,17 @@ class ConvergenceConfig:
     master_seed: int = 0
 
     _checks = (
-        ("n_values", lambda v: len(v) > 0 and all(_is_count(n, 2) for n in v),
+        ("n_values", lambda v: len(v) > 0 and all(is_count(n, 2) for n in v),
          "must be a nonempty list of integers >= 2"),
-        ("seeds", lambda v: _is_count(v, 1), "must be an integer >= 1"),
-        ("alpha", lambda v: 0.0 < v < 1.0, "must lie in (0, 1)"),
-        ("boundary_m", lambda v: _is_count(v, 64), "must be an integer >= 64"),
-        ("symdiff_n_mc", lambda v: _is_count(v, 1000), "must be an integer >= 1000"),
-        ("master_seed", lambda v: _is_count(v, 0), "must be a nonnegative integer"),
+        ("seeds", lambda v: is_count(v, 1), "must be an integer >= 1"),
+        ("alpha", check_level, "must lie in (0, 1)"),
+        ("boundary_m", lambda v: is_count(v, 64), "must be an integer >= 64"),
+        ("symdiff_n_mc", lambda v: is_count(v, 1000), "must be an integer >= 1000"),
+        ("master_seed", lambda v: is_count(v, 0), "must be a nonnegative integer"),
     )
 
     def __post_init__(self) -> None:
-        problems = _field_problems(self._checks, vars(self))
-        if problems:
-            raise ConfigError("; ".join(problems))
+        raise_problems(field_problems(self._checks, vars(self)))
 
 
 def convergence_config_from_json(obj: dict) -> ConvergenceConfig:
@@ -521,7 +414,7 @@ def convergence_config_from_json(obj: dict) -> ConvergenceConfig:
         "master_seed": json_int,
     }
     required = ("model", "n_values", "seeds")
-    return ConvergenceConfig(**_fields_from_json(ConvergenceConfig, obj, table, required))
+    return ConvergenceConfig(**fields_from_json(ConvergenceConfig, obj, table, required))
 
 
 def run_convergence(

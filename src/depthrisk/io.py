@@ -3,7 +3,8 @@
 Every table the package writes goes through :func:`csv_text` (shortest
 round-trip decimals, one LF per line) and :func:`atomic_write_text`; every
 JSON config is read by :func:`load_json_object` and converted field by field
-through :func:`json_fields`, so a bad file is reported in one message.
+through :func:`json_fields`, so a bad file is reported in one message.  A
+config class checks its fields by a ``_checks`` table (:func:`field_problems`).
 """
 
 from __future__ import annotations
@@ -156,7 +157,8 @@ def json_fields(obj: dict, table: dict, required, problems: list[str], prefix: s
     a problem when it is in ``required`` and is left out otherwise.  A
     converter raising TypeError, ValueError or OverflowError makes the field
     the wrong type; a ConfigError's problems are each reported under the
-    field as ``key.problem``, and any other DepthRiskError by its message.
+    field as ``key.problem`` (``key[i].problem`` for a problem ``[i].problem``
+    of list item i), and any other DepthRiskError by its message.
     Problem texts, each naming ``prefix + key``, are appended to
     ``problems``; the converted fields are returned by key.
     """
@@ -170,9 +172,54 @@ def json_fields(obj: dict, table: dict, required, problems: list[str], prefix: s
         try:
             fields[key] = convert(obj[key])
         except ConfigError as exc:
-            problems.extend(f"{name}.{part}" for part in str(exc).split("; "))
+            parts = str(exc).split("; ")
+            problems.extend(name + ("" if p.startswith("[") else ".") + p for p in parts)
         except DepthRiskError as exc:
             problems.append(f"{name}: {exc}")
         except (TypeError, ValueError, OverflowError):
             problems.append(f"{name}: wrong type")
+    return fields
+
+
+def is_count(value, least: int) -> bool:
+    """An integer (not a bool) of at least ``least``."""
+    whole = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+    return whole and value >= least
+
+
+def field_problems(checks, values: dict, prefix: str = "") -> list[str]:
+    """Problems of the fields present in ``values`` under a table of
+    (field, check, reason), each naming ``prefix + field``: the reason where
+    the check is false or raises a DepthRiskError, "wrong type" (as in
+    :func:`json_fields`) where it raises TypeError or ValueError.  The
+    checks of a field run in table order up to its first problem."""
+    problems: dict[str, str] = {}
+    for key, check, why in checks:
+        if key not in values or key in problems:
+            continue
+        try:
+            ok = check(values[key])
+        except DepthRiskError:
+            ok = False
+        except (TypeError, ValueError):
+            ok, why = False, "wrong type"
+        if not ok:
+            problems[key] = f"{prefix}{key}: {why}"
+    return list(problems.values())
+
+
+def raise_problems(problems: list[str]) -> None:
+    """Raise one ConfigError naming every problem, if there is any."""
+    if problems:
+        raise ConfigError("; ".join(problems))
+
+
+def fields_from_json(cls, obj: dict, table: dict, required) -> dict:
+    """The fields of a config class ``cls`` converted from parsed JSON by a
+    table of converters, naming in one ConfigError every missing required,
+    unconvertible or (by the class's ``_checks``) invalid field.  Absent
+    optional fields are left out, so they take the class defaults."""
+    problems: list[str] = []
+    fields = json_fields(obj, table, required, problems)
+    raise_problems(problems + field_problems(cls._checks, fields))
     return fields

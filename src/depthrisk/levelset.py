@@ -17,6 +17,7 @@ in exactly one of U_a, U_b, and the U sets fit in a finite box.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Callable
 
@@ -41,11 +42,8 @@ class LevelSetSpec:
     __slots__ = ("model", "alpha")
 
     def __init__(self, model: DepthModel, alpha: float):
-        alpha = float(alpha)
-        if not 0.0 < alpha < 1.0:
-            raise DomainError(f"alpha must lie in (0, 1), got {alpha!r}")
         self.model = model
-        self.alpha = alpha
+        self.alpha = check_level(alpha)
 
     @property
     def radius_sq(self) -> float:
@@ -57,6 +55,15 @@ class LevelSetSpec:
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"LevelSetSpec(dim={self.dim}, alpha={self.alpha})"
+
+
+def check_level(alpha) -> float:
+    """``alpha`` as a float, if it is a level: a real number (not a string
+    or a bool) strictly inside (0, 1).  Raises DomainError otherwise."""
+    real = isinstance(alpha, numbers.Real) and not isinstance(alpha, bool)
+    if not (real and 0.0 < alpha < 1.0):
+        raise DomainError(f"alpha must lie in (0, 1), got {float(alpha) if real else alpha!r}")
+    return float(alpha)
 
 
 def in_lower_set(x, spec: LevelSetSpec):

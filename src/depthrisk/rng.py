@@ -78,10 +78,6 @@ class RngStream:
     def __repr__(self) -> str:  # pragma: no cover
         return f"RngStream(seed={self.seed}, stream_id={self.stream_id})"
 
-    def substream(self, *parts: int) -> "RngStream":
-        """Independent child stream addressed by hashing ``parts`` into our id."""
-        return RngStream(self.seed, mix64(self.stream_id, *parts))
-
     def uniforms(self, n: int) -> np.ndarray:
         """Draw ``n`` doubles uniform on the open interval (0, 1).
 

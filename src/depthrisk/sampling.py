@@ -1,9 +1,9 @@
-"""Seedable generation of synthetic risk data.
+"""Population laws and seedable generation of synthetic risk data.
 
-Risk factors are bivariate: Gumbel marginals coupled by a Frank copula,
-drawn by conditional inversion.  Costs follow the squared norm of the risk
-factors plus centered Gaussian noise.  Gaussian vectors for closed-form
-test populations are drawn through the Cholesky transform.
+Two population laws (see :class:`Law`) ship: :class:`GaussianConfig`, a
+multivariate normal, and :class:`FrankGumbelConfig`, Gumbel marginals
+coupled by a Frank copula and drawn by conditional inversion.  Costs follow
+the squared norm of the risk factors plus centered Gaussian noise.
 
 Every generator takes an :class:`~depthrisk.rng.RngStream` and is a pure
 function of that stream's (seed, stream_id) and the call sequence.
@@ -11,38 +11,100 @@ function of that stream's (seed, stream_id) and the call sequence.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from dataclasses import asdict, dataclass, field
+from typing import Protocol
 
 import numpy as np
 
-from .errors import (
-    AlreadyHasCosts,
-    ConfigError,
-    DimensionMismatch,
-    DomainError,
+from .depth import DepthModel
+from .errors import AlreadyHasCosts, ConfigError, DepthRiskError, DimensionMismatch, DomainError
+from .io import (
+    field_problems,
+    fields_from_json,
+    json_fields,
+    json_float,
+    json_floats,
+    raise_problems,
 )
-from .io import json_fields, json_float
-from .linalg import color
+from .linalg import build_spd, color
 from .rng import RngStream
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .depth import DepthModel
 
 # Below this magnitude the Frank conditional inversion loses precision, so
 # theta is routed to the exact independence limit instead.
 INDEPENDENCE_THETA = 1e-8
 
 
+class Law(Protocol):
+    """A population law: ``draw(n, rng)`` returns an (n, d) array of iid
+    risk-factor points, ``noise_var`` is the variance of the Gaussian noise
+    added to each cost, and ``exact_model`` is the law's exact depth model,
+    or None when it has no closed form."""
+
+    noise_var: float
+    exact_model: DepthModel | None
+
+    def draw(self, n: int, rng: RngStream) -> np.ndarray: ...
+
+
+@dataclass(frozen=True)
+class GaussianConfig:
+    """Multivariate normal law N(mu, sigma); its exact depth model is built with it."""
+
+    mu: tuple[float, ...]
+    sigma: tuple[tuple[float, ...], ...]
+    noise_var: float = 0.005
+    exact_model: DepthModel = field(init=False, repr=False, compare=False)
+
+    _checks = (
+        ("mu", lambda v: len(v) > 0 and np.all(np.isfinite(v)), "must be nonempty and finite"),
+        ("sigma", lambda v: np.asarray(v).dtype.kind in "fiu", "wrong type"),
+        ("noise_var", lambda v: np.isfinite(v) and v >= 0.0, "must be finite and >= 0"),
+    )
+
+    def __post_init__(self) -> None:
+        raise_problems(field_problems(self._checks, vars(self)))
+        try:
+            model = DepthModel(np.array(self.mu, dtype=float), build_spd(self.sigma))
+        except (DepthRiskError, TypeError, ValueError) as exc:
+            raise ConfigError(f"sigma: {exc}") from None
+        object.__setattr__(self, "exact_model", model)
+
+    def draw(self, n: int, rng: RngStream) -> np.ndarray:
+        return sample_gaussian(n, self.exact_model, rng).points
+
+    def to_json(self) -> dict:
+        return {
+            "kind": "gaussian",
+            "mu": list(self.mu),
+            "sigma": [list(row) for row in self.sigma],
+            "noise_var": self.noise_var,
+        }
+
+    @classmethod
+    def from_json(cls, obj: dict) -> "GaussianConfig":
+        table = {
+            "mu": json_floats,
+            "sigma": lambda rows: tuple(json_floats(row) for row in rows),
+            "noise_var": json_float,
+        }
+        return cls(**fields_from_json(cls, obj, table, ("mu", "sigma")))
+
+
 @dataclass(frozen=True)
 class GumbelMarginal:
     """Location-scale parameters of a max-Gumbel marginal.
 
-    The convention is the max-Gumbel CDF exp(-exp(-(x - mu) / beta)).
+    The convention is the max-Gumbel CDF exp(-exp(-(x - mu) / beta)).  The
+    law that holds a marginal checks it.
     """
 
     mu: float
     beta: float
+
+    _checks = (
+        ("mu", np.isfinite, "must be finite"),
+        ("beta", lambda v: np.isfinite(v) and v > 0, "must be finite and > 0"),
+    )
 
 
 @dataclass(frozen=True)
@@ -61,62 +123,71 @@ class FrankGumbelConfig:
     marg2: GumbelMarginal
     noise_var: float = 0.005
 
-    def __post_init__(self):
-        problems = []
-        if not np.isfinite(self.theta):
-            problems.append("theta: must be finite")
-        elif self.theta == 0.0:
-            problems.append("theta: must be nonzero")
+    exact_model = None  # its depth model has no closed form
+
+    _checks = (
+        ("theta", np.isfinite, "must be finite"),
+        ("theta", lambda v: v != 0.0, "must be nonzero"),
+        ("noise_var", np.isfinite, "must be finite"),
+        ("noise_var", lambda v: v >= 0, "must be >= 0"),
+        # read from JSON only, never a field
+        ("seed", lambda v: False, "not a data field; set the study's master_seed instead"),
+    )
+
+    def __post_init__(self) -> None:
+        problems = field_problems(self._checks, vars(self))
         for i, marg in enumerate((self.marg1, self.marg2)):
-            if not np.isfinite(marg.mu):
-                problems.append(f"marginals[{i}].mu: must be finite")
-            if not (np.isfinite(marg.beta) and marg.beta > 0):
-                problems.append(f"marginals[{i}].beta: must be finite and > 0")
-        if not np.isfinite(self.noise_var):
-            problems.append("noise_var: must be finite")
-        elif self.noise_var < 0:
-            problems.append("noise_var: must be >= 0")
-        if problems:
-            raise ConfigError("; ".join(problems))
+            problems += field_problems(GumbelMarginal._checks, vars(marg), f"marginals[{i}].")
+        raise_problems(problems)
+
+    def draw(self, n: int, rng: RngStream) -> np.ndarray:
+        return sample_risk_factors(n, self, rng).points
 
     def to_json(self) -> dict:
         return {
             "kind": "frank_gumbel",
             "theta": self.theta,
-            "marginals": [
-                {"mu": self.marg1.mu, "beta": self.marg1.beta},
-                {"mu": self.marg2.mu, "beta": self.marg2.beta},
-            ],
+            "marginals": [asdict(self.marg1), asdict(self.marg2)],
             "noise_var": self.noise_var,
         }
 
-    @staticmethod
-    def from_json(obj: dict) -> "FrankGumbelConfig":
-        problems: list[str] = []
-        if "seed" in obj:
-            problems.append("seed: not a data field; set the study's master_seed instead")
-        table = {"theta": json_float, "marginals": _two_objects, "noise_var": json_float}
-        fields = json_fields(obj, table, tuple(table), problems)
-        marginal = {"mu": json_float, "beta": json_float}
-        margs = [
-            json_fields(m, marginal, tuple(marginal), problems, f"marginals[{i}].")
-            for i, m in enumerate(fields.get("marginals", ()))
-        ]
-        if problems:
-            raise ConfigError("; ".join(problems))
-        return FrankGumbelConfig(
-            theta=fields["theta"],
-            marg1=GumbelMarginal(**margs[0]),
-            marg2=GumbelMarginal(**margs[1]),
-            noise_var=fields["noise_var"],
-        )
+    @classmethod
+    def from_json(cls, obj: dict) -> "FrankGumbelConfig":
+        table = {
+            "theta": json_float,
+            "marginals": _two_marginals,
+            "noise_var": json_float,
+            "seed": lambda v: v,
+        }
+        fields = fields_from_json(cls, obj, table, ("theta", "marginals", "noise_var"))
+        marg1, marg2 = fields.pop("marginals")
+        return cls(marg1=marg1, marg2=marg2, **fields)
 
 
-def _two_objects(value) -> list:
+def _two_marginals(value) -> tuple[GumbelMarginal, GumbelMarginal]:
+    """The marginals of a JSON list of two objects; item i's problems under ``[i].``."""
     objects = isinstance(value, (list, tuple)) and all(isinstance(m, dict) for m in value)
     if not (objects and len(value) == 2):
         raise DomainError("expected a list of two objects")
-    return value
+    table = {"mu": json_float, "beta": json_float}
+    problems: list[str] = []
+    margs = [json_fields(m, table, tuple(table), problems, f"[{i}].") for i, m in enumerate(value)]
+    for i, fields in enumerate(margs):
+        problems += field_problems(GumbelMarginal._checks, fields, f"[{i}].")
+    raise_problems(problems)
+    return GumbelMarginal(**margs[0]), GumbelMarginal(**margs[1])
+
+
+_LAWS = {"gaussian": GaussianConfig, "frank_gumbel": FrankGumbelConfig}
+
+
+def law_from_json(obj) -> Law:
+    """The population law a parsed JSON object names by its ``kind``."""
+    if not isinstance(obj, dict):
+        raise TypeError("expected an object")
+    if obj.get("kind") not in _LAWS:
+        raise ConfigError(f"kind: must be {' or '.join(repr(k) for k in _LAWS)}")
+    return _LAWS[obj["kind"]].from_json(obj)
 
 
 class Sample:
@@ -310,13 +381,18 @@ def attach_costs(s: Sample, noise_var: float, rng: RngStream) -> Sample:
         raise AlreadyHasCosts("sample already has costs attached")
     if noise_var < 0:
         raise DomainError("noise_var must be >= 0")
-    base = squared_norms(s.points)
+    return Sample(s.points, _noisy_costs(s.points, noise_var, rng))
+
+
+def _noisy_costs(points: np.ndarray, noise_var: float, rng: RngStream) -> np.ndarray:
+    """The costs :func:`attach_costs` gives the rows of ``points``, unchecked."""
+    costs = squared_norms(points)
     if noise_var == 0.0:
-        return Sample(s.points, base)
-    return Sample(s.points, base + np.sqrt(noise_var) * rng.normals(s.n))
+        return costs
+    return costs + np.sqrt(noise_var) * rng.normals(len(costs))
 
 
-def sample_gaussian(n: int, model: "DepthModel", rng: RngStream) -> Sample:
+def sample_gaussian(n: int, model: DepthModel, rng: RngStream) -> Sample:
     """Draw n iid points from N(mu, Sigma) via the Cholesky transform."""
     if n < 1:
         raise DomainError("n must be >= 1")

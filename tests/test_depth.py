@@ -20,6 +20,7 @@ from depthrisk import (
     probe_points,
     sup_norm_distance,
 )
+from depthrisk.depth import fit_columns
 
 
 def std_model(d=2):
@@ -199,6 +200,29 @@ class TestFitModel:
         fitted = fit_model(s)
         x = np.array([1.0, 1.0])
         assert mhd(x, fitted) == pytest.approx(mhd(x, true), abs=0.01)
+
+
+@given(
+    d=st.sampled_from([1, 2, 3, 5]),
+    extra=st.integers(0, 40),
+    k=st.integers(1, 4),
+    seed=st.integers(0, 2**63),
+)
+@settings(max_examples=60, deadline=None)
+def test_fit_model_is_the_one_sample_fitting_core(d, extra, k, seed):
+    n = d + 1 + extra
+    stack = 1.0 + 3.0 * RngStream(seed, 0).normals(k * d * n).reshape(k, d, n)
+    mu, cov, low = fit_columns(stack)
+    for r in range(k):
+        one_mu, one_cov, one_low = fit_columns(stack[r : r + 1])
+        assert np.array_equal(one_mu[0], mu[r])
+        assert np.array_equal(one_cov[0], cov[r])
+        assert np.array_equal(one_low[0], low[r])
+        sample = Sample(stack[r].T)
+        core_mu, _, core_low = fit_columns(sample.points.T[None])
+        model = fit_model(sample)
+        assert np.array_equal(model.mu, core_mu[0])
+        assert np.array_equal(model.sigma.chol, core_low[0])
 
 
 class TestDepthModel:

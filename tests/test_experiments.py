@@ -10,6 +10,8 @@ import pytest
 
 from depthrisk import (
     ConfigError,
+    ConvergenceConfig,
+    DepthModel,
     DomainError,
     ExperimentConfig,
     FrankGumbelConfig,
@@ -20,6 +22,7 @@ from depthrisk import (
     RngStream,
     Sample,
     attach_costs,
+    build_spd,
     ccte_under_model,
     config_from_json,
     config_to_json,
@@ -36,7 +39,6 @@ from depthrisk.experiments import (
     _TAG_REPLICATE,
     RATES_HEADER,
     SUMMARY_HEADER,
-    _population_parts,
     cell_estimates,
     pool_size,
     rates_csv_text,
@@ -74,6 +76,20 @@ def frank_cfg(**overrides):
     )
     base.update(overrides)
     return ExperimentConfig(**base)
+
+
+def gaussian_law(**overrides):
+    return GaussianConfig(**dict(dict(mu=(0.0, 0.0), sigma=EYE2), **overrides))
+
+
+def frank_law(**overrides):
+    base = dict(theta=5.0, marg1=GumbelMarginal(0.0, 0.25), marg2=GumbelMarginal(-0.5, 0.25))
+    return FrankGumbelConfig(**dict(base, **overrides))
+
+
+def convergence_cfg(**overrides):
+    base = dict(model=DepthModel(np.zeros(2), build_spd(EYE2)), n_values=(16,), seeds=1)
+    return ConvergenceConfig(**dict(base, **overrides))
 
 
 @pytest.fixture(scope="module")
@@ -117,7 +133,7 @@ class TestGaussianConfig:
 
     def test_model_round_trip(self):
         cfg = GaussianConfig(mu=(1.0, 2.0), sigma=((2.0, 0.5), (0.5, 1.0)))
-        model = cfg.model()
+        model = cfg.exact_model
         assert np.array_equal(model.mu, [1.0, 2.0])
         back = GaussianConfig.from_json(cfg.to_json())
         assert back == cfg
@@ -165,6 +181,47 @@ class TestExperimentConfig:
     def test_non_integer_counts_rejected(self, field, value):
         with pytest.raises(ConfigError, match=f"{field}: must be"):
             gaussian_cfg(**{field: value})
+
+
+# every numeric field of the four config classes, given a string:
+# (config maker, field, value, field name in the problem)
+STRING_FIELDS = [
+    (gaussian_law, "mu", ("0", 0.0), "mu"),
+    (gaussian_law, "sigma", (("1", 0.0), (0.0, 1.0)), "sigma"),
+    (gaussian_law, "noise_var", "0.1", "noise_var"),
+    (frank_law, "theta", "5", "theta"),
+    (frank_law, "marg1", GumbelMarginal("0", 0.25), "marginals[0].mu"),
+    (frank_law, "marg2", GumbelMarginal(-0.5, "0.25"), "marginals[1].beta"),
+    (frank_law, "noise_var", "0.1", "noise_var"),
+    (gaussian_cfg, "n_values", ("8",), "n_values"),
+    (gaussian_cfg, "alpha_values", ("0.5",), "alpha_values"),
+    (gaussian_cfg, "replications", "2", "replications"),
+    (gaussian_cfg, "delta_values", ("x",), "delta_values"),
+    (gaussian_cfg, "truth_n_mc", "100000", "truth_n_mc"),
+    (gaussian_cfg, "master_seed", "7", "master_seed"),
+    (convergence_cfg, "n_values", ("16",), "n_values"),
+    (convergence_cfg, "seeds", "1", "seeds"),
+    (convergence_cfg, "alpha", "0.5", "alpha"),
+    (convergence_cfg, "boundary_m", "4096", "boundary_m"),
+    (convergence_cfg, "symdiff_n_mc", "100000", "symdiff_n_mc"),
+    (convergence_cfg, "master_seed", "0", "master_seed"),
+]
+
+
+class TestStringFields:
+    @pytest.mark.parametrize(
+        "make, field, value, name", STRING_FIELDS,
+        ids=[f"{make.__name__}-{name}" for make, _, _, name in STRING_FIELDS],
+    )
+    def test_config_error_names_field(self, make, field, value, name):
+        with pytest.raises(ConfigError, match=re.escape(f"{name}: ")):
+            make(**{field: value})
+
+    def test_wrong_type_wording(self):
+        with pytest.raises(ConfigError, match="^noise_var: wrong type$"):
+            gaussian_law(noise_var="0.1")
+        with pytest.raises(ConfigError, match="^delta_values: wrong type$"):
+            gaussian_cfg(delta_values=("x",))
 
 
 class TestConfigJson:
@@ -337,11 +394,11 @@ class TestGaussianConfigFinite:
             GaussianConfig(mu=(0.0, 0.0), sigma=((1.0, 0.0), (0.0, float("inf"))))
 
 
-def v0_replicate(draw, noise_var, n, alpha, stream):
+def v0_replicate(law, n, alpha, stream):
     """One replicate the unbatched way: fit_model, in_lower_set, ratio."""
-    pts = draw(2 * n, stream)
+    pts = law.draw(2 * n, stream)
     level = Sample(pts[:n])
-    cost = attach_costs(Sample(pts[n:]), noise_var, stream)
+    cost = attach_costs(Sample(pts[n:]), law.noise_var, stream)
     return ccte_under_model(fit_model(level), cost, alpha, n1=n)
 
 
@@ -357,13 +414,12 @@ class TestBatchedCell:
         ],
     )
     def test_matches_per_replicate_path(self, kind, n, alpha, r):
-        cfg = gaussian_cfg() if kind == "gaussian" else frank_cfg()
-        draw, noise_var, _ = _population_parts(cfg)
+        law = (gaussian_cfg() if kind == "gaussian" else frank_cfg()).data_cfg
         if n == 5000:
             assert r * 2 * n > BATCH_ROWS
         streams = lambda: [RngStream(99, mix64(n, j)) for j in range(r)]
-        values, hits = cell_estimates(draw, noise_var, n, alpha, streams())
-        expect = [v0_replicate(draw, noise_var, n, alpha, s) for s in streams()]
+        values, hits = cell_estimates(law, n, alpha, streams())
+        expect = [v0_replicate(law, n, alpha, s) for s in streams()]
         assert list(hits) == [e.hits for e in expect]
         assert [h == 0 for h in hits] == [e.degenerate for e in expect]
         for got, e in zip(values, expect):
@@ -381,16 +437,15 @@ class TestBatchedCell:
         ],
     )
     def test_level_sequence_matches_one_level_calls(self, kind, n, r):
-        cfg = gaussian_cfg() if kind == "gaussian" else frank_cfg()
-        draw, noise_var, _ = _population_parts(cfg)
+        law = (gaussian_cfg() if kind == "gaussian" else frank_cfg()).data_cfg
         if n == 5000:
             assert r * 2 * n > BATCH_ROWS
         levels = (0.05, 0.5, 0.9)
         streams = lambda: [RngStream(98, mix64(n, j)) for j in range(r)]
-        values, hits = cell_estimates(draw, noise_var, n, levels, streams())
+        values, hits = cell_estimates(law, n, levels, streams())
         assert values.shape == hits.shape == (len(levels), r)
         for i, alpha in enumerate(levels):
-            one_values, one_hits = cell_estimates(draw, noise_var, n, alpha, streams())
+            one_values, one_hits = cell_estimates(law, n, alpha, streams())
             assert np.array_equal(values[i], one_values)
             assert np.array_equal(hits[i], one_hits)
         if n == 16:
@@ -399,15 +454,45 @@ class TestBatchedCell:
     def test_study_cells_use_replicate_streams(self):
         cfg = frank_cfg(n_values=(16, 32), alpha_values=(0.1, 0.5), replications=4)
         report = run_replications(cfg)
-        draw, noise_var, _ = _population_parts(cfg)
         for n in cfg.n_values:
             streams = [RngStream(cfg.master_seed, mix64(_TAG_REPLICATE, n, j))
                        for j in range(cfg.replications)]
-            values, hits = cell_estimates(draw, noise_var, n, cfg.alpha_values, streams)
+            values, hits = cell_estimates(cfg.data_cfg, n, cfg.alpha_values, streams)
             for i, alpha in enumerate(cfg.alpha_values):
                 cell = report.cell(n, alpha)
                 assert np.array_equal(cell.estimates, values[i])
                 assert cell.degenerate_count == int(np.sum(hits[i] == 0))
+
+
+class ShiftedGaussian:
+    """N((1, -1), I) known to the study only through the law interface."""
+
+    noise_var = 0.005
+    exact_model = None
+
+    def draw(self, n, rng):
+        return np.array([1.0, -1.0]) + rng.normals(2 * n).reshape(n, 2)
+
+    def to_json(self):
+        return {"kind": "shifted_gaussian"}
+
+
+class TestLawInterface:
+    def test_duck_typed_law_runs_the_study(self, tmp_path):
+        study = dict(n_values=(16, 64), alpha_values=(0.1, 0.5), replications=4,
+                     delta_values=(0.0,), truth_n_mc=100_000, master_seed=5)
+        report = run_replications(ExperimentConfig(data_cfg=ShiftedGaussian(), **study))
+        paths = emit_tables(report, None, tmp_path)
+        assert len(paths["summary"].read_text().splitlines()) == 1 + 4
+        manifest = json.loads(paths["manifest"].read_text())
+        assert manifest["config"]["data"] == {"kind": "shifted_gaussian"}
+        # the same draws as the closed-form law: equal replicates, and a truth
+        # from estimated moments close to the exact-model truth
+        closed = run_replications(ExperimentConfig(
+            data_cfg=GaussianConfig(mu=(1.0, -1.0), sigma=EYE2), **study))
+        for cell, exact in zip(report.cells, closed.cells):
+            assert np.array_equal(cell.estimates, exact.estimates)
+            assert cell.truth == pytest.approx(exact.truth, abs=4.0 * exact.truth_se)
 
 
 class TestPool:

@@ -6,14 +6,23 @@ import numpy as np
 import pytest
 
 from depthrisk import (
+    ConfigError,
+    ConvergenceConfig,
     DepthModel,
     DimensionMismatch,
     DomainError,
+    ExperimentConfig,
+    GaussianConfig,
     LevelSetSpec,
     RngStream,
+    Sample,
     boundary_points,
     build_spd,
+    ccte_hat,
+    ccte_true_oracle,
+    ccte_under_model,
     fit_model,
+    gaussian_population,
     hausdorff_report,
     in_lower_set,
     mhd,
@@ -23,6 +32,7 @@ from depthrisk import (
     sym_diff_probability,
     sym_diff_volume,
 )
+from depthrisk.ccte import ccte_hat_batch
 
 # area of the lens formed by two unit disks at center distance 1/2, via
 # 2 acos(d/2) - (d/2) sqrt(4 - d^2); the symmetric difference of the two
@@ -54,6 +64,44 @@ class TestLevelSetSpec:
 
     def test_dim(self):
         assert LevelSetSpec(std_model(3), 0.5).dim == 3
+
+
+def _cols():
+    return RngStream(41, 0).normals(2 * 2 * 10).reshape(2, 2, 10)
+
+
+def _costed():
+    return Sample(_cols()[0].T, np.ones(10))
+
+
+# every entry point that takes a level, with the error it raises for a bad one
+LEVEL_ENTRY_POINTS = {
+    "LevelSetSpec": (DomainError, lambda a: LevelSetSpec(std_model(), a)),
+    "ccte_true_oracle": (DomainError, lambda a: ccte_true_oracle(
+        gaussian_population(std_model()), a, 100_000, RngStream(1, 0))),
+    "ccte_hat_batch": (DomainError, lambda a: ccte_hat_batch(
+        _cols(), _cols(), np.ones((2, 10)), a)),
+    "ccte_hat": (DomainError, lambda a: ccte_hat(Sample(_cols()[1].T), _costed(), a)),
+    "ccte_under_model": (DomainError, lambda a: ccte_under_model(
+        std_model(), _costed(), a, n1=10)),
+    "ExperimentConfig": (ConfigError, lambda a: ExperimentConfig(
+        data_cfg=GaussianConfig(mu=(0.0, 0.0), sigma=((1.0, 0.0), (0.0, 1.0))),
+        n_values=(8,), alpha_values=(a,), replications=2)),
+    "ConvergenceConfig": (ConfigError, lambda a: ConvergenceConfig(
+        model=std_model(), n_values=(16,), seeds=1, alpha=a)),
+}
+
+
+class TestLevelCheck:
+    @pytest.mark.parametrize("entry", sorted(LEVEL_ENTRY_POINTS))
+    def test_string_level_rejected(self, entry):
+        error, call = LEVEL_ENTRY_POINTS[entry]
+        with pytest.raises(error, match="alpha"):
+            call("0.5")
+
+    @pytest.mark.parametrize("entry", sorted(LEVEL_ENTRY_POINTS))
+    def test_numpy_real_level_accepted(self, entry):
+        LEVEL_ENTRY_POINTS[entry][1](np.float32(0.5))
 
 
 class TestMembership:

@@ -107,28 +107,6 @@ class TestDistributions:
         assert d < 1.6276 / np.sqrt(100_000)
 
 
-class TestSubstreams:
-    def test_substream_matches_explicit_mix(self):
-        parent = RngStream(314, 15)
-        child = parent.substream(2, 7)
-        explicit = RngStream(314, mix64(15, 2, 7))
-        assert np.array_equal(child.uniforms(8), explicit.uniforms(8))
-
-    def test_substream_independent_of_parent_state(self):
-        parent = RngStream(314, 15)
-        parent.uniforms(1000)
-        assert np.array_equal(
-            parent.substream(1).uniforms(4),
-            RngStream(314, 15).substream(1).uniforms(4),
-        )
-
-    def test_sibling_substreams_differ(self):
-        parent = RngStream(1, 0)
-        a = parent.substream(0).uniforms(16)
-        b = parent.substream(1).uniforms(16)
-        assert not np.array_equal(a, b)
-
-
 class TestMix64:
     def test_pinned_values(self):
         assert mix64() == 11400714819323198485
