@@ -16,6 +16,7 @@ code depends only on that shape.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -92,7 +93,7 @@ def _point_rows(x, model: DepthModel) -> tuple[np.ndarray, bool]:
 def mahalanobis_sq(x, model: DepthModel):
     """Squared Mahalanobis distance(s) of x from the model location."""
     pts, single = _point_rows(x, model)
-    d2 = quad_forms(model.sigma, pts - model.mu)
+    d2 = quad_forms(model.sigma, pts, model.mu)
     return float(d2[0]) if single else d2
 
 
@@ -103,7 +104,9 @@ def mhd(x, model: DepthModel):
     lie in (0, 1], and equal 1 exactly when x == mu.
     """
     pts, single = _point_rows(x, model)
-    val = 1.0 / (1.0 + quad_forms(model.sigma, pts - model.mu))
+    val = quad_forms(model.sigma, pts, model.mu)
+    val += 1.0
+    np.divide(1.0, val, out=val)
     return float(val[0]) if single else val
 
 
@@ -143,9 +146,10 @@ def fit_columns(cols) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def fit_model(s: "Sample") -> DepthModel:
     """Fit the plug-in depth model, sample mean and unbiased covariance:
     :func:`fit_columns` of one sample, raising DegenerateSample as it does
-    (n < d + 1, or points in an affine hyperplane)."""
-    mu, cov, _ = fit_columns(s.points.T[None])
-    return DepthModel(mu[0], build_spd(cov[0]))
+    (n < d + 1, or points in an affine hyperplane).  The core's factor is
+    reused: the covariance is factored once."""
+    mu, cov, low = fit_columns(s.points.T[None])
+    return DepthModel(mu[0], build_spd(cov[0], low[0]))
 
 
 # Probe box half-width in marginal SDs, far-point radius, far-point stream seed.
@@ -208,14 +212,23 @@ def probe_points(a: DepthModel, b: DepthModel, probe: ProbeGrid) -> np.ndarray:
         grid = np.empty((0, d))
     if probe.far_points <= 0:
         return grid
-    stream = RngStream(_PROBE_SEED, mix64(d, probe.far_points))
-    z = stream.normals(probe.far_points * d).reshape(probe.far_points, d)
+    center = 0.5 * (lows + highs)
+    return np.vstack([grid, center + _far_offsets(d, probe.far_points)])
+
+
+@lru_cache(maxsize=8)
+def _far_offsets(d: int, count: int) -> np.ndarray:
+    """The far probe points less the box center: ``count`` read-only rows in
+    random directions at radii uniform up to 1000, from the fixed stream of
+    (d, count), so each pair is drawn once."""
+    stream = RngStream(_PROBE_SEED, mix64(d, count))
+    z = stream.normals(count * d).reshape(count, d)
     norms = np.sqrt(np.einsum("ij,ij->i", z, z))
     norms[norms == 0.0] = 1.0
-    radii = PROBE_FAR_RADIUS * stream.uniforms(probe.far_points)
-    center = 0.5 * (lows + highs)
-    far = center + (radii / norms)[:, None] * z
-    return np.vstack([grid, far])
+    radii = PROBE_FAR_RADIUS * stream.uniforms(count)
+    offsets = (radii / norms)[:, None] * z
+    offsets.setflags(write=False)
+    return offsets
 
 
 def sup_norm_distance(a: DepthModel, b: DepthModel, probe: ProbeGrid = ProbeGrid()) -> float:

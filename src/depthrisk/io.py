@@ -150,18 +150,27 @@ def json_floats(value) -> tuple[float, ...]:
     return tuple(json_float(x) for x in value)
 
 
+# Why a key no config object has is refused, where a reader may expect it.
+_UNKNOWN_KEY_HINTS = {"seed": " (a study is seeded by its master_seed)"}
+
+
 def json_fields(obj: dict, table: dict, required, problems: list[str], prefix: str = "") -> dict:
     """Convert the fields of a parsed JSON object by a table of converters.
 
     ``table`` maps each key to its converter.  A key absent from ``obj`` is
-    a problem when it is in ``required`` and is left out otherwise.  A
-    converter raising TypeError, ValueError or OverflowError makes the field
-    the wrong type; a ConfigError's problems are each reported under the
-    field as ``key.problem`` (``key[i].problem`` for a problem ``[i].problem``
-    of list item i), and any other DepthRiskError by its message.
+    a problem when it is in ``required`` and is left out otherwise; a key of
+    ``obj`` that is not in ``table`` is an unknown key.  A converter raising
+    TypeError, ValueError or OverflowError makes the field the wrong type; a
+    ConfigError's problems are each reported under the field as
+    ``key.problem`` (``key[i].problem`` for a problem ``[i].problem`` of list
+    item i), and any other DepthRiskError by its message.
     Problem texts, each naming ``prefix + key``, are appended to
     ``problems``; the converted fields are returned by key.
     """
+    problems.extend(
+        f"{prefix}{key}: unknown key{_UNKNOWN_KEY_HINTS.get(key, '')}"
+        for key in obj if key not in table
+    )
     fields = {}
     for key, convert in table.items():
         name = prefix + key

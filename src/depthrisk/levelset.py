@@ -18,11 +18,13 @@ in exactly one of U_a, U_b, and the U sets fit in a finite box.
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
 from scipy.spatial import cKDTree
+from scipy.spatial.distance import directed_hausdorff
 
 from .depth import DepthModel, mhd
 from .errors import DimensionMismatch, DomainError
@@ -120,39 +122,47 @@ def boundary_points(spec: LevelSetSpec, m: int) -> np.ndarray:
     return spec.model.mu + r * (u @ spec.model.sigma.chol.T)
 
 
-def _nn_gap(tree: cKDTree) -> float:
-    """Max distance from any point of the tree to its nearest distinct-index
+def _nn_gap(points: np.ndarray) -> float:
+    """Max distance from any point of a sample to its nearest distinct-index
     neighbor."""
-    dist, _ = tree.query(tree.data, k=2)
+    dist, _ = cKDTree(points).query(points, k=2)
     return float(np.max(dist[:, 1]))
 
 
 @dataclass(frozen=True)
 class HausdorffResult:
-    """Hausdorff distance plus the discretization resolution it was sampled at.
+    """Hausdorff distance between two boundary samples, and the resolution
+    they were sampled at.
 
-    ``resolution`` is the larger of the two boundary samples' maximum
+    ``distance`` is the exact Hausdorff distance between the two point sets.
+    ``resolution`` is the larger of the two samples' maximum
     nearest-neighbor gaps; honest tolerances for comparisons against exact
-    geometry should be at least this wide.
+    geometry should be at least this wide.  It is computed from ``samples``
+    on first access and then cached.
     """
 
     distance: float
-    resolution: float
+    samples: tuple[np.ndarray, np.ndarray] = field(repr=False, compare=False)
+
+    @cached_property
+    def resolution(self) -> float:
+        return max(_nn_gap(p) for p in self.samples)
 
 
 def hausdorff_report(a: LevelSetSpec, b: LevelSetSpec, m: int) -> HausdorffResult:
-    """Two-sided Hausdorff distance between sampled boundaries, with resolution."""
+    """Two-sided Hausdorff distance between boundaries sampled at m points
+    each; the result gives the resolution on request."""
     if a.dim != b.dim:
         raise DimensionMismatch(f"level set dimensions differ: {a.dim} vs {b.dim}")
     if m < 64:
         raise DomainError("need at least 64 boundary points for a Hausdorff estimate")
     pa = boundary_points(a, m)
     pb = boundary_points(b, m)
-    tree_a = cKDTree(pa)
-    tree_b = cKDTree(pb)
-    d_ab = float(np.max(tree_b.query(pa)[0]))
-    d_ba = float(np.max(tree_a.query(pb)[0]))
-    return HausdorffResult(max(d_ab, d_ba), max(_nn_gap(tree_a), _nn_gap(tree_b)))
+    pa.setflags(write=False)
+    pb.setflags(write=False)
+    d_ab = directed_hausdorff(pa, pb)[0]
+    d_ba = directed_hausdorff(pb, pa)[0]
+    return HausdorffResult(float(max(d_ab, d_ba)), (pa, pb))
 
 
 def _union_box(a: LevelSetSpec, b: LevelSetSpec) -> tuple[np.ndarray, np.ndarray]:
@@ -193,7 +203,11 @@ def sym_diff_volume(
     d = a.dim
 
     def uniform_box(n: int, stream: RngStream) -> np.ndarray:
-        return lo + stream.uniforms(n * d).reshape(n, d) * (hi - lo)
+        u = stream.uniforms(n * d).reshape(n, d)
+        for k in range(d):  # one pass per axis: a broadcast over short rows is slower
+            u[:, k] *= hi[k] - lo[k]
+            u[:, k] += lo[k]
+        return u
 
     frac, se = sym_diff_probability(a, b, uniform_box, n_mc, rng)
     box_vol = float(np.prod(hi - lo))

@@ -59,12 +59,19 @@ def cholesky_lower(matrices) -> np.ndarray:
     except np.linalg.LinAlgError:
         # LAPACK stops without naming the failing matrix: factor one by one
         low = np.stack([_cholesky_or_nan(m) for m in stack])
-    pivots = np.diagonal(low, axis1=1, axis2=2) ** 2
-    bad = np.flatnonzero(~np.all(pivots > PIVOT_FLOOR, axis=1))
+    low = low.reshape(a.shape)
+    _check_pivots(low)
+    return low
+
+
+def _check_pivots(low: np.ndarray) -> None:
+    """Raise NotPositiveDefinite unless every pivot (squared diagonal entry)
+    of a factor (d, d) or a stack of them (k, d, d) exceeds the floor."""
+    pivots = np.diagonal(low, axis1=-2, axis2=-1) ** 2
+    bad = np.flatnonzero(~np.all(pivots > PIVOT_FLOOR, axis=-1))
     if bad.size:
-        where = f"matrix {bad[0]} of the stack: " if a.ndim > 2 else ""
+        where = f"matrix {bad[0]} of the stack: " if low.ndim > 2 else ""
         raise NotPositiveDefinite(f"{where}a Cholesky pivot is at or below {PIVOT_FLOOR:.0e}")
-    return low.reshape(a.shape)
 
 
 def _cholesky_or_nan(m: np.ndarray) -> np.ndarray:
@@ -82,7 +89,11 @@ def whiten(low, cols) -> np.ndarray:
     solve is one elementwise pass over a coordinate of all n vectors: d is
     small and n large, and no BLAS call is made.
     """
-    w = np.array(cols, dtype=float)
+    return _whiten_in_place(low, np.array(cols, dtype=float))
+
+
+def _whiten_in_place(low, w: np.ndarray) -> np.ndarray:
+    """:func:`whiten` overwriting the float columns ``w``, which it returns."""
     low = np.asarray(low, dtype=float)
     for j in range(w.shape[-2]):
         for m in range(j):
@@ -118,7 +129,9 @@ class SpdMatrix:
     entries : ndarray
         The (symmetrized) dense matrix, read-only.
     chol : ndarray
-        Lower-triangular Cholesky factor, read-only.
+        Lower-triangular Cholesky factor, read-only.  A caller that has
+        already factored the matrix passes the factor as ``chol``; it is
+        then checked for shape and pivots but not recomputed.
 
     Raises
     ------
@@ -134,11 +147,18 @@ class SpdMatrix:
 
     __slots__ = ("dim", "entries", "chol")
 
-    def __init__(self, entries):
+    def __init__(self, entries, chol=None):
         a = _checked_symmetric(entries)
+        if chol is None:
+            chol = cholesky_lower(a)
+        else:
+            chol = np.array(chol, dtype=float)
+            if chol.shape != a.shape:
+                raise DimensionMismatch(f"factor shape {chol.shape} differs from {a.shape}")
+            _check_pivots(chol)
         self.dim = a.shape[0]
         self.entries = a
-        self.chol = cholesky_lower(a)
+        self.chol = chol
         self.entries.setflags(write=False)
         self.chol.setflags(write=False)
 
@@ -146,17 +166,28 @@ class SpdMatrix:
         return f"SpdMatrix(dim={self.dim})"
 
 
-def build_spd(entries) -> SpdMatrix:
+def build_spd(entries, chol=None) -> SpdMatrix:
     """Construct an :class:`SpdMatrix`, validating symmetry and definiteness."""
-    return SpdMatrix(entries)
+    return SpdMatrix(entries, chol)
 
 
-def quad_forms(m: SpdMatrix, rows) -> np.ndarray:
+def quad_forms(m: SpdMatrix, rows, center=None) -> np.ndarray:
     """Quadratic forms ``v' m^{-1} v`` of the rows v of an (n, dim) array,
-    through the Cholesky factor; each is nonnegative, and zero exactly for a
-    zero row."""
+    less ``center`` (a dim-vector) when one is given, through the Cholesky
+    factor; each is nonnegative, and zero exactly for a zero v.
+
+    The rows, centred or not, are copied once into one C-contiguous
+    (dim, n) buffer, whatever their layout; it is whitened in place and
+    reduced coordinate by coordinate, so the result does not depend on the
+    input's memory order.
+    """
     r = np.atleast_2d(np.asarray(rows, dtype=float))
     if r.ndim != 2 or r.shape[1] != m.dim:
         raise DimensionMismatch(f"expected vectors of length {m.dim}, got shape {r.shape}")
-    w = whiten(m.chol, r.T).T
-    return np.einsum("ij,ij->i", w, w)
+    w = np.empty((m.dim, r.shape[0]))
+    if center is None:
+        w[...] = r.T
+    else:
+        np.subtract(r.T, np.asarray(center, dtype=float)[:, None], out=w)
+    _whiten_in_place(m.chol, w)
+    return np.einsum("ij,ij->j", w, w)

@@ -87,7 +87,7 @@ class GaussianConfig:
             "sigma": lambda rows: tuple(json_floats(row) for row in rows),
             "noise_var": json_float,
         }
-        return cls(**fields_from_json(cls, obj, table, ("mu", "sigma")))
+        return cls(**_law_fields(cls, obj, table, ("mu", "sigma")))
 
 
 @dataclass(frozen=True)
@@ -130,8 +130,6 @@ class FrankGumbelConfig:
         ("theta", lambda v: v != 0.0, "must be nonzero"),
         ("noise_var", np.isfinite, "must be finite"),
         ("noise_var", lambda v: v >= 0, "must be >= 0"),
-        # read from JSON only, never a field
-        ("seed", lambda v: False, "not a data field; set the study's master_seed instead"),
     )
 
     def __post_init__(self) -> None:
@@ -157,9 +155,8 @@ class FrankGumbelConfig:
             "theta": json_float,
             "marginals": _two_marginals,
             "noise_var": json_float,
-            "seed": lambda v: v,
         }
-        fields = fields_from_json(cls, obj, table, ("theta", "marginals", "noise_var"))
+        fields = _law_fields(cls, obj, table, ("theta", "marginals", "noise_var"))
         marg1, marg2 = fields.pop("marginals")
         return cls(marg1=marg1, marg2=marg2, **fields)
 
@@ -179,6 +176,12 @@ def _two_marginals(value) -> tuple[GumbelMarginal, GumbelMarginal]:
 
 
 _LAWS = {"gaussian": GaussianConfig, "frank_gumbel": FrankGumbelConfig}
+
+
+def _law_fields(cls, obj: dict, table: dict, required) -> dict:
+    """:func:`~depthrisk.io.fields_from_json` of a law's JSON object, whose
+    ``kind`` (read by :func:`law_from_json`) is not a field."""
+    return fields_from_json(cls, {k: v for k, v in obj.items() if k != "kind"}, table, required)
 
 
 def law_from_json(obj) -> Law:

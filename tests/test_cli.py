@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+import depthrisk.levelset as levelset_module
 from depthrisk import DepthModel, __version__
 from depthrisk.cli import main
 
@@ -192,6 +193,20 @@ class TestLevelsetCommand:
         assert doc["symdiff_volume"] == pytest.approx(
             2.0 * (math.pi - lens), abs=4 * doc["symdiff_se"]
         )
+
+    def test_diagnostics_resolution_read_once(self, tmp_path, unit_model_path, monkeypatch):
+        calls = []
+        nn_gap = levelset_module._nn_gap
+        monkeypatch.setattr(levelset_module, "_nn_gap", lambda p: calls.append(1) or nn_gap(p))
+        out = tmp_path / "out"
+        code = main(["levelset", "--model", str(unit_model_path), "--alpha", "0.5",
+                     "--model2", str(unit_model_path), "-m", "1024",
+                     "--symdiff-n-mc", "1000", "-o", str(out)])
+        assert code == 0
+        assert len(calls) == 2  # one nearest-neighbor gap per boundary sample
+        doc = json.loads((out / "diagnostics.json").read_text())
+        # 1024 points on a unit circle lie 2 sin(pi / 1024) apart
+        assert doc["resolution"] == pytest.approx(2.0 * math.sin(math.pi / 1024), rel=1e-9)
 
     def test_bad_alpha(self, tmp_path, unit_model_path, capsys):
         code = main(["levelset", "--model", str(unit_model_path), "--alpha", "1.5",

@@ -17,10 +17,11 @@ from depthrisk import (
     mahalanobis_sq,
     mhd,
     mhd_gradient,
+    mix64,
     probe_points,
     sup_norm_distance,
 )
-from depthrisk.depth import fit_columns
+from depthrisk.depth import _far_offsets, fit_columns
 
 
 def std_model(d=2):
@@ -192,6 +193,20 @@ class TestFitModel:
         assert np.allclose(fitted.mu, true.mu, atol=0.02)
         assert np.allclose(fitted.sigma.entries, true.sigma.entries, atol=0.05)
 
+    def test_covariance_is_factored_once(self, monkeypatch):
+        calls = []
+        cholesky = np.linalg.cholesky
+        monkeypatch.setattr(np.linalg, "cholesky", lambda a: calls.append(1) or cholesky(a))
+        pts = 1.0 + RngStream(9, 1).normals(3 * 40).reshape(40, 3)
+        model = fit_model(Sample(pts))
+        assert len(calls) == 1
+        monkeypatch.setattr(np.linalg, "cholesky", cholesky)
+        # the model is the one the covariance gives when factored on its own
+        _, cov, _ = fit_columns(pts.T[None])
+        own = build_spd(cov[0])
+        assert np.array_equal(model.sigma.entries, own.entries)
+        assert np.array_equal(model.sigma.chol, own.chol)
+
     def test_plug_in_depth_close_to_population(self):
         true = std_model()
         from depthrisk import sample_gaussian
@@ -305,6 +320,24 @@ class TestProbeGrid:
         a = probe_points(std_model(), std_model(), spec)
         b = probe_points(std_model(), std_model(), spec)
         assert np.array_equal(a, b)
+
+    def test_far_points_keep_the_v0_bits(self):
+        a = std_model()
+        b = DepthModel(np.array([1.0, -2.0]), build_spd([[2.0, 0.4], [0.4, 0.5]]))
+        pts = probe_points(a, b, ProbeGrid(per_axis=3, far_points=500))
+        grid = pts[:9]
+        # the far points as they were drawn on every call, before the cache
+        stream = RngStream(0x5EEDFA11, mix64(2, 500))
+        z = stream.normals(1000).reshape(500, 2)
+        norms = np.sqrt(np.einsum("ij,ij->i", z, z))
+        radii = 1000.0 * stream.uniforms(500)
+        center = 0.5 * (grid.min(axis=0) + grid.max(axis=0))
+        assert np.array_equal(pts[9:], center + (radii / norms)[:, None] * z)
+
+    def test_far_offsets_drawn_once_and_read_only(self):
+        first = _far_offsets(3, 64)
+        assert _far_offsets(3, 64) is first
+        assert not first.flags.writeable
 
     def test_grid_covers_both_models(self):
         a = std_model()

@@ -281,6 +281,32 @@ class TestConfigJson:
         with pytest.raises(ConfigError, match=re.escape(f"{name}: wrong type")):
             config_from_json(obj)
 
+    def test_unknown_keys_all_named(self):
+        obj = config_to_json(frank_cfg())
+        obj["truth_nmc"] = 100_000
+        obj["data"]["noise_vr"] = 0.5
+        obj["data"]["marginals"][0] = {"mu": 0.0, "bta": 0.25}
+        with pytest.raises(ConfigError) as exc:
+            config_from_json(obj)
+        msg = str(exc.value)
+        for problem in ("truth_nmc: unknown key", "data.noise_vr: unknown key",
+                        "data.marginals[0].bta: unknown key",
+                        "data.marginals[0].beta: missing"):
+            assert problem in msg
+
+    @pytest.mark.parametrize("cfg", [gaussian_cfg, frank_cfg], ids=["gaussian", "frank"])
+    def test_data_seed_points_to_master_seed(self, cfg):
+        obj = config_to_json(cfg())
+        obj["data"]["seed"] = 3
+        with pytest.raises(ConfigError, match=r"data\.seed: unknown key .*master_seed"):
+            config_from_json(obj)
+
+    def test_unknown_convergence_key(self):
+        obj = {"model": {"mu": [0.0], "sigma": [[1.0]]}, "n_values": [16], "seeds": 1,
+               "boundary_n": 128}
+        with pytest.raises(ConfigError, match="boundary_n: unknown key"):
+            convergence_config_from_json(obj)
+
     def test_wrong_type_reported(self):
         with pytest.raises(ConfigError) as exc:
             config_from_json({"data": {"kind": "gaussian", "mu": [0.0, 0.0],

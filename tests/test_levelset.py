@@ -4,7 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.spatial import cKDTree
 
+import depthrisk.levelset as levelset_module
 from depthrisk import (
     ConfigError,
     ConvergenceConfig,
@@ -27,6 +31,7 @@ from depthrisk import (
     in_lower_set,
     mhd,
     mix64,
+    run_convergence,
     sample_gaussian,
     sup_norm_distance,
     sym_diff_probability,
@@ -221,6 +226,50 @@ class TestHausdorff:
         assert coarse > fine
 
 
+    def test_resolution_is_computed_once_on_request(self, monkeypatch):
+        calls = []
+        nn_gap = levelset_module._nn_gap
+        monkeypatch.setattr(levelset_module, "_nn_gap", lambda p: calls.append(1) or nn_gap(p))
+        report = hausdorff_report(circle_spec(1.0), circle_spec(2.0), 256)
+        assert calls == []
+        first = report.resolution
+        assert report.resolution == first
+        assert len(calls) == 2  # one gap per boundary sample, read once
+
+    def test_convergence_study_never_computes_the_resolution(self, monkeypatch):
+        def refuse(points):
+            raise AssertionError("resolution computed")
+
+        monkeypatch.setattr(levelset_module, "_nn_gap", refuse)
+        cfg = ConvergenceConfig(model=std_model(), n_values=(16, 32), seeds=2,
+                                boundary_m=256, symdiff_n_mc=1000)
+        distances = run_convergence(cfg)
+        assert np.all(distances["hausdorff"] > 0.0)
+
+
+def kdtree_hausdorff(pa, pb):
+    """The two-sided Hausdorff distance of two point sets by nearest-neighbor
+    queries, as computed before the early-break algorithm."""
+    return max(float(np.max(cKDTree(pb).query(pa)[0])),
+               float(np.max(cKDTree(pa).query(pb)[0])))
+
+
+def random_ellipse_spec(rng, d):
+    r = rng.normal(size=(d, d))
+    sigma = r @ r.T + 0.1 * np.eye(d)
+    return LevelSetSpec(DepthModel(rng.normal(size=d), build_spd(sigma)), rng.uniform(0.05, 0.95))
+
+
+@given(d=st.sampled_from([2, 3]), m=st.integers(64, 600), seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_hausdorff_equals_the_kdtree_point_set_value(d, m, seed):
+    rng = np.random.default_rng(seed)
+    a = random_ellipse_spec(rng, d)
+    b = random_ellipse_spec(rng, d)
+    want = kdtree_hausdorff(boundary_points(a, m), boundary_points(b, m))
+    assert hausdorff_report(a, b, m).distance == want
+
+
 class TestSymDiffVolume:
     def test_identical_specs(self):
         spec = LevelSetSpec(std_model(), 0.5)
@@ -290,6 +339,18 @@ class TestSymDiffVolume:
         r1 = sym_diff_volume(a, b, 5000, RngStream(11, 4))
         r2 = sym_diff_volume(a, b, 5000, RngStream(11, 4))
         assert r1 == r2
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_box_map_keeps_the_v0_bits(self, d):
+        # the box map as it was: lo + u * (hi - lo) on the (n, d) uniforms
+        rng = np.random.default_rng(d)
+        a = random_ellipse_spec(rng, d)
+        b = random_ellipse_spec(rng, d)
+        lo, hi = levelset_module._union_box(a, b)
+        pts = lo + RngStream(5, 9).uniforms(3000 * d).reshape(3000, d) * (hi - lo)
+        frac = np.count_nonzero(in_lower_set(pts, a) ^ in_lower_set(pts, b)) / 3000
+        est, _ = sym_diff_volume(a, b, 3000, RngStream(5, 9))
+        assert est == float(np.prod(hi - lo)) * frac
 
 
 class TestSymDiffProbability:

@@ -2,13 +2,18 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from depthrisk import (
+    DepthModel,
     DimensionMismatch,
     DomainError,
     NotPositiveDefinite,
     NotSymmetric,
     build_spd,
+    mahalanobis_sq,
+    mhd,
     quad_forms,
 )
 from depthrisk.linalg import cholesky_lower, color, whiten
@@ -155,3 +160,96 @@ class TestNonFiniteAndStacks:
     def test_pivot_floor_applies_to_build_spd(self):
         with pytest.raises(NotPositiveDefinite):
             build_spd([[1.0, 0.0], [0.0, 1e-305]])
+
+
+class TestGivenFactor:
+    def test_matches_factoring_in_the_constructor(self):
+        a = random_spd(np.random.default_rng(4), 3)
+        given_factor = build_spd(a, cholesky_lower(a))
+        own = build_spd(a)
+        assert np.array_equal(given_factor.chol, own.chol)
+        assert np.array_equal(given_factor.entries, own.entries)
+        assert not given_factor.chol.flags.writeable
+
+    def test_checks_still_apply(self):
+        with pytest.raises(DimensionMismatch):
+            build_spd(np.eye(2), np.eye(3))
+        with pytest.raises(NotPositiveDefinite):
+            build_spd(np.eye(2), [[1.0, 0.0], [0.0, 1e-160]])
+        with pytest.raises(NotSymmetric):
+            build_spd([[1.0, 0.5], [0.0, 1.0]], np.eye(2))
+        with pytest.raises(DomainError):
+            build_spd([[1.0, np.nan], [np.nan, 1.0]], np.eye(2))
+
+
+def v0_quad_forms(low, rows):
+    """The quadratic forms as computed before the one-buffer kernel: whiten a
+    copy of the transposed rows kept in the rows' own memory order, then
+    transpose back and reduce each row."""
+    w = np.array(np.asarray(rows, dtype=float).T, dtype=float)
+    low = np.asarray(low, dtype=float)
+    for j in range(w.shape[-2]):
+        for m in range(j):
+            w[..., j, :] -= w[..., m, :] * low[..., j, m, None]
+        w[..., j, :] /= low[..., j, j, None]
+    w = w.T
+    return np.einsum("ij,ij->i", w, w)
+
+
+def in_layout(rows, layout):
+    if layout == "C":
+        return np.ascontiguousarray(rows)
+    if layout == "F":
+        return np.asfortranarray(rows)
+    # every other row and column of a larger array
+    n, d = rows.shape
+    big = np.zeros((2 * n, 2 * d))
+    big[::2, ::2] = rows
+    return big[::2, ::2]
+
+
+@given(
+    d=st.sampled_from([1, 2, 3, 5]),
+    n=st.integers(1, 40),
+    layout=st.sampled_from(["C", "F", "strided"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=120, deadline=None)
+def test_quad_forms_and_mhd_keep_the_v0_bits(d, n, layout, seed):
+    """The whitening is the same elementwise arithmetic as before and the
+    reduction sums the squares coordinate by coordinate.  The old code summed
+    in that order too when the reduction ran over strided rows (column-major
+    input) or over at most two coordinates, so there the bits are the same.
+    For row-major input with d >= 3 it used numpy's vectorised contiguous
+    reduction, whose rounding differs in the last bits: there the two agree
+    to a few ulps, and the new result no longer depends on the layout."""
+    rng = np.random.default_rng(seed)
+    model = DepthModel(rng.normal(size=d) * 3.0, build_spd(random_spd(rng, d)))
+    pts = rng.normal(size=(n, d)) * rng.uniform(0.1, 30.0)
+    rows = in_layout(pts, layout)
+    kept = rows.copy()
+    low = model.sigma.chol
+    got = {
+        "quad_forms": quad_forms(model.sigma, rows - model.mu),
+        "mahalanobis_sq": mahalanobis_sq(rows, model),
+        "mhd": mhd(rows, model),
+    }
+    want_q = v0_quad_forms(low, rows - model.mu)
+    want = {"quad_forms": want_q, "mahalanobis_sq": want_q, "mhd": 1.0 / (1.0 + want_q)}
+    for name in got:
+        if d <= 2 or layout == "F":
+            assert np.array_equal(got[name], want[name]), name
+        else:
+            np.testing.assert_allclose(got[name], want[name], rtol=4 * d * np.finfo(float).eps,
+                                       atol=0.0, err_msg=name)
+    assert np.array_equal(got["mhd"], mhd(np.ascontiguousarray(pts), model))
+    assert np.array_equal(got["quad_forms"], quad_forms(model.sigma, pts - model.mu))
+    assert np.array_equal(rows, kept)  # the kernel whitens its own copy
+
+
+def test_quad_forms_center_is_subtracted_exactly():
+    rng = np.random.default_rng(8)
+    m = build_spd(random_spd(rng, 3))
+    rows = rng.normal(size=(50, 3))
+    center = rng.normal(size=3)
+    assert np.array_equal(quad_forms(m, rows, center), quad_forms(m, rows - center))
