@@ -2,14 +2,18 @@
 
 The target quantity is E[Y | X in L(alpha)]: the expected cost given that
 the risk factors fall in the depth lower-level set.  The plug-in estimator
-fits the depth model on one sample and averages the costs of a second,
-independent sample over the estimated region:
+has two stages.  It fits the depth model on one sample (the fitting core
+:func:`~depthrisk.depth.fit_columns`), then averages the costs of a second,
+independent sample over the estimated region (one ratio kernel):
 
     ccte_hat = sum_i Y_i 1{X_i in L_n(alpha)} / sum_i 1{X_i in L_n(alpha)}
 
 with the convention 0/0 = 0 when no cost point lands in the region (the
 estimate is then flagged degenerate rather than an error, since that event
-has vanishing probability as samples grow).
+has vanishing probability as samples grow).  :func:`ccte_hat` runs both
+stages on one pair of samples, :func:`ccte_under_model` the second stage
+alone; the replication study runs the same core and kernel on blocks of
+replicates and sequences of levels.
 
 Ground truth for synthetic populations comes from a large Monte Carlo ratio
 estimate under the exact population model, with a delta-method standard
@@ -23,8 +27,9 @@ from typing import Callable
 
 import numpy as np
 
-from .depth import DepthModel, fit_columns, mhd
+from .depth import DepthModel, fit_model, mhd
 from .errors import DimensionMismatch, DomainError, MissingCosts, NoMass
+from .io import is_count
 from .levelset import check_level, depth_in_lower_set
 from .linalg import build_spd, whiten
 from .rng import RngStream
@@ -68,8 +73,8 @@ def ccte_under_model(
 
     This is the estimator's second stage (and a seam for tests and oracles):
     membership of the cost points is evaluated under ``model`` rather than a
-    freshly fitted one.  ``n1`` is recorded as the size of whatever sample
-    produced the model.
+    freshly fitted one.  ``n1`` (an integer >= 1) is recorded as the size of
+    whatever sample produced the model.
     """
     if cost_sample.costs is None:
         raise MissingCosts("cost sample has no costs attached")
@@ -77,95 +82,54 @@ def ccte_under_model(
         raise DimensionMismatch(
             f"cost points have dimension {cost_sample.dim}, the model {model.dim}"
         )
+    if not is_count(n1, 1):
+        raise DomainError(f"n1 must be an integer >= 1, got {n1!r}")
+    levels = [check_level(alpha)]
     values, hits = _ratio_under_models(
         model.mu[None],
         model.sigma.chol[None],
         cost_sample.points.T[None],
         cost_sample.costs[None],
-        alpha,
+        levels,
     )
-    return _one_estimate(values, hits, n1, cost_sample.n, alpha)
+    hit_count = int(hits[0, 0])
+    return CcteEstimate(
+        float(values[0, 0]), int(n1), cost_sample.n, levels[0], hit_count, hit_count == 0
+    )
 
 
-def ccte_hat_batch(level_cols, cost_cols, costs, alpha):
-    """Plug-in estimates for a stack of k independent replicates at once.
+def _ratio_under_models(mu, low, cost_cols, costs, levels):
+    """The ratio kernel.  Per level i and replicate r, the mean of
+    ``costs[r]`` (shape (k, n2)) over the columns of ``cost_cols[r]`` (shape
+    (k, d, n2)) in the lower set at ``levels[i]`` of the model (``mu[r]``,
+    lower Cholesky factor ``low[r]``); 0.0 where none is in (the 0/0
+    convention).  Returns (values, hits), each of shape (levels, k).
 
-    Points are stored as columns, one coordinate per row, so that every
-    step is a long elementwise pass.  Replicate r fits its depth model on
-    the n1 columns of ``level_cols[r]`` (shape (d, n1), by
-    :func:`~depthrisk.depth.fit_columns`) and averages ``costs[r]`` over the
-    columns of ``cost_cols[r]`` (shape (d, n2)) in its estimated lower set.
-    A replicate with no hit gets the value 0.0 (the 0/0 convention).
-
-    ``alpha`` is one level or a sequence of levels.  Each replicate is
-    fitted, and the depths of its cost points computed, once; the depths
-    are then thresholded per level.
-
-    Returns
-    -------
-    (values, hits) : ndarrays of shape (k,) for one level, (levels, k) for
-        a sequence; row i equals the one-level call at ``alpha[i]``.
-
-    Raises
-    ------
-    DegenerateSample
-        As :func:`~depthrisk.depth.fit_columns` raises it.
-    DomainError
-        If ``alpha`` is not one level or a nonempty sequence in (0, 1).
+    The depths of each replicate's cost points are computed once and then
+    thresholded per level, each taken as a float.  Inputs are not checked:
+    the callers do that.
     """
-    level = np.asarray(level_cols, dtype=float)
-    pts = np.asarray(cost_cols, dtype=float)
-    costs = np.asarray(costs, dtype=float)
-    if level.ndim != 3 or pts.shape[:2] != level.shape[:2] or costs.shape != pts.shape[::2]:
-        raise DimensionMismatch(
-            f"expected (k, d, n1) / (k, d, n2) / (k, n2) arrays, got shapes "
-            f"{level.shape} / {pts.shape} / {costs.shape}"
-        )
-    mu, _, low = fit_columns(level)
-    return _ratio_under_models(mu, low, pts, costs, alpha)
-
-
-def _levels(alpha) -> list[float]:
-    """The levels of ``alpha``, one or a nonempty sequence, each by :func:`check_level`."""
-    if np.ndim(alpha) > 1 or np.size(alpha) == 0:
-        raise DomainError("alpha must be one level or a nonempty sequence of levels")
-    return [check_level(a) for a in np.atleast_1d(alpha).tolist()]
-
-
-def _ratio_under_models(mu, low, cost_cols, costs, alpha):
-    """Per replicate r, the mean cost over the columns of ``cost_cols[r]``
-    in the lower set of the model (``mu[r]``, Cholesky factor ``low[r]``);
-    0.0 where none is in.  Returns (values, hits), of shape (k,) for one
-    level and (levels, k) for a sequence."""
-    levels = _levels(alpha)
     w = whiten(low, cost_cols - mu[..., None])
     depth = 1.0 / (1.0 + np.einsum("kin,kin->kn", w, w))
     values = np.zeros((len(levels), len(depth)))
     hits = np.zeros((len(levels), len(depth)), dtype=np.intp)
     # one (k, n2) mask at a time, never one per level at once
     for i, a in enumerate(levels):
-        member = depth_in_lower_set(depth, a)
+        member = depth_in_lower_set(depth, float(a))
         hits[i] = np.count_nonzero(member, axis=1)
         # summed per replicate over its members only, as for a single sample
         sums = np.array([np.sum(c[m]) for c, m in zip(costs, member)])
         np.divide(sums, hits[i], out=values[i], where=hits[i] > 0)
-    if np.ndim(alpha) == 0:
-        return values[0], hits[0]
     return values, hits
-
-
-def _one_estimate(values, hits, n1: int, n2: int, alpha: float) -> CcteEstimate:
-    hit_count = int(hits[0])
-    return CcteEstimate(float(values[0]), int(n1), n2, alpha, hit_count, hit_count == 0)
 
 
 def ccte_hat(level_sample: Sample, cost_sample: Sample, alpha: float) -> CcteEstimate:
     """Two-sample plug-in tail expectation estimate.
 
-    Fits the depth model on ``level_sample`` and averages the costs of
-    ``cost_sample`` over the estimated lower set: :func:`ccte_hat_batch`
-    with one replicate.  The two samples must be drawn independently
-    (caller contract).
+    Fits the depth model on ``level_sample`` (:func:`~depthrisk.depth.fit_model`)
+    and averages the costs of ``cost_sample`` over its estimated lower set
+    (:func:`ccte_under_model`, with ``n1`` the level sample's size).  The two
+    samples must be drawn independently (caller contract).
 
     Raises
     ------
@@ -176,10 +140,7 @@ def ccte_hat(level_sample: Sample, cost_sample: Sample, alpha: float) -> CcteEst
     """
     if cost_sample.costs is None:
         raise MissingCosts("cost sample has no costs attached")
-    values, hits = ccte_hat_batch(
-        level_sample.points.T[None], cost_sample.points.T[None], cost_sample.costs[None], alpha
-    )
-    return _one_estimate(values, hits, level_sample.n, cost_sample.n, alpha)
+    return ccte_under_model(fit_model(level_sample), cost_sample, alpha, level_sample.n)
 
 
 @dataclass(frozen=True)
@@ -215,8 +176,8 @@ def estimate_population_model(
     fixed-size batches (deterministic order) and normalizes the covariance
     by 1/(n-1), matching :func:`~depthrisk.depth.fit_model`.
     """
-    if n_mc < 2:
-        raise DomainError("n_mc must be at least 2")
+    if not is_count(n_mc, 2):
+        raise DomainError("n_mc must be an integer >= 2")
     sum_x = sum_xx = 0.0
     for pts in _batches(draw, n_mc, rng):
         sum_x += pts.sum(axis=0)
@@ -245,9 +206,11 @@ def ccte_true_oracle(population: Population, alpha, n_mc: int, rng: RngStream):
     NoMass
         If not a single draw lands in the region of some level.
     """
-    levels = _levels(alpha)
-    if n_mc < 100_000:
-        raise DomainError("oracle needs n_mc >= 1e5 for a meaningful standard error")
+    if np.ndim(alpha) > 1 or np.size(alpha) == 0:
+        raise DomainError("alpha must be one level or a nonempty sequence of levels")
+    levels = [check_level(a) for a in np.atleast_1d(alpha).tolist()]
+    if not is_count(n_mc, 100_000):
+        raise DomainError("oracle needs an integer n_mc >= 1e5 for a meaningful standard error")
     # accumulated over fixed-size batches in a fixed order: deterministic
     count_in = [0.0] * len(levels)
     sum_cost = [0.0] * len(levels)

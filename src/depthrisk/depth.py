@@ -23,7 +23,7 @@ import numpy as np
 from scipy.linalg import solve_triangular
 
 from .errors import DegenerateSample, DimensionMismatch, DomainError, NotPositiveDefinite
-from .io import json_floats
+from .io import json_fields, json_floats, raise_problems
 from .linalg import SpdMatrix, build_spd, cholesky_lower, quad_forms
 from .rng import RngStream, mix64
 
@@ -70,14 +70,18 @@ class DepthModel:
 
     @staticmethod
     def from_json(obj: dict) -> "DepthModel":
-        if "mu" not in obj or "sigma" not in obj:
-            raise DimensionMismatch("model JSON needs 'mu' and 'sigma' entries")
-        try:
-            mu = np.array(json_floats(obj["mu"]), dtype=float)
-            sigma = np.array([json_floats(row) for row in obj["sigma"]], dtype=float)
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise DomainError(f"mu and sigma must be arrays of numbers: {exc}") from None
-        return DepthModel(mu, build_spd(sigma))
+        """The model of a parsed JSON object with exactly the keys ``mu`` (an
+        array of numbers) and ``sigma`` (an array of rows of numbers), read by
+        :func:`~depthrisk.io.json_fields`: one ConfigError names every
+        missing, unknown or wrong-typed key."""
+        table = {
+            "mu": lambda v: np.array(json_floats(v)),
+            "sigma": lambda rows: np.array([json_floats(row) for row in rows]),
+        }
+        problems: list[str] = []
+        fields = json_fields(obj, table, tuple(table), problems)
+        raise_problems(problems)
+        return DepthModel(fields["mu"], build_spd(fields["sigma"]))
 
 
 def _point_rows(x, model: DepthModel) -> tuple[np.ndarray, bool]:

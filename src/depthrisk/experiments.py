@@ -26,11 +26,11 @@ from ._version import __version__
 from .ccte import (
     BATCH_ROWS,
     Population,
-    ccte_hat_batch,
+    _ratio_under_models,
     ccte_true_oracle,
     estimate_population_model,
 )
-from .depth import DepthModel, fit_model, sup_norm_distance
+from .depth import DepthModel, fit_columns, fit_model, sup_norm_distance
 from .errors import DomainError, NonPositiveStatistic
 from .io import (
     atomic_write_text,
@@ -157,8 +157,8 @@ class ReplicationReport:
 
 def pool_size(threads: int, tasks: int) -> int:
     """Worker threads for ``tasks`` tasks: min(threads, cores, tasks)."""
-    if threads < 1:
-        raise DomainError("threads must be >= 1")
+    if not is_count(threads, 1):
+        raise DomainError(f"threads must be an integer >= 1, got {threads!r}")
     return min(threads, os.cpu_count() or 1, tasks)
 
 
@@ -178,23 +178,25 @@ def _run_tasks(tasks: list[Callable[[], object]], threads: int) -> list:
 def cell_estimates(
     law: Law, n: int, alphas, streams: list[RngStream]
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Estimates and hit counts at sample size n, one replicate per stream.
+    """Estimates and hit counts at sample size n, one replicate per stream,
+    at each level of the sequence ``alphas``.
 
     Each stream draws 2n points of the population ``law`` (level half, then
-    cost half) and then the cost noise; replicates are fitted together in
-    blocks of at most ``BATCH_ROWS`` drawn rows, and each is scored at every
-    level of ``alphas`` (one level, or a sequence).  The arrays have shape
-    (k,) for one level and (levels, k) for a sequence, one column per
-    stream.
+    cost half) and then the cost noise.  Replicates are drawn in blocks of
+    at most ``BATCH_ROWS`` rows; each block is fitted at once by the fitting
+    core (:func:`~depthrisk.depth.fit_columns`) and scored at every level by
+    the ratio kernel of :mod:`depthrisk.ccte`.  The arrays have shape
+    (levels, k), one column per stream.
     """
     per_block = max(1, BATCH_ROWS // (2 * n))
     values, hits = [], []
     for start in range(0, len(streams), per_block):
         cols, costs = _replicate_block(law, n, streams[start : start + per_block])
-        v, h = ccte_hat_batch(cols[..., :n], cols[..., n:], costs, alphas)
+        mu, _, low = fit_columns(cols[..., :n])
+        v, h = _ratio_under_models(mu, low, cols[..., n:], costs, alphas)
         values.append(v)
         hits.append(h)
-    return np.concatenate(values, axis=-1), np.concatenate(hits, axis=-1)
+    return np.concatenate(values, axis=1), np.concatenate(hits, axis=1)
 
 
 def _replicate_block(law: Law, n: int, streams: list[RngStream]):

@@ -28,6 +28,7 @@ from scipy.spatial.distance import directed_hausdorff
 
 from .depth import DepthModel, mhd
 from .errors import DimensionMismatch, DomainError
+from .io import is_count
 from .rng import RngStream, mix64
 
 BOUNDARY_TOL = 1e-12
@@ -115,8 +116,8 @@ def boundary_points(spec: LevelSetSpec, m: int) -> np.ndarray:
     x = mu + r(alpha) * L u with L the Cholesky factor of Sigma, so every
     output satisfies |mhd(x) - alpha| < 1e-10.
     """
-    if m < 8:
-        raise DomainError("need at least 8 boundary points")
+    if not is_count(m, 8):
+        raise DomainError(f"need an integer m >= 8 of boundary points, got {m!r}")
     u = _sphere_directions(spec.dim, m)
     r = np.sqrt(spec.radius_sq)
     return spec.model.mu + r * (u @ spec.model.sigma.chol.T)
@@ -154,8 +155,8 @@ def hausdorff_report(a: LevelSetSpec, b: LevelSetSpec, m: int) -> HausdorffResul
     each; the result gives the resolution on request."""
     if a.dim != b.dim:
         raise DimensionMismatch(f"level set dimensions differ: {a.dim} vs {b.dim}")
-    if m < 64:
-        raise DomainError("need at least 64 boundary points for a Hausdorff estimate")
+    if not is_count(m, 64):
+        raise DomainError(f"a Hausdorff estimate needs an integer m >= 64, got {m!r}")
     pa = boundary_points(a, m)
     pb = boundary_points(b, m)
     pa.setflags(write=False)
@@ -197,8 +198,8 @@ def sym_diff_volume(
     """
     if a.dim != b.dim:
         raise DimensionMismatch(f"level set dimensions differ: {a.dim} vs {b.dim}")
-    if n_mc < 1_000:
-        raise DomainError("n_mc must be at least 1000")
+    if not is_count(n_mc, 1_000):
+        raise DomainError(f"n_mc must be an integer >= 1000, got {n_mc!r}")
     lo, hi = _union_box(a, b)
     d = a.dim
 
@@ -229,8 +230,8 @@ def sym_diff_probability(
     """
     if a.dim != b.dim:
         raise DimensionMismatch(f"level set dimensions differ: {a.dim} vs {b.dim}")
-    if n_mc < 1:
-        raise DomainError("n_mc must be positive")
+    if not is_count(n_mc, 1):
+        raise DomainError(f"n_mc must be an integer >= 1, got {n_mc!r}")
     pts = np.asarray(sampler(n_mc, rng), dtype=float)
     if pts.shape != (n_mc, a.dim):
         raise DimensionMismatch(

@@ -18,6 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DomainError
+from .io import is_count
 
 _MASK64 = (1 << 64) - 1
 
@@ -51,10 +52,9 @@ def mix64(*parts: int) -> int:
 
 
 def _draw_count(n) -> int:
-    n = int(n)
-    if n < 0:
-        raise DomainError(f"draw count must be nonnegative, got {n}")
-    return n
+    if not is_count(n, 0):
+        raise DomainError(f"draw count must be a nonnegative integer, got {n!r}")
+    return int(n)
 
 
 class RngStream:

@@ -21,6 +21,7 @@ from .errors import AlreadyHasCosts, ConfigError, DepthRiskError, DimensionMisma
 from .io import (
     field_problems,
     fields_from_json,
+    is_count,
     json_fields,
     json_float,
     json_floats,
@@ -275,15 +276,6 @@ def gumbel_quantile(p, mu: float, beta: float):
     return float(q) if np.isscalar(p) else q
 
 
-def gumbel_cdf(x, mu: float, beta: float):
-    """Max-Gumbel CDF exp(-exp(-(x - mu) / beta))."""
-    if beta <= 0:
-        raise DomainError("beta must be > 0")
-    arr = np.asarray(x, dtype=float)
-    c = np.exp(-np.exp(-(arr - mu) / beta))
-    return float(c) if np.isscalar(x) else c
-
-
 def frank_pair(u, w, theta: float):
     """Couple uniforms into a Frank-copula pair by conditional inversion.
 
@@ -351,8 +343,8 @@ def sample_risk_factors(n: int, cfg: FrankGumbelConfig, rng: RngStream) -> Sampl
     Coordinate i follows the max-Gumbel law of ``cfg.marg_i``; the joint
     dependence is Frank with ``cfg.theta``.  Deterministic given the stream.
     """
-    if n < 1:
-        raise DomainError("n must be >= 1")
+    if not is_count(n, 1):
+        raise DomainError(f"n must be an integer >= 1, got {n!r}")
     u = rng.uniforms(n)
     w = rng.uniforms(n)
     u, v = frank_pair(u, w, cfg.theta)
@@ -397,8 +389,8 @@ def _noisy_costs(points: np.ndarray, noise_var: float, rng: RngStream) -> np.nda
 
 def sample_gaussian(n: int, model: DepthModel, rng: RngStream) -> Sample:
     """Draw n iid points from N(mu, Sigma) via the Cholesky transform."""
-    if n < 1:
-        raise DomainError("n must be >= 1")
+    if not is_count(n, 1):
+        raise DomainError(f"n must be an integer >= 1, got {n!r}")
     d = model.dim
     z = rng.normals(n * d).reshape(n, d)
     return Sample(model.mu + color(model.sigma.chol, z.T).T)

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from depthrisk import (
     CcteEstimate,
@@ -12,6 +14,7 @@ from depthrisk import (
     DimensionMismatch,
     DomainError,
     FrankGumbelConfig,
+    GaussianConfig,
     GumbelMarginal,
     MissingCosts,
     NoMass,
@@ -29,7 +32,9 @@ from depthrisk import (
     sample_gaussian,
     sample_risk_factors,
 )
-from depthrisk.ccte import ccte_hat_batch
+from depthrisk.ccte import _ratio_under_models
+from depthrisk.depth import fit_columns
+from depthrisk.experiments import cell_estimates
 
 FRANK_CFG = FrankGumbelConfig(
     theta=5.0,
@@ -198,40 +203,76 @@ class TestBruteForce:
             assert est.value == total / k
 
 
+class FlatSecondCoordinate:
+    """A law whose draws from stream id 1 have a constant second coordinate."""
+
+    noise_var = 0.0
+    exact_model = None
+
+    def draw(self, n, rng):
+        pts = rng.normals(2 * n).reshape(n, 2)
+        if rng.stream_id == 1:
+            pts[:, 1] = 0.5
+        return pts
+
+
+def fitted_ratios(level, cost, costs, levels):
+    """The estimator path on stacked columns: the fitting core, then the kernel."""
+    mu, _, low = fit_columns(level)
+    return _ratio_under_models(mu, low, cost, costs, levels)
+
+
 class TestBatch:
-    # the kernel takes points as columns: (replicates, d, points)
+    # the fitting core and the kernel take points as columns: (replicates, d, points)
 
     def test_degenerate_replicate_is_named(self):
         # replicate 1 has a constant second coordinate: singular covariance
-        rng = RngStream(38, 0)
-        level = rng.normals(3 * 2 * 20).reshape(3, 2, 20)
-        level[1, 1, :] = 0.5
-        cost = rng.normals(3 * 2 * 10).reshape(3, 2, 10)
+        streams = [RngStream(38, j) for j in range(3)]
         with pytest.raises(DegenerateSample, match="matrix 1 of the stack"):
-            ccte_hat_batch(level, cost, np.ones((3, 10)), 0.5)
+            cell_estimates(FlatSecondCoordinate(), 20, [0.5], streams)
 
     def test_too_few_level_points(self):
+        law = GaussianConfig(mu=(0.0, 0.0), sigma=((1.0, 0.0), (0.0, 1.0)))
         with pytest.raises(DegenerateSample):
-            ccte_hat_batch(np.zeros((2, 2, 2)), np.zeros((2, 2, 4)), np.ones((2, 4)), 0.5)
+            cell_estimates(law, 2, [0.5], [RngStream(38, j) for j in range(2)])
 
     def test_shape_mismatch(self):
+        rng = RngStream(38, 3)
+        cost = costed(rng.normals(12).reshape(4, 3), np.ones(4))
         with pytest.raises(DimensionMismatch):
-            ccte_hat_batch(np.zeros((2, 2, 8)), np.zeros((3, 2, 4)), np.ones((3, 4)), 0.5)
+            ccte_hat(Sample(rng.normals(16).reshape(8, 2)), cost, 0.5)
         with pytest.raises(DimensionMismatch):
-            ccte_hat_batch(np.zeros((2, 2, 8)), np.zeros((2, 2, 4)), np.ones((2, 5)), 0.5)
+            ccte_under_model(std_model(), cost, 0.5, n1=8)
 
-    def test_matches_one_replicate_calls(self):
-        rng = RngStream(39, 0)
-        level = rng.normals(4 * 30 * 2).reshape(4, 30, 2)
-        cost = rng.normals(4 * 25 * 2).reshape(4, 25, 2) * 1.5
-        costs = rng.uniforms(4 * 25).reshape(4, 25)
-        values, hits = ccte_hat_batch(
-            level.transpose(0, 2, 1), cost.transpose(0, 2, 1), costs, 0.3
-        )
-        for r in range(4):
-            est = ccte_hat(Sample(level[r]), costed(cost[r], costs[r]), 0.3)
-            assert est.hits == hits[r]
-            assert est.value == pytest.approx(values[r], rel=1e-12, abs=0.0)
+    @settings(max_examples=60, deadline=None)
+    @given(
+        d=st.sampled_from([1, 2, 3, 5]),
+        k=st.integers(1, 6),
+        extra=st.integers(1, 30),
+        n2=st.integers(1, 30),
+        levels=st.lists(st.floats(0.01, 0.99), min_size=1, max_size=4),
+        flat=st.integers(0, 5),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_one_replicate_calls(self, d, k, extra, n2, levels, flat, seed):
+        # the stacked path equals one ccte_hat call per replicate and level,
+        # exactly; replicate ``flat % k`` has its cost points at its level
+        # mean, so it has no hit at any level
+        rng = RngStream(seed, 39)
+        n1 = d + extra
+        level = rng.normals(k * d * n1).reshape(k, d, n1)
+        cost = 1.5 * rng.normals(k * d * n2).reshape(k, d, n2)
+        cost[flat % k] = level[flat % k].mean(axis=1, keepdims=True)
+        costs = rng.uniforms(k * n2).reshape(k, n2)
+        values, hits = fitted_ratios(level, cost, costs, levels)
+        assert values.shape == hits.shape == (len(levels), k)
+        assert not np.any(hits[:, flat % k])
+        for i, alpha in enumerate(levels):
+            for r in range(k):
+                est = ccte_hat(Sample(level[r].T), costed(cost[r].T, costs[r]), alpha)
+                assert est.hits == hits[i, r]
+                assert est.degenerate == (hits[i, r] == 0)
+                assert est.value == values[i, r]
 
     def test_level_sequence_gives_one_row_per_level(self):
         rng = RngStream(40, 0)
@@ -239,22 +280,21 @@ class TestBatch:
         cost = rng.normals(5 * 2 * 25).reshape(5, 2, 25) * 1.5
         costs = rng.uniforms(5 * 25).reshape(5, 25)
         levels = (0.05, 0.3, 0.9)
-        values, hits = ccte_hat_batch(level, cost, costs, levels)
+        values, hits = fitted_ratios(level, cost, costs, levels)
         assert values.shape == hits.shape == (3, 5)
         for i, alpha in enumerate(levels):
-            one_values, one_hits = ccte_hat_batch(level, cost, costs, alpha)
-            assert one_values.shape == one_hits.shape == (5,)
-            assert np.array_equal(values[i], one_values)
-            assert np.array_equal(hits[i], one_hits)
-        one_row = ccte_hat_batch(level, cost, costs, [0.3])
-        assert one_row[0].shape == one_row[1].shape == (1, 5)
+            one_values, one_hits = fitted_ratios(level, cost, costs, [alpha])
+            assert one_values.shape == one_hits.shape == (1, 5)
+            assert np.array_equal(values[i], one_values[0])
+            assert np.array_equal(hits[i], one_hits[0])
 
     @pytest.mark.parametrize("alpha", [(), (0.5, 1.0), (0.0, 0.5), [[0.5]], 1.0, -0.1])
     def test_level_validation(self, alpha):
+        # the estimator takes one level: a sequence is refused like a bad level
         rng = RngStream(40, 1)
-        level = rng.normals(2 * 2 * 10).reshape(2, 2, 10)
+        pts = rng.normals(2 * 10).reshape(10, 2)
         with pytest.raises(DomainError):
-            ccte_hat_batch(level, level, np.ones((2, 10)), alpha)
+            ccte_hat(Sample(pts), costed(pts, np.ones(10)), alpha)
 
 
 class TestSplitMode:

@@ -132,20 +132,20 @@ class TestDepthCommand:
         assert "points must be finite" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("model", [
-        {"mu": ["0", 0.0], "sigma": [[1.0, 0.0], [0.0, 1.0]]},
-        {"mu": [0.0, True], "sigma": [[1.0, 0.0], [0.0, 1.0]]},
-        {"mu": [0.0, 0.0], "sigma": [["1", 0.0], [0.0, 1.0]]},
-        {"mu": [0.0, 0.0], "sigma": [[1.0, 0.0], [0.0]]},
-        {"mu": [10**400, 0.0], "sigma": [[1.0, 0.0], [0.0, 1.0]]},
+    @pytest.mark.parametrize("key, model", [
+        ("mu", {"mu": ["0", 0.0], "sigma": [[1.0, 0.0], [0.0, 1.0]]}),
+        ("mu", {"mu": [0.0, True], "sigma": [[1.0, 0.0], [0.0, 1.0]]}),
+        ("sigma", {"mu": [0.0, 0.0], "sigma": [["1", 0.0], [0.0, 1.0]]}),
+        ("sigma", {"mu": [0.0, 0.0], "sigma": [[1.0, 0.0], [0.0]]}),
+        ("mu", {"mu": [10**400, 0.0], "sigma": [[1.0, 0.0], [0.0, 1.0]]}),
     ], ids=["mu_str", "mu_bool", "sigma_str", "sigma_ragged", "mu_huge_int"])
-    def test_non_numeric_model_file(self, tmp_path, capsys, model):
+    def test_non_numeric_model_file(self, tmp_path, capsys, key, model):
         path = tmp_path / "m.json"
         path.write_text(json.dumps(model))
         code = main(["depth", "--model", str(path), "--grid=0:1:2,0:1:2",
                      "-o", str(tmp_path / "out")])
         assert code == 2
-        assert "mu and sigma must be arrays of numbers" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"error: model: {path}: {key}: wrong type\n"
 
     def test_bad_model_file(self, tmp_path, capsys):
         bad = tmp_path / "m.json"

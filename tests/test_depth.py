@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from depthrisk import (
+    ConfigError,
     DegenerateSample,
     DepthModel,
     DimensionMismatch,
@@ -260,10 +261,14 @@ class TestDepthModel:
         assert np.array_equal(back.sigma.entries, model.sigma.entries)
 
     def test_json_missing_keys(self):
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(ConfigError, match="^sigma: missing$"):
             DepthModel.from_json({"mu": [0.0, 0.0]})
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(ConfigError, match="^mu: missing$"):
             DepthModel.from_json({"sigma": [[1.0]]})
+
+    def test_json_unknown_key(self):
+        with pytest.raises(ConfigError, match="^sgima: unknown key$"):
+            DepthModel.from_json({"mu": [0.0], "sigma": [[1.0]], "sgima": 1})
 
 
 class TestSupNorm:

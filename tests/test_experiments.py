@@ -307,6 +307,12 @@ class TestConfigJson:
         with pytest.raises(ConfigError, match="boundary_n: unknown key"):
             convergence_config_from_json(obj)
 
+    def test_unknown_model_key(self):
+        obj = {"model": {"mu": [0.0], "sigma": [[1.0]], "mean": [5.0]},
+               "n_values": [16], "seeds": 1}
+        with pytest.raises(ConfigError, match=r"^model\.mean: unknown key$"):
+            convergence_config_from_json(obj)
+
     def test_wrong_type_reported(self):
         with pytest.raises(ConfigError) as exc:
             config_from_json({"data": {"kind": "gaussian", "mu": [0.0, 0.0],
@@ -381,7 +387,7 @@ class TestStrictFloats:
     @pytest.mark.parametrize("name, edit", [
         ("alpha: wrong type", lambda o: o.update(alpha="0.5")),
         ("alpha: wrong type", lambda o: o.update(alpha=True)),
-        ("model: mu and sigma must be arrays of numbers",
+        ("model.mu: wrong type",
          lambda o: o.update(model={"mu": ["0", True], "sigma": [[1, 0], [0, 1]]})),
     ], ids=["alpha_str", "alpha_bool", "model_mu"])
     def test_convergence_fields(self, name, edit):
@@ -444,12 +450,12 @@ class TestBatchedCell:
         if n == 5000:
             assert r * 2 * n > BATCH_ROWS
         streams = lambda: [RngStream(99, mix64(n, j)) for j in range(r)]
-        values, hits = cell_estimates(law, n, alpha, streams())
+        values, hits = cell_estimates(law, n, [alpha], streams())
+        assert values.shape == hits.shape == (1, r)
         expect = [v0_replicate(law, n, alpha, s) for s in streams()]
-        assert list(hits) == [e.hits for e in expect]
-        assert [h == 0 for h in hits] == [e.degenerate for e in expect]
-        for got, e in zip(values, expect):
-            assert abs(got - e.value) <= 1e-12 * abs(e.value)
+        assert list(hits[0]) == [e.hits for e in expect]
+        assert [h == 0 for h in hits[0]] == [e.degenerate for e in expect]
+        assert list(values[0]) == [e.value for e in expect]
         if alpha == 0.05:
             assert any(e.degenerate for e in expect)
 
@@ -471,9 +477,9 @@ class TestBatchedCell:
         values, hits = cell_estimates(law, n, levels, streams())
         assert values.shape == hits.shape == (len(levels), r)
         for i, alpha in enumerate(levels):
-            one_values, one_hits = cell_estimates(law, n, alpha, streams())
-            assert np.array_equal(values[i], one_values)
-            assert np.array_equal(hits[i], one_hits)
+            one_values, one_hits = cell_estimates(law, n, [alpha], streams())
+            assert np.array_equal(values[i], one_values[0])
+            assert np.array_equal(hits[i], one_hits[0])
         if n == 16:
             assert np.any(hits[0] == 0)
 

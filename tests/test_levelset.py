@@ -37,7 +37,6 @@ from depthrisk import (
     sym_diff_probability,
     sym_diff_volume,
 )
-from depthrisk.ccte import ccte_hat_batch
 
 # area of the lens formed by two unit disks at center distance 1/2, via
 # 2 acos(d/2) - (d/2) sqrt(4 - d^2); the symmetric difference of the two
@@ -84,8 +83,6 @@ LEVEL_ENTRY_POINTS = {
     "LevelSetSpec": (DomainError, lambda a: LevelSetSpec(std_model(), a)),
     "ccte_true_oracle": (DomainError, lambda a: ccte_true_oracle(
         gaussian_population(std_model()), a, 100_000, RngStream(1, 0))),
-    "ccte_hat_batch": (DomainError, lambda a: ccte_hat_batch(
-        _cols(), _cols(), np.ones((2, 10)), a)),
     "ccte_hat": (DomainError, lambda a: ccte_hat(Sample(_cols()[1].T), _costed(), a)),
     "ccte_under_model": (DomainError, lambda a: ccte_under_model(
         std_model(), _costed(), a, n1=10)),

@@ -1,19 +1,47 @@
-"""Package surface: shipped configs parse, every exported name resolves, and
-every name the benchmark harness calls or traces exists."""
+"""Package surface: shipped configs parse, every exported name resolves,
+every name the benchmark harness calls or traces exists, every public count
+argument follows one rule, and no private helper is left without a caller."""
 
+import ast
 import importlib
 import importlib.util
 import re
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 import depthrisk
 import depthrisk.cli  # noqa: F401  (the harness calls depthrisk.cli.main)
-from depthrisk import config_from_json, convergence_config_from_json
+from depthrisk import (
+    DepthModel,
+    DomainError,
+    FrankGumbelConfig,
+    GumbelMarginal,
+    LevelSetSpec,
+    RngStream,
+    Sample,
+    boundary_points,
+    build_spd,
+    ccte_true_oracle,
+    ccte_under_model,
+    config_from_json,
+    convergence_config_from_json,
+    estimate_population_model,
+    gaussian_population,
+    hausdorff_report,
+    sample_gaussian,
+    sample_risk_factors,
+    sym_diff_probability,
+    sym_diff_volume,
+)
+from depthrisk.experiments import pool_size
 from depthrisk.io import load_json_object
 
 ROOT = Path(__file__).resolve().parent.parent
 CONFIGS = ROOT / "configs"
 PERFBENCH = ROOT / "perfbench"
+SRC = ROOT / "src" / "depthrisk"
 
 
 def test_configs_parse_and_exports_resolve():
@@ -43,3 +71,64 @@ def test_benchmark_names_resolve():
     assert used
     missing += [f"depthrisk.{name}" for name in sorted(used) if not hasattr(depthrisk, name)]
     assert missing == []
+
+
+MODEL = DepthModel(np.zeros(2), build_spd(np.eye(2)))
+SPEC = LevelSetSpec(MODEL, 0.5)
+FRANK = FrankGumbelConfig(theta=5.0, marg1=GumbelMarginal(0.0, 0.25),
+                          marg2=GumbelMarginal(-0.5, 0.25))
+
+
+def _gaussian_rows(n, rng):
+    return sample_gaussian(n, MODEL, rng).points
+
+
+# every public count argument, with a count it accepts
+COUNT_ENTRY_POINTS = {
+    "RngStream.uniforms": (0, lambda n: RngStream(1).uniforms(n)),
+    "RngStream.normals": (0, lambda n: RngStream(1).normals(n)),
+    "sample_risk_factors": (1, lambda n: sample_risk_factors(n, FRANK, RngStream(1))),
+    "sample_gaussian": (1, lambda n: sample_gaussian(n, MODEL, RngStream(1))),
+    "boundary_points": (8, lambda m: boundary_points(SPEC, m)),
+    "hausdorff_report": (64, lambda m: hausdorff_report(SPEC, SPEC, m)),
+    "pool_size": (1, lambda threads: pool_size(threads, 5)),
+    "ccte_under_model": (1, lambda n1: ccte_under_model(
+        MODEL, Sample(np.eye(2), np.ones(2)), 0.5, n1)),
+    "ccte_true_oracle": (100_000, lambda n_mc: ccte_true_oracle(
+        gaussian_population(MODEL), 0.5, n_mc, RngStream(1))),
+    "estimate_population_model": (1000, lambda n_mc: estimate_population_model(
+        _gaussian_rows, n_mc, RngStream(1))),
+    "sym_diff_volume": (1000, lambda n_mc: sym_diff_volume(SPEC, SPEC, n_mc, RngStream(1))),
+    "sym_diff_probability": (1, lambda n_mc: sym_diff_probability(
+        SPEC, SPEC, _gaussian_rows, n_mc, RngStream(1))),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(COUNT_ENTRY_POINTS))
+def test_count_arguments_are_integers(entry):
+    ok, call = COUNT_ENTRY_POINTS[entry]
+    # the bools, strings and fractions that used to be truncated, rounded
+    # or failed with a bare TypeError, and a fraction above a good count
+    for bad in (2.5, True, "3", ok + 0.5):
+        with pytest.raises(DomainError):
+            call(bad)
+    call(np.int64(ok))
+
+
+def test_every_private_helper_has_a_caller():
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    helpers = {
+        node.name: name
+        for name, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and node.name.startswith("_") and not node.name.startswith("__")
+    }
+    used = {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for tree in trees.values()
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute))
+    }
+    assert sorted(f"{module}:{helper}" for helper, module in helpers.items()
+                  if helper not in used) == []
