@@ -22,7 +22,7 @@ error.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable
 
 import numpy as np
@@ -56,14 +56,7 @@ class CcteEstimate:
     degenerate: bool
 
     def to_json(self) -> dict:
-        return {
-            "value": self.value,
-            "n1": self.n1,
-            "n2": self.n2,
-            "alpha": self.alpha,
-            "hits": self.hits,
-            "degenerate": self.degenerate,
-        }
+        return asdict(self)
 
 
 def ccte_under_model(

@@ -15,7 +15,6 @@ code depends only on that shape.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import TYPE_CHECKING
 
@@ -36,7 +35,7 @@ class DepthModel:
 
     Attributes
     ----------
-    mu : ndarray, shape (d,), read-only
+    mu : ndarray, shape (d,), read-only, finite (DomainError otherwise)
     sigma : SpdMatrix
 
     Immutable and shareable across threads.
@@ -45,15 +44,15 @@ class DepthModel:
     __slots__ = ("mu", "sigma")
 
     def __init__(self, mu, sigma: SpdMatrix):
-        loc = np.asarray(mu, dtype=float)
+        loc = np.array(mu, dtype=float)
         if loc.ndim != 1:
             raise DimensionMismatch(f"mu must be a vector, got shape {loc.shape}")
         if loc.shape[0] != sigma.dim:
             raise DimensionMismatch(
                 f"mu has length {loc.shape[0]} but sigma has dimension {sigma.dim}"
             )
-        if not loc.flags.owndata:
-            loc = loc.copy()
+        if not np.all(np.isfinite(loc)):
+            raise DomainError(f"mu must be finite, got {loc.tolist()}")
         loc.setflags(write=False)
         self.mu = loc
         self.sigma = sigma
@@ -156,90 +155,54 @@ def fit_model(s: "Sample") -> DepthModel:
     return DepthModel(mu[0], build_spd(cov[0], low[0]))
 
 
-# Probe box half-width in marginal SDs, far-point radius, far-point stream seed.
+# The probe set of probe_points: grid points per axis by dimension, box
+# half-width in marginal SDs, far points and their radius.
+PROBE_AXIS_POINTS = {1: 201, 2: 201, 3: 41}
+PROBE_AXIS_POINTS_BEYOND = 9
 PROBE_BOX_SDS = 6.0
+PROBE_FAR_POINTS = 10_000
 PROBE_FAR_RADIUS = 1_000.0
 _PROBE_SEED = 0x5EEDFA11
 
 
-@dataclass(frozen=True)
-class ProbeGrid:
-    """Probe set specification for sup-norm depth comparisons.
-
-    The probe set is a tensor grid over the union of the two models' boxes
-    mu +- 6 * sqrt(diag(Sigma)), plus ``far_points`` random points at radius
-    up to 1000 from the box center.  Depth differences localize near the
-    centers and vanish at infinity, so the grid carries the maximum and the
-    far points guard the tail.
-
-    ``per_axis`` defaults by dimension (201 for d <= 2, 41 for d = 3, 9
-    beyond) to keep the grid size bounded.  The far points come from a
-    dedicated stream with a fixed seed, so distances are deterministic.
-    """
-
-    per_axis: int | None = None
-    far_points: int = 10_000
-
-    def axis_count(self, dim: int) -> int:
-        if self.per_axis is not None:
-            return self.per_axis
-        if dim <= 2:
-            return 201
-        if dim == 3:
-            return 41
-        return 9
-
-
-def probe_points(a: DepthModel, b: DepthModel, probe: ProbeGrid) -> np.ndarray:
-    """Materialize the probe set for a pair of models."""
+def probe_points(a: DepthModel, b: DepthModel) -> np.ndarray:
+    """The sup-norm probe set of two models: a tensor grid over the union of
+    their boxes mu +- 6 * sqrt(diag(Sigma)) (201 points per axis for d <= 2,
+    41 for d = 3, 9 beyond), plus 10,000 points at radii up to 1000 from the
+    box center.  Depth gaps peak near the centers and vanish at infinity, so
+    the grid carries the maximum and the far points guard the tail."""
     if a.dim != b.dim:
         raise DimensionMismatch(f"model dimensions differ: {a.dim} vs {b.dim}")
     d = a.dim
-    k = probe.axis_count(d)
-    if k < 1 and probe.far_points < 1:
-        raise DomainError("probe grid must contain at least one point")
-    lows = np.empty(d)
-    highs = np.empty(d)
-    for i in range(d):
-        spans = [
-            (m.mu[i] - PROBE_BOX_SDS * np.sqrt(m.sigma.entries[i, i]),
-             m.mu[i] + PROBE_BOX_SDS * np.sqrt(m.sigma.entries[i, i]))
-            for m in (a, b)
-        ]
-        lows[i] = min(s[0] for s in spans)
-        highs[i] = max(s[1] for s in spans)
-    if k >= 1:
-        axes = [np.linspace(lows[i], highs[i], k) for i in range(d)]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        grid = np.stack([m.ravel() for m in mesh], axis=-1)
-    else:
-        grid = np.empty((0, d))
-    if probe.far_points <= 0:
-        return grid
+    k = PROBE_AXIS_POINTS.get(d, PROBE_AXIS_POINTS_BEYOND)
+    half_a = PROBE_BOX_SDS * np.sqrt(np.diag(a.sigma.entries))
+    half_b = PROBE_BOX_SDS * np.sqrt(np.diag(b.sigma.entries))
+    lows = np.minimum(a.mu - half_a, b.mu - half_b)
+    highs = np.maximum(a.mu + half_a, b.mu + half_b)
+    mesh = np.meshgrid(*(np.linspace(lows[i], highs[i], k) for i in range(d)), indexing="ij")
+    grid = np.stack([m.ravel() for m in mesh], axis=-1)
     center = 0.5 * (lows + highs)
-    return np.vstack([grid, center + _far_offsets(d, probe.far_points)])
+    return np.vstack([grid, center + _far_offsets(d)])
 
 
 @lru_cache(maxsize=8)
-def _far_offsets(d: int, count: int) -> np.ndarray:
-    """The far probe points less the box center: ``count`` read-only rows in
-    random directions at radii uniform up to 1000, from the fixed stream of
-    (d, count), so each pair is drawn once."""
-    stream = RngStream(_PROBE_SEED, mix64(d, count))
-    z = stream.normals(count * d).reshape(count, d)
+def _far_offsets(d: int) -> np.ndarray:
+    """The far probe points less the box center: PROBE_FAR_POINTS read-only
+    rows in random directions at radii uniform up to PROBE_FAR_RADIUS, from
+    the fixed stream of dimension d, so each dimension's set is drawn once."""
+    stream = RngStream(_PROBE_SEED, mix64(d, PROBE_FAR_POINTS))
+    z = stream.normals(PROBE_FAR_POINTS * d).reshape(PROBE_FAR_POINTS, d)
     norms = np.sqrt(np.einsum("ij,ij->i", z, z))
     norms[norms == 0.0] = 1.0
-    radii = PROBE_FAR_RADIUS * stream.uniforms(count)
+    radii = PROBE_FAR_RADIUS * stream.uniforms(PROBE_FAR_POINTS)
     offsets = (radii / norms)[:, None] * z
     offsets.setflags(write=False)
     return offsets
 
 
-def sup_norm_distance(a: DepthModel, b: DepthModel, probe: ProbeGrid = ProbeGrid()) -> float:
-    """Max absolute depth gap over the probe set.
-
-    A lower bound of the true sup-norm distance between the two depth
-    surfaces; it converges to it as the probe grid refines.
-    """
-    pts = probe_points(a, b, probe)
+def sup_norm_distance(a: DepthModel, b: DepthModel) -> float:
+    """Max absolute depth gap over :func:`probe_points` of the pair: a lower
+    bound of the true sup-norm distance between the two depth surfaces,
+    which it approaches as the probe grid refines."""
+    pts = probe_points(a, b)
     return float(np.max(np.abs(mhd(pts, a) - mhd(pts, b))))

@@ -38,6 +38,7 @@ from .io import (
     field_problems,
     fields_from_json,
     is_count,
+    is_real,
     json_float,
     json_floats,
     json_int,
@@ -85,6 +86,7 @@ class ExperimentConfig:
          "must be a nonempty list of integers >= 2"),
         ("alpha_values", lambda v: len(v) > 0 and all(check_level(a) for a in v),
          "must be a nonempty list of levels in (0, 1)"),
+        ("delta_values", lambda v: all(map(is_real, v)), "wrong type"),
         ("delta_values", lambda v: np.all(np.isfinite(v)), "must be finite"),
         ("replications", lambda v: is_count(v, 2), "must be an integer >= 2"),
         ("truth_n_mc", lambda v: is_count(v, 100_000), "must be an integer >= 100000"),

@@ -10,6 +10,7 @@ config class checks its fields by a ``_checks`` table (:func:`field_problems`).
 from __future__ import annotations
 
 import json
+import numbers
 import os
 from pathlib import Path
 
@@ -190,10 +191,19 @@ def json_fields(obj: dict, table: dict, required, problems: list[str], prefix: s
     return fields
 
 
+def is_integer(value) -> bool:
+    """An int or a numpy integer, not a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def is_count(value, least: int) -> bool:
-    """An integer (not a bool) of at least ``least``."""
-    whole = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-    return whole and value >= least
+    """An integer (:func:`is_integer`) of at least ``least``."""
+    return is_integer(value) and value >= least
+
+
+def is_real(value) -> bool:
+    """A real number, numpy's included: not a bool, a string or an array."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 def field_problems(checks, values: dict, prefix: str = "") -> list[str]:

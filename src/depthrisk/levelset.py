@@ -17,7 +17,6 @@ in exactly one of U_a, U_b, and the U sets fit in a finite box.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable
@@ -28,7 +27,7 @@ from scipy.spatial.distance import directed_hausdorff
 
 from .depth import DepthModel, mhd
 from .errors import DimensionMismatch, DomainError
-from .io import is_count
+from .io import is_count, is_real
 from .rng import RngStream, mix64
 
 BOUNDARY_TOL = 1e-12
@@ -63,7 +62,7 @@ class LevelSetSpec:
 def check_level(alpha) -> float:
     """``alpha`` as a float, if it is a level: a real number (not a string
     or a bool) strictly inside (0, 1).  Raises DomainError otherwise."""
-    real = isinstance(alpha, numbers.Real) and not isinstance(alpha, bool)
+    real = is_real(alpha)
     if not (real and 0.0 < alpha < 1.0):
         raise DomainError(f"alpha must lie in (0, 1), got {float(alpha) if real else alpha!r}")
     return float(alpha)

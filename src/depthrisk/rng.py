@@ -18,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DomainError
-from .io import is_count
+from .io import is_count, is_integer
 
 _MASK64 = (1 << 64) - 1
 
@@ -34,7 +34,7 @@ def mix64(*parts: int) -> int:
     Parameters
     ----------
     *parts : int
-        Any number of integers (negative values are masked to 64 bits).
+        Integers (:func:`~depthrisk.io.is_integer`, else DomainError), masked to 64 bits.
 
     Returns
     -------
@@ -43,12 +43,18 @@ def mix64(*parts: int) -> int:
     """
     acc = 0x9E3779B97F4A7C15
     for p in parts:
-        acc = (acc ^ (int(p) & _MASK64)) & _MASK64
+        acc = acc ^ _word(p, "mix64 part")
         acc = (acc * 0xBF58476D1CE4E5B9) & _MASK64
         acc ^= acc >> 27
         acc = (acc * 0x94D049BB133111EB) & _MASK64
         acc ^= acc >> 31
     return acc
+
+
+def _word(value, what: str) -> int:
+    if not is_integer(value):
+        raise DomainError(f"{what} must be an integer, got {value!r}")
+    return int(value) & _MASK64
 
 
 def _draw_count(n) -> int:
@@ -63,15 +69,15 @@ class RngStream:
     Parameters
     ----------
     seed : int
-        Master seed (64-bit).
+        Master seed, an integer as a :func:`mix64` part is (64-bit).
     stream_id : int, optional
-        Substream selector (64-bit).  Streams with the same seed and
+        Substream selector, likewise.  Streams with the same seed and
         distinct ids are independent.
     """
 
     def __init__(self, seed: int, stream_id: int = 0):
-        self.seed = int(seed) & _MASK64
-        self.stream_id = int(stream_id) & _MASK64
+        self.seed = _word(seed, "seed")
+        self.stream_id = _word(stream_id, "stream_id")
         key = np.array([self.seed, self.stream_id], dtype=np.uint64)
         self._bitgen = np.random.Philox(key=key)
 

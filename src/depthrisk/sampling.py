@@ -22,6 +22,7 @@ from .io import (
     field_problems,
     fields_from_json,
     is_count,
+    is_real,
     json_fields,
     json_float,
     json_floats,
@@ -57,8 +58,10 @@ class GaussianConfig:
     exact_model: DepthModel = field(init=False, repr=False, compare=False)
 
     _checks = (
+        ("mu", lambda v: all(map(is_real, v)), "wrong type"),
         ("mu", lambda v: len(v) > 0 and np.all(np.isfinite(v)), "must be nonempty and finite"),
-        ("sigma", lambda v: np.asarray(v).dtype.kind in "fiu", "wrong type"),
+        ("sigma", lambda v: all(map(is_real, np.asarray(v, dtype=object).ravel())), "wrong type"),
+        ("noise_var", is_real, "wrong type"),
         ("noise_var", lambda v: np.isfinite(v) and v >= 0.0, "must be finite and >= 0"),
     )
 
@@ -103,7 +106,9 @@ class GumbelMarginal:
     beta: float
 
     _checks = (
+        ("mu", is_real, "wrong type"),
         ("mu", np.isfinite, "must be finite"),
+        ("beta", is_real, "wrong type"),
         ("beta", lambda v: np.isfinite(v) and v > 0, "must be finite and > 0"),
     )
 
@@ -127,8 +132,10 @@ class FrankGumbelConfig:
     exact_model = None  # its depth model has no closed form
 
     _checks = (
+        ("theta", is_real, "wrong type"),
         ("theta", np.isfinite, "must be finite"),
         ("theta", lambda v: v != 0.0, "must be nonzero"),
+        ("noise_var", is_real, "wrong type"),
         ("noise_var", np.isfinite, "must be finite"),
         ("noise_var", lambda v: v >= 0, "must be >= 0"),
     )

@@ -147,6 +147,15 @@ class TestDepthCommand:
         assert code == 2
         assert capsys.readouterr().err == f"error: model: {path}: {key}: wrong type\n"
 
+    def test_non_finite_model_file(self, tmp_path, capsys):
+        path = tmp_path / "m.json"
+        path.write_text('{"mu": [NaN, 0.0], "sigma": [[1.0, 0.0], [0.0, 1.0]]}')
+        out = tmp_path / "out"
+        code = main(["depth", "--model", str(path), "--grid=0:1:2,0:1:2", "-o", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: model: {path}: mu must be finite, got [nan, 0.0]\n"
+        assert not (out / "depths.csv").exists()
+
     def test_bad_model_file(self, tmp_path, capsys):
         bad = tmp_path / "m.json"
         bad.write_text("{not json")

@@ -10,7 +10,7 @@ from depthrisk import (
     DegenerateSample,
     DepthModel,
     DimensionMismatch,
-    ProbeGrid,
+    DomainError,
     RngStream,
     Sample,
     build_spd,
@@ -22,6 +22,7 @@ from depthrisk import (
     probe_points,
     sup_norm_distance,
 )
+from depthrisk import depth
 from depthrisk.depth import _far_offsets, fit_columns
 
 
@@ -252,6 +253,10 @@ class TestDepthModel:
         m = std_model()
         with pytest.raises(ValueError):
             m.mu[0] = 1.0
+        # the model keeps a copy: the caller's array stays writable
+        loc = np.zeros(2)
+        DepthModel(loc, build_spd(np.eye(2)))
+        loc[0] = 1.0
 
     def test_json_round_trip(self):
         rng = np.random.default_rng(61)
@@ -270,18 +275,26 @@ class TestDepthModel:
         with pytest.raises(ConfigError, match="^sgima: unknown key$"):
             DepthModel.from_json({"mu": [0.0], "sigma": [[1.0]], "sgima": 1})
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_mu(self, bad):
+        with pytest.raises(DomainError, match="^mu must be finite"):
+            DepthModel(np.array([bad, 0.0]), build_spd(np.eye(2)))
+        with pytest.raises(DomainError, match="^mu must be finite"):
+            DepthModel.from_json({"mu": [bad, 0.0], "sigma": [[1.0, 0.0], [0.0, 1.0]]})
+
 
 class TestSupNorm:
     def test_identical_models(self):
         m = std_model()
         assert sup_norm_distance(m, m) == 0.0
 
-    def test_one_dim_scale_gap(self):
+    def test_one_dim_scale_gap(self, monkeypatch):
         # sup over x of |1/(1+x^2) - 1/(1+x^2/4)| is 1/3, attained at
         # |x| = sqrt(2); a fine grid gets within its quadratic resolution
+        monkeypatch.setitem(depth.PROBE_AXIS_POINTS, 1, 4001)
         a = DepthModel(np.zeros(1), build_spd([[1.0]]))
         b = DepthModel(np.zeros(1), build_spd([[4.0]]))
-        v = sup_norm_distance(a, b, ProbeGrid(per_axis=4001))
+        v = sup_norm_distance(a, b)
         assert v <= 1.0 / 3.0 + 1e-12
         assert v > 1.0 / 3.0 - 1e-5
 
@@ -306,48 +319,49 @@ class TestSupNorm:
 
 
 class TestProbeGrid:
-    def test_axis_count_defaults(self):
-        g = ProbeGrid()
-        assert g.axis_count(1) == 201
-        assert g.axis_count(2) == 201
-        assert g.axis_count(3) == 41
-        assert g.axis_count(4) == 9
-        assert ProbeGrid(per_axis=7).axis_count(2) == 7
+    def test_axis_count_defaults(self, monkeypatch):
+        for d, k in ((1, 201), (2, 201), (3, 41), (4, 9)):
+            grid = probe_points(std_model(d), std_model(d))[: k**d]
+            for i in range(d):
+                assert np.unique(grid[:, i]).size == k
+        monkeypatch.setitem(depth.PROBE_AXIS_POINTS, 2, 7)
+        grid = probe_points(std_model(), std_model())[:49]
+        assert np.unique(grid[:, 0]).size == 7
+        assert np.unique(grid[:, 1]).size == 7
 
     def test_point_count(self):
-        pts = probe_points(
-            std_model(), std_model(), ProbeGrid(per_axis=11, far_points=100)
-        )
-        assert pts.shape == (11 * 11 + 100, 2)
+        # k points per axis: 201 for d <= 2, 41 for d = 3, 9 beyond
+        for d, k in ((1, 201), (2, 201), (3, 41), (4, 9)):
+            pts = probe_points(std_model(d), std_model(d))
+            assert pts.shape == (k**d + 10_000, d)
 
     def test_deterministic(self):
-        spec = ProbeGrid(per_axis=5, far_points=50)
-        a = probe_points(std_model(), std_model(), spec)
-        b = probe_points(std_model(), std_model(), spec)
+        a = probe_points(std_model(), std_model())
+        b = probe_points(std_model(), std_model())
         assert np.array_equal(a, b)
 
     def test_far_points_keep_the_v0_bits(self):
         a = std_model()
         b = DepthModel(np.array([1.0, -2.0]), build_spd([[2.0, 0.4], [0.4, 0.5]]))
-        pts = probe_points(a, b, ProbeGrid(per_axis=3, far_points=500))
-        grid = pts[:9]
+        pts = probe_points(a, b)
+        grid = pts[:201**2]
         # the far points as they were drawn on every call, before the cache
-        stream = RngStream(0x5EEDFA11, mix64(2, 500))
-        z = stream.normals(1000).reshape(500, 2)
+        stream = RngStream(0x5EEDFA11, mix64(2, 10_000))
+        z = stream.normals(20_000).reshape(10_000, 2)
         norms = np.sqrt(np.einsum("ij,ij->i", z, z))
-        radii = 1000.0 * stream.uniforms(500)
+        radii = 1000.0 * stream.uniforms(10_000)
         center = 0.5 * (grid.min(axis=0) + grid.max(axis=0))
-        assert np.array_equal(pts[9:], center + (radii / norms)[:, None] * z)
+        assert np.array_equal(pts[201**2:], center + (radii / norms)[:, None] * z)
 
     def test_far_offsets_drawn_once_and_read_only(self):
-        first = _far_offsets(3, 64)
-        assert _far_offsets(3, 64) is first
+        first = _far_offsets(3)
+        assert _far_offsets(3) is first
         assert not first.flags.writeable
 
     def test_grid_covers_both_models(self):
         a = std_model()
         b = DepthModel(np.array([10.0, 0.0]), build_spd(np.eye(2)))
-        pts = probe_points(a, b, ProbeGrid(per_axis=21, far_points=0))
+        pts = probe_points(a, b)[:201**2]
         assert pts[:, 0].min() <= a.mu[0] - 5.0
         assert pts[:, 0].max() >= b.mu[0] + 5.0
 

@@ -183,8 +183,9 @@ class TestExperimentConfig:
             gaussian_cfg(**{field: value})
 
 
-# every numeric field of the four config classes, given a string:
-# (config maker, field, value, field name in the problem)
+# every numeric field of the four config classes, given a string, and every
+# float field given a bool: (config maker, field, value, field name in the
+# problem)
 STRING_FIELDS = [
     (gaussian_law, "mu", ("0", 0.0), "mu"),
     (gaussian_law, "sigma", (("1", 0.0), (0.0, 1.0)), "sigma"),
@@ -205,16 +206,35 @@ STRING_FIELDS = [
     (convergence_cfg, "boundary_m", "4096", "boundary_m"),
     (convergence_cfg, "symdiff_n_mc", "100000", "symdiff_n_mc"),
     (convergence_cfg, "master_seed", "0", "master_seed"),
+    (gaussian_law, "mu", (True, 0.0), "mu"),
+    (gaussian_law, "sigma", ((1.0, 0.0), (0.0, True)), "sigma"),
+    (gaussian_law, "noise_var", True, "noise_var"),
+    (frank_law, "theta", True, "theta"),
+    (frank_law, "marg1", GumbelMarginal(True, 0.25), "marginals[0].mu"),
+    (frank_law, "marg2", GumbelMarginal(-0.5, True), "marginals[1].beta"),
+    (frank_law, "noise_var", True, "noise_var"),
+    (gaussian_cfg, "delta_values", (0.0, True), "delta_values"),
 ]
+
+
+def holds_bool(value) -> bool:
+    if isinstance(value, GumbelMarginal):
+        value = (value.mu, value.beta)
+    if isinstance(value, tuple):
+        return any(map(holds_bool, value))
+    return isinstance(value, bool)
 
 
 class TestStringFields:
     @pytest.mark.parametrize(
         "make, field, value, name", STRING_FIELDS,
-        ids=[f"{make.__name__}-{name}" for make, _, _, name in STRING_FIELDS],
+        ids=[f"{make.__name__}-{name}" + ("-bool" if holds_bool(value) else "")
+             for make, _, value, name in STRING_FIELDS],
     )
     def test_config_error_names_field(self, make, field, value, name):
-        with pytest.raises(ConfigError, match=re.escape(f"{name}: ")):
+        # a bool reads as the JSON readers report it
+        problem = f"{name}: wrong type" if holds_bool(value) else f"{name}: "
+        with pytest.raises(ConfigError, match=re.escape(problem)):
             make(**{field: value})
 
     def test_wrong_type_wording(self):
@@ -305,6 +325,12 @@ class TestConfigJson:
         obj = {"model": {"mu": [0.0], "sigma": [[1.0]]}, "n_values": [16], "seeds": 1,
                "boundary_n": 128}
         with pytest.raises(ConfigError, match="boundary_n: unknown key"):
+            convergence_config_from_json(obj)
+
+    def test_non_finite_model_mu(self):
+        obj = {"model": {"mu": [float("nan"), 0.0], "sigma": [[1.0, 0.0], [0.0, 1.0]]},
+               "n_values": [16], "seeds": 1}
+        with pytest.raises(ConfigError, match=r"^model: mu must be finite"):
             convergence_config_from_json(obj)
 
     def test_unknown_model_key(self):

@@ -1,6 +1,7 @@
 """Package surface: shipped configs parse, every exported name resolves,
 every name the benchmark harness calls or traces exists, every public count
-argument follows one rule, and no private helper is left without a caller."""
+argument follows one rule, and no private helper or constant is left without
+a caller or reader."""
 
 import ast
 import importlib
@@ -115,20 +116,34 @@ def test_count_arguments_are_integers(entry):
     call(np.int64(ok))
 
 
+def module_level_names(node):
+    """Names a module-level statement defines: a def or class, or the plain
+    targets of an assignment."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [node.name]
+    if isinstance(node, ast.Assign):
+        return [t.id for t in node.targets if isinstance(t, ast.Name)]
+    if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+        return [node.target.id]
+    return []
+
+
 def test_every_private_helper_has_a_caller():
     trees = {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
     helpers = {
-        node.name: name
+        helper: name
         for name, tree in trees.items()
         for node in tree.body
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-        and node.name.startswith("_") and not node.name.startswith("__")
+        for helper in module_level_names(node)
+        if helper.startswith("_") and not helper.startswith("__")
     }
+    # a name is read by a load or an attribute access; assigning it is not a read
     used = {
         node.id if isinstance(node, ast.Name) else node.attr
         for tree in trees.values()
         for node in ast.walk(tree)
-        if isinstance(node, (ast.Name, ast.Attribute))
+        if isinstance(node, ast.Attribute)
+        or (isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load))
     }
     assert sorted(f"{module}:{helper}" for helper, module in helpers.items()
                   if helper not in used) == []

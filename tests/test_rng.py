@@ -123,3 +123,17 @@ class TestMix64:
         for parts in [(), (0,), (1, 2), (10**20,)]:
             v = mix64(*parts)
             assert 0 <= v < (1 << 64)
+
+
+class TestIntegerArguments:
+    @pytest.mark.parametrize("bad", [2.7, "3", True], ids=["float", "str", "bool"])
+    def test_non_integer_rejected(self, bad):
+        for call in (lambda: RngStream(bad), lambda: RngStream(1, bad),
+                     lambda: mix64(bad), lambda: mix64(1, bad)):
+            with pytest.raises(DomainError, match="must be an integer"):
+                call()
+
+    def test_numpy_integers_accepted(self):
+        assert np.array_equal(RngStream(np.uint64(5), np.int64(-1)).uniforms(8),
+                              RngStream(5, -1).uniforms(8))
+        assert mix64(np.uint64(5), np.int32(-2)) == mix64(5, -2)
