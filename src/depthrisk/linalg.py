@@ -102,16 +102,18 @@ def _whiten_in_place(low, w: np.ndarray) -> np.ndarray:
     return w
 
 
-def color(low, cols) -> np.ndarray:
+def color(low, cols, out=None) -> np.ndarray:
     """Map each column z to ``L z``, the inverse of :func:`whiten`.
 
     ``low`` is a lower factor (d, d) and ``cols`` has shape (d, n); columns
     with identity covariance come out with covariance ``L L'``.  Like
     :func:`whiten`, it makes one elementwise pass per term and no BLAS call.
+    The result is written to ``out``, a float (d, n) array, when one is
+    given, and returned.
     """
     z = np.asarray(cols, dtype=float)
     low = np.asarray(low, dtype=float)
-    x = np.empty(z.shape)
+    x = np.empty(z.shape) if out is None else out
     for i in range(z.shape[0]):
         np.multiply(z[0], low[i, 0], out=x[i])
         for j in range(1, i + 1):

@@ -9,7 +9,12 @@ Reproducibility notes:
 
 * Uniforms are built directly from the raw 64-bit Philox output (a fixed,
   platform-independent algorithm), not from any library distribution method,
-  so the values cannot drift with library upgrades.
+  so the values cannot drift with library upgrades.  Each word keeps its top
+  52 bits k = raw >> 12, which are spliced under the exponent of 1.0: the
+  bits ``k | 0x3FF0000000000000`` read as a double are 1 + k * 2**-52, in
+  [1, 2).  Subtracting 1 - 2**-53 leaves (2k + 1) * 2**-53, an odd multiple
+  of 2**-53 that is exactly representable, so the subtraction does not round
+  and no integer-to-float conversion is needed.
 * Normal variates use the Box-Muller transform on that uniform stream.
 """
 
@@ -21,6 +26,8 @@ from .errors import DomainError
 from .io import is_count, is_integer
 
 _MASK64 = (1 << 64) - 1
+_ONE_BITS = 0x3FF0000000000000  # the exponent field of 1.0
+_ONE_LESS_HALF_ULP = 1.0 - 2.0**-53
 
 
 def mix64(*parts: int) -> int:
@@ -91,12 +98,12 @@ class RngStream:
         result is always strictly inside (0, 1) and downstream log or
         quantile transforms never see an endpoint.
         """
-        n = _draw_count(n)
-        raw = self._bitgen.random_raw(n)
-        if n == 0:
-            return np.empty(0, dtype=float)
-        mant = ((np.asarray(raw, dtype=np.uint64) >> np.uint64(12)) << np.uint64(1)) | np.uint64(1)
-        return mant.astype(np.float64) * 2.0**-53
+        raw = self._bitgen.random_raw(_draw_count(n))
+        raw >>= np.uint64(12)
+        raw |= np.uint64(_ONE_BITS)
+        u = raw.view(np.float64)
+        u -= _ONE_LESS_HALF_ULP
+        return u
 
     def normals(self, n: int) -> np.ndarray:
         """Draw ``n`` standard normal variates via Box-Muller.
@@ -106,12 +113,16 @@ class RngStream:
         still consumes a whole pair of uniforms and discards one normal.
         """
         n = _draw_count(n)
-        if n == 0:
-            return np.empty(0, dtype=float)
         m = (n + 1) // 2
-        u1 = self.uniforms(m)
-        u2 = self.uniforms(m)
-        radius = np.sqrt(-2.0 * np.log(u1))
-        angle = (2.0 * np.pi) * u2
-        z = np.concatenate([radius * np.cos(angle), radius * np.sin(angle)])
+        radius = self.uniforms(m)
+        angle = self.uniforms(m)
+        np.log(radius, out=radius)
+        radius *= -2.0
+        np.sqrt(radius, out=radius)
+        angle *= 2.0 * np.pi
+        z = np.empty(2 * m)
+        np.cos(angle, out=z[:m])
+        np.sin(angle, out=z[m:])
+        z[:m] *= radius
+        z[m:] *= radius
         return z[:n]

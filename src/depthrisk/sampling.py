@@ -35,6 +35,9 @@ from .rng import RngStream
 # theta is routed to the exact independence limit instead.
 INDEPENDENCE_THETA = 1e-8
 
+_TINY = np.finfo(float).tiny
+_HUGE = np.finfo(float).max
+
 
 class Law(Protocol):
     """A population law: ``draw(n, rng)`` returns an (n, d) array of iid
@@ -278,9 +281,19 @@ def gumbel_quantile(p, mu: float, beta: float):
     """
     if beta <= 0:
         raise DomainError("beta must be > 0")
-    arr = _as_open_unit(p, "p")
-    q = mu - beta * np.log(-np.log(arr))
+    q = np.array(_as_open_unit(p, "p"))
+    _gumbel_quantile(q, mu, beta, out=q)
     return float(q) if np.isscalar(p) else q
+
+
+def _gumbel_quantile(p: np.ndarray, mu: float, beta: float, out: np.ndarray) -> None:
+    """:func:`gumbel_quantile` of ``p`` into ``out``, unchecked; ``p`` is
+    overwritten.  Same operations in the same order, so the same bits."""
+    np.log(p, out=p)
+    np.negative(p, out=p)
+    np.log(p, out=p)
+    p *= beta
+    np.subtract(mu, p, out=out)
 
 
 def frank_pair(u, w, theta: float):
@@ -318,30 +331,70 @@ def frank_pair(u, w, theta: float):
     ww = _as_open_unit(w, "w")
     if abs(theta) < INDEPENDENCE_THETA:
         return (u, w) if scalar else (uu, ww)
-    # 1 + ratio = N / D with N = e^{-theta u}(1 - w) + w e^{-theta} and
-    # D = w + e^{-theta u}(1 - w), so the one-shot log1p is exact while the
-    # computed ratio stays away from -1.
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        t = np.exp(-theta * uu) * (1.0 - ww)
-        ratio = ww * np.expm1(-theta) / (ww + t)
-        v_direct = -np.log1p(ratio) / theta
-    # Where the conditional mass concentrates the ratio rounds onto -1 (or
-    # overflows for strongly negative theta) and the direct form keeps only
-    # a few bits, so those entries are re-evaluated as
-    # -(log N - log D) / theta; N and D are sums of positive terms, which
-    # logaddexp combines without cancellation at any theta.
-    log_w = np.log(ww)
-    log_scaled = -theta * uu + np.log1p(-ww)
-    log_n = np.logaddexp(log_scaled, log_w - theta)
-    log_d = np.logaddexp(log_w, log_scaled)
-    direct_ok = (ratio > -0.5) & (ratio < np.inf)
-    v = np.where(direct_ok, v_direct, -(log_n - log_d) / theta)
-    # quantiles within half an ulp of an endpoint round onto it; pin those
-    # to the open interval the uniform generator itself uses
-    v = np.clip(v, 2.0**-53, 1.0 - 2.0**-53)
+    v = _frank_v(uu, ww, theta)
     if scalar:
         return float(uu), float(v)
     return uu, v
+
+
+def _frank_v(u: np.ndarray, w: np.ndarray, theta: float) -> np.ndarray:
+    """V of :func:`frank_pair`, unchecked: ``u`` and ``w`` (only read, and
+    broadcast together) lie in (0, 1), and ``|theta| >= INDEPENDENCE_THETA``.
+
+    With t = e^{-theta u} (1 - w), D = w + t and N = t + w e^{-theta},
+    V = -log1p(ratio) / theta = log(D / N) / theta, where the ratio is
+    N / D - 1 = w (e^{-theta} - 1) / D.
+    """
+    shape = np.broadcast_shapes(u.shape, w.shape)
+    d, n, v = np.empty(shape), np.empty(shape), np.empty(shape)
+    with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
+        np.multiply(u, -theta, out=d)
+        np.exp(d, out=d)
+        np.subtract(1.0, w, out=n)
+        d *= n  # t
+        np.multiply(w, np.exp(-theta), out=n)
+        n += d  # N
+        d += w  # D
+        np.multiply(w, np.expm1(-theta), out=v)
+        v /= d  # ratio
+        # The one-shot log1p is exact while the ratio stays away from -1.
+        direct = v > -0.5
+        direct &= v < np.inf
+        np.log1p(v, out=v)
+        np.negative(v, out=v)
+        v /= theta
+        if not direct.all():
+            # Where the conditional mass concentrates the ratio rounds onto
+            # -1 (or overflows for strongly negative theta) and the direct
+            # form keeps only a few bits; D / N, of two sums of positive
+            # terms, has no cancellation there.  D lies between N and 1 + w,
+            # so it stays in range with N; where N over- or underflows
+            # (|theta| in the hundreds and beyond) the quotient is taken in
+            # log space instead.
+            spill = (n < _TINY) | (n > _HUGE)
+            spill &= ~direct
+            d /= n
+            del n  # released before np.where allocates
+            np.log(d, out=d)
+            d /= theta
+            v = np.where(direct, v, d)
+            if spill.any():
+                v[spill] = _frank_v_log_space(
+                    np.broadcast_to(u, shape)[spill], np.broadcast_to(w, shape)[spill], theta
+                )
+    # quantiles within half an ulp of an endpoint round onto it; pin those
+    # to the open interval the uniform generator itself uses
+    return np.clip(v, 2.0**-53, 1.0 - 2.0**-53, out=v)
+
+
+def _frank_v_log_space(u: np.ndarray, w: np.ndarray, theta: float) -> np.ndarray:
+    """(log D - log N) / theta of :func:`_frank_v` with both logs formed by
+    ``logaddexp`` of the logs of their terms, finite at any theta."""
+    log_w = np.log(w)
+    log_scaled = -theta * u + np.log1p(-w)
+    log_n = np.logaddexp(log_scaled, log_w - theta)
+    log_d = np.logaddexp(log_w, log_scaled)
+    return -(log_n - log_d) / theta
 
 
 def sample_risk_factors(n: int, cfg: FrankGumbelConfig, rng: RngStream) -> Sample:
@@ -354,10 +407,12 @@ def sample_risk_factors(n: int, cfg: FrankGumbelConfig, rng: RngStream) -> Sampl
         raise DomainError(f"n must be an integer >= 1, got {n!r}")
     u = rng.uniforms(n)
     w = rng.uniforms(n)
-    u, v = frank_pair(u, w, cfg.theta)
-    x1 = gumbel_quantile(u, cfg.marg1.mu, cfg.marg1.beta)
-    x2 = gumbel_quantile(v, cfg.marg2.mu, cfg.marg2.beta)
-    return Sample(np.column_stack([x1, x2]))
+    # the stream's uniforms already lie in (0, 1): no range checks here
+    v = w if abs(cfg.theta) < INDEPENDENCE_THETA else _frank_v(u, w, cfg.theta)
+    points = np.empty((n, 2))
+    _gumbel_quantile(u, cfg.marg1.mu, cfg.marg1.beta, out=points[:, 0])
+    _gumbel_quantile(v, cfg.marg2.mu, cfg.marg2.beta, out=points[:, 1])
+    return Sample(points)
 
 
 def squared_norms(points) -> np.ndarray:
@@ -400,4 +455,8 @@ def sample_gaussian(n: int, model: DepthModel, rng: RngStream) -> Sample:
         raise DomainError(f"n must be an integer >= 1, got {n!r}")
     d = model.dim
     z = rng.normals(n * d).reshape(n, d)
-    return Sample(model.mu + color(model.sigma.chol, z.T).T)
+    # colored in place: the points' (d, n) transpose is color's output
+    points = np.empty((n, d), order="F")
+    color(model.sigma.chol, z.T, out=points.T)
+    points += model.mu
+    return Sample(points)

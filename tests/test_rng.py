@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from depthrisk import DomainError, RngStream, mix64
@@ -70,6 +72,54 @@ class TestDeterminism:
         for n in (-1, -3):
             with pytest.raises(DomainError):
                 RngStream(1).normals(n)
+
+
+def _raw_words(seed: int, stream_id: int, n: int) -> np.ndarray:
+    return np.random.Philox(key=np.array([seed, stream_id], dtype=np.uint64)).random_raw(n)
+
+
+def _uniforms_v0(raw: np.ndarray) -> np.ndarray:
+    """The first release's uniforms: an odd 53-bit mantissa times 2**-53."""
+    mant = ((raw >> np.uint64(12)) << np.uint64(1)) | np.uint64(1)
+    return mant.astype(np.float64) * 2.0**-53
+
+
+def _normals_v0(u1: np.ndarray, u2: np.ndarray, n: int) -> np.ndarray:
+    """The first release's Box-Muller normals of two uniform halves."""
+    radius = np.sqrt(-2.0 * np.log(u1))
+    angle = (2.0 * np.pi) * u2
+    return np.concatenate([radius * np.cos(angle), radius * np.sin(angle)])[:n]
+
+
+WORDS = st.integers(0, (1 << 64) - 1)
+# empty, one, odd and just past a 2**18 batch
+DRAW_COUNTS = st.one_of(
+    st.sampled_from([0, 1]),
+    st.integers(1, 2000).map(lambda k: 2 * k + 1),
+    st.integers(0, 9).map(lambda k: 2**18 + k),
+)
+
+
+class TestV0Bits:
+    """The draws are the first release's formulas, bit for bit."""
+
+    @given(seed=WORDS, stream_id=WORDS, n=DRAW_COUNTS)
+    @settings(max_examples=40, deadline=None)
+    def test_uniforms(self, seed, stream_id, n):
+        got = RngStream(seed, stream_id).uniforms(n)
+        want = _uniforms_v0(_raw_words(seed, stream_id, n))
+        assert got.dtype == np.float64 and got.shape == (n,)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    @given(seed=WORDS, stream_id=WORDS, n=DRAW_COUNTS)
+    @settings(max_examples=40, deadline=None)
+    def test_normals(self, seed, stream_id, n):
+        got = RngStream(seed, stream_id).normals(n)
+        m = (n + 1) // 2
+        raw = _raw_words(seed, stream_id, 2 * m)
+        want = _normals_v0(_uniforms_v0(raw[:m]), _uniforms_v0(raw[m:]), n)
+        assert got.dtype == np.float64 and got.shape == (n,)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 class TestOpenInterval:

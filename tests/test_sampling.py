@@ -1,9 +1,13 @@
 """Gumbel marginals, Frank coupling, and cost attachment."""
 
 import math
+import tracemalloc
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 from scipy.optimize import brentq
 
@@ -26,6 +30,7 @@ from depthrisk import (
     sample_risk_factors,
     squared_norms,
 )
+from depthrisk.linalg import color
 
 EULER_GAMMA = 0.5772156649015329
 CFG = FrankGumbelConfig(
@@ -160,6 +165,131 @@ class TestFrankPair:
             assert abs(float(np.mean(v < t)) - t) < 3.0 * se
 
 
+def _frank_v0(u, w, theta):
+    """The first release's Frank quantile, and where its direct form applied.
+
+    Returns (v, direct, spill): ``spill`` marks the log-space entries where
+    N = t + w e^{-theta} leaves [tiny, max], which still take this formula.
+    """
+    with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
+        t = np.exp(-theta * u) * (1.0 - w)
+        ratio = w * np.expm1(-theta) / (w + t)
+        v_direct = -np.log1p(ratio) / theta
+        n = t + w * np.exp(-theta)
+    log_w = np.log(w)
+    log_scaled = -theta * u + np.log1p(-w)
+    log_n = np.logaddexp(log_scaled, log_w - theta)
+    log_d = np.logaddexp(log_w, log_scaled)
+    direct = (ratio > -0.5) & (ratio < np.inf)
+    v = np.where(direct, v_direct, -(log_n - log_d) / theta)
+    spill = ~direct & ~((n >= np.finfo(float).tiny) & (n <= np.finfo(float).max))
+    return np.clip(v, 2.0**-53, 1.0 - 2.0**-53), direct, spill
+
+
+def _frank_v_exact(u: float, w: float, theta: float) -> Decimal:
+    """log(D / N) / theta in 40-digit decimal arithmetic."""
+    with localcontext() as ctx:
+        ctx.prec = 40
+        u, w, theta = Decimal(u), Decimal(w), Decimal(theta)
+        t = (-theta * u).exp() * (1 - w)
+        return ((w + t) / (t + w * (-theta).exp())).ln() / theta
+
+
+EPS = 2.0**-52
+FRANK_THETAS = [0.5, -0.5, 5.0, -5.0, 30.0, -30.0, 50.0, 300.0, 1000.0, -1000.0, 1e6]
+OPEN_EDGES = np.array([2.0**-53, 1e-3, 0.5, 1.0 - 1e-3, 1.0 - 2.0**-53])
+
+
+def _frank_uniforms(seed, stream_id, n):
+    """n stream uniforms for u and for w, then every pair of OPEN_EDGES."""
+    s = RngStream(seed, stream_id)
+    edge_u, edge_w = np.meshgrid(OPEN_EDGES, OPEN_EDGES)
+    return (np.concatenate([s.uniforms(n), edge_u.ravel()]),
+            np.concatenate([s.uniforms(n), edge_w.ravel()]))
+
+
+class TestFrankKernel:
+    """frank_pair against the first release's formula and exact values.
+
+    The log branch (ratio <= -0.5, N in range) forms log(D / N) where the
+    first release subtracted two logaddexp results of magnitude up to
+    |theta|.  Against 40-digit decimal values the first release's log branch
+    errs by up to about 6 eps (relative, eps = 2**-52) at theta = 30 and the
+    quotient by under 3, so the two may differ by up to the sum of their
+    errors: each is allowed 8 eps.
+    """
+
+    @given(seed=st.integers(0, (1 << 64) - 1), stream_id=st.integers(0, 1000),
+           n=st.integers(0, 4000), theta=st.sampled_from(FRANK_THETAS))
+    @settings(max_examples=80, deadline=None)
+    def test_agrees_with_v0(self, seed, stream_id, n, theta):
+        u, w = _frank_uniforms(seed, stream_id, n)
+        got_u, got = frank_pair(u, w, theta)
+        want, direct, spill = _frank_v0(u, w, theta)
+        assert got_u is u
+        assert np.array_equal(got[direct], want[direct])
+        assert np.array_equal(got[spill], want[spill])
+        rest = ~direct & ~spill
+        assert np.all(np.abs(got[rest] - want[rest]) <= 16 * EPS * want[rest])
+
+    @pytest.mark.parametrize("theta", [1000.0, -1000.0, 1e6])
+    def test_spill_entries_take_the_v0_formula(self, theta):
+        u, w = _frank_uniforms(8, 2, 20_000)
+        _, got = frank_pair(u, w, theta)
+        want, _, spill = _frank_v0(u, w, theta)
+        assert spill.sum() > 100
+        assert np.array_equal(got[spill], want[spill])
+
+    @given(seed=st.integers(0, (1 << 64) - 1), theta=st.sampled_from(FRANK_THETAS))
+    @settings(max_examples=40, deadline=None)
+    def test_log_branch_within_8_eps_of_exact(self, seed, theta):
+        u, w = _frank_uniforms(seed, 3, 40)
+        _, got = frank_pair(u, w, theta)
+        _, direct, spill = _frank_v0(u, w, theta)
+        for i in np.flatnonzero(~direct & ~spill):
+            exact = _frank_v_exact(u[i], w[i], theta)
+            assert abs(Decimal(got[i]) - exact) <= Decimal(8 * EPS) * exact
+
+    def test_sampler_matches_frank_pair(self):
+        # the sampler's unchecked kernels give frank_pair's V and the first
+        # release's Gumbel quantiles, bit for bit
+        def quantile_v0(p, marg):
+            return marg.mu - marg.beta * np.log(-np.log(p))
+
+        for theta in (5.0, -30.0, 1000.0, 1e-9):
+            cfg = FrankGumbelConfig(theta, CFG.marg1, CFG.marg2)
+            got = sample_risk_factors(3001, cfg, RngStream(6, 1)).points
+            s = RngStream(6, 1)
+            u, v = frank_pair(s.uniforms(3001), s.uniforms(3001), theta)
+            assert got.flags.c_contiguous
+            assert np.array_equal(got[:, 0], quantile_v0(u, CFG.marg1))
+            assert np.array_equal(got[:, 1], quantile_v0(v, CFG.marg2))
+            assert np.array_equal(gumbel_quantile(v, CFG.marg2.mu, CFG.marg2.beta), got[:, 1])
+
+    def test_inputs_untouched_and_broadcast(self):
+        u = np.array([0.2, 0.5, 0.9])
+        w = np.array([0.3, 0.7, 0.999])
+        keep = (u.copy(), w.copy())
+        _, v = frank_pair(u, w, 5.0)
+        assert np.array_equal(u, keep[0]) and np.array_equal(w, keep[1])
+        _, row = frank_pair(u, 0.7, 5.0)
+        assert row.shape == (3,) and row[1] == v[1]
+        assert np.array_equal(gumbel_quantile(u, 0.0, 1.0), gumbel_quantile(keep[0], 0.0, 1.0))
+        assert np.array_equal(u, keep[0])
+
+    def test_draw_memory(self):
+        # 2**18 rows of output are 4 MiB; the draw peaks at about 2.7x that
+        n = 2**18
+        sample_risk_factors(64, CFG, RngStream(1))
+        tracemalloc.start()
+        try:
+            sample_risk_factors(n, CFG, RngStream(1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * (16 * n)
+
+
 class TestRiskFactors:
     def test_deterministic(self):
         a = sample_risk_factors(500, CFG, RngStream(3, 14))
@@ -250,6 +380,17 @@ class TestSampleGaussian:
             assert abs(s.points[:, j].mean() - m) < 3.0 * math.sqrt(v / n)
         cov = np.cov(s.points.T)
         assert cov[0, 1] == pytest.approx(0.6, abs=3.0 * math.sqrt(2.0 * 2.0 / n))
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_v0_bits(self, d):
+        # the first release's mu + color(L, z').T, bit for bit and in its layout
+        sigma = build_spd(np.eye(d) + 0.3)
+        model = DepthModel(np.arange(1.0, d + 1.0), sigma)
+        got = sample_gaussian(1001, model, RngStream(3, d)).points
+        z = RngStream(3, d).normals(1001 * d).reshape(1001, d)
+        want = model.mu + color(sigma.chol, z.T).T
+        assert got.flags.f_contiguous
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
     def test_mean_shift(self):
         base = DepthModel(np.zeros(2), build_spd(np.eye(2)))
