@@ -46,7 +46,13 @@ from .io import (
     make_out_dir,
     raise_problems,
 )
-from .levelset import LevelSetSpec, check_level, hausdorff_report, sym_diff_volume
+from .levelset import (
+    LevelSetSpec,
+    check_level,
+    hausdorff_report,
+    radial_sym_diff_volume,
+    sym_diff_volume,
+)
 from .rng import RngStream, mix64
 from .sampling import Law, _noisy_costs, law_from_json, sample_gaussian
 
@@ -279,14 +285,12 @@ def run_replications(
     )
 
 
-def rate_table(
-    report: ReplicationReport, delta_values: tuple[float, ...] | None = None
-) -> list[tuple[int, float, float, float]]:
-    """Rows (n, alpha, delta, V) with V = n^(1/2 - delta) * rmae."""
-    deltas = report.config.delta_values if delta_values is None else tuple(delta_values)
+def rate_table(report: ReplicationReport) -> list[tuple[int, float, float, float]]:
+    """Rows (n, alpha, delta, V) with V = n^(1/2 - delta) * rmae, one per
+    cell and delta of the config's ``delta_values``."""
     rows = []
     for cell in report.cells:
-        for delta in deltas:
+        for delta in report.config.delta_values:
             v = cell.n ** (0.5 - delta) * cell.rmae
             rows.append((cell.n, cell.alpha, delta, v))
     return rows
@@ -377,8 +381,10 @@ class ConvergenceConfig:
     For each sample size in ``n_values`` and each of ``seeds`` seeds, a
     sample is drawn from N(model) and fitted; the fit is compared with
     ``model`` by depth sup-norm, boundary Hausdorff distance at level
-    ``alpha`` (``boundary_m`` boundary points) and the Monte Carlo volume
-    of the symmetric difference of the level sets (``symdiff_n_mc`` draws).
+    ``alpha`` (``boundary_m`` boundary points per side) and the volume of
+    the symmetric difference of the level sets.  That volume is a radial
+    quadrature in d <= 2; ``symdiff_n_mc`` is the draw count of the Monte
+    Carlo estimate that replaces it where the quadrature does not apply.
     """
 
     model: DepthModel
@@ -428,8 +434,11 @@ def run_convergence(
 
     Returns, for each name in ``CONVERGENCE_STATS``, an array with one row
     per entry of ``cfg.n_values`` and one column per seed.  Seed s at size
-    n draws its sample and its Monte Carlo points from their own substreams
-    hashed from (tag, n, s).
+    n draws its sample from its own substream hashed from (tag, n, s).  The
+    symmetric-difference volume comes from :func:`radial_sym_diff_volume`
+    about the true center; where that rule does not apply (d >= 3, or the
+    true center outside the fitted ellipsoid) it is a Monte Carlo estimate
+    on a second substream of (n, s).
     """
     say = progress if progress is not None else (lambda _msg: None)
     truth_spec = LevelSetSpec(cfg.model, cfg.alpha)
@@ -444,10 +453,11 @@ def run_convergence(
             distances["hausdorff"][k, s] = hausdorff_report(
                 fit_spec, truth_spec, cfg.boundary_m
             ).distance
-            mc_rng = RngStream(cfg.master_seed, mix64(_TAG_CONV_MC, n, s))
-            distances["symdiff"][k, s], _ = sym_diff_volume(
-                fit_spec, truth_spec, cfg.symdiff_n_mc, mc_rng
-            )
+            volume = radial_sym_diff_volume(fit_spec, truth_spec)
+            if volume is None:
+                mc_rng = RngStream(cfg.master_seed, mix64(_TAG_CONV_MC, n, s))
+                volume, _ = sym_diff_volume(fit_spec, truth_spec, cfg.symdiff_n_mc, mc_rng)
+            distances["symdiff"][k, s] = volume
         say(f"n={n}: {cfg.seeds} seeds done")
     return distances
 

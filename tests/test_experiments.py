@@ -28,14 +28,21 @@ from depthrisk import (
     config_to_json,
     convergence_config_from_json,
     emit_tables,
+    LevelSetSpec,
     fit_model,
     mix64,
+    radial_sym_diff_volume,
     rate_slope,
     rate_table,
+    run_convergence,
     run_replications,
+    sample_gaussian,
+    sym_diff_volume,
 )
 from depthrisk.ccte import BATCH_ROWS
 from depthrisk.experiments import (
+    _TAG_CONV_MC,
+    _TAG_CONV_SAMPLE,
     _TAG_REPLICATE,
     RATES_HEADER,
     SUMMARY_HEADER,
@@ -90,6 +97,40 @@ def frank_law(**overrides):
 def convergence_cfg(**overrides):
     base = dict(model=DepthModel(np.zeros(2), build_spd(EYE2)), n_values=(16,), seeds=1)
     return ConvergenceConfig(**dict(base, **overrides))
+
+
+class TestConvergenceVolume:
+    """The symmetric-difference rule of each convergence seed: the radial
+    quadrature where it applies, else Monte Carlo on the seed's own stream."""
+
+    @staticmethod
+    def specs(cfg, n, seed):
+        rng = RngStream(cfg.master_seed, mix64(_TAG_CONV_SAMPLE, n, seed))
+        fitted = fit_model(sample_gaussian(n, cfg.model, rng))
+        return LevelSetSpec(fitted, cfg.alpha), LevelSetSpec(cfg.model, cfg.alpha)
+
+    def monte_carlo(self, cfg, n, seed):
+        stream = RngStream(cfg.master_seed, mix64(_TAG_CONV_MC, n, seed))
+        return sym_diff_volume(*self.specs(cfg, n, seed), cfg.symdiff_n_mc, stream)[0]
+
+    def test_quadrature_in_two_dimensions(self):
+        cfg = convergence_cfg(n_values=(16, 64), seeds=2, boundary_m=64, symdiff_n_mc=1000)
+        got = run_convergence(cfg)["symdiff"]
+        for k, n in enumerate(cfg.n_values):
+            for seed in range(cfg.seeds):
+                assert got[k, seed] == radial_sym_diff_volume(*self.specs(cfg, n, seed))
+
+    def test_monte_carlo_in_three_dimensions(self):
+        model = DepthModel(np.zeros(3), build_spd(np.eye(3)))
+        cfg = convergence_cfg(model=model, boundary_m=64, symdiff_n_mc=1000)
+        assert run_convergence(cfg)["symdiff"][0, 0] == self.monte_carlo(cfg, 16, 0)
+
+    def test_monte_carlo_when_the_true_center_is_outside_the_fit(self):
+        # at alpha = 0.99 the fitted ellipse has Mahalanobis radius 0.1,
+        # smaller than the fitted mean's offset at n = 16
+        cfg = convergence_cfg(alpha=0.99, boundary_m=64, symdiff_n_mc=1000)
+        assert radial_sym_diff_volume(*self.specs(cfg, 16, 0)) is None
+        assert run_convergence(cfg)["symdiff"][0, 0] == self.monte_carlo(cfg, 16, 0)
 
 
 @pytest.fixture(scope="module")
@@ -624,13 +665,11 @@ class TestRunReplications:
         assert summary_csv_text(a) == summary_csv_text(b)
 
     def test_thread_count_does_not_change_results(self):
-        cfg = frank_cfg(replications=6, n_values=(32, 64))
+        cfg = frank_cfg(replications=6, n_values=(32, 64), delta_values=(0.0,))
         serial = run_replications(cfg, threads=1)
         threaded = run_replications(cfg, threads=3)
         assert summary_csv_text(serial) == summary_csv_text(threaded)
-        assert rates_csv_text(rate_table(serial, (0.0,))) == rates_csv_text(
-            rate_table(threaded, (0.0,))
-        )
+        assert rates_csv_text(rate_table(serial)) == rates_csv_text(rate_table(threaded))
 
     def test_master_seed_changes_results(self):
         a = run_replications(gaussian_cfg(master_seed=1))
@@ -676,10 +715,10 @@ class TestRunReplications:
 
 
 class TestRateTable:
-    def _synthetic_report(self, rmae=0.0381, n=1000):
+    def _synthetic_report(self, rmae=0.0381, n=1000, deltas=(0.0,)):
         from depthrisk import CellResult, ReplicationReport
 
-        cfg = gaussian_cfg(n_values=(n,), delta_values=(0.0,))
+        cfg = gaussian_cfg(n_values=(n,), delta_values=deltas)
         cell = CellResult(
             n=n, alpha=0.5, truth=3.0, truth_se=0.001,
             estimates=np.array([3.0, 3.1]), mean=3.05, sigma_hat=0.07,
@@ -690,17 +729,17 @@ class TestRateTable:
     def test_pinned_value(self):
         # V = n^(1/2 - delta) * rmae at delta = 0: sqrt(1000) * 0.0381
         report = self._synthetic_report()
-        rows = rate_table(report, (0.0,))
+        rows = rate_table(report)
         assert rows == [(1000, 0.5, 0.0, pytest.approx(1.2048277885241525, abs=1e-12))]
 
     def test_delta_half_is_identity(self):
-        report = self._synthetic_report()
-        rows = rate_table(report, (0.5,))
+        report = self._synthetic_report(deltas=(0.5,))
+        rows = rate_table(report)
         assert rows[0][3] == 0.0381
 
     def test_zero_rmae_passes_through(self):
         report = self._synthetic_report(rmae=0.0)
-        assert rate_table(report, (0.0,))[0][3] == 0.0
+        assert rate_table(report)[0][3] == 0.0
 
     def test_defaults_to_config_deltas(self):
         report = self._synthetic_report()
@@ -795,8 +834,8 @@ class TestEmitTables:
         assert manifest["version"] == __version__
 
     def test_explicit_rate_rows(self, tmp_path):
-        report = run_replications(gaussian_cfg())
-        rows = rate_table(report, (0.25,))
+        report = run_replications(gaussian_cfg(delta_values=(0.25,)))
+        rows = rate_table(report)
         paths = emit_tables(report, rows, tmp_path)
         rates = paths["rates"].read_text().splitlines()
         assert len(rates) == 2

@@ -31,6 +31,7 @@ from depthrisk import (
     in_lower_set,
     mhd,
     mix64,
+    radial_sym_diff_volume,
     run_convergence,
     sample_gaussian,
     sup_norm_distance,
@@ -184,19 +185,21 @@ class TestHausdorff:
         assert abs(d - 0.1) < 1e-10
 
     def test_coarse_oracle_agreement(self):
-        # ellipse vs circle, against a brute-force point-set oracle
+        # ellipse vs circle, against nearest points among 2**17 dense
+        # boundary points of each side (within 1e-8 of the exact distance)
         a = LevelSetSpec(std_model(), 0.5)
         b = LevelSetSpec(
             DepthModel(np.zeros(2), build_spd([[2.0, 0.3], [0.3, 0.5]])), 0.4
         )
         got = hausdorff_report(a, b, 2048).distance
-        pa = boundary_points(a, 2048)
-        pb = boundary_points(b, 2048)
-        d2 = np.sum((pa[:, None, :] - pb[None, :, :]) ** 2, axis=2)
+        dense_a = cKDTree(boundary_points(a, 2**17))
+        dense_b = cKDTree(boundary_points(b, 2**17))
         brute = max(
-            np.sqrt(d2.min(axis=1)).max(), np.sqrt(d2.min(axis=0)).max()
+            dense_b.query(boundary_points(a, 2048))[0].max(),
+            dense_a.query(boundary_points(b, 2048))[0].max(),
         )
-        assert got == pytest.approx(brute, rel=1e-12)
+        assert got == pytest.approx(brute, rel=1e-7)
+        assert got <= brute
 
     def test_symmetry(self):
         a = circle_spec(1.0)
@@ -259,12 +262,142 @@ def random_ellipse_spec(rng, d):
 
 @given(d=st.sampled_from([2, 3]), m=st.integers(64, 600), seed=st.integers(0, 2**32 - 1))
 @settings(max_examples=40, deadline=None)
-def test_hausdorff_equals_the_kdtree_point_set_value(d, m, seed):
+def test_hausdorff_lies_within_resolution_below_the_point_set_value(d, m, seed):
+    # exact distances from one side's samples to the other boundary: no more
+    # than the nearest sample of that boundary, and short of it by at most
+    # the covering radius, which the resolution bounds
     rng = np.random.default_rng(seed)
     a = random_ellipse_spec(rng, d)
     b = random_ellipse_spec(rng, d)
-    want = kdtree_hausdorff(boundary_points(a, m), boundary_points(b, m))
-    assert hausdorff_report(a, b, m).distance == want
+    point_set = kdtree_hausdorff(boundary_points(a, m), boundary_points(b, m))
+    report = hausdorff_report(a, b, m)
+    slack = 1e-12 * (1.0 + point_set)
+    assert point_set - report.resolution - slack <= report.distance <= point_set + slack
+
+
+def ellipse_spec(semi_axes):
+    """Axis-aligned level set at alpha = 1/2 (squared radius 1): its
+    boundary has the given semi-axes."""
+    sigma = np.diag(np.square(np.asarray(semi_axes, dtype=float)))
+    return LevelSetSpec(DepthModel(np.zeros(len(semi_axes)), build_spd(sigma)), 0.5)
+
+
+class TestBoundaryDistance:
+    """Exact point-to-ellipsoid distances, against closed forms and dense
+    boundary samples."""
+
+    ELLIPSE = ellipse_spec([2.0, 1.0])
+
+    def distance(self, point, spec=ELLIPSE):
+        return levelset_module._boundary_distances(np.array([point], dtype=float), spec)[0]
+
+    def test_inside_on_the_major_axis(self):
+        # zero coordinate on the shortest axis, with no root past its pole:
+        # the nearest point (2/3, sqrt(8/9)) leaves the axis
+        assert self.distance([0.5, 0.0]) == pytest.approx(math.sqrt(33.0) / 6.0, rel=1e-14)
+
+    def test_inside_near_the_major_axis(self):
+        # a coordinate of 1e-12 on the shortest axis lands on the same point
+        assert self.distance([0.5, 1e-12]) == pytest.approx(math.sqrt(33.0) / 6.0, rel=1e-10)
+
+    def test_inside_on_the_minor_axis(self):
+        assert self.distance([0.0, 0.5]) == pytest.approx(0.5, rel=1e-14)
+
+    def test_inside_on_the_major_axis_past_the_evolute(self):
+        # beyond x = e1 - e2^2 / e1 = 1.5 the nearest point is the vertex
+        assert self.distance([1.9, 0.0]) == pytest.approx(0.1, rel=1e-12)
+
+    @pytest.mark.parametrize("spec, want", [(ELLIPSE, 1.0), (circle_spec(1.5), 1.5),
+                                            (ellipse_spec([3.0, 2.0, 2.0]), 2.0)])
+    def test_center(self, spec, want):
+        assert self.distance(np.zeros(spec.dim), spec) == want
+
+    @pytest.mark.parametrize("point", [[2.0, 0.0], [0.0, -1.0], [2.0 * math.cos(1.0), math.sin(1.0)]])
+    def test_on_the_boundary(self, point):
+        assert self.distance(point) == 0.0
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_matches_dense_boundary_samples(self, d):
+        rng = np.random.default_rng(40 + d)
+        spec = random_ellipse_spec(rng, d)
+        points = spec.model.mu + 2.0 * rng.normal(size=(300, d))
+        got = levelset_module._boundary_distances(points, spec)
+        samples = boundary_points(spec, 2**17)
+        dense = cKDTree(samples).query(points)[0]
+        assert np.all(got <= dense + 1e-12)
+        # the equal-angle samples of d = 2 are fine enough for a 1e-8 check;
+        # in d = 3 the samples' nearest-neighbor gap bounds the shortfall
+        assert np.max(dense - got) < (1e-8 if d == 2 else levelset_module._nn_gap(samples))
+
+
+def lens_pair():
+    """Unit disks with centers 1/2 apart, and their symmetric difference."""
+    return circle_spec(1.0), circle_spec(1.0, center=(0.5, 0.0)), SYM_DIFF_SHIFTED_DISKS
+
+
+def overlapping_pair(rng):
+    """Two random ellipses at one level, the second centered inside the
+    first at 40% of its Mahalanobis radius."""
+    a = random_ellipse_spec(rng, 2)
+    u = rng.normal(size=2)
+    offset = 0.4 * math.sqrt(a.radius_sq) * a.model.sigma.chol @ (u / np.linalg.norm(u))
+    b = LevelSetSpec(DepthModel(a.model.mu + offset, random_ellipse_spec(rng, 2).model.sigma),
+                     a.alpha)
+    return a, b
+
+
+class TestRadialSymDiffVolume:
+    def test_annulus(self):
+        got = radial_sym_diff_volume(circle_spec(1.0), circle_spec(2.0))
+        assert got == pytest.approx(3.0 * math.pi, rel=1e-9)
+
+    def test_lens(self):
+        a, b, want = lens_pair()
+        assert radial_sym_diff_volume(a, b) == pytest.approx(want, rel=1e-9)
+        assert radial_sym_diff_volume(b, a) == pytest.approx(want, rel=1e-9)
+
+    def test_identical_specs(self):
+        spec = LevelSetSpec(std_model(), 0.5)
+        assert radial_sym_diff_volume(spec, spec) == 0.0
+
+    def test_four_times_the_angles_agree(self, monkeypatch):
+        rng = np.random.default_rng(8)
+        pairs = [overlapping_pair(rng) for _ in range(4)]
+        coarse = [radial_sym_diff_volume(a, b) for a, b in pairs]
+        monkeypatch.setattr(levelset_module, "RADIAL_ANGLES", 4 * levelset_module.RADIAL_ANGLES)
+        fine = [radial_sym_diff_volume(a, b) for a, b in pairs]
+        assert coarse == pytest.approx(fine, rel=2e-8)
+
+    def test_intervals_are_exact(self):
+        def interval(center, half_width):
+            model = DepthModel(np.array([center]), build_spd([[half_width**2]]))
+            return LevelSetSpec(model, 0.5)
+
+        # [-1, 1] against [-1.5, 2.5], and nested [0, 4] inside [-1, 5]
+        assert radial_sym_diff_volume(interval(0.0, 1.0), interval(0.5, 2.0)) == 2.0
+        assert radial_sym_diff_volume(interval(2.0, 2.0), interval(2.0, 3.0)) == 2.0
+
+    def test_none_in_three_dimensions(self):
+        spec = LevelSetSpec(std_model(3), 0.5)
+        assert radial_sym_diff_volume(spec, spec) is None
+
+    def test_none_when_the_center_is_outside(self):
+        # the center (0, 0) of the second set lies outside the first disk,
+        # and on its boundary
+        assert radial_sym_diff_volume(circle_spec(1.0, (3.0, 0.0)), circle_spec(1.0)) is None
+        assert radial_sym_diff_volume(circle_spec(1.0, (1.0, 0.0)), circle_spec(1.0)) is None
+
+    def test_dim_mismatch(self):
+        with pytest.raises(DimensionMismatch):
+            radial_sym_diff_volume(LevelSetSpec(std_model(2), 0.5), LevelSetSpec(std_model(1), 0.5))
+
+    def test_agrees_with_monte_carlo(self):
+        rng = np.random.default_rng(12)
+        for k in range(4):
+            a, b = overlapping_pair(rng)
+            want = radial_sym_diff_volume(a, b)
+            est, se = sym_diff_volume(a, b, 20_000, RngStream(12, mix64(36, k)))
+            assert abs(est - want) < 4.0 * se
 
 
 class TestSymDiffVolume:
