@@ -108,12 +108,9 @@ def _cmd_levelset(args) -> int:
     model = _load_model(args.model)
     spec = LevelSetSpec(model, args.alpha)
     pts = boundary_points(spec, args.boundary_m)
-    out = make_out_dir(args.out)
-    header = ",".join(f"x{i + 1}" for i in range(model.dim))
-    atomic_write_text(out / "boundary.csv", csv_text(header, pts))
-    _say(f"wrote {out / 'boundary.csv'} ({pts.shape[0]} rows)")
-
+    diagnostics = None
     if args.model2 is not None:
+        # diagnostics before any write: a rejected argument leaves no output
         other = LevelSetSpec(_load_model(args.model2), args.alpha)
         report = hausdorff_report(spec, other, args.boundary_m)
         rng = RngStream(args.seed, mix64(_TAG_SYMDIFF))
@@ -127,9 +124,13 @@ def _cmd_levelset(args) -> int:
             "symdiff_se": se,
             "symdiff_volume": volume,
         }
-        atomic_write_text(
-            out / "diagnostics.json", json.dumps(doc, indent=2, sort_keys=True) + "\n"
-        )
+        diagnostics = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    out = make_out_dir(args.out)
+    header = ",".join(f"x{i + 1}" for i in range(model.dim))
+    atomic_write_text(out / "boundary.csv", csv_text(header, pts))
+    _say(f"wrote {out / 'boundary.csv'} ({pts.shape[0]} rows)")
+    if diagnostics is not None:
+        atomic_write_text(out / "diagnostics.json", diagnostics)
         _say(f"wrote {out / 'diagnostics.json'}")
     return 0
 
@@ -263,10 +264,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except DepthRiskError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (DepthRiskError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -15,7 +15,6 @@ code depends only on that shape.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -23,8 +22,7 @@ from scipy.linalg import solve_triangular
 
 from .errors import DegenerateSample, DimensionMismatch, DomainError, NotPositiveDefinite
 from .io import json_fields, json_floats, raise_problems
-from .linalg import SpdMatrix, build_spd, cholesky_lower, quad_forms
-from .rng import RngStream, mix64
+from .linalg import SpdMatrix, build_spd, cholesky_lower, quad_forms, whiten
 
 if TYPE_CHECKING:  # pragma: no cover
     from .sampling import Sample
@@ -155,54 +153,56 @@ def fit_model(s: "Sample") -> DepthModel:
     return DepthModel(mu[0], build_spd(cov[0], low[0]))
 
 
-# The probe set of probe_points: grid points per axis by dimension, box
-# half-width in marginal SDs, far points and their radius.
-PROBE_AXIS_POINTS = {1: 201, 2: 201, 3: 41}
-PROBE_AXIS_POINTS_BEYOND = 9
-PROBE_BOX_SDS = 6.0
-PROBE_FAR_POINTS = 10_000
-PROBE_FAR_RADIUS = 1_000.0
-_PROBE_SEED = 0x5EEDFA11
+def sup_norm_distance(a: DepthModel, b: DepthModel) -> float:
+    """The sup over x of |mhd(x, a) - mhd(x, b)|, exact to about 1e-10.
 
-
-def probe_points(a: DepthModel, b: DepthModel) -> np.ndarray:
-    """The sup-norm probe set of two models: a tensor grid over the union of
-    their boxes mu +- 6 * sqrt(diag(Sigma)) (201 points per axis for d <= 2,
-    41 for d = 3, 9 beyond), plus 10,000 points at radii up to 1000 from the
-    box center.  Depth gaps peak near the centers and vanish at infinity, so
-    the grid carries the maximum and the far points guard the tail."""
+    In a's whitened eigenframe z = V' L_a^{-1} (x - mu_a), where
+    V diag(m) V' = K'K for K = L_b^{-1} L_a and e = V' L_a^{-1} (mu_b - mu_a),
+    the gap is g = 1 / (1 + |z|^2) - 1 / (1 + sum_i m_i (z_i - e_i)^2).  Its
+    critical points solve trust-region subproblems (J. J. More and D. C.
+    Sorensen, "Computing a trust region step", SIAM J. Sci. Stat. Comput.
+    4(3), 1983): z_i = m_i e_i / (m_i - lambda) with lambda > m_max at the
+    max of g and 0 < lambda < m_min at its min, each branch searched on a
+    grid, or the best point of the hard-case ray z_k at lambda = m_k
+    (e_k = 0, as in concentric pairs), in closed form.  Every value is g at a
+    point, and both frames are searched, so the result is symmetric.
+    """
     if a.dim != b.dim:
         raise DimensionMismatch(f"model dimensions differ: {a.dim} vs {b.dim}")
-    d = a.dim
-    k = PROBE_AXIS_POINTS.get(d, PROBE_AXIS_POINTS_BEYOND)
-    half_a = PROBE_BOX_SDS * np.sqrt(np.diag(a.sigma.entries))
-    half_b = PROBE_BOX_SDS * np.sqrt(np.diag(b.sigma.entries))
-    lows = np.minimum(a.mu - half_a, b.mu - half_b)
-    highs = np.maximum(a.mu + half_a, b.mu + half_b)
-    mesh = np.meshgrid(*(np.linspace(lows[i], highs[i], k) for i in range(d)), indexing="ij")
-    grid = np.stack([m.ravel() for m in mesh], axis=-1)
-    center = 0.5 * (lows + highs)
-    return np.vstack([grid, center + _far_offsets(d)])
-
-
-@lru_cache(maxsize=8)
-def _far_offsets(d: int) -> np.ndarray:
-    """The far probe points less the box center: PROBE_FAR_POINTS read-only
-    rows in random directions at radii uniform up to PROBE_FAR_RADIUS, from
-    the fixed stream of dimension d, so each dimension's set is drawn once."""
-    stream = RngStream(_PROBE_SEED, mix64(d, PROBE_FAR_POINTS))
-    z = stream.normals(PROBE_FAR_POINTS * d).reshape(PROBE_FAR_POINTS, d)
-    norms = np.sqrt(np.einsum("ij,ij->i", z, z))
-    norms[norms == 0.0] = 1.0
-    radii = PROBE_FAR_RADIUS * stream.uniforms(PROBE_FAR_POINTS)
-    offsets = (radii / norms)[:, None] * z
-    offsets.setflags(write=False)
-    return offsets
-
-
-def sup_norm_distance(a: DepthModel, b: DepthModel) -> float:
-    """Max absolute depth gap over :func:`probe_points` of the pair: a lower
-    bound of the true sup-norm distance between the two depth surfaces,
-    which it approaches as the probe grid refines."""
-    pts = probe_points(a, b)
-    return float(np.max(np.abs(mhd(pts, a) - mhd(pts, b))))
+    frames = []
+    for p, q in ((a, b), (b, a)):
+        k = whiten(q.sigma.chol, p.sigma.chol)
+        m, v = np.linalg.eigh(k.T @ k)
+        frames.append((m, v.T @ whiten(p.sigma.chol, (q.mu - p.mu)[:, None])[:, 0]))
+    m, e = (np.stack(x) for x in zip(*frames))
+    best = 0.0
+    for k in (0, -1):  # the hard-case rays; qa and qb leave out z_k
+        mk = m[:, [k]]
+        z = np.divide(m * e, m - mk, out=np.zeros_like(e), where=m != mk)
+        w = z - e
+        w[:, k] = 0.0
+        qa, qb = np.sum(z * z, 1, keepdims=True), np.sum(m * w * w, 1, keepdims=True)
+        root = np.sqrt(mk)
+        sq = np.divide(root * (1.0 + qa) - (1.0 + qb), mk - root,
+                       out=np.zeros_like(mk), where=mk != root)
+        zk = np.sqrt(np.maximum(sq, 0.0))
+        gap = 1.0 / (1.0 + qa + zk * zk) - 1.0 / (1.0 + qb + mk * (zk - e[:, [k]]) ** 2)
+        best = max(best, np.abs(gap).max())
+    # lambda = m_max (1 + r) on branch 0 and m_min / (1 + r) on branch 1,
+    # r = exp(u), so m_i - lambda keeps its relative precision as r -> 0;
+    # u is searched on a grid, then on three grids of 65 about the best u,
+    # each 32 times finer
+    ref, sign = m[:, [-1, 0], None, None], np.array([[1.0], [-1.0]])
+    m, e = m[:, None, None], e[:, None, None]
+    grid, h = np.broadcast_to(np.linspace(-40.0, 40.0, 769), (2, 2, 769)), 80.0 / 768
+    for _ in range(4):
+        r = np.exp(grid)
+        step = np.stack([-r[:, 0], r[:, 1] / (1.0 + r[:, 1])], axis=1)[..., None]
+        z = m * e / ((m - ref) + ref * step)
+        w = z - e
+        gap = sign * (1.0 / (1.0 + np.einsum("...i,...i->...", z, z))
+                      - 1.0 / (1.0 + np.einsum("...i,...i,...i->...", w, m, w)))
+        best = max(best, gap.max())
+        center = np.take_along_axis(grid, gap.argmax(axis=-1)[..., None], axis=-1)
+        grid, h = center + h * np.linspace(-1.0, 1.0, 65), h / 32.0
+    return float(best)

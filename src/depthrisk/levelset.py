@@ -19,7 +19,7 @@ in exactly one of U_a, U_b, and the U sets fit in a finite box.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Callable
 
 import numpy as np
@@ -87,28 +87,32 @@ def depth_in_lower_set(depth, alpha: float):
     return depth <= alpha + BOUNDARY_TOL
 
 
+@lru_cache(maxsize=8)
 def _sphere_directions(d: int, m: int) -> np.ndarray:
-    """m roughly-equally-spread unit directions in dimension d.
+    """m roughly-equally-spread unit directions in dimension d, read-only.
 
     Equal angles in the plane, a Fibonacci lattice on the 2-sphere, and
     normalized Gaussian directions (fixed internal stream) beyond.
     """
     if d == 1:
-        return np.where(np.arange(m) % 2 == 0, 1.0, -1.0).reshape(m, 1)
-    if d == 2:
+        u = np.where(np.arange(m) % 2 == 0, 1.0, -1.0).reshape(m, 1)
+    elif d == 2:
         ang = 2.0 * np.pi * np.arange(m) / m
-        return np.column_stack([np.cos(ang), np.sin(ang)])
-    if d == 3:
+        u = np.column_stack([np.cos(ang), np.sin(ang)])
+    elif d == 3:
         i = np.arange(m) + 0.5
         polar = np.arccos(1.0 - 2.0 * i / m)
         azim = np.pi * (1.0 + np.sqrt(5.0)) * i
         sp = np.sin(polar)
-        return np.column_stack([sp * np.cos(azim), sp * np.sin(azim), np.cos(polar)])
-    stream = RngStream(_DIRECTION_SEED, mix64(d, m))
-    z = stream.normals(m * d).reshape(m, d)
-    norms = np.sqrt(np.einsum("ij,ij->i", z, z))
-    norms[norms == 0.0] = 1.0
-    return z / norms[:, None]
+        u = np.column_stack([sp * np.cos(azim), sp * np.sin(azim), np.cos(polar)])
+    else:
+        stream = RngStream(_DIRECTION_SEED, mix64(d, m))
+        z = stream.normals(m * d).reshape(m, d)
+        norms = np.sqrt(np.einsum("ij,ij->i", z, z))
+        norms[norms == 0.0] = 1.0
+        u = z / norms[:, None]
+    u.setflags(write=False)
+    return u
 
 
 def boundary_points(spec: LevelSetSpec, m: int) -> np.ndarray:

@@ -217,6 +217,16 @@ class TestLevelsetCommand:
         # 1024 points on a unit circle lie 2 sin(pi / 1024) apart
         assert doc["resolution"] == pytest.approx(2.0 * math.sin(math.pi / 1024), rel=1e-9)
 
+    @pytest.mark.parametrize("flag, value", [("-m", "10"), ("--symdiff-n-mc", "10")])
+    def test_bad_diagnostic_leaves_no_output(self, tmp_path, unit_model_path, flag, value):
+        # m = 10 is enough for boundary.csv but not for a Hausdorff estimate
+        out = tmp_path / "out"
+        code = main(["levelset", "--model", str(unit_model_path), "--alpha", "0.5",
+                     "--model2", str(unit_model_path), flag, value, "-o", str(out)])
+        assert code == 1
+        assert not (out / "boundary.csv").exists()
+        assert not (out / "diagnostics.json").exists()
+
     def test_bad_alpha(self, tmp_path, unit_model_path, capsys):
         code = main(["levelset", "--model", str(unit_model_path), "--alpha", "1.5",
                      "-o", str(tmp_path)])

@@ -7,6 +7,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from depthrisk import (
     ConfigError,
@@ -51,6 +53,7 @@ from depthrisk.experiments import (
     rates_csv_text,
     summary_csv_text,
 )
+from depthrisk.sampling import law_from_json
 
 EYE2 = ((1.0, 0.0), (0.0, 1.0))
 
@@ -285,7 +288,61 @@ class TestStringFields:
             gaussian_cfg(delta_values=("x",))
 
 
+finite = st.floats(-1e6, 1e6)
+
+
+@st.composite
+def laws(draw):
+    """A Gaussian law in d = 1 to 3 (an SPD sigma from a drawn seed) or a
+    Frank-Gumbel law."""
+    if draw(st.booleans()):
+        d = draw(st.integers(1, 3))
+        r = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).normal(size=(d, d))
+        spd = r @ r.T + 0.1 * np.eye(d)
+        return GaussianConfig(
+            mu=tuple(draw(st.lists(finite, min_size=d, max_size=d))),
+            sigma=tuple(map(tuple, (0.5 * (spd + spd.T)).tolist())),
+            noise_var=draw(st.floats(0.0, 10.0)),
+        )
+    margs = [GumbelMarginal(draw(finite), draw(st.floats(1e-3, 1e3))) for _ in range(2)]
+    return FrankGumbelConfig(
+        theta=draw(st.floats(-50.0, 50.0).filter(lambda t: t != 0.0)),
+        marg1=margs[0],
+        marg2=margs[1],
+        noise_var=draw(st.floats(0.0, 10.0)),
+    )
+
+
+@st.composite
+def experiment_configs(draw):
+    return ExperimentConfig(
+        data_cfg=draw(laws()),
+        n_values=tuple(draw(st.lists(st.integers(2, 10**6), min_size=1, max_size=4))),
+        alpha_values=tuple(
+            draw(st.lists(st.floats(1e-6, 1.0 - 1e-6), min_size=1, max_size=4))
+        ),
+        replications=draw(st.integers(2, 10**4)),
+        delta_values=tuple(draw(st.lists(finite, max_size=3))),
+        truth_n_mc=draw(st.integers(100_000, 10**8)),
+        master_seed=draw(st.integers(0, 2**64 - 1)),
+    )
+
+
+def through_text(obj):
+    return json.loads(json.dumps(obj))
+
+
 class TestConfigJson:
+    @given(cfg=experiment_configs())
+    @settings(max_examples=30, deadline=None)
+    def test_config_round_trip_property(self, cfg):
+        assert config_from_json(through_text(config_to_json(cfg))) == cfg
+
+    @given(law=laws())
+    @settings(max_examples=30, deadline=None)
+    def test_law_round_trip_property(self, law):
+        assert law_from_json(through_text(law.to_json())) == law
+
     def test_gaussian_round_trip(self):
         cfg = gaussian_cfg(delta_values=(0.0, 0.05), master_seed=3)
         assert config_from_json(config_to_json(cfg)) == cfg

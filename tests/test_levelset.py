@@ -166,6 +166,13 @@ class TestBoundaryPoints:
         pts = boundary_points(LevelSetSpec(std_model(1), 0.5), 8)
         assert np.allclose(np.abs(pts), 1.0, rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize("d, m", [(1, 8), (2, 4096), (3, 500), (4, 64)])
+    def test_directions_built_once_and_read_only(self, d, m):
+        first = levelset_module._sphere_directions(d, m)
+        assert levelset_module._sphere_directions(d, m) is first
+        assert not first.flags.writeable
+        assert first.shape == (m, d)
+
 
 class TestHausdorff:
     def test_identical_specs(self):
