@@ -33,7 +33,7 @@ from .io import is_count
 from .levelset import check_level, depth_in_lower_set
 from .linalg import build_spd, whiten
 from .rng import RngStream
-from .sampling import Sample, sample_gaussian, squared_norms
+from .sampling import GaussianConfig, Law, Sample, squared_norms
 
 # Rows per numpy pass: population batches and blocks of replicates.  Small
 # enough that the temporaries of a pass stay a few MB each.
@@ -136,21 +136,10 @@ def ccte_hat(level_sample: Sample, cost_sample: Sample, alpha: float) -> CcteEst
     return ccte_under_model(fit_model(level_sample), cost_sample, alpha, level_sample.n)
 
 
-@dataclass(frozen=True)
-class Population:
-    """A synthetic population: exact depth model plus a point sampler.
-
-    ``draw(n, rng)`` returns an (n, d) array of iid draws from the law the
-    model describes (or deterministically approximates).
-    """
-
-    model: DepthModel
-    draw: Callable[[int, RngStream], np.ndarray]
-
-
-def gaussian_population(model: DepthModel) -> Population:
-    """Population wrapper for N(mu, Sigma) with its exact depth model."""
-    return Population(model, lambda n, rng: sample_gaussian(n, model, rng).points)
+def gaussian_population(model: DepthModel) -> GaussianConfig:
+    """The law N(mu, Sigma) of ``model``: same mu and Cholesky factor bits."""
+    mu, sigma = model.mu.tolist(), model.sigma.entries.tolist()
+    return GaussianConfig(tuple(mu), tuple(map(tuple, sigma)))
 
 
 def _batches(draw: Callable[[int, RngStream], np.ndarray], n_mc: int, rng: RngStream):
@@ -165,8 +154,8 @@ def estimate_population_model(
 ) -> DepthModel:
     """Approximate a population's (mu, Sigma) by a large Monte Carlo fit.
 
-    Used for populations without closed-form moments.  Accumulates sums in
-    fixed-size batches (deterministic order) and normalizes the covariance
+    No library path calls it: every law has an exact model.  Accumulates sums
+    in fixed-size batches (deterministic order) and normalizes the covariance
     by 1/(n-1), matching :func:`~depthrisk.depth.fit_model`.
     """
     if not is_count(n_mc, 2):
@@ -180,12 +169,12 @@ def estimate_population_model(
     return DepthModel(mean, build_spd(cov))
 
 
-def ccte_true_oracle(population: Population, alpha, n_mc: int, rng: RngStream):
+def ccte_true_oracle(law: Law, alpha, n_mc: int, rng: RngStream):
     """Monte Carlo ground truth for the tail expectation, with standard error.
 
-    Draws ``n_mc`` points from the population, applies the noise-free cost
-    map R(x) = |x|^2, and forms the ratio estimator over exact membership in
-    L(alpha) under the population depth model.  The standard error is the
+    Draws ``n_mc`` points by ``law.draw``, applies the noise-free cost map
+    R(x) = |x|^2, and forms the ratio estimator over exact membership in
+    L(alpha) under ``law.exact_model``.  The standard error is the
     delta-method expansion of the ratio.
 
     ``alpha`` is one level or a sequence of levels.  All levels share one
@@ -208,8 +197,8 @@ def ccte_true_oracle(population: Population, alpha, n_mc: int, rng: RngStream):
     count_in = [0.0] * len(levels)
     sum_cost = [0.0] * len(levels)
     sum_cost_sq = [0.0] * len(levels)
-    for pts in _batches(population.draw, n_mc, rng):
-        depth = mhd(pts, population.model)
+    for pts in _batches(law.draw, n_mc, rng):
+        depth = mhd(pts, law.exact_model)
         cost = squared_norms(pts)
         for k, a in enumerate(levels):
             member = depth_in_lower_set(depth, a)

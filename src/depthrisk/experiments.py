@@ -23,13 +23,7 @@ from typing import Callable
 import numpy as np
 
 from ._version import __version__
-from .ccte import (
-    BATCH_ROWS,
-    Population,
-    _ratio_under_models,
-    ccte_true_oracle,
-    estimate_population_model,
-)
+from .ccte import BATCH_ROWS, _ratio_under_models, ccte_true_oracle
 from .depth import DepthModel, fit_columns, fit_model, sup_norm_distance
 from .errors import DomainError, NonPositiveStatistic
 from .io import (
@@ -58,7 +52,6 @@ from .sampling import Law, _noisy_costs, law_from_json, sample_gaussian
 
 # Substream tags.  Each purpose gets a distinct tag so no two draws in a
 # study can collide even when (n, replicate) pairs repeat.
-_TAG_MOMENTS = 1
 _TAG_TRUTH = 2
 _TAG_REPLICATE = 3
 _TAG_CONV_SAMPLE = 101
@@ -73,10 +66,9 @@ CONVERGENCE_STATS = ("supnorm", "hausdorff", "symdiff")
 class ExperimentConfig:
     """Full description of a replication study.
 
-    ``data_cfg`` is the population law: the study reads only its ``draw``,
-    ``noise_var`` and ``exact_model``.
-    ``delta_values`` may be empty (the rate table is then header-only); the
-    sample sizes and levels may not be.
+    ``data_cfg`` is the population law; the study reads its ``draw``, ``noise_var``
+    and ``exact_model`` (a DepthModel).  ``delta_values`` may be empty (the rate
+    table is then header-only); the sample sizes and levels may not be, or repeat.
     """
 
     data_cfg: Law
@@ -88,10 +80,12 @@ class ExperimentConfig:
     master_seed: int = 0
 
     _checks = (
-        ("n_values", lambda v: len(v) > 0 and all(is_count(n, 2) for n in v),
-         "must be a nonempty list of integers >= 2"),
-        ("alpha_values", lambda v: len(v) > 0 and all(check_level(a) for a in v),
-         "must be a nonempty list of levels in (0, 1)"),
+        ("data_cfg", lambda v: isinstance(getattr(v, "exact_model", None), DepthModel),
+         "must be a law with an exact_model DepthModel"),
+        ("n_values", lambda v: all(is_count(n, 2) for n in v) and 0 < len(v) == len(set(v)),
+         "must be a nonempty list of distinct integers >= 2"),
+        ("alpha_values", lambda v: all(check_level(a) for a in v) and 0 < len(v) == len(set(v)),
+         "must be a nonempty list of distinct levels in (0, 1)"),
         ("delta_values", lambda v: all(map(is_real, v)), "wrong type"),
         ("delta_values", lambda v: np.all(np.isfinite(v)), "must be finite"),
         ("replications", lambda v: is_count(v, 2), "must be an integer >= 2"),
@@ -229,25 +223,19 @@ def run_replications(
     Replicate j at sample size n owns the substream hashed from (tag, n, j);
     it is drawn and fitted once and scored at every level, so the cells at
     one n share their replicates across levels.  The truths of all levels
-    come from one pass on one truth stream.  The population pass and one
-    task per sample size run on one pool of ``pool_size(threads, tasks)``
-    threads, gathered by task index, so results do not depend on execution
-    order or thread count.
+    come from one pass of ``truth_n_mc`` draws on one truth stream, under the
+    law's exact model.  The truth pass and one task per sample size run on one
+    pool of ``pool_size(threads, tasks)`` threads, gathered by task index, so
+    results do not depend on execution order or thread count.
     """
     t0 = time.monotonic()
     say = progress if progress is not None else (lambda _msg: None)
     law = cfg.data_cfg
 
-    def population_pass() -> list[tuple[float, float]]:
-        pop_model = law.exact_model
-        if pop_model is None:
-            say("estimating population moments")
-            moment_rng = RngStream(cfg.master_seed, mix64(_TAG_MOMENTS))
-            pop_model = estimate_population_model(law.draw, cfg.truth_n_mc, moment_rng)
+    def truth_pass() -> list[tuple[float, float]]:
         say("truth for alpha in " + ", ".join(repr(a) for a in cfg.alpha_values))
         truth_rng = RngStream(cfg.master_seed, mix64(_TAG_TRUTH))
-        population = Population(model=pop_model, draw=law.draw)
-        return ccte_true_oracle(population, cfg.alpha_values, cfg.truth_n_mc, truth_rng)
+        return ccte_true_oracle(law, cfg.alpha_values, cfg.truth_n_mc, truth_rng)
 
     r = cfg.replications
 
@@ -256,7 +244,7 @@ def run_replications(
         streams = [RngStream(cfg.master_seed, mix64(_TAG_REPLICATE, n, j)) for j in range(r)]
         return cell_estimates(law, n, cfg.alpha_values, streams)
 
-    tasks = [population_pass] + [partial(cells_at, n) for n in cfg.n_values]
+    tasks = [truth_pass] + [partial(cells_at, n) for n in cfg.n_values]
     truths, *per_n = _run_tasks(tasks, threads)
 
     cells = []
@@ -363,6 +351,7 @@ def emit_tables(
     manifest = {
         "config": config_to_json(report.config),
         "master_seed": report.config.master_seed,
+        "population_model": report.config.data_cfg.exact_model.to_json(),
         "version": __version__,
         "wall_clock_seconds": report.wall_clock_seconds,
     }
@@ -396,8 +385,8 @@ class ConvergenceConfig:
     master_seed: int = 0
 
     _checks = (
-        ("n_values", lambda v: len(v) > 0 and all(is_count(n, 2) for n in v),
-         "must be a nonempty list of integers >= 2"),
+        ("n_values", lambda v: all(is_count(n, 2) for n in v) and 0 < len(v) == len(set(v)),
+         "must be a nonempty list of distinct integers >= 2"),
         ("seeds", lambda v: is_count(v, 1), "must be an integer >= 1"),
         ("alpha", check_level, "must lie in (0, 1)"),
         ("boundary_m", lambda v: is_count(v, 64), "must be an integer >= 64"),

@@ -1,14 +1,17 @@
-"""Tail-expectation estimator, its oracles, and population moment fitting."""
+"""Tail-expectation estimator, its oracles, population models and moment fitting."""
 
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy import stats
+from scipy.integrate import dblquad
 
 from depthrisk import (
     CcteEstimate,
+    ConfigError,
     DegenerateSample,
     DepthModel,
     DimensionMismatch,
@@ -35,6 +38,7 @@ from depthrisk import (
 from depthrisk.ccte import _ratio_under_models
 from depthrisk.depth import fit_columns
 from depthrisk.experiments import cell_estimates
+from depthrisk.sampling import INDEPENDENCE_THETA
 
 FRANK_CFG = FrankGumbelConfig(
     theta=5.0,
@@ -345,10 +349,7 @@ class TestTrueOracle:
         if population == "gaussian":
             pop = gaussian_population(DepthModel([0.5, -1.0], build_spd([[2.0, 0.6], [0.6, 1.0]])))
         else:
-            from depthrisk import Population
-
-            draw = lambda n, rng: sample_risk_factors(n, FRANK_CFG, rng).points
-            pop = Population(estimate_population_model(draw, 100_000, RngStream(49, 0)), draw)
+            pop = FRANK_CFG
         levels = (0.1, 0.5, 0.9)
         shared = ccte_true_oracle(pop, levels, 300_000, RngStream(49, 1))
         assert len(shared) == len(levels)
@@ -364,23 +365,103 @@ class TestTrueOracle:
             ccte_true_oracle(pop, (0.5, 1e-4), 100_000, RngStream(43, 0))
 
     def test_gaussian_population_wrapper(self):
-        model = std_model()
-        pop = gaussian_population(model)
-        assert pop.model is model
-        pts = pop.draw(50, RngStream(40, 0))
-        assert pts.shape == (50, 2)
+        # the law of the model: its exact model has the model's mu and
+        # Cholesky factor bits, and it draws the model's points
+        model = DepthModel([0.5, -1.0], build_spd([[2.0, 0.6], [0.6, 1.0]]))
+        law = gaussian_population(model)
+        assert isinstance(law, GaussianConfig)
+        assert np.array_equal(law.exact_model.mu, model.mu)
+        assert np.array_equal(law.exact_model.sigma.chol, model.sigma.chol)
+        pts = law.draw(50, RngStream(40, 0))
+        assert np.array_equal(pts, sample_gaussian(50, model, RngStream(40, 0)).points)
 
     def test_frank_self_consistency(self):
-        # population moments fixed once, then two independent oracle runs
-        # must agree within combined Monte Carlo error
-        from depthrisk import Population
-
-        draw = lambda n, rng: sample_risk_factors(n, FRANK_CFG, rng).points
-        model = estimate_population_model(draw, 1_000_000, RngStream(45, 1))
-        pop = Population(model, draw)
-        v1, se1 = ccte_true_oracle(pop, 0.5, 10_000_000, RngStream(45, 2))
-        v2, se2 = ccte_true_oracle(pop, 0.5, 10_000_000, RngStream(45, 3))
+        # two independent oracle runs under the law's exact model must agree
+        # within combined Monte Carlo error
+        v1, se1 = ccte_true_oracle(FRANK_CFG, 0.5, 10_000_000, RngStream(45, 2))
+        v2, se2 = ccte_true_oracle(FRANK_CFG, 0.5, 10_000_000, RngStream(45, 3))
         assert abs(v1 - v2) < 3.0 * math.hypot(se1, se2)
+
+    @given(d=st.sampled_from([1, 2, 3, 5]), seed=st.integers(0, 2**32 - 1),
+           alpha=st.floats(0.005, 0.995))
+    @settings(derandomize=True, deadline=None, max_examples=40)
+    def test_gaussian_closed_form(self, d, seed, alpha):
+        # X = mu + L z lies in the region where |z|^2 > r^2 = 1/alpha - 1, so
+        # E[|X|^2 | region] = |mu|^2 + tr(Sigma) P(chi2_{d+2} > r^2) / P(chi2_d > r^2)
+        n_mc = 200_000
+        r2 = 1.0 / alpha - 1.0
+        p_in = stats.chi2.sf(r2, d)
+        # with fewer expected hits the delta-method standard error breaks down
+        assume(n_mc * p_in >= 1000)
+        r = np.random.default_rng(seed)
+        mu = 2.0 * r.normal(size=d)
+        a = r.normal(size=(d, d))
+        sigma = a @ a.T + 0.1 * np.eye(d)
+        sigma = 0.5 * (sigma + sigma.T)
+        truth = mu @ mu + np.trace(sigma) * stats.chi2.sf(r2, d + 2) / p_in
+        law = gaussian_population(DepthModel(mu, build_spd(sigma)))
+        value, se = ccte_true_oracle(law, alpha, n_mc, RngStream(seed, 50))
+        assert abs(value - truth) <= 4.0 * se
+
+
+def frank_cov_hoeffding(theta):
+    """Cov of the Frank-coupled standard Gumbels by Hoeffding's identity,
+    the integral of C(F(s), F(t)) - F(s) F(t) over the plane."""
+
+    def integrand(t, s):
+        u, v = math.exp(-math.exp(-s)), math.exp(-math.exp(-t))
+        c = -math.log1p(math.expm1(-theta * u) * math.expm1(-theta * v) / math.expm1(-theta))
+        return c / theta - u * v
+
+    return dblquad(integrand, -5.0, 40.0, -5.0, 40.0, epsabs=1e-13, epsrel=1e-11)[0]
+
+
+def frank_law(theta):
+    return FrankGumbelConfig(theta, FRANK_CFG.marg1, FRANK_CFG.marg2)
+
+
+def correlation(model):
+    s = model.sigma.entries
+    return s[0, 1] / math.sqrt(s[0, 0] * s[1, 1])
+
+
+class TestFrankExactModel:
+    def test_matches_quadrature_constants(self):
+        model = FRANK_CFG.exact_model
+        assert tuple(model.mu) == FRANK_MEANS
+        assert model.sigma.entries[0, 0] == model.sigma.entries[1, 1] == FRANK_VAR
+        assert model.sigma.entries[0, 1] == pytest.approx(FRANK_COV, rel=1e-11, abs=0.0)
+
+    @pytest.mark.parametrize("theta", [-5.0, 0.5, 5.0])
+    def test_matches_hoeffding(self, theta):
+        beta = FRANK_CFG.marg1.beta * FRANK_CFG.marg2.beta
+        cov = frank_law(theta).exact_model.sigma.entries[0, 1]
+        assert cov == pytest.approx(beta * frank_cov_hoeffding(theta), rel=1e-10, abs=0.0)
+
+    @pytest.mark.parametrize(
+        "theta", [1e-9, -1e-9, 1e-7, 30.0, -30.0, 300.0, -300.0, 1e3, -1e3, 1e6, -1e6])
+    def test_finite_spd_at_extremes(self, theta):
+        model = frank_law(theta).exact_model
+        assert np.all(np.isfinite(model.mu))
+        assert np.all(np.isfinite(model.sigma.entries))
+        assert np.all(np.linalg.eigvalsh(model.sigma.entries) > 0.0)
+        assert abs(correlation(model)) < 1.0
+        if abs(theta) < INDEPENDENCE_THETA:
+            assert model.sigma.entries[0, 1] == 0.0
+        else:
+            assert np.sign(model.sigma.entries[0, 1]) == np.sign(theta)
+
+    def test_correlation_increases_with_theta(self):
+        magnitudes = 10.0 ** np.arange(-8.0, 6.01, 0.5)
+        thetas = np.concatenate([-magnitudes[::-1], magnitudes])
+        rhos = [correlation(frank_law(float(t)).exact_model) for t in thetas]
+        assert np.all(np.diff(rhos) >= 0.0)
+        assert rhos[0] < -0.88 and rhos[-1] > 0.999
+
+    def test_extreme_scale_is_a_config_error(self):
+        for beta in (1e-151, 1e155):
+            with pytest.raises(ConfigError, match="marginals: "):
+                FrankGumbelConfig(5.0, GumbelMarginal(0.0, beta), FRANK_CFG.marg2)
 
 
 class TestPopulationModel:

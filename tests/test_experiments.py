@@ -226,6 +226,29 @@ class TestExperimentConfig:
         with pytest.raises(ConfigError, match=f"{field}: must be"):
             gaussian_cfg(**{field: value})
 
+    @pytest.mark.parametrize("field, value", [
+        ("n_values", (16, 16)),
+        ("n_values", (8, 16, 8)),
+        ("alpha_values", (0.5, 0.5)),
+        ("alpha_values", (0.1, 0.5, 0.1)),
+    ])
+    def test_repeats_rejected(self, field, value):
+        # a repeated size or level would make cells that report.cell cannot tell apart
+        with pytest.raises(ConfigError, match=f"^{field}: must be a nonempty list of distinct"):
+            gaussian_cfg(**{field: value})
+        obj = dict(config_to_json(gaussian_cfg()), **{field: list(value)})
+        with pytest.raises(ConfigError, match=f"^{field}: must be a nonempty list of distinct"):
+            config_from_json(obj)
+
+    def test_convergence_repeats_rejected(self):
+        # equal rows and an undefined slope otherwise
+        with pytest.raises(ConfigError, match="^n_values: must be a nonempty list of distinct"):
+            convergence_cfg(n_values=(200, 200, 200))
+        obj = {"model": {"mu": [0.0, 0.0], "sigma": [list(r) for r in EYE2]},
+               "n_values": [200, 200, 200], "seeds": 1}
+        with pytest.raises(ConfigError, match="^n_values: must be a nonempty list of distinct"):
+            convergence_config_from_json(obj)
+
 
 # every numeric field of the four config classes, given a string, and every
 # float field given a bool: (config maker, field, value, field name in the
@@ -317,9 +340,11 @@ def laws(draw):
 def experiment_configs(draw):
     return ExperimentConfig(
         data_cfg=draw(laws()),
-        n_values=tuple(draw(st.lists(st.integers(2, 10**6), min_size=1, max_size=4))),
+        n_values=tuple(
+            draw(st.lists(st.integers(2, 10**6), min_size=1, max_size=4, unique=True))
+        ),
         alpha_values=tuple(
-            draw(st.lists(st.floats(1e-6, 1.0 - 1e-6), min_size=1, max_size=4))
+            draw(st.lists(st.floats(1e-6, 1.0 - 1e-6), min_size=1, max_size=4, unique=True))
         ),
         replications=draw(st.integers(2, 10**4)),
         delta_values=tuple(draw(st.lists(finite, max_size=3))),
@@ -624,7 +649,7 @@ class ShiftedGaussian:
     """N((1, -1), I) known to the study only through the law interface."""
 
     noise_var = 0.005
-    exact_model = None
+    exact_model = DepthModel((1.0, -1.0), build_spd(EYE2))
 
     def draw(self, n, rng):
         return np.array([1.0, -1.0]) + rng.normals(2 * n).reshape(n, 2)
@@ -642,13 +667,24 @@ class TestLawInterface:
         assert len(paths["summary"].read_text().splitlines()) == 1 + 4
         manifest = json.loads(paths["manifest"].read_text())
         assert manifest["config"]["data"] == {"kind": "shifted_gaussian"}
-        # the same draws as the closed-form law: equal replicates, and a truth
-        # from estimated moments close to the exact-model truth
+        assert manifest["population_model"] == ShiftedGaussian.exact_model.to_json()
+        # the same draws and the same model as the closed-form law: equal
+        # replicates and equal truths
         closed = run_replications(ExperimentConfig(
             data_cfg=GaussianConfig(mu=(1.0, -1.0), sigma=EYE2), **study))
         for cell, exact in zip(report.cells, closed.cells):
             assert np.array_equal(cell.estimates, exact.estimates)
-            assert cell.truth == pytest.approx(exact.truth, abs=4.0 * exact.truth_se)
+            assert (cell.truth, cell.truth_se) == (exact.truth, exact.truth_se)
+
+    def test_law_without_exact_model_refused(self):
+        # refused when the config is built, not later in a pool thread
+        for model in (None, "model", ((1.0, -1.0), EYE2)):
+            law = ShiftedGaussian()
+            law.exact_model = model
+            with pytest.raises(ConfigError, match="^data_cfg: "):
+                gaussian_cfg(data_cfg=law)
+        with pytest.raises(ConfigError, match="^data_cfg: "):
+            gaussian_cfg(data_cfg=object())
 
 
 class TestPool:
@@ -745,7 +781,7 @@ class TestRunReplications:
     def test_progress_callback(self):
         messages = []
         run_replications(frank_cfg(), progress=messages.append)
-        assert any("moments" in m for m in messages)
+        assert not any("moments" in m for m in messages)
         assert any("truth" in m for m in messages)
         assert any("cell" in m for m in messages)
 
@@ -885,6 +921,7 @@ class TestEmitTables:
         manifest = json.loads(paths["manifest"].read_text())
         assert manifest["config"] == config_to_json(cfg)
         assert manifest["master_seed"] == 99
+        assert manifest["population_model"] == cfg.data_cfg.exact_model.to_json()
         assert manifest["wall_clock_seconds"] >= 0.0
         from depthrisk import __version__
 
