@@ -15,9 +15,10 @@ stages on one pair of samples, :func:`ccte_under_model` the second stage
 alone; the replication study runs the same core and kernel on blocks of
 replicates and sequences of levels.
 
-Ground truth for synthetic populations comes from a large Monte Carlo ratio
-estimate under the exact population model, with a delta-method standard
-error.
+The studies score estimates against each law's exact truth
+(``exact_truth``, computed without draws).  :func:`ccte_true_oracle` is the
+independent Monte Carlo check of those truths: a large ratio estimate under
+the exact population model, with a delta-method standard error.
 """
 
 from __future__ import annotations

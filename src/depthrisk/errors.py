@@ -39,7 +39,8 @@ class DegenerateSample(DepthRiskError):
 
 
 class NoMass(DepthRiskError):
-    """No Monte Carlo draw landed in the target region."""
+    """The target region holds too little mass: no Monte Carlo draw landed
+    in it, or its exact probability is below what can be computed."""
 
 
 class NonPositiveStatistic(DepthRiskError):

@@ -2,11 +2,11 @@
 
 A replication study draws repeated two-part samples from a fixed population,
 estimates the depth-conditioned expectation on each replicate, and
-aggregates per-cell error statistics against a high-precision Monte Carlo
-truth.  A convergence study fits depth models to Gaussian samples of growing
-size and measures three fitted-vs-truth distances.  All randomness descends
-from one master seed through tagged substreams, so reruns (and threaded
-runs) reproduce output files byte for byte.
+aggregates per-cell error statistics against the law's exact truth, which
+takes no draws.  A convergence study fits depth models to Gaussian samples
+of growing size and measures three fitted-vs-truth distances.  All
+randomness descends from one master seed through tagged substreams, so
+reruns (and threaded runs) reproduce output files byte for byte.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from typing import Callable
 import numpy as np
 
 from ._version import __version__
-from .ccte import BATCH_ROWS, _ratio_under_models, ccte_true_oracle
+from .ccte import BATCH_ROWS, _ratio_under_models
 from .depth import DepthModel, fit_columns, fit_model, sup_norm_distance
 from .errors import DomainError, NonPositiveStatistic
 from .io import (
@@ -52,7 +52,6 @@ from .sampling import Law, _noisy_costs, law_from_json, sample_gaussian
 
 # Substream tags.  Each purpose gets a distinct tag so no two draws in a
 # study can collide even when (n, replicate) pairs repeat.
-_TAG_TRUTH = 2
 _TAG_REPLICATE = 3
 _TAG_CONV_SAMPLE = 101
 _TAG_CONV_MC = 102
@@ -66,9 +65,13 @@ CONVERGENCE_STATS = ("supnorm", "hausdorff", "symdiff")
 class ExperimentConfig:
     """Full description of a replication study.
 
-    ``data_cfg`` is the population law; the study reads its ``draw``, ``noise_var``
-    and ``exact_model`` (a DepthModel).  ``delta_values`` may be empty (the rate
-    table is then header-only); the sample sizes and levels may not be, or repeat.
+    ``data_cfg`` is the population law; the study reads its ``draw``,
+    ``noise_var``, ``exact_model`` (a DepthModel) and ``exact_truth``.
+    ``delta_values`` may be empty (the rate table is then header-only); the
+    sample sizes and levels may not be.  None of the three may repeat.
+
+    ``truth_n_mc`` is accepted, checked and echoed, but no study reads it:
+    the truths are exact (``data_cfg.exact_truth``), with no Monte Carlo pass.
     """
 
     data_cfg: Law
@@ -80,14 +83,16 @@ class ExperimentConfig:
     master_seed: int = 0
 
     _checks = (
-        ("data_cfg", lambda v: isinstance(getattr(v, "exact_model", None), DepthModel),
-         "must be a law with an exact_model DepthModel"),
+        ("data_cfg", lambda v: isinstance(getattr(v, "exact_model", None), DepthModel)
+         and callable(getattr(v, "exact_truth", None)),
+         "must be a law with an exact_model DepthModel and an exact_truth method"),
         ("n_values", lambda v: all(is_count(n, 2) for n in v) and 0 < len(v) == len(set(v)),
          "must be a nonempty list of distinct integers >= 2"),
         ("alpha_values", lambda v: all(check_level(a) for a in v) and 0 < len(v) == len(set(v)),
          "must be a nonempty list of distinct levels in (0, 1)"),
         ("delta_values", lambda v: all(map(is_real, v)), "wrong type"),
         ("delta_values", lambda v: np.all(np.isfinite(v)), "must be finite"),
+        ("delta_values", lambda v: len(v) == len(set(v)), "must be a list of distinct numbers"),
         ("replications", lambda v: is_count(v, 2), "must be an integer >= 2"),
         ("truth_n_mc", lambda v: is_count(v, 100_000), "must be an integer >= 100000"),
         ("master_seed", lambda v: is_count(v, 0), "must be a nonnegative integer"),
@@ -223,20 +228,16 @@ def run_replications(
     Replicate j at sample size n owns the substream hashed from (tag, n, j);
     it is drawn and fitted once and scored at every level, so the cells at
     one n share their replicates across levels.  The truths of all levels
-    come from one pass of ``truth_n_mc`` draws on one truth stream, under the
-    law's exact model.  The truth pass and one task per sample size run on one
-    pool of ``pool_size(threads, tasks)`` threads, gathered by task index, so
-    results do not depend on execution order or thread count.
+    come from the law's ``exact_truth``, with no draws, so ``truth_se`` is
+    0.0.  One task per sample size runs on one pool of ``pool_size(threads,
+    tasks)`` threads, gathered by task index, so results do not depend on
+    execution order or thread count.
     """
     t0 = time.monotonic()
     say = progress if progress is not None else (lambda _msg: None)
     law = cfg.data_cfg
-
-    def truth_pass() -> list[tuple[float, float]]:
-        say("truth for alpha in " + ", ".join(repr(a) for a in cfg.alpha_values))
-        truth_rng = RngStream(cfg.master_seed, mix64(_TAG_TRUTH))
-        return ccte_true_oracle(law, cfg.alpha_values, cfg.truth_n_mc, truth_rng)
-
+    say("exact truths for alpha in " + ", ".join(repr(a) for a in cfg.alpha_values))
+    truths = law.exact_truth(cfg.alpha_values)
     r = cfg.replications
 
     def cells_at(n: int):
@@ -244,14 +245,11 @@ def run_replications(
         streams = [RngStream(cfg.master_seed, mix64(_TAG_REPLICATE, n, j)) for j in range(r)]
         return cell_estimates(law, n, cfg.alpha_values, streams)
 
-    tasks = [truth_pass] + [partial(cells_at, n) for n in cfg.n_values]
-    truths, *per_n = _run_tasks(tasks, threads)
+    per_n = _run_tasks([partial(cells_at, n) for n in cfg.n_values], threads)
 
     cells = []
     for n, (values, hit_rows) in zip(cfg.n_values, per_n):
-        for alpha, (truth, truth_se), estimates, hits in zip(
-            cfg.alpha_values, truths, values, hit_rows
-        ):
+        for alpha, truth, estimates, hits in zip(cfg.alpha_values, truths, values, hit_rows):
             mean = float(np.mean(estimates))
             sigma_hat = float(np.sqrt(np.sum((estimates - mean) ** 2) / (r - 1)))
             rmae = float(np.mean(np.abs(estimates - truth)) / abs(truth))
@@ -260,7 +258,7 @@ def run_replications(
                     n=n,
                     alpha=alpha,
                     truth=truth,
-                    truth_se=truth_se,
+                    truth_se=0.0,
                     estimates=estimates,
                     mean=mean,
                     sigma_hat=sigma_hat,
@@ -352,6 +350,7 @@ def emit_tables(
         "config": config_to_json(report.config),
         "master_seed": report.config.master_seed,
         "population_model": report.config.data_cfg.exact_model.to_json(),
+        "truth": "exact",
         "version": __version__,
         "wall_clock_seconds": report.wall_clock_seconds,
     }

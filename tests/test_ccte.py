@@ -35,10 +35,11 @@ from depthrisk import (
     sample_gaussian,
     sample_risk_factors,
 )
+from depthrisk import sampling
 from depthrisk.ccte import _ratio_under_models
 from depthrisk.depth import fit_columns
 from depthrisk.experiments import cell_estimates
-from depthrisk.sampling import INDEPENDENCE_THETA
+from depthrisk.sampling import _FRANK_TRUTH_GRIDS, INDEPENDENCE_THETA
 
 FRANK_CFG = FrankGumbelConfig(
     theta=5.0,
@@ -376,11 +377,12 @@ class TestTrueOracle:
         assert np.array_equal(pts, sample_gaussian(50, model, RngStream(40, 0)).points)
 
     def test_frank_self_consistency(self):
-        # two independent oracle runs under the law's exact model must agree
-        # within combined Monte Carlo error
-        v1, se1 = ccte_true_oracle(FRANK_CFG, 0.5, 10_000_000, RngStream(45, 2))
-        v2, se2 = ccte_true_oracle(FRANK_CFG, 0.5, 10_000_000, RngStream(45, 3))
-        assert abs(v1 - v2) < 3.0 * math.hypot(se1, se2)
+        # the library's two Frank truths agree: the exact quadrature lies
+        # within 4 SE of an independent 1e7-draw oracle at every level
+        levels = (0.1, 0.5, 0.9)
+        oracle = ccte_true_oracle(FRANK_CFG, levels, 10_000_000, RngStream(45, 2))
+        for exact, (value, se) in zip(FRANK_CFG.exact_truth(levels), oracle):
+            assert abs(value - exact) <= 4.0 * se
 
     @given(d=st.sampled_from([1, 2, 3, 5]), seed=st.integers(0, 2**32 - 1),
            alpha=st.floats(0.005, 0.995))
@@ -398,8 +400,8 @@ class TestTrueOracle:
         a = r.normal(size=(d, d))
         sigma = a @ a.T + 0.1 * np.eye(d)
         sigma = 0.5 * (sigma + sigma.T)
-        truth = mu @ mu + np.trace(sigma) * stats.chi2.sf(r2, d + 2) / p_in
         law = gaussian_population(DepthModel(mu, build_spd(sigma)))
+        (truth,) = law.exact_truth([alpha])
         value, se = ccte_true_oracle(law, alpha, n_mc, RngStream(seed, 50))
         assert abs(value - truth) <= 4.0 * se
 
@@ -462,6 +464,58 @@ class TestFrankExactModel:
         for beta in (1e-151, 1e155):
             with pytest.raises(ConfigError, match="marginals: "):
                 FrankGumbelConfig(5.0, GumbelMarginal(0.0, beta), FRANK_CFG.marg2)
+
+
+class TestExactTruth:
+    @pytest.mark.parametrize("theta", [-100.0, -30.0, -5.0, 0.5, 5.0, 30.0, 100.0])
+    def test_frank_resolution(self, theta, monkeypatch):
+        # a grid twice as fine in the angle and the radius changes nothing
+        law = frank_law(theta)
+        levels = [0.1, 0.5, 0.9]
+        shipped = law.exact_truth(levels)
+        fine = tuple((top, 2 * angles, 2 * panels) for top, angles, panels in _FRANK_TRUTH_GRIDS)
+        monkeypatch.setattr(sampling, "_FRANK_TRUTH_GRIDS", fine)
+        assert shipped == pytest.approx(law.exact_truth(levels), rel=1e-9, abs=0.0)
+
+    def test_frank_reference_values(self):
+        truths = FRANK_CFG.exact_truth([0.1, 0.5, 0.9])
+        assert [round(t, 6) for t in truths] == [1.312742, 0.479022, 0.367684]
+
+    def test_frank_independence_limit(self):
+        # below INDEPENDENCE_THETA the sampler and the model use the
+        # independence copula; the truth joins it continuously
+        levels = [0.1, 0.5, 0.9]
+        limit = frank_law(INDEPENDENCE_THETA / 2).exact_truth(levels)
+        assert frank_law(-INDEPENDENCE_THETA / 2).exact_truth(levels) == limit
+        near = frank_law(2 * INDEPENDENCE_THETA).exact_truth(levels)
+        assert near == pytest.approx(limit, rel=1e-9, abs=0.0)
+
+    def test_gaussian_closed_form_values(self):
+        # d = 2, Sigma = I: 1 + 1/alpha; d = 1: E[z^2 | |z| > r] = 1 + r phi(r) / P(z > r)
+        assert gaussian_population(std_model()).exact_truth([0.1, 0.5, 0.2]) == pytest.approx(
+            [11.0, 3.0, 6.0], rel=1e-12, abs=0.0)
+        r = 2.0
+        tail = 0.5 * math.erfc(r / math.sqrt(2.0))
+        expect = 1.0 + r * math.exp(-r * r / 2.0) / math.sqrt(2.0 * math.pi) / tail
+        (truth,) = gaussian_population(std_model(1)).exact_truth([1.0 / (1.0 + r * r)])
+        assert truth == pytest.approx(expect, rel=1e-12, abs=0.0)
+
+    def test_no_mass(self):
+        with pytest.raises(NoMass):
+            gaussian_population(std_model()).exact_truth([0.5, 1e-6])
+        with pytest.raises(NoMass):
+            FRANK_CFG.exact_truth([0.5, 1e-3])
+
+    def test_levels_checked(self):
+        for law in (gaussian_population(std_model()), FRANK_CFG):
+            for bad in (0.0, 1.0, "0.5"):
+                with pytest.raises(DomainError):
+                    law.exact_truth([bad])
+
+    @pytest.mark.parametrize("theta", [100.5, -100.5, 1e6])
+    def test_frank_theta_beyond_the_grids(self, theta):
+        with pytest.raises(DomainError, match="^theta: "):
+            frank_law(theta).exact_truth([0.5])
 
 
 class TestPopulationModel:

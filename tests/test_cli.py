@@ -377,6 +377,15 @@ class TestExperimentCommand:
         assert "theta" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_uncomputable_truth_exits_1_without_output(self, tmp_path, capsys):
+        # a valid config whose region holds no Gaussian mass in floats
+        cfg = self._config_path(tmp_path, dict(self.CONFIG, alpha_values=[0.5, 1e-6]))
+        out = tmp_path / "run"
+        code = main(["experiment", "--config", str(cfg), "-o", str(out)])
+        assert code == 1
+        assert "alpha=1e-06" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_malformed_json_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text("{]")

@@ -231,13 +231,15 @@ class TestExperimentConfig:
         ("n_values", (8, 16, 8)),
         ("alpha_values", (0.5, 0.5)),
         ("alpha_values", (0.1, 0.5, 0.1)),
+        ("delta_values", (0.0, 0.0)),
     ])
     def test_repeats_rejected(self, field, value):
-        # a repeated size or level would make cells that report.cell cannot tell apart
-        with pytest.raises(ConfigError, match=f"^{field}: must be a nonempty list of distinct"):
+        # a repeated size or level would make cells that report.cell cannot
+        # tell apart, a repeated delta duplicate rate rows
+        with pytest.raises(ConfigError, match=f"^{field}: must be .*list of distinct"):
             gaussian_cfg(**{field: value})
         obj = dict(config_to_json(gaussian_cfg()), **{field: list(value)})
-        with pytest.raises(ConfigError, match=f"^{field}: must be a nonempty list of distinct"):
+        with pytest.raises(ConfigError, match=f"^{field}: must be .*list of distinct"):
             config_from_json(obj)
 
     def test_convergence_repeats_rejected(self):
@@ -347,7 +349,7 @@ def experiment_configs(draw):
             draw(st.lists(st.floats(1e-6, 1.0 - 1e-6), min_size=1, max_size=4, unique=True))
         ),
         replications=draw(st.integers(2, 10**4)),
-        delta_values=tuple(draw(st.lists(finite, max_size=3))),
+        delta_values=tuple(draw(st.lists(finite, max_size=3, unique=True))),
         truth_n_mc=draw(st.integers(100_000, 10**8)),
         master_seed=draw(st.integers(0, 2**64 - 1)),
     )
@@ -654,6 +656,10 @@ class ShiftedGaussian:
     def draw(self, n, rng):
         return np.array([1.0, -1.0]) + rng.normals(2 * n).reshape(n, 2)
 
+    def exact_truth(self, alphas):
+        # |mu|^2 + 2 (1 + r^2 / 2) with r^2 = 1/alpha - 1
+        return [3.0 + 1.0 / a for a in alphas]
+
     def to_json(self):
         return {"kind": "shifted_gaussian"}
 
@@ -669,12 +675,14 @@ class TestLawInterface:
         assert manifest["config"]["data"] == {"kind": "shifted_gaussian"}
         assert manifest["population_model"] == ShiftedGaussian.exact_model.to_json()
         # the same draws and the same model as the closed-form law: equal
-        # replicates and equal truths
+        # replicates, and the law's own truths
         closed = run_replications(ExperimentConfig(
             data_cfg=GaussianConfig(mu=(1.0, -1.0), sigma=EYE2), **study))
         for cell, exact in zip(report.cells, closed.cells):
             assert np.array_equal(cell.estimates, exact.estimates)
-            assert (cell.truth, cell.truth_se) == (exact.truth, exact.truth_se)
+            assert cell.truth == 3.0 + 1.0 / cell.alpha
+            assert cell.truth == pytest.approx(exact.truth, rel=1e-12, abs=0.0)
+            assert cell.truth_se == exact.truth_se == 0.0
 
     def test_law_without_exact_model_refused(self):
         # refused when the config is built, not later in a pool thread
@@ -685,6 +693,18 @@ class TestLawInterface:
                 gaussian_cfg(data_cfg=law)
         with pytest.raises(ConfigError, match="^data_cfg: "):
             gaussian_cfg(data_cfg=object())
+        law = ShiftedGaussian()
+        law.exact_truth = None
+        with pytest.raises(ConfigError, match="^data_cfg: .*exact_truth"):
+            gaussian_cfg(data_cfg=law)
+
+    def test_truth_failure_raised_by_the_study(self):
+        # a law whose truth cannot be computed round-trips as a config and
+        # fails loudly when a study runs it, naming theta
+        cfg = frank_cfg(data_cfg=frank_law(theta=150.0))
+        assert config_from_json(through_text(config_to_json(cfg))) == cfg
+        with pytest.raises(DomainError, match="^theta: "):
+            run_replications(cfg)
 
 
 class TestPool:
@@ -730,7 +750,7 @@ class TestPool:
 
         monkeypatch.setattr(experiments, "_run_tasks", counting)
         run_replications(gaussian_cfg(n_values=(8, 16, 32), alpha_values=(0.2, 0.5)))
-        assert counts == [1 + 3]
+        assert counts == [3]
 
 
 class TestRunReplications:
@@ -772,7 +792,7 @@ class TestRunReplications:
     def test_truth_shared_across_n(self):
         report = run_replications(gaussian_cfg(n_values=(16, 64), replications=2))
         assert report.cell(16, 0.5).truth == report.cell(64, 0.5).truth
-        assert report.cell(16, 0.5).truth_se == report.cell(64, 0.5).truth_se
+        assert report.cell(16, 0.5).truth_se == report.cell(64, 0.5).truth_se == 0.0
 
     def test_thread_validation(self):
         with pytest.raises(DomainError):
@@ -796,7 +816,8 @@ class TestRunReplications:
         cell = report.cell(4000, 0.5)
         # closed form: 1/alpha + 1 = 3
         assert abs(cell.mean - 3.0) < 3.0 * cell.sigma_hat / math.sqrt(100)
-        assert abs(cell.truth - 3.0) < 4.0 * cell.truth_se
+        assert cell.truth == pytest.approx(3.0, rel=1e-12, abs=0.0)
+        assert cell.truth_se == 0.0
 
     def test_frank_small_study_sane(self):
         cfg = frank_cfg(n_values=(1000,), replications=100, master_seed=13)
@@ -922,6 +943,7 @@ class TestEmitTables:
         assert manifest["config"] == config_to_json(cfg)
         assert manifest["master_seed"] == 99
         assert manifest["population_model"] == cfg.data_cfg.exact_model.to_json()
+        assert manifest["truth"] == "exact"
         assert manifest["wall_clock_seconds"] >= 0.0
         from depthrisk import __version__
 
@@ -1008,12 +1030,10 @@ class TestConvergenceShape:
         assert sum(r.cell(1000, 0.1).degenerate_count for r in gaussian_sweep) <= 5
 
     def test_truths_near_closed_form(self, gaussian_sweep):
-        # 1/alpha + 1: 11 at alpha=0.1, 3 at alpha=0.5
-        hits = 0
-        total = 0
+        # 1/alpha + 1: 11 at alpha=0.1, 3 at alpha=0.5, in every cell
         for r in gaussian_sweep:
-            for alpha, expect in ((0.1, 11.0), (0.5, 3.0)):
-                cell = r.cell(250, alpha)
-                total += 1
-                hits += abs(cell.truth - expect) < 3.0 * cell.truth_se
-        assert hits >= total - 2
+            for n in self.N_VALUES:
+                for alpha, expect in ((0.1, 11.0), (0.5, 3.0)):
+                    cell = r.cell(n, alpha)
+                    assert cell.truth == pytest.approx(expect, rel=1e-12, abs=0.0)
+                    assert cell.truth_se == 0.0

@@ -1,12 +1,15 @@
 """Package surface: shipped configs parse, every exported name resolves,
 every name the benchmark harness calls or traces exists, every public count
-argument follows one rule, and no private helper or constant is left without
-a caller or reader."""
+argument follows one rule, no private helper or constant is left without
+a caller or reader, and the import stays light."""
 
 import ast
 import importlib
 import importlib.util
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -147,3 +150,15 @@ def test_every_private_helper_has_a_caller():
     }
     assert sorted(f"{module}:{helper}" for helper, module in helpers.items()
                   if helper not in used) == []
+
+
+def test_import_loads_no_heavy_scipy_modules():
+    # importing scipy.stats or scipy.integrate would add 0.1 to 0.6 s to
+    # every start-up; the library needs neither
+    code = ("import sys, depthrisk, depthrisk.cli; "
+            "print(sorted(m for m in ('scipy.stats', 'scipy.integrate') if m in sys.modules))")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
+        str(SRC.parent), os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[]"
