@@ -36,8 +36,10 @@ from .linalg import build_spd, whiten
 from .rng import RngStream
 from .sampling import GaussianConfig, Law, Sample, squared_norms
 
-# Rows per numpy pass: population batches and blocks of replicates.  Small
-# enough that the temporaries of a pass stay a few MB each.
+# Rows per batch of a population pass (the oracle's and
+# estimate_population_model's): small enough that the temporaries of a batch
+# stay a few MB each.  It also fixes which Philox words of the oracle's
+# stream pair up in Box-Muller, so changing it changes the oracle's draws.
 BATCH_ROWS = 1 << 18
 
 
@@ -173,9 +175,9 @@ def estimate_population_model(
 def ccte_true_oracle(law: Law, alpha, n_mc: int, rng: RngStream):
     """Monte Carlo ground truth for the tail expectation, with standard error.
 
-    Draws ``n_mc`` points by ``law.draw``, applies the noise-free cost map
-    R(x) = |x|^2, and forms the ratio estimator over exact membership in
-    L(alpha) under ``law.exact_model``.  The standard error is the
+    Draws ``n_mc`` points by ``law.draw`` on the one stream ``rng``,
+    applies the noise-free cost map R(x) = |x|^2, and forms the ratio
+    estimator over exact membership in L(alpha) under ``law.exact_model``.  The standard error is the
     delta-method expansion of the ratio.
 
     ``alpha`` is one level or a sequence of levels.  All levels share one
@@ -198,7 +200,7 @@ def ccte_true_oracle(law: Law, alpha, n_mc: int, rng: RngStream):
     count_in = [0.0] * len(levels)
     sum_cost = [0.0] * len(levels)
     sum_cost_sq = [0.0] * len(levels)
-    for pts in _batches(law.draw, n_mc, rng):
+    for pts in _batches(lambda m, stream: law.draw(m, [stream])[0].T, n_mc, rng):
         depth = mhd(pts, law.exact_model)
         cost = squared_norms(pts)
         for k, a in enumerate(levels):

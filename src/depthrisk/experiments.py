@@ -23,7 +23,7 @@ from typing import Callable
 import numpy as np
 
 from ._version import __version__
-from .ccte import BATCH_ROWS, _ratio_under_models
+from .ccte import _ratio_under_models
 from .depth import DepthModel, fit_columns, fit_model, sup_norm_distance
 from .errors import DomainError, NonPositiveStatistic
 from .io import (
@@ -55,6 +55,10 @@ from .sampling import Law, _noisy_costs, law_from_json, sample_gaussian
 _TAG_REPLICATE = 3
 _TAG_CONV_SAMPLE = 101
 _TAG_CONV_MC = 102
+
+# Points per block of replicates that a study draws, fits and scores in one
+# pass: small enough that a block's temporaries stay within a 2 MB L2 cache.
+BLOCK_ROWS = 1 << 16
 
 SUMMARY_HEADER = "n,alpha,truth,truth_se,mean,sigma_hat,rmae,degenerate_count"
 RATES_HEADER = "n,alpha,delta,V"
@@ -163,10 +167,15 @@ class ReplicationReport:
 
 
 def pool_size(threads: int, tasks: int) -> int:
-    """Worker threads for ``tasks`` tasks: min(threads, cores, tasks)."""
+    """Worker threads for ``tasks`` tasks: min(threads, cores, tasks), with
+    the cores this process may run on where the platform tells them."""
     if not is_count(threads, 1):
         raise DomainError(f"threads must be an integer >= 1, got {threads!r}")
-    return min(threads, os.cpu_count() or 1, tasks)
+    if hasattr(os, "sched_getaffinity"):
+        cores = len(os.sched_getaffinity(0))
+    else:
+        cores = os.cpu_count() or 1
+    return min(threads, cores, tasks)
 
 
 def _run_tasks(tasks: list[Callable[[], object]], threads: int) -> list:
@@ -189,33 +198,24 @@ def cell_estimates(
     at each level of the sequence ``alphas``.
 
     Each stream draws 2n points of the population ``law`` (level half, then
-    cost half) and then the cost noise.  Replicates are drawn in blocks of
-    at most ``BATCH_ROWS`` rows; each block is fitted at once by the fitting
-    core (:func:`~depthrisk.depth.fit_columns`) and scored at every level by
-    the ratio kernel of :mod:`depthrisk.ccte`.  The arrays have shape
-    (levels, k), one column per stream.
+    cost half) and then the cost noise.  The replicates are taken in blocks
+    of at most ``BLOCK_ROWS`` points: each block is drawn in one
+    ``law.draw`` call into one (k, d, 2n) array, fitted at once by the
+    fitting core (:func:`~depthrisk.depth.fit_columns`) and scored at every
+    level by the ratio kernel of :mod:`depthrisk.ccte`.  The arrays have
+    shape (levels, k), one column per stream.
     """
-    per_block = max(1, BATCH_ROWS // (2 * n))
+    per_block = max(1, BLOCK_ROWS // (2 * n))
     values, hits = [], []
     for start in range(0, len(streams), per_block):
-        cols, costs = _replicate_block(law, n, streams[start : start + per_block])
+        block = streams[start : start + per_block]
+        cols = law.draw(2 * n, block)
+        costs = _noisy_costs(cols[..., n:], law.noise_var, block)
         mu, _, low = fit_columns(cols[..., :n])
         v, h = _ratio_under_models(mu, low, cols[..., n:], costs, alphas)
         values.append(v)
         hits.append(h)
     return np.concatenate(values, axis=1), np.concatenate(hits, axis=1)
-
-
-def _replicate_block(law: Law, n: int, streams: list[RngStream]):
-    """The (k, d, 2n) point columns and (k, n) costs of one replicate per
-    stream.  The per-replicate arrays are freed on return, before the block
-    is evaluated."""
-    points, costs = [], []
-    for stream in streams:
-        pts = law.draw(2 * n, stream)
-        points.append(pts.T)
-        costs.append(_noisy_costs(pts[n:], law.noise_var, stream))
-    return np.stack(points), np.stack(costs)
 
 
 def run_replications(

@@ -14,6 +14,7 @@ from .errors import DimensionMismatch, DomainError, NotPositiveDefinite, NotSymm
 
 SYMMETRY_TOL = 1e-12
 PIVOT_FLOOR = 1e-300
+_HALF_MAX = np.finfo(float).max / 2
 
 
 def _checked_symmetric(matrix) -> np.ndarray:
@@ -27,8 +28,11 @@ def _checked_symmetric(matrix) -> np.ndarray:
         raise DimensionMismatch(f"expected a square matrix, got shape {a.shape}")
     if a.shape[0] == 0:
         raise DimensionMismatch("matrix must have at least one row")
-    if not np.all(np.isfinite(a)):
+    largest = float(np.max(np.abs(a)))
+    if not np.isfinite(largest):
         raise DomainError("matrix entries must be finite")
+    if largest > _HALF_MAX:  # A + A.T would overflow
+        raise DomainError("matrix entries must be at most half the largest float")
     gap = float(np.max(np.abs(a - a.T)))
     if gap > SYMMETRY_TOL:
         raise NotSymmetric(
@@ -105,19 +109,20 @@ def _whiten_in_place(low, w: np.ndarray) -> np.ndarray:
 def color(low, cols, out=None) -> np.ndarray:
     """Map each column z to ``L z``, the inverse of :func:`whiten`.
 
-    ``low`` is a lower factor (d, d) and ``cols`` has shape (d, n); columns
-    with identity covariance come out with covariance ``L L'``.  Like
+    ``low`` is a lower factor (d, d) and ``cols`` has shape (d, n), or a
+    stack of column blocks (k, d, n) that one factor maps; columns with
+    identity covariance come out with covariance ``L L'``.  Like
     :func:`whiten`, it makes one elementwise pass per term and no BLAS call.
-    The result is written to ``out``, a float (d, n) array, when one is
-    given, and returned.
+    The result is written to ``out``, a float array of the shape of
+    ``cols``, when one is given, and returned.
     """
     z = np.asarray(cols, dtype=float)
     low = np.asarray(low, dtype=float)
     x = np.empty(z.shape) if out is None else out
-    for i in range(z.shape[0]):
-        np.multiply(z[0], low[i, 0], out=x[i])
+    for i in range(z.shape[-2]):
+        np.multiply(z[..., 0, :], low[i, 0], out=x[..., i, :])
         for j in range(1, i + 1):
-            x[i] += z[j] * low[i, j]
+            x[..., i, :] += z[..., j, :] * low[i, j]
     return x
 
 

@@ -16,6 +16,9 @@ Reproducibility notes:
   of 2**-53 that is exactly representable, so the subtraction does not round
   and no integer-to-float conversion is needed.
 * Normal variates use the Box-Muller transform on that uniform stream.
+* :func:`uniform_rows` and :func:`normal_rows` draw one row per stream in
+  one pass; row r is bit for bit what ``streams[r]`` alone gives, and the
+  stream methods are their one-row case.
 """
 
 from __future__ import annotations
@@ -92,37 +95,60 @@ class RngStream:
         return f"RngStream(seed={self.seed}, stream_id={self.stream_id})"
 
     def uniforms(self, n: int) -> np.ndarray:
-        """Draw ``n`` doubles uniform on the open interval (0, 1).
-
-        Each raw 64-bit word is reduced to an odd 53-bit mantissa, so the
-        result is always strictly inside (0, 1) and downstream log or
-        quantile transforms never see an endpoint.
-        """
-        raw = self._bitgen.random_raw(_draw_count(n))
-        raw >>= np.uint64(12)
-        raw |= np.uint64(_ONE_BITS)
-        u = raw.view(np.float64)
-        u -= _ONE_LESS_HALF_ULP
-        return u
+        """Draw ``n`` doubles uniform on the open interval (0, 1): the one-row
+        case of :func:`uniform_rows`."""
+        return uniform_rows([self], n)[0]
 
     def normals(self, n: int) -> np.ndarray:
-        """Draw ``n`` standard normal variates via Box-Muller.
+        """Draw ``n`` standard normal variates: the one-row case of
+        :func:`normal_rows`."""
+        return normal_rows([self], n)[0]
 
-        Box-Muller on the uniform stream (rather than a rejection method)
-        keeps the draw sequence identical on every platform.  An odd ``n``
-        still consumes a whole pair of uniforms and discards one normal.
-        """
-        n = _draw_count(n)
-        m = (n + 1) // 2
-        radius = self.uniforms(m)
-        angle = self.uniforms(m)
-        np.log(radius, out=radius)
-        radius *= -2.0
-        np.sqrt(radius, out=radius)
-        angle *= 2.0 * np.pi
-        z = np.empty(2 * m)
-        np.cos(angle, out=z[:m])
-        np.sin(angle, out=z[m:])
-        z[:m] *= radius
-        z[m:] *= radius
-        return z[:n]
+
+def uniform_rows(streams, n: int) -> np.ndarray:
+    """A C-contiguous (k, n) array whose row r is the next ``n`` uniforms of
+    ``streams[r]``, each strictly inside (0, 1).
+
+    Each raw 64-bit word is reduced to an odd 53-bit mantissa, so the result
+    is always strictly inside (0, 1) and downstream log or quantile
+    transforms never see an endpoint.  The words of all rows are spliced in
+    one pass.
+    """
+    n = _draw_count(n)
+    if len(streams) == 1:  # spliced in place, not copied: oracle batches are MBs
+        raw = streams[0]._bitgen.random_raw(n)[None]
+    else:
+        raw = np.empty((len(streams), n), dtype=np.uint64)
+        for row, stream in zip(raw, streams):
+            row[...] = stream._bitgen.random_raw(n)
+    raw >>= np.uint64(12)
+    raw |= np.uint64(_ONE_BITS)
+    u = raw.view(np.float64)
+    u -= _ONE_LESS_HALF_ULP
+    return u
+
+
+def normal_rows(streams, n: int) -> np.ndarray:
+    """A C-contiguous (k, n) array whose row r is the next ``n`` standard
+    normal variates of ``streams[r]``, by Box-Muller.
+
+    Box-Muller on the uniform stream (rather than a rejection method) keeps
+    the draw sequence identical on every platform.  Each row takes m = (n +
+    1) // 2 radius uniforms, then m angle uniforms; it holds the m cosine
+    normals, then the first n - m sine normals, so an odd ``n`` still
+    consumes a whole pair of uniforms and discards one normal.
+    """
+    n = _draw_count(n)
+    m = (n + 1) // 2
+    u = uniform_rows(streams, 2 * m)
+    radius, angle = u[:, :m], u[:, m:]
+    np.log(radius, out=radius)
+    radius *= -2.0
+    np.sqrt(radius, out=radius)
+    angle *= 2.0 * np.pi
+    z = np.empty((len(streams), n))
+    np.cos(angle, out=z[:, :m])
+    np.sin(angle[:, : n - m], out=z[:, m:])
+    z[:, :m] *= radius
+    z[:, m:] *= radius[:, : n - m]
+    return z

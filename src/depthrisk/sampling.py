@@ -5,8 +5,9 @@ multivariate normal, and :class:`FrankGumbelConfig`, Gumbel marginals
 coupled by a Frank copula and drawn by conditional inversion.  Costs follow
 the squared norm of the risk factors plus centered Gaussian noise.
 
-Every generator takes an :class:`~depthrisk.rng.RngStream` and is a pure
-function of that stream's (seed, stream_id) and the call sequence.  Each law
+A law draws one block of samples at once, one sample per
+:class:`~depthrisk.rng.RngStream`, and each sample is a pure function of its
+stream's (seed, stream_id) and the call sequence on that stream.  Each law
 also gives its exact tail expectations E[|X|^2 | X in L(alpha)], with no
 draws: the Gaussian in closed form, the Frank-Gumbel law by quadrature.
 """
@@ -40,7 +41,7 @@ from .io import (
 )
 from .levelset import check_level
 from .linalg import build_spd, color
-from .rng import RngStream
+from .rng import RngStream, normal_rows, uniform_rows
 
 # Below this magnitude the Frank conditional inversion loses precision, so
 # theta is routed to the exact independence limit instead.
@@ -51,18 +52,20 @@ _HUGE = np.finfo(float).max
 
 
 class Law(Protocol):
-    """A population law: ``draw(n, rng)`` returns an (n, d) array of iid
-    risk-factor points, ``noise_var`` is the variance of the Gaussian noise
-    added to each cost, and ``exact_model`` is the law's exact depth model:
-    its mean and covariance.  ``exact_truth(alphas)`` returns, per level,
-    the tail expectation E[|X|^2 | X in L(alpha)] over the lower set of
-    ``exact_model``, computed without draws; it raises NoMass where the
-    region holds too little of the law's mass to compute it."""
+    """A population law: ``draw(n, streams)`` returns a C-contiguous (k, d, n)
+    array, for each of the k streams n iid risk-factor points as columns,
+    ``[r]`` drawn from ``streams[r]`` alone; ``noise_var`` is the variance of
+    the Gaussian noise added to each cost, and ``exact_model`` is the law's
+    exact depth model: its mean and covariance.  ``exact_truth(alphas)``
+    returns, per level, the tail expectation E[|X|^2 | X in L(alpha)] over
+    the lower set of ``exact_model``, computed without draws; it raises
+    NoMass where the region holds too little of the law's mass to compute
+    it."""
 
     noise_var: float
     exact_model: DepthModel
 
-    def draw(self, n: int, rng: RngStream) -> np.ndarray: ...
+    def draw(self, n: int, streams: list[RngStream]) -> np.ndarray: ...
 
     def exact_truth(self, alphas) -> list[float]: ...
 
@@ -90,16 +93,23 @@ class GaussianConfig:
             model = DepthModel(np.array(self.mu, dtype=float), build_spd(self.sigma))
         except (DepthRiskError, TypeError, ValueError) as exc:
             raise ConfigError(f"sigma: {exc}") from None
+        # the moments of the exact truth: refused here rather than an inf there
+        with np.errstate(over="ignore"):
+            moments = (("mu", model.mu @ model.mu, "squared norm"),
+                       ("sigma", np.trace(model.sigma.entries), "trace"))
+            raise_problems([f"{name}: its {what} must be finite"
+                            for name, value, what in moments if not np.isfinite(value)])
         object.__setattr__(self, "exact_model", model)
 
-    def draw(self, n: int, rng: RngStream) -> np.ndarray:
-        return sample_gaussian(n, self.exact_model, rng).points
+    def draw(self, n: int, streams: list[RngStream]) -> np.ndarray:
+        return _gaussian_columns(n, self.exact_model, streams)
 
     def exact_truth(self, alphas) -> list[float]:
         """Closed form: X = mu + L z with z standard normal lies in L(alpha)
         where |z|^2 > r^2 = 1/alpha - 1, so the truth is |mu|^2 + tr(Sigma)
         P(chi2_{d+2} > r^2) / P(chi2_d > r^2) (Johnson, Kotz & Balakrishnan,
-        1994, ch. 18).  NoMass where P(chi2_d > r^2) underflows."""
+        1994, ch. 18).  NoMass where P(chi2_d > r^2) underflows, a
+        DomainError naming ``sigma`` where the truth overflows."""
         model = self.exact_model
         norm_sq = float(model.mu @ model.mu)
         trace = float(np.trace(model.sigma.entries))
@@ -109,7 +119,10 @@ class GaussianConfig:
             mass = chdtrc(model.dim, r_sq)
             if mass == 0.0:
                 raise NoMass(f"P(L(alpha)) underflows at alpha={alpha}")
-            truths.append(norm_sq + trace * float(chdtrc(model.dim + 2, r_sq) / mass))
+            truth = norm_sq + trace * float(chdtrc(model.dim + 2, r_sq) / mass)
+            if not np.isfinite(truth):
+                raise DomainError(f"sigma: the tail expectation overflows at alpha={alpha}")
+            truths.append(truth)
         return truths
 
     def to_json(self) -> dict:
@@ -185,8 +198,19 @@ class FrankGumbelConfig:
         except DepthRiskError as exc:  # a scale whose variance leaves the floats
             raise ConfigError(f"marginals: {exc}") from None
 
-    def draw(self, n: int, rng: RngStream) -> np.ndarray:
-        return sample_risk_factors(n, self, rng).points
+    def draw(self, n: int, streams: list[RngStream]) -> np.ndarray:
+        """Each stream draws n uniforms u, then n uniforms w; the point is
+        the marginals' quantiles of (u, V), V the Frank conditional
+        inversion of w given u (:func:`frank_pair`)."""
+        _check_draw_count(n)
+        u = uniform_rows(streams, n)
+        w = uniform_rows(streams, n)
+        # the stream's uniforms already lie in (0, 1): no range checks here
+        v = w if abs(self.theta) < INDEPENDENCE_THETA else _frank_v(u, w, self.theta)
+        cols = np.empty((len(streams), 2, n))
+        _gumbel_quantile(u, self.marg1.mu, self.marg1.beta, out=cols[:, 0])
+        _gumbel_quantile(v, self.marg2.mu, self.marg2.beta, out=cols[:, 1])
+        return cols
 
     def exact_truth(self, alphas) -> list[float]:
         """By quadrature of the law's density (see :func:`_frank_gumbel_truths`),
@@ -550,24 +574,24 @@ def sample_risk_factors(n: int, cfg: FrankGumbelConfig, rng: RngStream) -> Sampl
     """Draw n Frank-coupled Gumbel risk-factor points in the plane.
 
     Coordinate i follows the max-Gumbel law of ``cfg.marg_i``; the joint
-    dependence is Frank with ``cfg.theta``.  Deterministic given the stream.
+    dependence is Frank with ``cfg.theta``.  The one-stream case of
+    ``cfg.draw``; deterministic given the stream.
     """
-    if not is_count(n, 1):
-        raise DomainError(f"n must be an integer >= 1, got {n!r}")
-    u = rng.uniforms(n)
-    w = rng.uniforms(n)
-    # the stream's uniforms already lie in (0, 1): no range checks here
-    v = w if abs(cfg.theta) < INDEPENDENCE_THETA else _frank_v(u, w, cfg.theta)
-    points = np.empty((n, 2))
-    _gumbel_quantile(u, cfg.marg1.mu, cfg.marg1.beta, out=points[:, 0])
-    _gumbel_quantile(v, cfg.marg2.mu, cfg.marg2.beta, out=points[:, 1])
-    return Sample(points)
+    return Sample(cfg.draw(n, [rng])[0].T.copy())  # (n, 2), C order
 
 
 def squared_norms(points) -> np.ndarray:
-    """Row-wise squared Euclidean norms, the noise-free cost map."""
-    pts = np.asarray(points, dtype=float)
-    return np.einsum("ij,ij->i", pts, pts)
+    """Row-wise squared Euclidean norms, the noise-free cost map.  Summed
+    coordinate by coordinate, so the bits do not depend on memory order."""
+    return _column_norms(np.asarray(points, dtype=float).T)
+
+
+def _column_norms(cols: np.ndarray) -> np.ndarray:
+    """The squared norms of the columns of ``cols``, shape (..., d, n)."""
+    sq = cols[..., 0, :] * cols[..., 0, :]
+    for i in range(1, cols.shape[-2]):
+        sq += cols[..., i, :] * cols[..., i, :]
+    return sq
 
 
 def attach_costs(s: Sample, noise_var: float, rng: RngStream) -> Sample:
@@ -587,25 +611,39 @@ def attach_costs(s: Sample, noise_var: float, rng: RngStream) -> Sample:
         raise AlreadyHasCosts("sample already has costs attached")
     if noise_var < 0:
         raise DomainError("noise_var must be >= 0")
-    return Sample(s.points, _noisy_costs(s.points, noise_var, rng))
+    return Sample(s.points, _noisy_costs(s.points.T[None], noise_var, [rng])[0])
 
 
-def _noisy_costs(points: np.ndarray, noise_var: float, rng: RngStream) -> np.ndarray:
-    """The costs :func:`attach_costs` gives the rows of ``points``, unchecked."""
-    costs = squared_norms(points)
-    if noise_var == 0.0:
-        return costs
-    return costs + np.sqrt(noise_var) * rng.normals(len(costs))
+def _noisy_costs(cols: np.ndarray, noise_var: float, streams: list[RngStream]) -> np.ndarray:
+    """The (k, n) costs :func:`attach_costs` gives the columns of each of the
+    k samples ``cols`` (shape (k, d, n)), ``[r]`` with noise from
+    ``streams[r]``; unchecked."""
+    costs = _column_norms(cols)
+    if noise_var != 0.0:
+        costs += np.sqrt(noise_var) * normal_rows(streams, cols.shape[-1])
+    return costs
+
+
+def _check_draw_count(n) -> None:
+    if not is_count(n, 1):
+        raise DomainError(f"n must be an integer >= 1, got {n!r}")
 
 
 def sample_gaussian(n: int, model: DepthModel, rng: RngStream) -> Sample:
-    """Draw n iid points from N(mu, Sigma) via the Cholesky transform."""
-    if not is_count(n, 1):
-        raise DomainError(f"n must be an integer >= 1, got {n!r}")
+    """Draw n iid points from N(mu, Sigma) via the Cholesky transform: the
+    one-stream case of :class:`GaussianConfig`'s ``draw``."""
+    # in F order, as the first release drew them: a fit's bits depend on it
+    return Sample(_gaussian_columns(n, model, [rng])[0].T.copy(order="F"))
+
+
+def _gaussian_columns(n: int, model: DepthModel, streams: list[RngStream]) -> np.ndarray:
+    """The (k, d, n) columns of n points of N(mu, Sigma) per stream: each
+    stream's n * d normals, read as n points of d coordinates, colored by
+    the Cholesky factor."""
+    _check_draw_count(n)
     d = model.dim
-    z = rng.normals(n * d).reshape(n, d)
-    # colored in place: the points' (d, n) transpose is color's output
-    points = np.empty((n, d), order="F")
-    color(model.sigma.chol, z.T, out=points.T)
-    points += model.mu
-    return Sample(points)
+    z = normal_rows(streams, n * d).reshape(len(streams), n, d)
+    cols = np.empty((len(streams), d, n))
+    color(model.sigma.chol, z.transpose(0, 2, 1), out=cols)
+    cols += model.mu[:, None]
+    return cols

@@ -214,11 +214,12 @@ class FlatSecondCoordinate:
     noise_var = 0.0
     exact_model = None
 
-    def draw(self, n, rng):
-        pts = rng.normals(2 * n).reshape(n, 2)
-        if rng.stream_id == 1:
-            pts[:, 1] = 0.5
-        return pts
+    def draw(self, n, streams):
+        cols = np.stack([rng.normals(2 * n).reshape(2, n) for rng in streams])
+        for rng, c in zip(streams, cols):
+            if rng.stream_id == 1:
+                c[1] = 0.5
+        return cols
 
 
 def fitted_ratios(level, cost, costs, levels):
@@ -373,8 +374,9 @@ class TestTrueOracle:
         assert isinstance(law, GaussianConfig)
         assert np.array_equal(law.exact_model.mu, model.mu)
         assert np.array_equal(law.exact_model.sigma.chol, model.sigma.chol)
-        pts = law.draw(50, RngStream(40, 0))
-        assert np.array_equal(pts, sample_gaussian(50, model, RngStream(40, 0)).points)
+        cols = law.draw(50, [RngStream(40, 0)])
+        assert cols.shape == (1, 2, 50)
+        assert np.array_equal(cols[0].T, sample_gaussian(50, model, RngStream(40, 0)).points)
 
     def test_frank_self_consistency(self):
         # the library's two Frank truths agree: the exact quadrature lies

@@ -1,5 +1,6 @@
 """Replication studies: configs, aggregation, rate tables, emitted files."""
 
+import hashlib
 import json
 import math
 import os
@@ -41,11 +42,11 @@ from depthrisk import (
     sample_gaussian,
     sym_diff_volume,
 )
-from depthrisk.ccte import BATCH_ROWS
 from depthrisk.experiments import (
     _TAG_CONV_MC,
     _TAG_CONV_SAMPLE,
     _TAG_REPLICATE,
+    BLOCK_ROWS,
     RATES_HEADER,
     SUMMARY_HEADER,
     cell_estimates,
@@ -576,12 +577,36 @@ class TestGaussianConfigFinite:
         with pytest.raises(ConfigError, match="sigma"):
             GaussianConfig(mu=(0.0, 0.0), sigma=((1.0, 0.0), (0.0, float("inf"))))
 
+    # finite entries whose moments overflow: |mu|^2 and tr(Sigma) of the exact truth
+    BIG_MU = ((1e160, 0.0), EYE2, r"^mu: its squared norm must be finite$")
+    BIG_DIAGONAL = ((0.0, 0.0), ((1e308, 0.0), (0.0, 1e308)), r"^sigma: ")
+    BIG_TRACE = ((0.0,) * 3, tuple(map(tuple, 8e307 * np.eye(3))),
+                 r"^sigma: its trace must be finite$")
+
+    @pytest.mark.parametrize("mu, sigma, message", [BIG_MU, BIG_DIAGONAL, BIG_TRACE])
+    def test_overflowing_moments(self, mu, sigma, message):
+        with pytest.raises(ConfigError, match=message):
+            GaussianConfig(mu=mu, sigma=sigma)
+        obj = {"kind": "gaussian", "mu": list(mu), "sigma": [list(row) for row in sigma]}
+        with pytest.raises(ConfigError, match=message):
+            law_from_json(obj)
+
+    def test_both_moments_named(self):
+        with pytest.raises(ConfigError, match="^mu: .*; sigma: its trace"):
+            GaussianConfig(mu=(1e160, 0.0, 0.0), sigma=self.BIG_TRACE[1])
+
+    def test_overflowing_truth(self):
+        law = GaussianConfig(mu=(0.0, 0.0), sigma=((1e307, 0.0), (0.0, 1e307)))
+        assert law.exact_truth([0.5]) == [3e307]
+        with pytest.raises(DomainError, match="^sigma: .*alpha=0.01"):
+            law.exact_truth([0.01])
+
 
 def v0_replicate(law, n, alpha, stream):
     """One replicate the unbatched way: fit_model, in_lower_set, ratio."""
-    pts = law.draw(2 * n, stream)
-    level = Sample(pts[:n])
-    cost = attach_costs(Sample(pts[n:]), law.noise_var, stream)
+    cols = law.draw(2 * n, [stream])[0]
+    level = Sample(cols[:, :n].T)
+    cost = attach_costs(Sample(cols[:, n:].T), law.noise_var, stream)
     return ccte_under_model(fit_model(level), cost, alpha, n1=n)
 
 
@@ -599,7 +624,7 @@ class TestBatchedCell:
     def test_matches_per_replicate_path(self, kind, n, alpha, r):
         law = (gaussian_cfg() if kind == "gaussian" else frank_cfg()).data_cfg
         if n == 5000:
-            assert r * 2 * n > BATCH_ROWS
+            assert r * 2 * n > BLOCK_ROWS
         streams = lambda: [RngStream(99, mix64(n, j)) for j in range(r)]
         values, hits = cell_estimates(law, n, [alpha], streams())
         assert values.shape == hits.shape == (1, r)
@@ -622,7 +647,7 @@ class TestBatchedCell:
     def test_level_sequence_matches_one_level_calls(self, kind, n, r):
         law = (gaussian_cfg() if kind == "gaussian" else frank_cfg()).data_cfg
         if n == 5000:
-            assert r * 2 * n > BATCH_ROWS
+            assert r * 2 * n > BLOCK_ROWS
         levels = (0.05, 0.5, 0.9)
         streams = lambda: [RngStream(98, mix64(n, j)) for j in range(r)]
         values, hits = cell_estimates(law, n, levels, streams())
@@ -653,8 +678,12 @@ class ShiftedGaussian:
     noise_var = 0.005
     exact_model = DepthModel((1.0, -1.0), build_spd(EYE2))
 
-    def draw(self, n, rng):
-        return np.array([1.0, -1.0]) + rng.normals(2 * n).reshape(n, 2)
+    def draw(self, n, streams):
+        cols = np.empty((len(streams), 2, n))
+        for c, rng in zip(cols, streams):
+            c[...] = rng.normals(2 * n).reshape(n, 2).T
+        cols += np.array([1.0, -1.0])[:, None]
+        return cols
 
     def exact_truth(self, alphas):
         # |mu|^2 + 2 (1 + r^2 / 2) with r^2 = 1/alpha - 1
@@ -709,10 +738,15 @@ class TestLawInterface:
 
 class TestPool:
     def test_cap_uses_core_count(self, monkeypatch):
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        # the cores this process may use, not the machine's
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3}, raising=False)
         assert pool_size(10_000, 10) == 2
         assert pool_size(10_000, 1) == 1
         assert pool_size(1, 10) == 1
+        # where the platform cannot tell, the machine's count, else one
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        assert pool_size(10_000, 10) == 10
         monkeypatch.setattr(os, "cpu_count", lambda: None)
         assert pool_size(4, 10) == 1
 
@@ -731,6 +765,7 @@ class TestPool:
                 made.append(max_workers)
                 super().__init__(max_workers=max_workers)
 
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
         monkeypatch.setattr(experiments, "ThreadPoolExecutor", Recording)
         cfg = gaussian_cfg(n_values=(8, 16), alpha_values=(0.2, 0.5))
@@ -751,6 +786,43 @@ class TestPool:
         monkeypatch.setattr(experiments, "_run_tasks", counting)
         run_replications(gaussian_cfg(n_values=(8, 16, 32), alpha_values=(0.2, 0.5)))
         assert counts == [3]
+
+
+PINNED_STUDIES = {
+    # the SHA-256 digests of the tables, as printed when each replicate was
+    # drawn on its own
+    "frank": (
+        dict(data_cfg=FrankGumbelConfig(5.0, GumbelMarginal(0.0, 0.25),
+                                         GumbelMarginal(-0.5, 0.25)),
+             n_values=(16, 5000), alpha_values=(0.1, 0.5, 0.9), replications=8,
+             delta_values=(0.0, 0.05), master_seed=11),
+        "1135618a538c4f77d52e759e9885949af114c0c4c509e9ed802369aabb90b09f",
+        "a0406885cf0d76b91c53702c93f29c4c476188c25764373624fafaf9f667762a",
+    ),
+    "gaussian": (
+        dict(data_cfg=GaussianConfig(mu=(0.5, -1.0, 2.0), sigma=(
+                 (2.0, 0.3, 0.1), (0.3, 1.0, 0.2), (0.1, 0.2, 0.5))),
+             n_values=(32, 4000), alpha_values=(0.2, 0.5), replications=10,
+             delta_values=(0.0,), master_seed=12),
+        "d7ad658a922275b712ab33905cd14c9a88599664056e75272d0c57e6083162ae",
+        "d23abd5989baaddbd305cf5e8387ce4385410fdc96a1b2ec53a002e5949a70e9",
+    ),
+}
+
+
+class TestPinnedOutputs:
+    """Every printed bit of two small studies, across more than one block of
+    replicates at the larger n."""
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("name", sorted(PINNED_STUDIES))
+    def test_table_digests(self, name, threads, tmp_path):
+        study, summary, rates = PINNED_STUDIES[name]
+        cfg = ExperimentConfig(**study)
+        assert cfg.replications * 2 * max(cfg.n_values) > BLOCK_ROWS
+        paths = emit_tables(run_replications(cfg, threads=threads), None, tmp_path)
+        digest = lambda key: hashlib.sha256(paths[key].read_bytes()).hexdigest()
+        assert (digest("summary"), digest("rates")) == (summary, rates)
 
 
 class TestRunReplications:

@@ -133,6 +133,15 @@ class TestColumnKernels:
         assert np.allclose(colored, low @ cols, rtol=1e-12, atol=1e-12)
         assert np.allclose(whiten(low, colored), cols, rtol=1e-9, atol=1e-9)
 
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_color_of_a_stack_is_each_block_colored(self, d):
+        rng = np.random.default_rng(d)
+        low = cholesky_lower(random_spd(rng, d))
+        stack = rng.normal(size=(4, d, 30))
+        colored = color(low, stack)
+        for got, cols in zip(colored, stack):
+            assert np.array_equal(got, color(low, cols))
+
 
 class TestNonFiniteAndStacks:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -141,6 +150,10 @@ class TestNonFiniteAndStacks:
             build_spd([[1.0, 0.0], [0.0, bad]])
         with pytest.raises(DomainError):
             build_spd([[2.0, bad], [bad, 2.0]])
+
+    def test_build_spd_rejects_entries_whose_symmetrization_overflows(self):
+        with pytest.raises(DomainError, match="half the largest float"):
+            build_spd([[1e308, 0.0], [0.0, 1e308]])
 
     def test_stack_matches_single_factors(self):
         rng = np.random.default_rng(12)

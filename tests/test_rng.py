@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from depthrisk import DomainError, RngStream, mix64
+from depthrisk.rng import normal_rows, uniform_rows
 
 # Values pinned from the first release; any change here is a breaking
 # change to the reproducibility contract.
@@ -120,6 +121,29 @@ class TestV0Bits:
         want = _normals_v0(_uniforms_v0(raw[:m]), _uniforms_v0(raw[m:]), n)
         assert got.dtype == np.float64 and got.shape == (n,)
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+class TestRows:
+    """Row r of a block draw is what ``streams[r]`` alone gives, bit for bit."""
+
+    @given(seed=WORDS, ids=st.lists(WORDS, min_size=1, max_size=4),
+           n=st.one_of(st.sampled_from([0, 1, 2]), st.integers(1, 300)),
+           normal=st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_rows_are_single_stream_draws(self, seed, ids, n, normal):
+        rows, single = (normal_rows, "normals") if normal else (uniform_rows, "uniforms")
+        streams = [RngStream(seed, i) for i in ids]
+        got = rows(streams, n)
+        assert got.shape == (len(ids), n) and got.flags.c_contiguous
+        for row, stream, i in zip(got, streams, ids):
+            alone = RngStream(seed, i)
+            want = getattr(alone, single)(n)
+            assert np.array_equal(row.view(np.uint64), want.view(np.uint64))
+            # and the stream is left where the single draw leaves it
+            assert stream.uniforms(1)[0] == alone.uniforms(1)[0]
+
+    def test_no_streams(self):
+        assert uniform_rows([], 5).shape == normal_rows([], 5).shape == (0, 5)
 
 
 class TestOpenInterval:

@@ -18,6 +18,7 @@ from depthrisk import (
     DimensionMismatch,
     DomainError,
     FrankGumbelConfig,
+    GaussianConfig,
     GumbelMarginal,
     RngStream,
     Sample,
@@ -403,6 +404,72 @@ class TestSampleGaussian:
         model = DepthModel(np.zeros(2), build_spd(np.eye(2)))
         with pytest.raises(DomainError):
             sample_gaussian(0, model, RngStream(0))
+
+
+def _frank_points_one_stream(n, cfg, stream):
+    """The single-stream Frank-Gumbel draw before block draws: n uniforms u,
+    then n uniforms w, frank_pair's V, and the Gumbel quantiles of (u, V)."""
+    u = stream.uniforms(n)
+    _, v = frank_pair(u, stream.uniforms(n), cfg.theta)
+    return np.column_stack([gumbel_quantile(u, cfg.marg1.mu, cfg.marg1.beta),
+                            gumbel_quantile(v, cfg.marg2.mu, cfg.marg2.beta)])
+
+
+def _gaussian_points_one_stream(n, law, stream):
+    """The single-stream Gaussian draw before block draws: n * d normals read
+    as n points of d coordinates, colored by the Cholesky factor."""
+    model = law.exact_model
+    z = stream.normals(n * model.dim).reshape(n, model.dim)
+    return model.mu + color(model.sigma.chol, z.T).T
+
+
+# theta = -1000 and 1000 take the log-space spill branch of the Frank
+# inversion, 30 its D / N branch, 1e-9 the independence limit
+BLOCK_LAWS = [
+    *(FrankGumbelConfig(theta, CFG.marg1, CFG.marg2)
+      for theta in (5.0, -5.0, -700.0, 30.0, 1000.0, -1000.0, 1e-9)),
+    *(GaussianConfig(tuple(np.arange(1.0, d + 1.0)), tuple(map(tuple, np.eye(d) + 0.3)))
+      for d in (1, 2, 3)),
+]
+
+
+class TestBlockDraw:
+    @given(law=st.sampled_from(BLOCK_LAWS), seed=st.integers(0, (1 << 64) - 1),
+           k=st.integers(1, 4), n=st.one_of(st.sampled_from([1, 2]), st.integers(1, 400)))
+    @settings(max_examples=80, deadline=None)
+    def test_rows_are_single_stream_draws(self, law, seed, k, n):
+        reference = (_frank_points_one_stream if isinstance(law, FrankGumbelConfig)
+                     else _gaussian_points_one_stream)
+        streams = [RngStream(seed, j) for j in range(k)]
+        cols = law.draw(n, streams)
+        assert cols.shape == (k, law.exact_model.dim, n) and cols.flags.c_contiguous
+        for j, (got, stream) in enumerate(zip(cols, streams)):
+            alone = RngStream(seed, j)
+            want = reference(n, law, alone)
+            assert np.array_equal(got.T.view(np.uint64), want.view(np.uint64))
+            assert stream.uniforms(1)[0] == alone.uniforms(1)[0]
+
+    def test_one_stream_samplers_keep_their_layouts(self):
+        # a fit's bits depend on the layout of the points it is given
+        assert sample_risk_factors(9, CFG, RngStream(1)).points.flags.c_contiguous
+        law = BLOCK_LAWS[-1]
+        assert sample_gaussian(9, law.exact_model, RngStream(1)).points.flags.f_contiguous
+
+    @pytest.mark.parametrize("law", [CFG, BLOCK_LAWS[-1]])
+    def test_n_validation(self, law):
+        for bad in (0, 1.5, True):
+            with pytest.raises(DomainError):
+                law.draw(bad, [RngStream(0)])
+
+
+class TestSquaredNorms:
+    @pytest.mark.parametrize("d", [1, 2, 3, 5])
+    def test_independent_of_layout(self, d):
+        pts = RngStream(4, d).normals(7 * d).reshape(7, d)
+        want = squared_norms(pts)
+        assert np.array_equal(squared_norms(np.asfortranarray(pts)), want)
+        assert np.array_equal(squared_norms(pts.T.copy().T), want)
+        assert np.allclose(want, np.sum(pts * pts, axis=1), rtol=1e-15, atol=0)
 
 
 class TestSample:
