@@ -166,43 +166,57 @@ def sup_norm_distance(a: DepthModel, b: DepthModel) -> float:
     grid, or the best point of the hard-case ray z_k at lambda = m_k
     (e_k = 0, as in concentric pairs), in closed form.  Every value is g at a
     point, and both frames are searched, so the result is symmetric.
+
+    This is the one-pair case of the block kernel :func:`_sup_norms`, which
+    a convergence study runs on all the fits of a block at once.
     """
     if a.dim != b.dim:
         raise DimensionMismatch(f"model dimensions differ: {a.dim} vs {b.dim}")
-    frames = []
-    for p, q in ((a, b), (b, a)):
-        k = whiten(q.sigma.chol, p.sigma.chol)
-        m, v = np.linalg.eigh(k.T @ k)
-        frames.append((m, v.T @ whiten(p.sigma.chol, (q.mu - p.mu)[:, None])[:, 0]))
-    m, e = (np.stack(x) for x in zip(*frames))
-    best = 0.0
+    return float(_sup_norms(a.mu[None], a.sigma.chol[None], b.mu[None], b.sigma.chol[None])[0])
+
+
+def _sup_norms(mu_a, low_a, mu_b, low_b) -> np.ndarray:
+    """:func:`sup_norm_distance` of k pairs of models at once, from their
+    means (k, d) and lower Cholesky factors (k, d, d); either side may be a
+    single model (k = 1) shared by every pair.  Each step runs over the whole
+    block with the pair as a leading axis, so row j depends on pair j alone
+    and has the bits of its one-pair call."""
+    mu_a, mu_b = np.broadcast_arrays(mu_a, mu_b)
+    low_a, low_b = np.broadcast_arrays(low_a, low_b)
+    # axis 1 is the frame: a's, then b's
+    p, q = np.stack([low_a, low_b], axis=1), np.stack([low_b, low_a], axis=1)
+    kq = whiten(q, p)
+    m, v = np.linalg.eigh(np.swapaxes(kq, -1, -2) @ kq)
+    shift = np.stack([mu_b - mu_a, mu_a - mu_b], axis=1)[..., None]
+    e = (np.swapaxes(v, -1, -2) @ whiten(p, shift))[..., 0]
+    best = np.zeros(len(m))
     for k in (0, -1):  # the hard-case rays; qa and qb leave out z_k
-        mk = m[:, [k]]
+        mk = m[..., [k]]
         z = np.divide(m * e, m - mk, out=np.zeros_like(e), where=m != mk)
         w = z - e
-        w[:, k] = 0.0
-        qa, qb = np.sum(z * z, 1, keepdims=True), np.sum(m * w * w, 1, keepdims=True)
+        w[..., k] = 0.0
+        qa, qb = np.sum(z * z, -1, keepdims=True), np.sum(m * w * w, -1, keepdims=True)
         root = np.sqrt(mk)
         sq = np.divide(root * (1.0 + qa) - (1.0 + qb), mk - root,
                        out=np.zeros_like(mk), where=mk != root)
         zk = np.sqrt(np.maximum(sq, 0.0))
-        gap = 1.0 / (1.0 + qa + zk * zk) - 1.0 / (1.0 + qb + mk * (zk - e[:, [k]]) ** 2)
-        best = max(best, np.abs(gap).max())
+        gap = 1.0 / (1.0 + qa + zk * zk) - 1.0 / (1.0 + qb + mk * (zk - e[..., [k]]) ** 2)
+        np.fmax(best, np.abs(gap).max(axis=(1, 2)), out=best)
     # lambda = m_max (1 + r) on branch 0 and m_min / (1 + r) on branch 1,
     # r = exp(u), so m_i - lambda keeps its relative precision as r -> 0;
     # u is searched on a grid, then on three grids of 65 about the best u,
     # each 32 times finer
-    ref, sign = m[:, [-1, 0], None, None], np.array([[1.0], [-1.0]])
-    m, e = m[:, None, None], e[:, None, None]
-    grid, h = np.broadcast_to(np.linspace(-40.0, 40.0, 769), (2, 2, 769)), 80.0 / 768
+    ref, sign = m[..., [-1, 0], None, None], np.array([[1.0], [-1.0]])
+    m, e = m[..., None, None, :], e[..., None, None, :]
+    grid, h = np.broadcast_to(np.linspace(-40.0, 40.0, 769), ref.shape[:-2] + (769,)), 80.0 / 768
     for _ in range(4):
         r = np.exp(grid)
-        step = np.stack([-r[:, 0], r[:, 1] / (1.0 + r[:, 1])], axis=1)[..., None]
+        step = np.stack([-r[..., 0, :], r[..., 1, :] / (1.0 + r[..., 1, :])], axis=-2)[..., None]
         z = m * e / ((m - ref) + ref * step)
         w = z - e
         gap = sign * (1.0 / (1.0 + np.einsum("...i,...i->...", z, z))
                       - 1.0 / (1.0 + np.einsum("...i,...i,...i->...", w, m, w)))
-        best = max(best, gap.max())
+        np.fmax(best, gap.max(axis=(1, 2, 3)), out=best)
         center = np.take_along_axis(grid, gap.argmax(axis=-1)[..., None], axis=-1)
         grid, h = center + h * np.linspace(-1.0, 1.0, 65), h / 32.0
-    return float(best)
+    return best

@@ -24,7 +24,7 @@ import numpy as np
 
 from ._version import __version__
 from .ccte import _ratio_under_models
-from .depth import DepthModel, fit_columns, fit_model, sup_norm_distance
+from .depth import DepthModel, _sup_norms, fit_columns
 from .errors import DomainError, NonPositiveStatistic
 from .io import (
     atomic_write_text,
@@ -41,14 +41,19 @@ from .io import (
     raise_problems,
 )
 from .levelset import (
+    RADIAL_ANGLES,
     LevelSetSpec,
+    _boundary_rows,
+    _hausdorff_max,
+    _radial_volumes,
+    _Sets,
+    _stack,
     check_level,
-    hausdorff_report,
-    radial_sym_diff_volume,
     sym_diff_volume,
 )
+from .linalg import build_spd
 from .rng import RngStream, mix64
-from .sampling import Law, _noisy_costs, law_from_json, sample_gaussian
+from .sampling import Law, _gaussian_columns, _noisy_costs, law_from_json
 
 # Substream tags.  Each purpose gets a distinct tag so no two draws in a
 # study can collide even when (n, replicate) pairs repeat.
@@ -56,8 +61,9 @@ _TAG_REPLICATE = 3
 _TAG_CONV_SAMPLE = 101
 _TAG_CONV_MC = 102
 
-# Points per block of replicates that a study draws, fits and scores in one
-# pass: small enough that a block's temporaries stay within a 2 MB L2 cache.
+# Points per block of replicates (or of convergence seeds) that a study
+# draws, fits and scores in one pass: small enough that a block's
+# temporaries stay within a 2 MB L2 cache.
 BLOCK_ROWS = 1 << 16
 
 SUMMARY_HEADER = "n,alpha,truth,truth_se,mean,sigma_hat,rmae,degenerate_count"
@@ -422,30 +428,49 @@ def run_convergence(
 
     Returns, for each name in ``CONVERGENCE_STATS``, an array with one row
     per entry of ``cfg.n_values`` and one column per seed.  Seed s at size
-    n draws its sample from its own substream hashed from (tag, n, s).  The
-    symmetric-difference volume comes from :func:`radial_sym_diff_volume`
-    about the true center; where that rule does not apply (d >= 3, or the
-    true center outside the fitted ellipsoid) it is a Monte Carlo estimate
-    on a second substream of (n, s).
+    n draws its sample from its own substream hashed from (tag, n, s).
+
+    The seeds at one n are taken in blocks of at most ``BLOCK_ROWS`` points,
+    counting for each seed its n draws, the 2 * ``boundary_m`` boundary
+    samples of both sides and the ``RADIAL_ANGLES`` radial directions.  A
+    block is drawn in one (k, d, n) array, fitted in one
+    :func:`~depthrisk.depth.fit_columns` call, and measured by the block
+    kernels of the three one-pair functions: the sup-norm of
+    :func:`~depthrisk.depth.sup_norm_distance`, the Hausdorff maximum of
+    :func:`~depthrisk.levelset.hausdorff_report` (whose bounds
+    a_min |phi - 1| <= distance <= a_max |phi - 1| leave Newton about 2% of
+    the boundary samples on the shipped config) and the volume of
+    :func:`~depthrisk.levelset.radial_sym_diff_volume` about the true center.
+    Each entry has the bits of those functions applied to the seed's
+    ``fit_model(sample_gaussian(n, cfg.model, stream))``.  Where the radial
+    rule does not apply (d >= 3, or the true center outside the fitted
+    ellipsoid) the volume is a Monte Carlo estimate on a second substream of
+    (n, s).
     """
     say = progress if progress is not None else (lambda _msg: None)
     truth_spec = LevelSetSpec(cfg.model, cfg.alpha)
+    truth = _stack(truth_spec)
+    truth_rows = _boundary_rows(truth, cfg.boundary_m)
     shape = (len(cfg.n_values), cfg.seeds)
     distances = {name: np.empty(shape) for name in CONVERGENCE_STATS}
     for k, n in enumerate(cfg.n_values):
-        for s in range(cfg.seeds):
-            rng = RngStream(cfg.master_seed, mix64(_TAG_CONV_SAMPLE, n, s))
-            fitted = fit_model(sample_gaussian(n, cfg.model, rng))
-            fit_spec = LevelSetSpec(fitted, cfg.alpha)
-            distances["supnorm"][k, s] = sup_norm_distance(fitted, cfg.model)
-            distances["hausdorff"][k, s] = hausdorff_report(
-                fit_spec, truth_spec, cfg.boundary_m
-            ).distance
-            volume = radial_sym_diff_volume(fit_spec, truth_spec)
-            if volume is None:
-                mc_rng = RngStream(cfg.master_seed, mix64(_TAG_CONV_MC, n, s))
-                volume, _ = sym_diff_volume(fit_spec, truth_spec, cfg.symdiff_n_mc, mc_rng)
-            distances["symdiff"][k, s] = volume
+        per_block = max(1, BLOCK_ROWS // (n + 2 * cfg.boundary_m + RADIAL_ANGLES))
+        for start in range(0, cfg.seeds, per_block):
+            seeds = range(start, min(start + per_block, cfg.seeds))
+            streams = [RngStream(cfg.master_seed, mix64(_TAG_CONV_SAMPLE, n, s)) for s in seeds]
+            mu, cov, low = fit_columns(_gaussian_columns(n, cfg.model, streams))
+            fits = _Sets(mu, cov, low, truth.radius_sq)
+            block = (k, slice(seeds.start, seeds.stop))
+            distances["supnorm"][block] = _sup_norms(mu, low, truth.mu, truth.low)
+            distances["hausdorff"][block] = _hausdorff_max(
+                fits, _boundary_rows(fits, cfg.boundary_m), truth, truth_rows
+            )
+            volumes = _radial_volumes(fits, truth)
+            for j in np.flatnonzero(np.isnan(volumes)):
+                fit_spec = LevelSetSpec(DepthModel(mu[j], build_spd(cov[j], low[j])), cfg.alpha)
+                mc_rng = RngStream(cfg.master_seed, mix64(_TAG_CONV_MC, n, seeds[j]))
+                volumes[j], _ = sym_diff_volume(fit_spec, truth_spec, cfg.symdiff_n_mc, mc_rng)
+            distances["symdiff"][block] = volumes
         say(f"n={n}: {cfg.seeds} seeds done")
     return distances
 

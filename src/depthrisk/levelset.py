@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -115,6 +115,24 @@ def _sphere_directions(d: int, m: int) -> np.ndarray:
     return u
 
 
+class _Sets(NamedTuple):
+    """A stack of k lower sets of one dimension d, as the block kernels read
+    them: centers (k, d), scatter matrices and their lower Cholesky factors
+    (k, d, d), and one squared Mahalanobis radius shared by the stack."""
+
+    mu: np.ndarray
+    sigma: np.ndarray
+    low: np.ndarray
+    radius_sq: float
+
+
+def _stack(spec: LevelSetSpec) -> _Sets:
+    """The one-set stack (k = 1) of ``spec``."""
+    model = spec.model
+    return _Sets(model.mu[None], model.sigma.entries[None], model.sigma.chol[None],
+                 spec.radius_sq)
+
+
 def boundary_points(spec: LevelSetSpec, m: int) -> np.ndarray:
     """m points on the boundary ellipsoid of the lower set.
 
@@ -124,9 +142,14 @@ def boundary_points(spec: LevelSetSpec, m: int) -> np.ndarray:
     """
     if not is_count(m, 8):
         raise DomainError(f"need an integer m >= 8 of boundary points, got {m!r}")
-    u = _sphere_directions(spec.dim, m)
-    r = np.sqrt(spec.radius_sq)
-    return spec.model.mu + r * (u @ spec.model.sigma.chol.T)
+    return _boundary_rows(_stack(spec), m)[0]
+
+
+def _boundary_rows(sets: _Sets, m: int) -> np.ndarray:
+    """The (k, m, d) boundary points of :func:`boundary_points`, m for each
+    set of the stack."""
+    u = _sphere_directions(sets.mu.shape[-1], m)
+    return sets.mu[:, None, :] + np.sqrt(sets.radius_sq) * (u @ np.swapaxes(sets.low, -1, -2))
 
 
 def _nn_gap(points: np.ndarray) -> float:
@@ -136,10 +159,25 @@ def _nn_gap(points: np.ndarray) -> float:
     return float(np.max(dist[:, 1]))
 
 
+def _eigenframe(points: np.ndarray, sets: _Sets):
+    """The points (k, m, d) in the eigenframes of the stack's ellipsoids,
+    either side broadcast from k = 1: coordinates y (k, d, m) in the
+    eigenbasis of each Sigma, the squared semi-axes e2 = r^2 lambda (k, d),
+    ascending, and f0 = phi^2 - 1 (k, m), with phi = |diag(e2)^{-1/2} y| the
+    gauge of the ellipsoid (phi = 1 on its boundary)."""
+    lam, basis = np.linalg.eigh(sets.sigma)
+    e2 = sets.radius_sq * lam
+    y = np.swapaxes(basis, -1, -2) @ np.swapaxes(points - sets.mu[:, None, :], -1, -2)
+    f0 = np.einsum("...ij,...i,...ij->...j", y, 1.0 / e2, y) - 1.0
+    return y, e2, f0
+
+
 def _secular(y: np.ndarray, e2: np.ndarray, gaps: np.ndarray, u: np.ndarray):
     """The ratios y / (t + e2), F(t) and dF/dt of the secular equation
     F(t) = sum_i e2_i y_i^2 / (t + e2_i)^2 - 1 at u = t + e2_min, for
-    coordinate rows ``y`` of shape (d, m).
+    coordinate rows ``y`` of shape (d, M), with squared semi-axes ``e2`` and
+    their ``gaps`` to e2_min of shape (d, M), or (d, 1) when all M points
+    share one ellipsoid.
 
     Each t + e2_i is formed as u + (e2_i - e2_min), which keeps full relative
     precision next to the pole u = 0.  A shortest axis (gap 0) has u = 0 only
@@ -150,7 +188,7 @@ def _secular(y: np.ndarray, e2: np.ndarray, gaps: np.ndarray, u: np.ndarray):
     f = np.full(u.shape, -1.0)
     slope = np.zeros(u.shape)
     for i, gap in enumerate(gaps):  # one pass per axis, as in linalg.whiten
-        s = u + gap if gap > 0.0 else at_pole
+        s = np.where(gap > 0.0, u + gap, at_pole)
         np.divide(y[i], s, out=r[i])
         w = e2[i] * r[i] * r[i]
         f += w
@@ -158,20 +196,22 @@ def _secular(y: np.ndarray, e2: np.ndarray, gaps: np.ndarray, u: np.ndarray):
     return r, f, slope
 
 
-def _boundary_distances(points: np.ndarray, spec: LevelSetSpec) -> np.ndarray:
-    """Euclidean distance from each row of an (m, d) array to the boundary
-    ellipsoid of ``spec``.
+def _boundary_distances(y: np.ndarray, e2: np.ndarray, f0: np.ndarray) -> np.ndarray:
+    """Euclidean distance from M points to the boundaries of their
+    ellipsoids, from their eigenframe coordinates y (d, M), the squared
+    semi-axes e2 (d, M), or (d, 1) for one shared ellipsoid, ascending, and
+    f0 = phi^2 - 1 (M,), as :func:`_eigenframe` gives them.
 
-    In the eigenbasis of Sigma the ellipsoid has squared semi-axes
-    e2 = r^2 lambda (ascending) and a point has coordinates y.  Its nearest
-    boundary point is e2 y / (t + e2) at the root t > -e2_min of the secular
-    equation F above, and its distance is |t| |y / (t + e2)| (D. Eberly,
-    "Distance from a Point to an Ellipse, an Ellipsoid, or a
-    Hyperellipsoid", Geometric Tools, 2013).  F falls and is convex there, so
-    Newton's method from a start with F >= 0 rises monotonically to the
-    root.  The start is max_i(e_i |y_i| - e2_i), where one term of F is 1,
-    and at least 0 outside the ellipsoid, where F(0) > 0.  The iterate is
-    u = t + e2_min, the distance to the pole.
+    A point's nearest boundary point is e2 y / (t + e2) at the root
+    t > -e2_min of the secular equation F above, and its distance is
+    |t| |y / (t + e2)| (D. Eberly, "Distance from a Point to an Ellipse, an
+    Ellipsoid, or a Hyperellipsoid", Geometric Tools, 2013).  F falls and is
+    convex there, so Newton's method from a start with F >= 0 rises
+    monotonically to the root.  The start is max_i(e_i |y_i| - e2_i), where
+    one term of F is 1, and at least 0 outside the ellipsoid, where
+    F(0) > 0.  The iterate is u = t + e2_min, the distance to the pole.
+    Each point stops on its own step, so its bits do not depend on the other
+    points.
 
     Two cases have no root past the pole.  An inside point with zero
     coordinates on the shortest axes (the center, for one) may have
@@ -180,16 +220,12 @@ def _boundary_distances(points: np.ndarray, spec: LevelSetSpec) -> np.ndarray:
     squared distance.  A point with |F(0)| <= BOUNDARY_TOL lies on the
     boundary, at distance 0.
     """
-    lam, basis = np.linalg.eigh(spec.model.sigma.entries)
-    e2 = spec.radius_sq * lam
     gaps = e2 - e2[0]
-    y = basis.T @ (points - spec.model.mu).T
-    f0 = np.einsum("ij,i,ij->j", y, 1.0 / e2, y) - 1.0
     u = np.where(f0 > 0.0, e2[0], 0.0)
     for i, gap in enumerate(gaps):
         np.maximum(u, np.sqrt(e2[i]) * np.abs(y[i]) - gap, out=u)
     on_boundary = np.abs(f0) <= BOUNDARY_TOL
-    u[on_boundary] = e2[0]
+    u = np.where(on_boundary, e2[0], u)
     r, f, slope = _secular(y, e2, gaps, u)
     past_pole = (u == 0.0) & (f < 0.0)
     active = ~(past_pole | on_boundary)
@@ -200,9 +236,13 @@ def _boundary_distances(points: np.ndarray, spec: LevelSetSpec) -> np.ndarray:
         u += step
         active &= step > 1e-13 * u
         r, f, slope = _secular(y, e2, gaps, u)
+    # |r|^2 summed axis by axis: einsum's order would change when M = 1
+    norm_sq = r[0] * r[0]
+    for ri in r[1:]:
+        norm_sq += ri * ri
     t = u - e2[0]
-    dist_sq = t * t * np.einsum("ij,ij->j", r, r)
-    dist_sq[past_pole] -= e2[0] * f[past_pole]
+    dist_sq = t * t * norm_sq
+    dist_sq -= np.where(past_pole, e2[0] * f, 0.0)
     return np.sqrt(dist_sq)
 
 
@@ -214,7 +254,9 @@ class HausdorffResult:
     ``distance`` is the larger of the two directed terms, each the largest
     exact distance from one boundary's samples to the other ellipsoid.  It
     is a lower bound of the true boundary Hausdorff distance, short of it by
-    at most the samples' covering radius.
+    at most the samples' covering radius.  Only the samples whose distance
+    bounds can reach the largest one are measured exactly
+    (:func:`_hausdorff_max`); the result is that of measuring them all.
     ``resolution`` is the larger of the two samples' maximum
     nearest-neighbor gaps; honest tolerances for comparisons against exact
     geometry should be at least this wide.  It is computed from ``samples``
@@ -233,7 +275,13 @@ def hausdorff_report(a: LevelSetSpec, b: LevelSetSpec, m: int) -> HausdorffResul
     """Two-sided Hausdorff distance between the boundaries of two lower
     sets, from m boundary samples of each: each directed term is the largest
     exact distance from one side's samples to the other boundary ellipsoid.
-    The result gives the samples' resolution on request."""
+    The distance is the one-pair case of the block kernel
+    :func:`_hausdorff_max`, which measures only the samples that can hold
+    the maximum: a sample's distance to an ellipsoid of semi-axes a_min to
+    a_max lies in [a_min |phi - 1|, a_max |phi - 1|], with phi the
+    ellipsoid's gauge, because phi is 1/a_min-Lipschitz and the radial point
+    x / phi lies on the boundary.  The result gives the samples' resolution
+    on request."""
     if a.dim != b.dim:
         raise DimensionMismatch(f"level set dimensions differ: {a.dim} vs {b.dim}")
     if not is_count(m, 64):
@@ -242,29 +290,73 @@ def hausdorff_report(a: LevelSetSpec, b: LevelSetSpec, m: int) -> HausdorffResul
     pb = boundary_points(b, m)
     pa.setflags(write=False)
     pb.setflags(write=False)
-    d_ab = np.max(_boundary_distances(pa, b))
-    d_ba = np.max(_boundary_distances(pb, a))
-    return HausdorffResult(float(max(d_ab, d_ba)), (pa, pb))
+    distance = _hausdorff_max(_stack(a), pa[None], _stack(b), pb[None])[0]
+    return HausdorffResult(float(distance), (pa, pb))
 
 
-def _radii(spec: LevelSetSpec, center: np.ndarray, directions: np.ndarray):
-    """Distance from ``center`` to the boundary of ``spec`` along each unit
-    row of ``directions``, or None unless the center lies strictly inside the
-    boundary ellipsoid.
+def _hausdorff_max(a: _Sets, pa: np.ndarray, b: _Sets, pb: np.ndarray) -> np.ndarray:
+    """Per pair j of a block, the largest exact distance from the samples
+    ``pa[j]`` of a's boundary to b's boundary ellipsoid and from the samples
+    ``pb[j]`` of b's to a's: k values, each stack and each sample array
+    (k, m, d) broadcast from k = 1 where one side is shared.
+
+    Every sample gets its eigenframe coordinates and f0 = phi^2 - 1 against
+    the other ellipsoid, whose semi-axes run from a_min to a_max.  Its exact
+    distance then lies in [a_min |phi - 1|, a_max |phi - 1|]: the gauge phi
+    is 1/a_min-Lipschitz and 1 at the nearest boundary point, and the radial
+    point x / phi lies on the boundary at most a_max from the center.  So
+    only the samples whose upper bound reaches the pair's largest lower
+    bound can hold the maximum, within a relative slack of 1e-6 and an
+    absolute one of 1e-12 a_max for rounding; they alone take the Newton
+    iterations of :func:`_boundary_distances`, all pairs' in one loop, with
+    their own semi-axes.  Each point stops on its own step, so the maximum
+    has the bits of measuring every sample.
+    """
+    frames = [_eigenframe(pa, b), _eigenframe(pb, a)]
+    gauge_gaps = [np.abs(np.sqrt(f0 + 1.0) - 1.0) for _, _, f0 in frames]
+    semi_axes = [np.sqrt(e2[:, [0, -1]]) for _, e2, _ in frames]  # a_min, a_max
+    floor = np.maximum(*((axes[:, :1] * gap).max(axis=1)
+                         for axes, gap in zip(semi_axes, gauge_gaps)))
+    scale = np.maximum(*(axes[:, 1] for axes in semi_axes))
+    cut = (floor - 1e-6 * floor - 1e-12 * scale)[:, None]
+    ys, e2s, f0s, owners = [], [], [], []
+    for (y, e2, f0), axes, gap in zip(frames, semi_axes, gauge_gaps):
+        pair, sample = np.nonzero(axes[:, 1:] * gap >= cut)
+        ys.append(y[pair, :, sample])
+        e2s.append(np.broadcast_to(e2, (len(y), e2.shape[1]))[pair])
+        f0s.append(f0[pair, sample])
+        owners.append(pair)
+    distances = _boundary_distances(np.concatenate(ys).T, np.concatenate(e2s).T,
+                                     np.concatenate(f0s))
+    best = np.zeros(len(cut))
+    np.maximum.at(best, np.concatenate(owners), distances)
+    return best
+
+
+def _offsets(sets: _Sets, center: np.ndarray):
+    """The whitened offsets w0 (k, d, 1) of ``center`` from each set's
+    center, and the room r^2 - |w0|^2 (k,), positive where the center lies
+    strictly inside the boundary ellipsoid."""
+    w0 = whiten(sets.low, (center - sets.mu)[..., None])
+    return w0, sets.radius_sq - (np.swapaxes(w0, -1, -2) @ w0)[:, 0, 0]
+
+
+def _radii(low: np.ndarray, w0: np.ndarray, room: np.ndarray, directions: np.ndarray):
+    """Distance from a center to the boundary of each ellipsoid of a stack
+    (lower factors (k, d, d)) along each unit row of ``directions``, for
+    centers at whitened offsets w0 (k, d, 1) with room r^2 - |w0|^2 > 0
+    (k,), as :func:`_offsets` gives them: shape (k, directions).
 
     In whitened coordinates the boundary is the sphere |w| = r, so the
-    radius is the positive root of |v|^2 rho^2 + 2 (w0 . v) rho - k = 0,
-    with w0 the whitened center, v the whitened direction and
-    k = r^2 - |w0|^2 > 0.
+    radius is the positive root of |v|^2 rho^2 + 2 (w0 . v) rho - room = 0,
+    with v the whitened direction.
     """
-    chol = spec.model.sigma.chol
-    w0 = whiten(chol, (center - spec.model.mu)[:, None])[:, 0]
-    k = spec.radius_sq - float(w0 @ w0)
-    if not k > 0.0:
-        return None
-    v = whiten(chol, directions.T)
-    vv = np.einsum("ij,ij->j", v, v)
-    b = w0 @ v
+    # each (d, directions) block in the memory order of directions.T, whose
+    # BLAS product with w0 the bits follow
+    v = whiten(low, np.swapaxes(np.repeat(directions[None], len(low), axis=0), -1, -2))
+    vv = np.einsum("...ij,...ij->...j", v, v)
+    b = (np.swapaxes(w0, -1, -2) @ v)[:, 0, :]
+    k = room[:, None]
     root = np.sqrt(b * b + vv * k)
     # each branch is the form of the root without cancellation
     return np.where(b > 0.0, k / (b + root), (root - b) / vv)
@@ -289,27 +381,43 @@ def radial_sym_diff_volume(a: LevelSetSpec, b: LevelSetSpec) -> float | None:
     B2(s) = s^2 - s + 1/6, s the kink's place in its step and g' read off the
     step's ends.  On the fitted-vs-true pairs of the shipped convergence
     config it agrees with 16 times as many angles to 4e-10 relative, and on
-    random eccentric pairs to 2e-8.
+    random eccentric pairs to 2e-8.  This is the one-pair case of the block
+    kernel :func:`_radial_volumes`.
     """
     if a.dim != b.dim:
         raise DimensionMismatch(f"level set dimensions differ: {a.dim} vs {b.dim}")
-    d = a.dim
-    if d > 2:
-        return None
-    center = b.model.mu
+    volume = _radial_volumes(_stack(a), _stack(b))[0]
+    return None if np.isnan(volume) else float(volume)
+
+
+def _radial_volumes(a: _Sets, b: _Sets) -> np.ndarray:
+    """:func:`radial_sym_diff_volume` of each set of the stack ``a`` against
+    the one set ``b`` (k = 1), about b's center, over the whole stack at
+    once: k volumes, NaN where the rule does not apply."""
+    d = a.mu.shape[-1]
+    w0, room = _offsets(a, b.mu)
+    volumes = np.full(len(room), np.nan)
+    rows = np.flatnonzero(room > 0.0)
+    if d > 2 or not rows.size:
+        return volumes
     directions = _sphere_directions(d, 2 if d == 1 else RADIAL_ANGLES)
-    rho_a = _radii(a, center, directions)
-    if rho_a is None:
-        return None
-    g = rho_a**d - _radii(b, center, directions) ** d
+    g = (_radii(a.low[rows], w0[rows], room[rows], directions) ** d
+         - _radii(b.low, *_offsets(b, b.mu), directions) ** d)
+    total = np.sum(np.abs(g), axis=1)
     if d == 1:
-        return float(np.sum(np.abs(g)))
+        volumes[rows] = total
+        return volumes
     h = 2.0 * np.pi / RADIAL_ANGLES
-    g_next = np.roll(g, -1)
-    cross = np.flatnonzero((g < 0.0) != (g_next < 0.0))
-    s = g[cross] / (g[cross] - g_next[cross])
-    kinks = h * np.sum((s * s - s + 1.0 / 6.0) * np.abs(g_next[cross] - g[cross]))
-    return 0.5 * (h * float(np.sum(np.abs(g))) + kinks)
+    g_next = np.roll(g, -1, axis=1)
+    row, col = np.nonzero((g < 0.0) != (g_next < 0.0))
+    here, there = g[row, col], g_next[row, col]
+    s = here / (here - there)
+    terms = (s * s - s + 1.0 / 6.0) * np.abs(there - here)
+    # one np.sum per row, as in the one-pair case: its order, and so its
+    # bits, depend on the count summed
+    kinks = np.array([np.sum(terms[row == j]) for j in range(len(rows))])
+    volumes[rows] = 0.5 * (h * total + h * kinks)
+    return volumes
 
 
 def _union_box(a: LevelSetSpec, b: LevelSetSpec) -> tuple[np.ndarray, np.ndarray]:

@@ -23,7 +23,7 @@ from depthrisk import (
     mhd_gradient,
     sup_norm_distance,
 )
-from depthrisk.depth import fit_columns
+from depthrisk.depth import _sup_norms, fit_columns
 
 
 def std_model(d=2):
@@ -368,6 +368,26 @@ class TestSupNorm:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             sup_norm_distance(std_model(1), std_model(2))
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_block_rows_are_the_pair_values(self, d):
+        # concentric rows (the hard-case rays) mixed with general ones, each
+        # row against the one-pair call, in both orders and against a model
+        # shared by the whole block
+        rng = np.random.default_rng(80 + d)
+        a = [random_model(rng, d) for _ in range(6)]
+        b = [random_model(rng, d) for _ in range(6)]
+        for j in (1, 4):
+            b[j] = DepthModel(a[j].mu, b[j].sigma)
+        b[5] = a[5]
+        stack = lambda models: (np.stack([m.mu for m in models]),
+                                np.stack([m.sigma.chol for m in models]))
+        want = [sup_norm_distance(p, q) for p, q in zip(a, b)]
+        assert _sup_norms(*stack(a), *stack(b)).tolist() == want
+        assert _sup_norms(*stack(b), *stack(a)).tolist() == want
+        shared = [sup_norm_distance(p, b[0]) for p in a]
+        assert _sup_norms(*stack(a), *stack(b[:1])).tolist() == shared
+        assert _sup_norms(*stack(b[:1]), *stack(a)).tolist() == shared
 
     def test_six_dimensions_beat_random_points(self):
         # sampled points fall short here: a 9-per-axis tensor grid reads 0.519

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from depthrisk import (
     ConfigError,
     ConvergenceConfig,
+    DegenerateSample,
     DepthModel,
     DomainError,
     ExperimentConfig,
@@ -33,6 +34,7 @@ from depthrisk import (
     emit_tables,
     LevelSetSpec,
     fit_model,
+    hausdorff_report,
     mix64,
     radial_sym_diff_volume,
     rate_slope,
@@ -40,8 +42,10 @@ from depthrisk import (
     run_convergence,
     run_replications,
     sample_gaussian,
+    sup_norm_distance,
     sym_diff_volume,
 )
+from depthrisk import experiments
 from depthrisk.experiments import (
     _TAG_CONV_MC,
     _TAG_CONV_SAMPLE,
@@ -50,10 +54,12 @@ from depthrisk.experiments import (
     RATES_HEADER,
     SUMMARY_HEADER,
     cell_estimates,
+    convergence_csv_text,
     pool_size,
     rates_csv_text,
     summary_csv_text,
 )
+from depthrisk.levelset import RADIAL_ANGLES
 from depthrisk.sampling import law_from_json
 
 EYE2 = ((1.0, 0.0), (0.0, 1.0))
@@ -105,7 +111,9 @@ def convergence_cfg(**overrides):
 
 class TestConvergenceVolume:
     """The symmetric-difference rule of each convergence seed: the radial
-    quadrature where it applies, else Monte Carlo on the seed's own stream."""
+    quadrature where it applies, else Monte Carlo on the seed's own stream.
+    Seeds are taken in blocks, and every entry has the bits of the one-pair
+    functions on that seed's own fit."""
 
     @staticmethod
     def specs(cfg, n, seed):
@@ -135,6 +143,45 @@ class TestConvergenceVolume:
         cfg = convergence_cfg(alpha=0.99, boundary_m=64, symdiff_n_mc=1000)
         assert radial_sym_diff_volume(*self.specs(cfg, 16, 0)) is None
         assert run_convergence(cfg)["symdiff"][0, 0] == self.monte_carlo(cfg, 16, 0)
+
+    @pytest.mark.parametrize("model, alpha", [
+        # at alpha = 0.9 and n = 16 about half the seeds fall back to Monte Carlo
+        (DepthModel(np.zeros(2), build_spd(EYE2)), 0.9),
+        (DepthModel(np.array([0.5, -1.0, 2.0]),
+                    build_spd([[2.0, 0.3, 0.1], [0.3, 1.0, 0.2], [0.1, 0.2, 0.5]])), 0.5),
+    ])
+    def test_entries_are_the_one_pair_values(self, model, alpha, monkeypatch):
+        # three seeds per block, so seven seeds end in a block of one
+        monkeypatch.setattr(experiments, "BLOCK_ROWS", 3 * RADIAL_ANGLES)
+        cfg = convergence_cfg(model=model, alpha=alpha, n_values=(16, 64), seeds=7,
+                              boundary_m=64, symdiff_n_mc=1000, master_seed=2)
+        got = run_convergence(cfg)
+        fallbacks = 0
+        for k, n in enumerate(cfg.n_values):
+            for seed in range(cfg.seeds):
+                fit, truth = self.specs(cfg, n, seed)
+                volume = radial_sym_diff_volume(fit, truth)
+                if volume is None:
+                    fallbacks += 1
+                    volume = self.monte_carlo(cfg, n, seed)
+                assert got["supnorm"][k, seed] == sup_norm_distance(fit.model, cfg.model)
+                assert got["hausdorff"][k, seed] == hausdorff_report(
+                    fit, truth, cfg.boundary_m).distance
+                assert got["symdiff"][k, seed] == volume
+        assert 0 < fallbacks < 14 if model.dim == 2 else fallbacks == 14
+
+    def test_degenerate_fit_in_a_block_is_named(self, monkeypatch):
+        draw = experiments._gaussian_columns
+
+        def flat_second_sample(n, model, streams):
+            cols = draw(n, model, streams)
+            if len(streams) > 1:
+                cols[1, 1] = 0.0  # one coordinate of one sample is constant
+            return cols
+
+        monkeypatch.setattr(experiments, "_gaussian_columns", flat_second_sample)
+        with pytest.raises(DegenerateSample, match="matrix 1 of the stack"):
+            run_convergence(convergence_cfg(seeds=3, boundary_m=64))
 
 
 @pytest.fixture(scope="module")
@@ -810,9 +857,27 @@ PINNED_STUDIES = {
 }
 
 
+PINNED_CONVERGENCE = {
+    # the SHA-256 digests of convergence.csv, as printed when each seed was
+    # fitted and measured on its own; d = 3 takes the Monte Carlo volume
+    "d2": (
+        dict(model=DepthModel(np.array([0.3, -1.0]), build_spd([[2.0, 0.4], [0.4, 0.7]])),
+             n_values=(64, 512), seeds=5, boundary_m=256, master_seed=5),
+        "14e602a1d77a6d91306e3f4059ada5dd8f6803d1ae77737a86182db5e90e3409",
+    ),
+    "d3": (
+        dict(model=DepthModel(np.array([0.5, -1.0, 2.0]), build_spd(
+                 [[2.0, 0.3, 0.1], [0.3, 1.0, 0.2], [0.1, 0.2, 0.5]])),
+             n_values=(16, 200), seeds=3, boundary_m=128, symdiff_n_mc=2000, master_seed=9),
+        "7694c61fa27f26226f09b98fa88636773826ef6b028cf057baeb47415dcb743d",
+    ),
+}
+
+
 class TestPinnedOutputs:
-    """Every printed bit of two small studies, across more than one block of
-    replicates at the larger n."""
+    """Every printed bit of two small replication studies, across more than
+    one block of replicates at the larger n, and of two small convergence
+    studies."""
 
     @pytest.mark.parametrize("threads", [1, 2])
     @pytest.mark.parametrize("name", sorted(PINNED_STUDIES))
@@ -823,6 +888,13 @@ class TestPinnedOutputs:
         paths = emit_tables(run_replications(cfg, threads=threads), None, tmp_path)
         digest = lambda key: hashlib.sha256(paths[key].read_bytes()).hexdigest()
         assert (digest("summary"), digest("rates")) == (summary, rates)
+
+    @pytest.mark.parametrize("name", sorted(PINNED_CONVERGENCE))
+    def test_convergence_digests(self, name):
+        study, want = PINNED_CONVERGENCE[name]
+        cfg = ConvergenceConfig(**study)
+        text = convergence_csv_text(cfg.n_values, run_convergence(cfg))
+        assert hashlib.sha256(text.encode()).hexdigest() == want
 
 
 class TestRunReplications:

@@ -38,6 +38,7 @@ from depthrisk import (
     sym_diff_probability,
     sym_diff_volume,
 )
+from depthrisk.linalg import whiten
 
 # area of the lens formed by two unit disks at center distance 1/2, via
 # 2 acos(d/2) - (d/2) sqrt(4 - d^2); the symmetric difference of the two
@@ -282,6 +283,53 @@ def test_hausdorff_lies_within_resolution_below_the_point_set_value(d, m, seed):
     assert point_set - report.resolution - slack <= report.distance <= point_set + slack
 
 
+def boundary_distances(points, spec):
+    """Exact distance from each row of an (m, d) array to the boundary of
+    ``spec``: the Newton iteration of every point, with nothing pruned."""
+    y, e2, f0 = levelset_module._eigenframe(points[None], levelset_module._stack(spec))
+    return levelset_module._boundary_distances(y[0], e2[0][:, None], f0[0])
+
+
+def hausdorff_pair(kind, d, rng):
+    """Two level sets of dimension d: random eccentric ones, one set twice
+    (distance 0), concentric spheres (every sample at one distance), or a
+    fit of a standard normal sample against the standard model."""
+    if kind == "eccentric":
+        return random_ellipse_spec(rng, d), random_ellipse_spec(rng, d)
+    if kind == "identical":
+        spec = random_ellipse_spec(rng, d)
+        return spec, spec
+    if kind == "concentric":
+        center, alpha = rng.normal(size=d), rng.uniform(0.05, 0.95)
+        return tuple(LevelSetSpec(DepthModel(center, build_spd(s * np.eye(d))), alpha)
+                     for s in rng.uniform(0.2, 5.0, size=2))
+    n = int(rng.integers(d + 10, 2000))
+    fitted = fit_model(sample_gaussian(n, std_model(d), RngStream(int(rng.integers(2**32)))))
+    return LevelSetSpec(fitted, 0.5), LevelSetSpec(std_model(d), 0.5)
+
+
+@given(d=st.sampled_from([1, 2, 3]), m=st.integers(64, 300), seed=st.integers(0, 2**32 - 1),
+       kind=st.sampled_from(["eccentric", "identical", "concentric", "fit"]))
+@settings(max_examples=24, deadline=None)
+def test_pruned_hausdorff_is_the_full_maximum(d, m, seed, kind):
+    # the bounds a_min |phi - 1| <= distance <= a_max |phi - 1| hold for
+    # every sample, and measuring only the samples they leave gives the
+    # maximum over all of them, bit for bit
+    a, b = hausdorff_pair(kind, d, np.random.default_rng(seed))
+    report = hausdorff_report(a, b, m)
+    pa, pb = report.samples
+    full = []
+    for points, spec in ((pa, b), (pb, a)):
+        y, e2, f0 = levelset_module._eigenframe(points[None], levelset_module._stack(spec))
+        dist = levelset_module._boundary_distances(y[0], e2[0][:, None], f0[0])
+        gauge_gap = np.abs(np.sqrt(f0[0] + 1.0) - 1.0)
+        slack = 1e-12 * (1.0 + dist)
+        assert np.all(np.sqrt(e2[0, 0]) * gauge_gap <= dist + slack)
+        assert np.all(dist <= np.sqrt(e2[0, -1]) * gauge_gap + slack)
+        full.append(dist.max())
+    assert report.distance == max(full)
+
+
 def ellipse_spec(semi_axes):
     """Axis-aligned level set at alpha = 1/2 (squared radius 1): its
     boundary has the given semi-axes."""
@@ -296,7 +344,7 @@ class TestBoundaryDistance:
     ELLIPSE = ellipse_spec([2.0, 1.0])
 
     def distance(self, point, spec=ELLIPSE):
-        return levelset_module._boundary_distances(np.array([point], dtype=float), spec)[0]
+        return boundary_distances(np.array([point], dtype=float), spec)[0]
 
     def test_inside_on_the_major_axis(self):
         # zero coordinate on the shortest axis, with no root past its pole:
@@ -328,7 +376,7 @@ class TestBoundaryDistance:
         rng = np.random.default_rng(40 + d)
         spec = random_ellipse_spec(rng, d)
         points = spec.model.mu + 2.0 * rng.normal(size=(300, d))
-        got = levelset_module._boundary_distances(points, spec)
+        got = boundary_distances(points, spec)
         samples = boundary_points(spec, 2**17)
         dense = cKDTree(samples).query(points)[0]
         assert np.all(got <= dense + 1e-12)
@@ -353,7 +401,47 @@ def overlapping_pair(rng):
     return a, b
 
 
+def radial_reference(a, b):
+    """The 2-d radial rule of one pair, written out as it was before the
+    block kernel: its volume and its count of kinks."""
+    directions = levelset_module._sphere_directions(2, levelset_module.RADIAL_ANGLES)
+
+    def radii(spec):
+        chol = spec.model.sigma.chol
+        w0 = whiten(chol, (b.model.mu - spec.model.mu)[:, None])[:, 0]
+        k = spec.radius_sq - float(w0 @ w0)
+        v = whiten(chol, directions.T)
+        vv = np.einsum("ij,ij->j", v, v)
+        c = w0 @ v
+        root = np.sqrt(c * c + vv * k)
+        return np.where(c > 0.0, k / (c + root), (root - c) / vv)
+
+    g = radii(a) ** 2 - radii(b) ** 2
+    h = 2.0 * np.pi / levelset_module.RADIAL_ANGLES
+    g_next = np.roll(g, -1)
+    cross = np.flatnonzero((g < 0.0) != (g_next < 0.0))
+    s = g[cross] / (g[cross] - g_next[cross])
+    kinks = h * np.sum((s * s - s + 1.0 / 6.0) * np.abs(g_next[cross] - g[cross]))
+    return 0.5 * (h * float(np.sum(np.abs(g))) + kinks), len(cross)
+
+
 class TestRadialSymDiffVolume:
+    def test_block_rows_are_the_reference(self):
+        # fits about one truth, as in a convergence block, with two and four
+        # kinks: each row has the bits of the rule written out pair by pair
+        rng = np.random.default_rng(30)
+        truth = LevelSetSpec(DepthModel(np.zeros(2), build_spd(np.diag([1.0, 1.5]))), 0.5)
+        fits = []
+        for _ in range(12):
+            r = 0.4 * rng.normal(size=(2, 2))
+            fits.append(LevelSetSpec(DepthModel(0.1 * rng.normal(size=2),
+                                                build_spd(np.eye(2) + r @ r.T)), 0.5))
+        stack = levelset_module._Sets(*(np.stack(x) for x in zip(*(
+            (f.model.mu, f.model.sigma.entries, f.model.sigma.chol) for f in fits))), 1.0)
+        got = levelset_module._radial_volumes(stack, levelset_module._stack(truth))
+        want, kinks = zip(*(radial_reference(f, truth) for f in fits))
+        assert got.tolist() == list(want)
+        assert 4 in kinks
     def test_annulus(self):
         got = radial_sym_diff_volume(circle_spec(1.0), circle_spec(2.0))
         assert got == pytest.approx(3.0 * math.pi, rel=1e-9)
