@@ -32,7 +32,7 @@ from .depth import DepthModel, fit_model, mhd
 from .errors import DimensionMismatch, DomainError, MissingCosts, NoMass
 from .io import is_count
 from .levelset import check_level, depth_in_lower_set
-from .linalg import build_spd, whiten
+from .linalg import _whiten_in_place, build_spd
 from .rng import RngStream
 from .sampling import GaussianConfig, Law, Sample, squared_norms
 
@@ -102,19 +102,28 @@ def _ratio_under_models(mu, low, cost_cols, costs, levels):
     convention).  Returns (values, hits), each of shape (levels, k).
 
     The depths of each replicate's cost points are computed once and then
-    thresholded per level, each taken as a float.  Inputs are not checked:
-    the callers do that.
+    thresholded per level, each taken as a float.  Per level, the members of
+    the whole block are compacted at once: their flat indices, in order, and
+    their costs gathered into one array, in which replicate r's members are
+    one contiguous slice.  Each slice gets one ``np.add.reduce``, the
+    pairwise sum that ``np.sum`` of that replicate's boolean-indexed members
+    would give, so the bits are those of scoring each replicate alone.
+    Inputs are not checked: the callers do that.
     """
-    w = whiten(low, cost_cols - mu[..., None])
+    w = _whiten_in_place(low, cost_cols - mu[..., None])
     depth = 1.0 / (1.0 + np.einsum("kin,kin->kn", w, w))
-    values = np.zeros((len(levels), len(depth)))
-    hits = np.zeros((len(levels), len(depth)), dtype=np.intp)
+    k, n2 = depth.shape
+    flat_costs = np.ravel(costs)
+    row_starts = np.arange(0, k * n2 + 1, n2)
+    values = np.zeros((len(levels), k))
+    hits = np.zeros((len(levels), k), dtype=np.intp)
     # one (k, n2) mask at a time, never one per level at once
     for i, a in enumerate(levels):
-        member = depth_in_lower_set(depth, float(a))
-        hits[i] = np.count_nonzero(member, axis=1)
-        # summed per replicate over its members only, as for a single sample
-        sums = np.array([np.sum(c[m]) for c, m in zip(costs, member)])
+        where = np.flatnonzero(depth_in_lower_set(depth, float(a)))
+        picked = flat_costs[where]
+        bounds = np.searchsorted(where, row_starts)
+        np.subtract(bounds[1:], bounds[:-1], out=hits[i])
+        sums = [np.add.reduce(picked[s:e]) for s, e in zip(bounds[:-1], bounds[1:])]
         np.divide(sums, hits[i], out=values[i], where=hits[i] > 0)
     return values, hits
 
@@ -177,14 +186,16 @@ def ccte_true_oracle(law: Law, alpha, n_mc: int, rng: RngStream):
 
     Draws ``n_mc`` points by ``law.draw`` on the one stream ``rng``,
     applies the noise-free cost map R(x) = |x|^2, and forms the ratio
-    estimator over exact membership in L(alpha) under ``law.exact_model``.  The standard error is the
-    delta-method expansion of the ratio.
+    estimator over exact membership in L(alpha) under ``law.exact_model``.
+    The standard error is the delta-method expansion of the ratio.
 
     ``alpha`` is one level or a sequence of levels.  All levels share one
     pass: each batch is drawn, and its depths and costs computed, once, then
-    thresholded per level.  One level returns ``(value, se)``; a sequence
-    returns a list of them in order, each equal to the one-level call on
-    the same stream.
+    thresholded per level.  A level's member costs are gathered by their
+    indices (``np.flatnonzero``), the values and order that boolean indexing
+    gives, so the sums keep their bits.  One level returns ``(value, se)``;
+    a sequence returns a list of them in order, each equal to the one-level
+    call on the same stream.
 
     Raises
     ------
@@ -204,9 +215,9 @@ def ccte_true_oracle(law: Law, alpha, n_mc: int, rng: RngStream):
         depth = mhd(pts, law.exact_model)
         cost = squared_norms(pts)
         for k, a in enumerate(levels):
-            member = depth_in_lower_set(depth, a)
-            hit_cost = cost[member]
-            count_in[k] += float(np.count_nonzero(member))
+            # gathered by index, the index array freed at once
+            hit_cost = cost[np.flatnonzero(depth_in_lower_set(depth, a))]
+            count_in[k] += float(hit_cost.size)
             sum_cost[k] += float(np.sum(hit_cost))
             sum_cost_sq[k] += float(np.sum(hit_cost * hit_cost))
     results = []

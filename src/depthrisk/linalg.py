@@ -106,6 +106,24 @@ def _whiten_in_place(low, w: np.ndarray) -> np.ndarray:
     return w
 
 
+def _column_norms(cols: np.ndarray, overwrite: bool = False) -> np.ndarray:
+    """The squared norms of the columns of ``cols``, shape (..., d, n),
+    summed coordinate by coordinate: the order, and so the bits, of each
+    column's sum do not depend on n or on the memory layout.  With
+    ``overwrite`` the squares are formed in place in ``cols``, a float
+    buffer the caller owns, instead of in one temporary per coordinate."""
+    if overwrite:
+        squares = np.moveaxis(np.multiply(cols, cols, out=cols), -2, 0)
+        sq = squares[0] + squares[1] if len(squares) > 1 else squares[0].copy()
+        for row in squares[2:]:
+            sq += row
+        return sq
+    sq = cols[..., 0, :] * cols[..., 0, :]
+    for i in range(1, cols.shape[-2]):
+        sq += cols[..., i, :] * cols[..., i, :]
+    return sq
+
+
 def color(low, cols, out=None) -> np.ndarray:
     """Map each column z to ``L z``, the inverse of :func:`whiten`.
 
@@ -185,8 +203,9 @@ def quad_forms(m: SpdMatrix, rows, center=None) -> np.ndarray:
 
     The rows, centred or not, are copied once into one C-contiguous
     (dim, n) buffer, whatever their layout; it is whitened in place and
-    reduced coordinate by coordinate, so the result does not depend on the
-    input's memory order.
+    its squares summed coordinate by coordinate (:func:`_column_norms`), so
+    the result depends neither on the input's memory order nor on the
+    number of rows: the form of one row is its form in any batch.
     """
     r = np.atleast_2d(np.asarray(rows, dtype=float))
     if r.ndim != 2 or r.shape[1] != m.dim:
@@ -196,5 +215,4 @@ def quad_forms(m: SpdMatrix, rows, center=None) -> np.ndarray:
         w[...] = r.T
     else:
         np.subtract(r.T, np.asarray(center, dtype=float)[:, None], out=w)
-    _whiten_in_place(m.chol, w)
-    return np.einsum("ij,ij->j", w, w)
+    return _column_norms(_whiten_in_place(m.chol, w), overwrite=True)

@@ -40,7 +40,7 @@ from .io import (
     raise_problems,
 )
 from .levelset import check_level
-from .linalg import build_spd, color
+from .linalg import _column_norms, build_spd, color
 from .rng import RngStream, normal_rows, uniform_rows
 
 # Below this magnitude the Frank conditional inversion loses precision, so
@@ -201,10 +201,11 @@ class FrankGumbelConfig:
     def draw(self, n: int, streams: list[RngStream]) -> np.ndarray:
         """Each stream draws n uniforms u, then n uniforms w; the point is
         the marginals' quantiles of (u, V), V the Frank conditional
-        inversion of w given u (:func:`frank_pair`)."""
+        inversion of w given u (:func:`frank_pair`).  u and w are the two
+        halves of each stream's 2n uniforms, drawn in one pass."""
         _check_draw_count(n)
-        u = uniform_rows(streams, n)
-        w = uniform_rows(streams, n)
+        uw = uniform_rows(streams, 2 * n)
+        u, w = uw[:, :n], uw[:, n:]
         # the stream's uniforms already lie in (0, 1): no range checks here
         v = w if abs(self.theta) < INDEPENDENCE_THETA else _frank_v(u, w, self.theta)
         cols = np.empty((len(streams), 2, n))
@@ -260,13 +261,13 @@ def _frank_gumbel_model(cfg: FrankGumbelConfig) -> DepthModel:
 
 
 # Grids of the Frank-Gumbel truth quadrature, (largest |theta|, angles,
-# radial panels of _TRUTH_NODES nodes): the copula concentrates as |theta|
-# grows.  Each grid agrees with one twice as fine in both directions to
-# 3e-12 relative, at 56 values of theta from 1e-3 to 100 in magnitude and at
-# every level from 0.9999 down to the first whose region holds less than
-# _TRUTH_MASS_FLOOR of the mass.
+# radial panels of the 24 Gauss-Legendre nodes below): the copula
+# concentrates as |theta| grows.  Each grid agrees with one twice as fine in
+# both directions to 3e-12 relative, at 56 values of theta from 1e-3 to 100
+# in magnitude and at every level from 0.9999 down to the first whose region
+# holds less than _TRUTH_MASS_FLOOR of the mass.
 _FRANK_TRUTH_GRIDS = ((6.0, 512, 4), (40.0, 1024, 4), (100.0, 2048, 8))
-_TRUTH_NODES = 24
+_TRUTH_NODES, _TRUTH_WEIGHTS = np.polynomial.legendre.leggauss(24)
 _TRUTH_MASS_FLOOR = 1e-9
 
 
@@ -296,7 +297,6 @@ def _frank_gumbel_truths(cfg: FrankGumbelConfig, levels) -> list[float]:
     with np.errstate(divide="ignore"):
         ends = np.min(np.where(slope > 0, 50.0 - np.euler_gamma, 4.0 + np.euler_gamma)
                       / np.abs(slope), axis=0)
-    nodes, weights = np.polynomial.legendre.leggauss(_TRUTH_NODES)
     scale = low[0, 0] * low[1, 1] / (beta[0] * beta[1]) * (2.0 * np.pi / angles)
     truths = []
     for alpha in levels:
@@ -304,15 +304,17 @@ def _frank_gumbel_truths(cfg: FrankGumbelConfig, levels) -> list[float]:
         steps = np.log1p(np.maximum(ends - r, 0.0))[:, None] * np.linspace(0.0, 1.0, panels + 1)
         edges = r + np.expm1(steps)  # (angles, panels + 1)
         half = 0.5 * np.diff(edges, axis=1)[..., None]
-        rho = (edges[:, :-1, None] + half + half * nodes).reshape(angles, -1)
-        w = (half * weights).reshape(angles, -1) * rho  # quadrature weight x |z|
+        rho = (edges[:, :-1, None] + half + half * _TRUTH_NODES).reshape(angles, -1)
+        w = (half * _TRUTH_WEIGHTS).reshape(angles, -1) * rho  # quadrature weight x |z|
         w *= _frank_gumbel_pdf(
             np.euler_gamma + slope[0][:, None] * rho,
             np.euler_gamma + slope[1][:, None] * rho,
             cfg.theta,
         )
         # per ray, the integrals of 1, |z| and |z|^2 over the radius
-        ray_mass, ray_first, ray_second = (np.sum(w * rho**p, axis=1) for p in range(3))
+        ray_mass = np.sum(w, axis=1)
+        ray_first = np.sum(w * rho, axis=1)
+        ray_second = np.sum(w * np.square(rho), axis=1)
         total = float(np.sum(ray_mass))
         if not scale * total >= _TRUTH_MASS_FLOOR:  # P(L(alpha))
             raise NoMass(f"P(L(alpha)) is below {_TRUTH_MASS_FLOOR:g} at alpha={alpha}")
@@ -516,7 +518,12 @@ def _frank_v(u: np.ndarray, w: np.ndarray, theta: float) -> np.ndarray:
 
     With t = e^{-theta u} (1 - w), D = w + t and N = t + w e^{-theta},
     V = -log1p(ratio) / theta = log(D / N) / theta, where the ratio is
-    N / D - 1 = w (e^{-theta} - 1) / D.
+    N / D - 1 = w (e^{-theta} - 1) / D.  Each element takes one form: the
+    direct ``log1p`` one where the ratio lies in (-0.5, inf), the quotient
+    elsewhere.  When some element needs the quotient, it is formed in place
+    for the whole block, and the direct form runs only on the gathered
+    direct elements, which are then scattered back: the same operations per
+    element, so the same bits as forming both everywhere.
     """
     shape = np.broadcast_shapes(u.shape, w.shape)
     d, n, v = np.empty(shape), np.empty(shape), np.empty(shape)
@@ -533,10 +540,9 @@ def _frank_v(u: np.ndarray, w: np.ndarray, theta: float) -> np.ndarray:
         # The one-shot log1p is exact while the ratio stays away from -1.
         direct = v > -0.5
         direct &= v < np.inf
-        np.log1p(v, out=v)
-        np.negative(v, out=v)
-        v /= theta
-        if not direct.all():
+        if direct.all():
+            out = _frank_direct(v, theta)
+        else:
             # Where the conditional mass concentrates the ratio rounds onto
             # -1 (or overflows for strongly negative theta) and the direct
             # form keeps only a few bits; D / N, of two sums of positive
@@ -547,17 +553,27 @@ def _frank_v(u: np.ndarray, w: np.ndarray, theta: float) -> np.ndarray:
             spill = (n < _TINY) | (n > _HUGE)
             spill &= ~direct
             d /= n
-            del n  # released before np.where allocates
+            del n  # released before the gather allocates
             np.log(d, out=d)
             d /= theta
-            v = np.where(direct, v, d)
+            where = np.flatnonzero(direct)
+            d.ravel()[where] = _frank_direct(v.ravel()[where], theta)
             if spill.any():
-                v[spill] = _frank_v_log_space(
+                d[spill] = _frank_v_log_space(
                     np.broadcast_to(u, shape)[spill], np.broadcast_to(w, shape)[spill], theta
                 )
+            out = d
     # quantiles within half an ulp of an endpoint round onto it; pin those
     # to the open interval the uniform generator itself uses
-    return np.clip(v, 2.0**-53, 1.0 - 2.0**-53, out=v)
+    return np.clip(out, 2.0**-53, 1.0 - 2.0**-53, out=out)
+
+
+def _frank_direct(ratio: np.ndarray, theta: float) -> np.ndarray:
+    """The direct form -log1p(ratio) / theta of :func:`_frank_v`, in place."""
+    np.log1p(ratio, out=ratio)
+    np.negative(ratio, out=ratio)
+    ratio /= theta
+    return ratio
 
 
 def _frank_v_log_space(u: np.ndarray, w: np.ndarray, theta: float) -> np.ndarray:
@@ -584,14 +600,6 @@ def squared_norms(points) -> np.ndarray:
     """Row-wise squared Euclidean norms, the noise-free cost map.  Summed
     coordinate by coordinate, so the bits do not depend on memory order."""
     return _column_norms(np.asarray(points, dtype=float).T)
-
-
-def _column_norms(cols: np.ndarray) -> np.ndarray:
-    """The squared norms of the columns of ``cols``, shape (..., d, n)."""
-    sq = cols[..., 0, :] * cols[..., 0, :]
-    for i in range(1, cols.shape[-2]):
-        sq += cols[..., i, :] * cols[..., i, :]
-    return sq
 
 
 def attach_costs(s: Sample, noise_var: float, rng: RngStream) -> Sample:

@@ -39,6 +39,8 @@ from depthrisk import sampling
 from depthrisk.ccte import _ratio_under_models
 from depthrisk.depth import fit_columns
 from depthrisk.experiments import cell_estimates
+from depthrisk.levelset import depth_in_lower_set
+from depthrisk.linalg import whiten
 from depthrisk.sampling import _FRANK_TRUTH_GRIDS, INDEPENDENCE_THETA
 
 FRANK_CFG = FrankGumbelConfig(
@@ -301,6 +303,49 @@ class TestBatch:
         pts = rng.normals(2 * 10).reshape(10, 2)
         with pytest.raises(DomainError):
             ccte_hat(Sample(pts), costed(pts, np.ones(10)), alpha)
+
+
+class TestRatioKernel:
+    """The kernel's compacted member sums against each replicate's members
+    summed on their own, one boolean-indexed ``np.sum`` each."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        d=st.sampled_from([1, 2, 3]),
+        kinds=st.lists(st.sampled_from(["mixed", "none", "all"]), min_size=1, max_size=6),
+        n2=st.one_of(st.sampled_from([1, 7, 8, 9, 127, 128, 129, 256, 257]),
+                     st.integers(1, 600)),
+        levels=st.lists(st.floats(0.01, 0.99), min_size=1, max_size=3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_sums_are_each_replicates_own(self, d, kinds, n2, levels, seed):
+        # n2 crosses numpy's 8-term unrolled and 128-term pairwise blocks; a
+        # "none" replicate has every cost point at its center (depth 1), an
+        # "all" replicate every cost point far out (depth near 0)
+        rng = np.random.default_rng(seed)
+        k = len(kinds)
+        mu = rng.normal(size=(k, d))
+        a = rng.normal(size=(k, d, d))
+        low = np.linalg.cholesky(a @ np.swapaxes(a, -1, -2) + d * np.eye(d))
+        cost_cols = mu[..., None] + 2.0 * rng.normal(size=(k, d, n2))
+        for r, kind in enumerate(kinds):
+            if kind == "none":
+                cost_cols[r] = mu[r][:, None]
+            elif kind == "all":
+                cost_cols[r] += 1e6
+        costs = rng.normal(size=(k, n2)) * rng.uniform(0.1, 100.0)
+        values, hits = _ratio_under_models(mu, low, cost_cols, costs, levels)
+        assert values.shape == hits.shape == (len(levels), k)
+        # the depths as the kernel forms them: the sums are under test here
+        w = whiten(low, cost_cols - mu[..., None])
+        depth = 1.0 / (1.0 + np.einsum("kin,kin->kn", w, w))
+        for i, alpha in enumerate(levels):
+            for r, kind in enumerate(kinds):
+                member = depth_in_lower_set(depth[r], alpha)
+                count = np.count_nonzero(member)
+                assert hits[i, r] == count == {"none": 0, "all": n2}.get(kind, count)
+                want = np.sum(costs[r][member]) / count if count else 0.0
+                assert values[i, r] == want
 
 
 class TestSplitMode:

@@ -232,10 +232,12 @@ def test_quad_forms_and_mhd_keep_the_v0_bits(d, n, layout, seed):
     """The whitening is the same elementwise arithmetic as before and the
     reduction sums the squares coordinate by coordinate.  The old code summed
     in that order too when the reduction ran over strided rows (column-major
-    input) or over at most two coordinates, so there the bits are the same.
-    For row-major input with d >= 3 it used numpy's vectorised contiguous
-    reduction, whose rounding differs in the last bits: there the two agree
-    to a few ulps, and the new result no longer depends on the layout."""
+    input of more than one row) or over at most two coordinates, so there
+    the bits are the same.  For row-major input with d >= 3, and for a single
+    row, which is contiguous in every layout, it used numpy's vectorised
+    contiguous reduction, whose rounding differs in the last bits: there the
+    two agree to a few ulps, and the new result depends neither on the layout
+    nor on the number of rows."""
     rng = np.random.default_rng(seed)
     model = DepthModel(rng.normal(size=d) * 3.0, build_spd(random_spd(rng, d)))
     pts = rng.normal(size=(n, d)) * rng.uniform(0.1, 30.0)
@@ -250,7 +252,7 @@ def test_quad_forms_and_mhd_keep_the_v0_bits(d, n, layout, seed):
     want_q = v0_quad_forms(low, rows - model.mu)
     want = {"quad_forms": want_q, "mahalanobis_sq": want_q, "mhd": 1.0 / (1.0 + want_q)}
     for name in got:
-        if d <= 2 or layout == "F":
+        if d <= 2 or (layout == "F" and n > 1):
             assert np.array_equal(got[name], want[name]), name
         else:
             np.testing.assert_allclose(got[name], want[name], rtol=4 * d * np.finfo(float).eps,
@@ -258,6 +260,19 @@ def test_quad_forms_and_mhd_keep_the_v0_bits(d, n, layout, seed):
     assert np.array_equal(got["mhd"], mhd(np.ascontiguousarray(pts), model))
     assert np.array_equal(got["quad_forms"], quad_forms(model.sigma, pts - model.mu))
     assert np.array_equal(rows, kept)  # the kernel whitens its own copy
+
+
+@pytest.mark.parametrize("d", [3, 4])
+def test_one_point_has_its_batch_bits(d):
+    # the squares are summed coordinate by coordinate whatever the batch
+    # size, so a point's depth does not depend on the points beside it
+    rng = np.random.default_rng(d)
+    model = DepthModel(rng.normal(size=d), build_spd(random_spd(rng, d)))
+    pts = rng.normal(size=(2000, d)) * 3.0
+    batch = mhd(pts, model)
+    assert [mhd(x, model) for x in pts] == batch.tolist()
+    forms = quad_forms(model.sigma, pts, model.mu)
+    assert [quad_forms(model.sigma, x, model.mu)[0] for x in pts] == forms.tolist()
 
 
 def test_quad_forms_center_is_subtracted_exactly():

@@ -31,6 +31,7 @@ from depthrisk import (
     sample_risk_factors,
     squared_norms,
 )
+from depthrisk import sampling
 from depthrisk.linalg import color
 
 EULER_GAMMA = 0.5772156649015329
@@ -289,6 +290,57 @@ class TestFrankKernel:
         finally:
             tracemalloc.stop()
         assert peak < 3 * (16 * n)
+
+
+def _frank_v_both_branches(u, w, theta):
+    """The Frank kernel as it was before it took one form per element: the
+    direct form and the quotient log(D / N) / theta over the whole block,
+    then ``np.where``; the log-space entries as in :func:`_frank_v0`.
+    Returns (v, direct)."""
+    v0, direct, spill = _frank_v0(u, w, theta)
+    with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
+        t = np.exp(u * -theta) * (1.0 - w)
+        quotient = np.log((t + w) / (w * np.exp(-theta) + t)) / theta
+    quotient = np.clip(quotient, 2.0**-53, 1.0 - 2.0**-53)
+    return np.where(direct | spill, v0, quotient), direct
+
+
+class TestFrankOneFormPerElement:
+    """The kernel forms the quotient in place and the direct form only on
+    the gathered direct elements: the bits of forming both everywhere."""
+
+    @staticmethod
+    def check(u, w, theta):
+        got = sampling._frank_v(u, w, theta)
+        want, direct = _frank_v_both_branches(u, w, theta)
+        assert got.shape == want.shape
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        return direct
+
+    @given(theta=st.sampled_from([5.0, -5.0, 30.0, -700.0, 1000.0, -1000.0]),
+           seed=st.integers(0, (1 << 64) - 1), k=st.integers(1, 3), n=st.integers(1, 400))
+    @settings(max_examples=60, deadline=None)
+    def test_blocks_of_every_mix(self, theta, seed, k, n):
+        # (k, n) halves of one row of 2n uniforms, as a law's draw takes them
+        uw = RngStream(seed, 17).uniforms(k * 2 * n).reshape(k, 2 * n)
+        u, w = uw[:, :n], uw[:, n:]
+        direct = self.check(u, w, theta)
+        self.check(u[direct], w[direct], theta)  # every element direct
+        self.check(u[~direct], w[~direct], theta)  # none direct
+        for i in range(min(n, 3)):  # 0-d inputs, through frank_pair
+            want, _ = _frank_v_both_branches(u[0, i], w[0, i], theta)
+            assert frank_pair(float(u[0, i]), float(w[0, i]), theta)[1] == want
+
+    @pytest.mark.parametrize("theta, direct_share, spills",
+                             [(5.0, "some", False), (30.0, "some", False),
+                              (1000.0, "some", True), (-5.0, "all", False),
+                              (-700.0, "all", False), (-1000.0, "none", True)])
+    def test_branches_reached(self, theta, direct_share, spills):
+        u, w = _frank_uniforms(11, 4, 20_000)
+        direct = self.check(u, w, theta)
+        _, _, spill = _frank_v0(u, w, theta)
+        share = "all" if direct.all() else "some" if direct.any() else "none"
+        assert (share, bool(spill.any())) == (direct_share, spills)
 
 
 class TestRiskFactors:
