@@ -32,7 +32,7 @@ from .depth import DepthModel, fit_model, mhd
 from .errors import DimensionMismatch, DomainError, MissingCosts, NoMass
 from .io import is_count
 from .levelset import check_level, depth_in_lower_set
-from .linalg import _whiten_in_place, build_spd
+from .linalg import _column_norms, _whiten_in_place, build_spd
 from .rng import RngStream
 from .sampling import GaussianConfig, Law, Sample, squared_norms
 
@@ -101,7 +101,9 @@ def _ratio_under_models(mu, low, cost_cols, costs, levels):
     lower Cholesky factor ``low[r]``); 0.0 where none is in (the 0/0
     convention).  Returns (values, hits), each of shape (levels, k).
 
-    The depths of each replicate's cost points are computed once and then
+    The depths of each replicate's cost points are computed once, their
+    whitened squares summed coordinate by coordinate as :func:`mhd` sums
+    them, so a cost point's depth has mhd's bits whatever n2; they are then
     thresholded per level, each taken as a float.  Per level, the members of
     the whole block are compacted at once: their flat indices, in order, and
     their costs gathered into one array, in which replicate r's members are
@@ -111,7 +113,7 @@ def _ratio_under_models(mu, low, cost_cols, costs, levels):
     Inputs are not checked: the callers do that.
     """
     w = _whiten_in_place(low, cost_cols - mu[..., None])
-    depth = 1.0 / (1.0 + np.einsum("kin,kin->kn", w, w))
+    depth = 1.0 / (1.0 + _column_norms(w))
     k, n2 = depth.shape
     flat_costs = np.ravel(costs)
     row_starts = np.arange(0, k * n2 + 1, n2)

@@ -45,7 +45,6 @@ from .levelset import (
     LevelSetSpec,
     _boundary_rows,
     _hausdorff_max,
-    _own_reach,
     _radial_volumes,
     _Sets,
     _stack,
@@ -452,7 +451,6 @@ def run_convergence(
     truth_spec = LevelSetSpec(cfg.model, cfg.alpha)
     truth = _stack(truth_spec)
     truth_rows = _boundary_rows(truth, cfg.boundary_m)
-    truth_reach = _own_reach(truth)
     shape = (len(cfg.n_values), cfg.seeds)
     distances = {name: np.empty(shape) for name in CONVERGENCE_STATS}
     for k, n in enumerate(cfg.n_values):
@@ -467,7 +465,7 @@ def run_convergence(
             distances["hausdorff"][block] = _hausdorff_max(
                 fits, _boundary_rows(fits, cfg.boundary_m), truth, truth_rows
             )
-            volumes = _radial_volumes(fits, truth, truth_reach)
+            volumes = _radial_volumes(fits, truth)
             for j in np.flatnonzero(np.isnan(volumes)):
                 fit_spec = LevelSetSpec(DepthModel(mu[j], build_spd(cov[j], low[j])), cfg.alpha)
                 mc_rng = RngStream(cfg.master_seed, mix64(_TAG_CONV_MC, n, seeds[j]))

@@ -386,39 +386,23 @@ def radial_sym_diff_volume(a: LevelSetSpec, b: LevelSetSpec) -> float | None:
     """
     if a.dim != b.dim:
         raise DimensionMismatch(f"level set dimensions differ: {a.dim} vs {b.dim}")
-    b_set = _stack(b)
-    volume = _radial_volumes(_stack(a), b_set, _own_reach(b_set))[0]
+    volume = _radial_volumes(_stack(a), _stack(b))[0]
     return None if np.isnan(volume) else float(volume)
 
 
-def _radial_directions(d: int) -> np.ndarray:
-    """The unit directions of the radial rule in dimension d <= 2."""
-    return _sphere_directions(d, 2 if d == 1 else RADIAL_ANGLES)
-
-
-def _own_reach(b: _Sets) -> np.ndarray | None:
-    """rho_b^d of the one set ``b`` (k = 1) about its own center along each
-    direction of the radial rule, shape (1, directions), as
-    :func:`_radial_volumes` reads it; None in dimension 3 and up, where the
-    rule does not apply.  A study computes it once for its true set."""
-    d = b.mu.shape[-1]
-    if d > 2:
-        return None
-    return _radii(b.low, *_offsets(b, b.mu), _radial_directions(d)) ** d
-
-
-def _radial_volumes(a: _Sets, b: _Sets, b_reach: np.ndarray | None) -> np.ndarray:
+def _radial_volumes(a: _Sets, b: _Sets) -> np.ndarray:
     """:func:`radial_sym_diff_volume` of each set of the stack ``a`` against
     the one set ``b`` (k = 1), about b's center, over the whole stack at
-    once: k volumes, NaN where the rule does not apply.  ``b_reach`` is
-    :func:`_own_reach` of ``b``."""
+    once: k volumes, NaN where the rule does not apply."""
     d = a.mu.shape[-1]
     w0, room = _offsets(a, b.mu)
     volumes = np.full(len(room), np.nan)
     rows = np.flatnonzero(room > 0.0)
-    if b_reach is None or not rows.size:
+    if d > 2 or not rows.size:
         return volumes
-    g = _radii(a.low[rows], w0[rows], room[rows], _radial_directions(d)) ** d - b_reach
+    directions = _sphere_directions(d, 2 if d == 1 else RADIAL_ANGLES)
+    g = (_radii(a.low[rows], w0[rows], room[rows], directions) ** d
+         - _radii(b.low, *_offsets(b, b.mu), directions) ** d)
     total = np.sum(np.abs(g), axis=1)
     if d == 1:
         volumes[rows] = total

@@ -106,18 +106,10 @@ def _whiten_in_place(low, w: np.ndarray) -> np.ndarray:
     return w
 
 
-def _column_norms(cols: np.ndarray, overwrite: bool = False) -> np.ndarray:
+def _column_norms(cols: np.ndarray) -> np.ndarray:
     """The squared norms of the columns of ``cols``, shape (..., d, n),
     summed coordinate by coordinate: the order, and so the bits, of each
-    column's sum do not depend on n or on the memory layout.  With
-    ``overwrite`` the squares are formed in place in ``cols``, a float
-    buffer the caller owns, instead of in one temporary per coordinate."""
-    if overwrite:
-        squares = np.moveaxis(np.multiply(cols, cols, out=cols), -2, 0)
-        sq = squares[0] + squares[1] if len(squares) > 1 else squares[0].copy()
-        for row in squares[2:]:
-            sq += row
-        return sq
+    column's sum do not depend on n or on the memory layout."""
     sq = cols[..., 0, :] * cols[..., 0, :]
     for i in range(1, cols.shape[-2]):
         sq += cols[..., i, :] * cols[..., i, :]
@@ -215,4 +207,4 @@ def quad_forms(m: SpdMatrix, rows, center=None) -> np.ndarray:
         w[...] = r.T
     else:
         np.subtract(r.T, np.asarray(center, dtype=float)[:, None], out=w)
-    return _column_norms(_whiten_in_place(m.chol, w), overwrite=True)
+    return _column_norms(_whiten_in_place(m.chol, w))

@@ -31,6 +31,7 @@ from depthrisk import (
     estimate_population_model,
     gaussian_population,
     mahalanobis_sq,
+    mhd,
     mix64,
     sample_gaussian,
     sample_risk_factors,
@@ -39,7 +40,7 @@ from depthrisk import sampling
 from depthrisk.ccte import _ratio_under_models
 from depthrisk.depth import fit_columns
 from depthrisk.experiments import cell_estimates
-from depthrisk.levelset import depth_in_lower_set
+from depthrisk.levelset import BOUNDARY_TOL, depth_in_lower_set
 from depthrisk.linalg import whiten
 from depthrisk.sampling import _FRANK_TRUTH_GRIDS, INDEPENDENCE_THETA
 
@@ -336,9 +337,10 @@ class TestRatioKernel:
         costs = rng.normal(size=(k, n2)) * rng.uniform(0.1, 100.0)
         values, hits = _ratio_under_models(mu, low, cost_cols, costs, levels)
         assert values.shape == hits.shape == (len(levels), k)
-        # the depths as the kernel forms them: the sums are under test here
+        # the depths as mhd forms them, the squares summed coordinate by
+        # coordinate: the sums are under test here
         w = whiten(low, cost_cols - mu[..., None])
-        depth = 1.0 / (1.0 + np.einsum("kin,kin->kn", w, w))
+        depth = 1.0 / (1.0 + sum(w[:, i] * w[:, i] for i in range(d)))
         for i, alpha in enumerate(levels):
             for r, kind in enumerate(kinds):
                 member = depth_in_lower_set(depth[r], alpha)
@@ -346,6 +348,30 @@ class TestRatioKernel:
                 assert hits[i, r] == count == {"none": 0, "all": n2}.get(kind, count)
                 want = np.sum(costs[r][member]) / count if count else 0.0
                 assert values[i, r] == want
+
+    @pytest.mark.parametrize("d", [3, 4])
+    def test_one_cost_point_has_its_mhd_depth(self, d):
+        # a level whose boundary falls exactly on a point's batch depth takes
+        # the point in, and the level one step below leaves it out: so the
+        # kernel's depth of a single cost point is mhd's, bit for bit
+        def level_at(t):
+            a = float(t) - BOUNDARY_TOL
+            while a + BOUNDARY_TOL > t:
+                a = float(np.nextafter(a, 0.0))
+            while a + BOUNDARY_TOL < t:
+                a = float(np.nextafter(a, 1.0))
+            assert a + BOUNDARY_TOL == t
+            return a
+
+        rng = np.random.default_rng(d)
+        a = rng.normal(size=(d, d))
+        model = DepthModel(rng.normal(size=d), build_spd(a @ a.T + d * np.eye(d)))
+        pts = rng.normal(size=(2000, d)) * 3.0
+        for x, depth in zip(pts, mhd(pts, model)):
+            point = costed(x[None], np.ones(1))
+            inside = ccte_under_model(model, point, level_at(depth), 1)
+            outside = ccte_under_model(model, point, level_at(np.nextafter(depth, 0.0)), 1)
+            assert (inside.hits, outside.hits) == (1, 0)
 
 
 class TestSplitMode:

@@ -438,9 +438,7 @@ class TestRadialSymDiffVolume:
                                                 build_spd(np.eye(2) + r @ r.T)), 0.5))
         stack = levelset_module._Sets(*(np.stack(x) for x in zip(*(
             (f.model.mu, f.model.sigma.entries, f.model.sigma.chol) for f in fits))), 1.0)
-        truth_set = levelset_module._stack(truth)
-        got = levelset_module._radial_volumes(stack, truth_set,
-                                              levelset_module._own_reach(truth_set))
+        got = levelset_module._radial_volumes(stack, levelset_module._stack(truth))
         want, kinks = zip(*(radial_reference(f, truth) for f in fits))
         assert got.tolist() == list(want)
         assert 4 in kinks
