@@ -28,13 +28,13 @@ from typing import Callable
 
 import numpy as np
 
-from .depth import DepthModel, fit_model, mhd
-from .errors import DimensionMismatch, DomainError, MissingCosts, NoMass
-from .io import is_count
-from .levelset import check_level, depth_in_lower_set
-from .linalg import _column_norms, _whiten_in_place, build_spd
+from .depth import DepthModel, _column_depths, fit_model
+from .errors import DomainError, MissingCosts, NoMass
+from .io import check_count, check_dims, check_level
+from .levelset import depth_in_lower_set
+from .linalg import _column_norms, build_spd
 from .rng import RngStream
-from .sampling import GaussianConfig, Law, Sample, squared_norms
+from .sampling import GaussianConfig, Law, Sample
 
 # Rows per batch of a population pass (the oracle's and
 # estimate_population_model's): small enough that the temporaries of a batch
@@ -74,12 +74,8 @@ def ccte_under_model(
     """
     if cost_sample.costs is None:
         raise MissingCosts("cost sample has no costs attached")
-    if cost_sample.dim != model.dim:
-        raise DimensionMismatch(
-            f"cost points have dimension {cost_sample.dim}, the model {model.dim}"
-        )
-    if not is_count(n1, 1):
-        raise DomainError(f"n1 must be an integer >= 1, got {n1!r}")
+    check_dims(model, cost_sample, "model and cost point")
+    check_count(n1, 1, "n1")
     levels = [check_level(alpha)]
     values, hits = _ratio_under_models(
         model.mu[None],
@@ -101,10 +97,10 @@ def _ratio_under_models(mu, low, cost_cols, costs, levels):
     lower Cholesky factor ``low[r]``); 0.0 where none is in (the 0/0
     convention).  Returns (values, hits), each of shape (levels, k).
 
-    The depths of each replicate's cost points are computed once, their
-    whitened squares summed coordinate by coordinate as :func:`mhd` sums
-    them, so a cost point's depth has mhd's bits whatever n2; they are then
-    thresholded per level, each taken as a float.  Per level, the members of
+    The depths of each replicate's cost points are computed once by the
+    column-depth step that :func:`~depthrisk.depth.mhd` takes, so a cost
+    point's depth has mhd's bits whatever n2; they are then thresholded per
+    level, each taken as a float.  Per level, the members of
     the whole block are compacted at once: their flat indices, in order, and
     their costs gathered into one array, in which replicate r's members are
     one contiguous slice.  Each slice gets one ``np.add.reduce``, the
@@ -112,8 +108,7 @@ def _ratio_under_models(mu, low, cost_cols, costs, levels):
     would give, so the bits are those of scoring each replicate alone.
     Inputs are not checked: the callers do that.
     """
-    w = _whiten_in_place(low, cost_cols - mu[..., None])
-    depth = 1.0 / (1.0 + _column_norms(w))
+    depth = _column_depths(mu, low, cost_cols)
     k, n2 = depth.shape
     flat_costs = np.ravel(costs)
     row_starts = np.arange(0, k * n2 + 1, n2)
@@ -158,7 +153,7 @@ def gaussian_population(model: DepthModel) -> GaussianConfig:
 
 def _batches(draw: Callable[[int, RngStream], np.ndarray], n_mc: int, rng: RngStream):
     """Yield ``n_mc`` draws of ``draw`` from ``rng`` as float arrays of at
-    most ``BATCH_ROWS`` rows each, in order."""
+    most ``BATCH_ROWS`` points each, in order."""
     for start in range(0, n_mc, BATCH_ROWS):
         yield np.asarray(draw(min(BATCH_ROWS, n_mc - start), rng), dtype=float)
 
@@ -172,8 +167,7 @@ def estimate_population_model(
     in fixed-size batches (deterministic order) and normalizes the covariance
     by 1/(n-1), matching :func:`~depthrisk.depth.fit_model`.
     """
-    if not is_count(n_mc, 2):
-        raise DomainError("n_mc must be an integer >= 2")
+    check_count(n_mc, 2, "n_mc")
     sum_x = sum_xx = 0.0
     for pts in _batches(draw, n_mc, rng):
         sum_x += pts.sum(axis=0)
@@ -189,15 +183,16 @@ def ccte_true_oracle(law: Law, alpha, n_mc: int, rng: RngStream):
     Draws ``n_mc`` points by ``law.draw`` on the one stream ``rng``,
     applies the noise-free cost map R(x) = |x|^2, and forms the ratio
     estimator over exact membership in L(alpha) under ``law.exact_model``.
-    The standard error is the delta-method expansion of the ratio.
+    The standard error is the delta-method expansion of the ratio; ``n_mc``
+    must be at least 1e5 for a meaningful standard error.
 
     ``alpha`` is one level or a sequence of levels.  All levels share one
-    pass: each batch is drawn, and its depths and costs computed, once, then
-    thresholded per level.  A level's member costs are gathered by their
-    indices (``np.flatnonzero``), the values and order that boolean indexing
-    gives, so the sums keep their bits.  One level returns ``(value, se)``;
-    a sequence returns a list of them in order, each equal to the one-level
-    call on the same stream.
+    pass: each batch's (d, m) columns are drawn, and their depths (mhd's
+    column step) and costs computed, once, then thresholded per level.  A
+    level's member costs are gathered by their indices (``np.flatnonzero``),
+    the values and order that boolean indexing gives, so the sums keep their
+    bits.  One level returns ``(value, se)``; a sequence returns a list of
+    them in order, each equal to the one-level call on the same stream.
 
     Raises
     ------
@@ -207,15 +202,14 @@ def ccte_true_oracle(law: Law, alpha, n_mc: int, rng: RngStream):
     if np.ndim(alpha) > 1 or np.size(alpha) == 0:
         raise DomainError("alpha must be one level or a nonempty sequence of levels")
     levels = [check_level(a) for a in np.atleast_1d(alpha).tolist()]
-    if not is_count(n_mc, 100_000):
-        raise DomainError("oracle needs an integer n_mc >= 1e5 for a meaningful standard error")
+    check_count(n_mc, 100_000, "n_mc")
     # accumulated over fixed-size batches in a fixed order: deterministic
     count_in = [0.0] * len(levels)
     sum_cost = [0.0] * len(levels)
     sum_cost_sq = [0.0] * len(levels)
-    for pts in _batches(lambda m, stream: law.draw(m, [stream])[0].T, n_mc, rng):
-        depth = mhd(pts, law.exact_model)
-        cost = squared_norms(pts)
+    for cols in _batches(lambda m, stream: law.draw(m, [stream])[0], n_mc, rng):
+        depth = _column_depths(law.exact_model.mu, law.exact_model.sigma.chol, cols)
+        cost = _column_norms(cols)
         for k, a in enumerate(levels):
             # gathered by index, the index array freed at once
             hit_cost = cost[np.flatnonzero(depth_in_lower_set(depth, a))]

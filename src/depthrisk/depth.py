@@ -21,8 +21,9 @@ import numpy as np
 from scipy.linalg import solve_triangular
 
 from .errors import DegenerateSample, DimensionMismatch, DomainError, NotPositiveDefinite
-from .io import json_fields, json_floats, raise_problems
+from .io import check_dims, json_fields, json_floats, raise_problems
 from .linalg import SpdMatrix, build_spd, cholesky_lower, quad_forms, whiten
+from .linalg import _column_norms, _whiten_in_place
 
 if TYPE_CHECKING:  # pragma: no cover
     from .sampling import Sample
@@ -105,10 +106,19 @@ def mhd(x, model: DepthModel):
     lie in (0, 1], and equal 1 exactly when x == mu.
     """
     pts, single = _point_rows(x, model)
-    val = quad_forms(model.sigma, pts, model.mu)
-    val += 1.0
-    np.divide(1.0, val, out=val)
+    val = _column_depths(model.mu, model.sigma.chol, pts.T)
     return float(val[0]) if single else val
+
+
+def _column_depths(mu, low, cols) -> np.ndarray:
+    """The depths 1 / (1 + |L^{-1} (x - mu)|^2) of the columns x of ``cols``
+    (..., d, n), for locations ``mu`` (..., d) and lower factors L ``low``
+    (..., d, d).  Each step is elementwise, the squares summed coordinate by
+    coordinate (:func:`_column_norms`), so a column's bits do not depend on
+    n, the stack or the memory layout."""
+    val = _column_norms(_whiten_in_place(low, np.subtract(cols, mu[..., None], order="C")))
+    val += 1.0
+    return np.divide(1.0, val, out=val)
 
 
 def mhd_gradient(x, model: DepthModel):
@@ -118,7 +128,7 @@ def mhd_gradient(x, model: DepthModel):
     """
     pts, single = _point_rows(x, model)
     centered = pts - model.mu
-    depth = 1.0 / (1.0 + quad_forms(model.sigma, centered))
+    depth = _column_depths(model.mu, model.sigma.chol, pts.T)
     half = solve_triangular(model.sigma.chol, centered.T, lower=True, check_finite=False)
     full = solve_triangular(model.sigma.chol.T, half, lower=False, check_finite=False)
     grad = (-2.0 * depth * depth)[:, None] * full.T
@@ -170,8 +180,7 @@ def sup_norm_distance(a: DepthModel, b: DepthModel) -> float:
     This is the one-pair case of the block kernel :func:`_sup_norms`, which
     a convergence study runs on all the fits of a block at once.
     """
-    if a.dim != b.dim:
-        raise DimensionMismatch(f"model dimensions differ: {a.dim} vs {b.dim}")
+    check_dims(a, b, "model")
     return float(_sup_norms(a.mu[None], a.sigma.chol[None], b.mu[None], b.sigma.chol[None])[0])
 
 

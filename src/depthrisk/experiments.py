@@ -28,6 +28,8 @@ from .depth import DepthModel, _sup_norms, fit_columns
 from .errors import DomainError, NonPositiveStatistic
 from .io import (
     atomic_write_text,
+    check_count,
+    check_level,
     csv_text,
     field_problems,
     fields_from_json,
@@ -48,7 +50,6 @@ from .levelset import (
     _radial_volumes,
     _Sets,
     _stack,
-    check_level,
     sym_diff_volume,
 )
 from .linalg import build_spd
@@ -175,8 +176,7 @@ class ReplicationReport:
 def pool_size(threads: int, tasks: int) -> int:
     """Worker threads for ``tasks`` tasks: min(threads, cores, tasks), with
     the cores this process may run on where the platform tells them."""
-    if not is_count(threads, 1):
-        raise DomainError(f"threads must be an integer >= 1, got {threads!r}")
+    check_count(threads, 1, "threads")
     if hasattr(os, "sched_getaffinity"):
         cores = len(os.sched_getaffinity(0))
     else:

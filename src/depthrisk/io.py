@@ -1,10 +1,13 @@
-"""File formats: numeric CSV tables, JSON config objects, atomic writes.
+"""Input rules, numeric CSV tables, JSON config objects, atomic writes.
 
-Every table the package writes goes through :func:`csv_text` (shortest
-round-trip decimals, one LF per line) and :func:`atomic_write_text`; every
-JSON config is read by :func:`load_json_object` and converted field by field
-through :func:`json_fields`, so a bad file is reported in one message.  A
-config class checks its fields by a ``_checks`` table (:func:`field_problems`).
+Each argument rule is written here once, with one message: a count
+(:func:`check_count`), a level (:func:`check_level`) and two operands of one
+dimension (:func:`check_dims`).  Every table the package writes goes through
+:func:`csv_text` (shortest round-trip decimals, one LF per line) and
+:func:`atomic_write_text`; every JSON config is read by
+:func:`load_json_object` and converted field by field through
+:func:`json_fields`, so a bad file is reported in one message.  A config
+class checks its fields by a ``_checks`` table (:func:`field_problems`).
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, DepthRiskError, IoError
+from .errors import ConfigError, DepthRiskError, DimensionMismatch, DomainError, IoError
 
 
 def fmt(value) -> str:
@@ -204,6 +207,29 @@ def is_count(value, least: int) -> bool:
 def is_real(value) -> bool:
     """A real number, numpy's included: not a bool, a string or an array."""
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def check_count(value, least: int, name: str) -> int:
+    """``value`` as an int, if it is a count (:func:`is_count`) of at least
+    ``least``; a DomainError naming the argument ``name`` otherwise."""
+    if not is_count(value, least):
+        raise DomainError(f"{name} must be an integer >= {least}, got {value!r}")
+    return int(value)
+
+
+def check_level(alpha) -> float:
+    """``alpha`` as a float, if it is a level: a real number (not a string
+    or a bool) strictly inside (0, 1).  Raises DomainError otherwise."""
+    real = is_real(alpha)
+    if not (real and 0.0 < alpha < 1.0):
+        raise DomainError(f"alpha must lie in (0, 1), got {float(alpha) if real else alpha!r}")
+    return float(alpha)
+
+
+def check_dims(a, b, what: str) -> None:
+    """Raise DimensionMismatch, naming ``what``, unless ``a.dim == b.dim``."""
+    if a.dim != b.dim:
+        raise DimensionMismatch(f"{what} dimensions differ: {a.dim} vs {b.dim}")
 
 
 def field_problems(checks, values: dict, prefix: str = "") -> list[str]:

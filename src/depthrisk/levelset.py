@@ -26,9 +26,9 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .depth import DepthModel, mhd
-from .errors import DimensionMismatch, DomainError
-from .io import is_count, is_real
-from .linalg import whiten
+from .errors import DimensionMismatch
+from .io import check_count, check_dims, check_level
+from .linalg import _column_norms, whiten
 from .rng import RngStream, mix64
 
 BOUNDARY_TOL = 1e-12
@@ -38,7 +38,8 @@ _NEWTON_STEPS = 100
 
 
 class LevelSetSpec:
-    """A depth model together with a level alpha in (0, 1).
+    """A depth model together with a level alpha in (0, 1).  Levels, counts
+    and the dimensions of two sets follow the rules of :mod:`depthrisk.io`.
 
     ``radius_sq`` is the squared Mahalanobis radius of the boundary
     ellipsoid, 1/alpha - 1.
@@ -60,15 +61,6 @@ class LevelSetSpec:
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"LevelSetSpec(dim={self.dim}, alpha={self.alpha})"
-
-
-def check_level(alpha) -> float:
-    """``alpha`` as a float, if it is a level: a real number (not a string
-    or a bool) strictly inside (0, 1).  Raises DomainError otherwise."""
-    real = is_real(alpha)
-    if not (real and 0.0 < alpha < 1.0):
-        raise DomainError(f"alpha must lie in (0, 1), got {float(alpha) if real else alpha!r}")
-    return float(alpha)
 
 
 def in_lower_set(x, spec: LevelSetSpec):
@@ -140,8 +132,7 @@ def boundary_points(spec: LevelSetSpec, m: int) -> np.ndarray:
     x = mu + r(alpha) * L u with L the Cholesky factor of Sigma, so every
     output satisfies |mhd(x) - alpha| < 1e-10.
     """
-    if not is_count(m, 8):
-        raise DomainError(f"need an integer m >= 8 of boundary points, got {m!r}")
+    check_count(m, 8, "m")
     return _boundary_rows(_stack(spec), m)[0]
 
 
@@ -236,12 +227,8 @@ def _boundary_distances(y: np.ndarray, e2: np.ndarray, f0: np.ndarray) -> np.nda
         u += step
         active &= step > 1e-13 * u
         r, f, slope = _secular(y, e2, gaps, u)
-    # |r|^2 summed axis by axis: einsum's order would change when M = 1
-    norm_sq = r[0] * r[0]
-    for ri in r[1:]:
-        norm_sq += ri * ri
     t = u - e2[0]
-    dist_sq = t * t * norm_sq
+    dist_sq = t * t * _column_norms(r)
     dist_sq -= np.where(past_pole, e2[0] * f, 0.0)
     return np.sqrt(dist_sq)
 
@@ -282,10 +269,8 @@ def hausdorff_report(a: LevelSetSpec, b: LevelSetSpec, m: int) -> HausdorffResul
     ellipsoid's gauge, because phi is 1/a_min-Lipschitz and the radial point
     x / phi lies on the boundary.  The result gives the samples' resolution
     on request."""
-    if a.dim != b.dim:
-        raise DimensionMismatch(f"level set dimensions differ: {a.dim} vs {b.dim}")
-    if not is_count(m, 64):
-        raise DomainError(f"a Hausdorff estimate needs an integer m >= 64, got {m!r}")
+    check_dims(a, b, "level set")
+    check_count(m, 64, "m")
     pa = boundary_points(a, m)
     pb = boundary_points(b, m)
     pa.setflags(write=False)
@@ -384,8 +369,7 @@ def radial_sym_diff_volume(a: LevelSetSpec, b: LevelSetSpec) -> float | None:
     random eccentric pairs to 2e-8.  This is the one-pair case of the block
     kernel :func:`_radial_volumes`.
     """
-    if a.dim != b.dim:
-        raise DimensionMismatch(f"level set dimensions differ: {a.dim} vs {b.dim}")
+    check_dims(a, b, "level set")
     volume = _radial_volumes(_stack(a), _stack(b))[0]
     return None if np.isnan(volume) else float(volume)
 
@@ -450,10 +434,8 @@ def sym_diff_volume(
     boundary ellipsoids; outside that box every point belongs to both lower
     sets, contributing nothing.  Returns (estimate, binomial standard error).
     """
-    if a.dim != b.dim:
-        raise DimensionMismatch(f"level set dimensions differ: {a.dim} vs {b.dim}")
-    if not is_count(n_mc, 1_000):
-        raise DomainError(f"n_mc must be an integer >= 1000, got {n_mc!r}")
+    check_dims(a, b, "level set")
+    check_count(n_mc, 1_000, "n_mc")
     lo, hi = _union_box(a, b)
     d = a.dim
 
@@ -482,10 +464,8 @@ def sym_diff_probability(
     probability law of interest.  Returns (estimate, binomial standard
     error) of the fraction falling in exactly one of the two lower sets.
     """
-    if a.dim != b.dim:
-        raise DimensionMismatch(f"level set dimensions differ: {a.dim} vs {b.dim}")
-    if not is_count(n_mc, 1):
-        raise DomainError(f"n_mc must be an integer >= 1, got {n_mc!r}")
+    check_dims(a, b, "level set")
+    check_count(n_mc, 1, "n_mc")
     pts = np.asarray(sampler(n_mc, rng), dtype=float)
     if pts.shape != (n_mc, a.dim):
         raise DimensionMismatch(

@@ -18,7 +18,8 @@ Reproducibility notes:
 * Normal variates use the Box-Muller transform on that uniform stream.
 * :func:`uniform_rows` and :func:`normal_rows` draw one row per stream in
   one pass; row r is bit for bit what ``streams[r]`` alone gives, and the
-  stream methods are their one-row case.
+  stream methods are their one-row case.  A draw count ``n`` is any integer
+  >= 0, checked by :func:`~depthrisk.io.check_count`.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DomainError
-from .io import is_count, is_integer
+from .io import check_count, is_integer
 
 _MASK64 = (1 << 64) - 1
 _ONE_BITS = 0x3FF0000000000000  # the exponent field of 1.0
@@ -65,12 +66,6 @@ def _word(value, what: str) -> int:
     if not is_integer(value):
         raise DomainError(f"{what} must be an integer, got {value!r}")
     return int(value) & _MASK64
-
-
-def _draw_count(n) -> int:
-    if not is_count(n, 0):
-        raise DomainError(f"draw count must be a nonnegative integer, got {n!r}")
-    return int(n)
 
 
 class RngStream:
@@ -114,7 +109,7 @@ def uniform_rows(streams, n: int) -> np.ndarray:
     transforms never see an endpoint.  The words of all rows are spliced in
     one pass.
     """
-    n = _draw_count(n)
+    n = check_count(n, 0, "n")
     if len(streams) == 1:  # spliced in place, not copied: oracle batches are MBs
         raw = streams[0]._bitgen.random_raw(n)[None]
     else:
@@ -138,7 +133,7 @@ def normal_rows(streams, n: int) -> np.ndarray:
     normals, then the first n - m sine normals, so an odd ``n`` still
     consumes a whole pair of uniforms and discards one normal.
     """
-    n = _draw_count(n)
+    n = check_count(n, 0, "n")
     m = (n + 1) // 2
     u = uniform_rows(streams, 2 * m)
     radius, angle = u[:, :m], u[:, m:]

@@ -30,16 +30,16 @@ from .errors import (
     NoMass,
 )
 from .io import (
+    check_count,
+    check_level,
     field_problems,
     fields_from_json,
-    is_count,
     is_real,
     json_fields,
     json_float,
     json_floats,
     raise_problems,
 )
-from .levelset import check_level
 from .linalg import _column_norms, build_spd, color
 from .rng import RngStream, normal_rows, uniform_rows
 
@@ -203,7 +203,7 @@ class FrankGumbelConfig:
         the marginals' quantiles of (u, V), V the Frank conditional
         inversion of w given u (:func:`frank_pair`).  u and w are the two
         halves of each stream's 2n uniforms, drawn in one pass."""
-        _check_draw_count(n)
+        n = check_count(n, 1, "n")
         uw = uniform_rows(streams, 2 * n)
         u, w = uw[:, :n], uw[:, n:]
         # the stream's uniforms already lie in (0, 1): no range checks here
@@ -632,11 +632,6 @@ def _noisy_costs(cols: np.ndarray, noise_var: float, streams: list[RngStream]) -
     return costs
 
 
-def _check_draw_count(n) -> None:
-    if not is_count(n, 1):
-        raise DomainError(f"n must be an integer >= 1, got {n!r}")
-
-
 def sample_gaussian(n: int, model: DepthModel, rng: RngStream) -> Sample:
     """Draw n iid points from N(mu, Sigma) via the Cholesky transform: the
     one-stream case of :class:`GaussianConfig`'s ``draw``."""
@@ -648,7 +643,7 @@ def _gaussian_columns(n: int, model: DepthModel, streams: list[RngStream]) -> np
     """The (k, d, n) columns of n points of N(mu, Sigma) per stream: each
     stream's n * d normals, read as n points of d coordinates, colored by
     the Cholesky factor."""
-    _check_draw_count(n)
+    n = check_count(n, 1, "n")
     d = model.dim
     z = normal_rows(streams, n * d).reshape(len(streams), n, d)
     cols = np.empty((len(streams), d, n))

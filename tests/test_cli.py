@@ -98,6 +98,12 @@ class TestDepthCommand:
                      "-o", str(tmp_path)])
         assert code == 2
         assert "grid" in capsys.readouterr().err
+        for spec, problem in (("0:x:2,0:1:2", "axis 1: expected 'lo:hi:count'"),
+                              ("0:1:2,0:1:0", "axis 2: count must be >= 1")):
+            code = main(["depth", "--model", str(unit_model_path), f"--grid={spec}",
+                         "-o", str(tmp_path)])
+            assert code == 2
+            assert capsys.readouterr().err == f"error: grid: {problem}\n"
 
     @pytest.mark.parametrize("bound", ["nan", "inf", "-inf"])
     @pytest.mark.parametrize("side", ["lo", "hi"])
@@ -392,6 +398,10 @@ class TestExperimentCommand:
         code = main(["experiment", "--config", str(cfg), "-o", str(tmp_path)])
         assert code == 2
         assert "invalid JSON" in capsys.readouterr().err
+        cfg.write_text("[1, 2]")
+        code = main(["experiment", "--config", str(cfg), "-o", str(tmp_path)])
+        assert code == 2
+        assert "expected a JSON object" in capsys.readouterr().err
 
     def test_missing_config_file(self, tmp_path, capsys):
         code = main(["experiment", "--config", str(tmp_path / "absent.json"),

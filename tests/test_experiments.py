@@ -359,6 +359,9 @@ class TestStringFields:
             gaussian_law(noise_var="0.1")
         with pytest.raises(ConfigError, match="^delta_values: wrong type$"):
             gaussian_cfg(delta_values=("x",))
+        # a count where a list of counts belongs
+        with pytest.raises(ConfigError, match="^n_values: wrong type$"):
+            gaussian_cfg(n_values=8)
 
 
 finite = st.floats(-1e6, 1e6)
@@ -519,6 +522,9 @@ class TestConfigJson:
                               "n_values": "many", "alpha_values": [0.5],
                               "replications": 2})
         assert "n_values: wrong type" in str(exc.value)
+        with pytest.raises(ConfigError, match="^data: wrong type$"):
+            config_from_json({"data": [1, 2], "n_values": [8], "alpha_values": [0.5],
+                              "replications": 2})
 
 
 class TestStrictIntegers:

@@ -1,12 +1,13 @@
-"""File formats: atomic writes."""
+"""File formats: atomic writes and numeric CSV reads."""
 
 import sys
 import threading
 
+import numpy as np
 import pytest
 
 from depthrisk import IoError
-from depthrisk.io import atomic_write_text
+from depthrisk.io import atomic_write_text, read_matrix_csv
 
 
 class TestAtomicWrite:
@@ -48,3 +49,16 @@ class TestAtomicWrite:
         with pytest.raises(IoError, match="cannot write"):
             atomic_write_text(target, "text\n")
         assert [p.name for p in tmp_path.iterdir()] == ["taken"]
+
+
+class TestReadMatrixCsv:
+    def test_blank_lines_skipped_and_files_without_rows_refused(self, tmp_path):
+        gappy = tmp_path / "gappy.csv"
+        gappy.write_text("x,y\n1,2\n\n3,4\n")
+        assert np.array_equal(read_matrix_csv(gappy), [[1.0, 2.0], [3.0, 4.0]])
+        header_only = tmp_path / "header.csv"
+        header_only.write_text("x,y\n")
+        with pytest.raises(IoError, match="no data rows"):
+            read_matrix_csv(header_only)
+        with pytest.raises(IoError, match="cannot read"):
+            read_matrix_csv(tmp_path)

@@ -42,6 +42,8 @@ class TestBuildSpd:
     def test_non_square_rejected(self):
         with pytest.raises(DimensionMismatch):
             build_spd(np.ones((2, 3)))
+        with pytest.raises(DimensionMismatch, match="at least one row"):
+            build_spd(np.zeros((0, 0)))
 
     def test_asymmetric_rejected(self):
         a = np.array([[1.0, 0.5], [0.0, 1.0]])
@@ -150,6 +152,8 @@ class TestNonFiniteAndStacks:
             build_spd([[1.0, 0.0], [0.0, bad]])
         with pytest.raises(DomainError):
             build_spd([[2.0, bad], [bad, 2.0]])
+        with pytest.raises(DomainError, match="must be finite"):
+            cholesky_lower(np.stack([np.eye(2), [[1.0, 0.0], [0.0, bad]]]))
 
     def test_build_spd_rejects_entries_whose_symmetrization_overflows(self):
         with pytest.raises(DomainError, match="half the largest float"):

@@ -1,7 +1,7 @@
 """Package surface: shipped configs parse, every exported name resolves,
 every name the benchmark harness calls or traces exists, every public count
-argument follows one rule, no private helper or constant is left without
-a caller or reader, and the import stays light."""
+argument and every pair of operands follows one rule, no private helper or
+constant is left without a caller or reader, and the import stays light."""
 
 import ast
 import importlib
@@ -19,6 +19,7 @@ import depthrisk
 import depthrisk.cli  # noqa: F401  (the harness calls depthrisk.cli.main)
 from depthrisk import (
     DepthModel,
+    DimensionMismatch,
     DomainError,
     FrankGumbelConfig,
     GumbelMarginal,
@@ -34,8 +35,10 @@ from depthrisk import (
     estimate_population_model,
     gaussian_population,
     hausdorff_report,
+    radial_sym_diff_volume,
     sample_gaussian,
     sample_risk_factors,
+    sup_norm_distance,
     sym_diff_probability,
     sym_diff_volume,
 )
@@ -87,36 +90,62 @@ def _gaussian_rows(n, rng):
     return sample_gaussian(n, MODEL, rng).points
 
 
-# every public count argument, with a count it accepts
+# every public count argument: its name, its least value, a count it
+# accepts and a call taking the count
 COUNT_ENTRY_POINTS = {
-    "RngStream.uniforms": (0, lambda n: RngStream(1).uniforms(n)),
-    "RngStream.normals": (0, lambda n: RngStream(1).normals(n)),
-    "sample_risk_factors": (1, lambda n: sample_risk_factors(n, FRANK, RngStream(1))),
-    "sample_gaussian": (1, lambda n: sample_gaussian(n, MODEL, RngStream(1))),
-    "boundary_points": (8, lambda m: boundary_points(SPEC, m)),
-    "hausdorff_report": (64, lambda m: hausdorff_report(SPEC, SPEC, m)),
-    "pool_size": (1, lambda threads: pool_size(threads, 5)),
-    "ccte_under_model": (1, lambda n1: ccte_under_model(
+    "RngStream.uniforms": ("n", 0, 0, lambda n: RngStream(1).uniforms(n)),
+    "RngStream.normals": ("n", 0, 0, lambda n: RngStream(1).normals(n)),
+    "sample_risk_factors": ("n", 1, 1, lambda n: sample_risk_factors(n, FRANK, RngStream(1))),
+    "sample_gaussian": ("n", 1, 1, lambda n: sample_gaussian(n, MODEL, RngStream(1))),
+    "boundary_points": ("m", 8, 8, lambda m: boundary_points(SPEC, m)),
+    "hausdorff_report": ("m", 64, 64, lambda m: hausdorff_report(SPEC, SPEC, m)),
+    "pool_size": ("threads", 1, 1, lambda threads: pool_size(threads, 5)),
+    "ccte_under_model": ("n1", 1, 1, lambda n1: ccte_under_model(
         MODEL, Sample(np.eye(2), np.ones(2)), 0.5, n1)),
-    "ccte_true_oracle": (100_000, lambda n_mc: ccte_true_oracle(
+    "ccte_true_oracle": ("n_mc", 100_000, 100_000, lambda n_mc: ccte_true_oracle(
         gaussian_population(MODEL), 0.5, n_mc, RngStream(1))),
-    "estimate_population_model": (1000, lambda n_mc: estimate_population_model(
+    # two points of the plane cannot be fitted, 1000 can
+    "estimate_population_model": ("n_mc", 2, 1000, lambda n_mc: estimate_population_model(
         _gaussian_rows, n_mc, RngStream(1))),
-    "sym_diff_volume": (1000, lambda n_mc: sym_diff_volume(SPEC, SPEC, n_mc, RngStream(1))),
-    "sym_diff_probability": (1, lambda n_mc: sym_diff_probability(
+    "sym_diff_volume": ("n_mc", 1000, 1000,
+                        lambda n_mc: sym_diff_volume(SPEC, SPEC, n_mc, RngStream(1))),
+    "sym_diff_probability": ("n_mc", 1, 1, lambda n_mc: sym_diff_probability(
         SPEC, SPEC, _gaussian_rows, n_mc, RngStream(1))),
 }
 
 
 @pytest.mark.parametrize("entry", sorted(COUNT_ENTRY_POINTS))
 def test_count_arguments_are_integers(entry):
-    ok, call = COUNT_ENTRY_POINTS[entry]
+    name, least, ok, call = COUNT_ENTRY_POINTS[entry]
     # the bools, strings and fractions that used to be truncated, rounded
-    # or failed with a bare TypeError, and a fraction above a good count
-    for bad in (2.5, True, "3", ok + 0.5):
-        with pytest.raises(DomainError):
+    # or failed with a bare TypeError, a fraction above a good count, and
+    # one count too few, all in the one message form
+    for bad in (2.5, True, "3", ok + 0.5, least - 1):
+        with pytest.raises(DomainError, match=rf"^{name} must be an integer >= {least}, got "):
             call(bad)
     call(np.int64(ok))
+
+
+SPEC_3D = LevelSetSpec(DepthModel(np.zeros(3), build_spd(np.eye(3))), 0.5)
+
+# every public function of two models, two level sets or a model and a
+# sample, called on the 2-d and the 3-d side of a pair of level sets
+DIMS_ENTRY_POINTS = {
+    "ccte_under_model": lambda a, b: ccte_under_model(
+        a.model, Sample(np.zeros((2, b.dim)), np.ones(2)), 0.5, 1),
+    "sup_norm_distance": lambda a, b: sup_norm_distance(a.model, b.model),
+    "hausdorff_report": lambda a, b: hausdorff_report(a, b, 64),
+    "radial_sym_diff_volume": radial_sym_diff_volume,
+    "sym_diff_volume": lambda a, b: sym_diff_volume(a, b, 1000, RngStream(1)),
+    "sym_diff_probability": lambda a, b: sym_diff_probability(
+        a, b, _gaussian_rows, 1, RngStream(1)),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(DIMS_ENTRY_POINTS))
+def test_operands_of_two_dimensions_are_refused(entry):
+    with pytest.raises(DimensionMismatch, match=r" dimensions differ: 2 vs 3$"):
+        DIMS_ENTRY_POINTS[entry](SPEC, SPEC_3D)
 
 
 def module_level_names(node):
