@@ -108,7 +108,7 @@ def _ratio_under_models(mu, low, cost_cols, costs, levels):
     would give, so the bits are those of scoring each replicate alone.
     Inputs are not checked: the callers do that.
     """
-    depth = _column_depths(mu, low, cost_cols)
+    depth = _column_depths(low, cost_cols, mu)
     k, n2 = depth.shape
     flat_costs = np.ravel(costs)
     row_starts = np.arange(0, k * n2 + 1, n2)
@@ -208,7 +208,7 @@ def ccte_true_oracle(law: Law, alpha, n_mc: int, rng: RngStream):
     sum_cost = [0.0] * len(levels)
     sum_cost_sq = [0.0] * len(levels)
     for cols in _batches(lambda m, stream: law.draw(m, [stream])[0], n_mc, rng):
-        depth = _column_depths(law.exact_model.mu, law.exact_model.sigma.chol, cols)
+        depth = _column_depths(law.exact_model.sigma.chol, cols, law.exact_model.mu)
         cost = _column_norms(cols)
         for k, a in enumerate(levels):
             # gathered by index, the index array freed at once

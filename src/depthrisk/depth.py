@@ -22,8 +22,7 @@ from scipy.linalg import solve_triangular
 
 from .errors import DegenerateSample, DimensionMismatch, DomainError, NotPositiveDefinite
 from .io import check_dims, json_fields, json_floats, raise_problems
-from .linalg import SpdMatrix, build_spd, cholesky_lower, quad_forms, whiten
-from .linalg import _column_norms, _whiten_in_place
+from .linalg import SpdMatrix, _column_forms, build_spd, cholesky_lower, quad_forms, whiten
 
 if TYPE_CHECKING:  # pragma: no cover
     from .sampling import Sample
@@ -106,17 +105,14 @@ def mhd(x, model: DepthModel):
     lie in (0, 1], and equal 1 exactly when x == mu.
     """
     pts, single = _point_rows(x, model)
-    val = _column_depths(model.mu, model.sigma.chol, pts.T)
+    val = _column_depths(model.sigma.chol, pts.T, model.mu)
     return float(val[0]) if single else val
 
 
-def _column_depths(mu, low, cols) -> np.ndarray:
+def _column_depths(low, cols, mu=0.0) -> np.ndarray:
     """The depths 1 / (1 + |L^{-1} (x - mu)|^2) of the columns x of ``cols``
-    (..., d, n), for locations ``mu`` (..., d) and lower factors L ``low``
-    (..., d, d).  Each step is elementwise, the squares summed coordinate by
-    coordinate (:func:`_column_norms`), so a column's bits do not depend on
-    n, the stack or the memory layout."""
-    val = _column_norms(_whiten_in_place(low, np.subtract(cols, mu[..., None], order="C")))
+    (..., d, n): one over one plus their :func:`~depthrisk.linalg._column_forms`."""
+    val = _column_forms(low, cols, mu)
     val += 1.0
     return np.divide(1.0, val, out=val)
 
@@ -128,7 +124,7 @@ def mhd_gradient(x, model: DepthModel):
     """
     pts, single = _point_rows(x, model)
     centered = pts - model.mu
-    depth = _column_depths(model.mu, model.sigma.chol, pts.T)
+    depth = _column_depths(model.sigma.chol, centered.T)
     half = solve_triangular(model.sigma.chol, centered.T, lower=True, check_finite=False)
     full = solve_triangular(model.sigma.chol.T, half, lower=False, check_finite=False)
     grad = (-2.0 * depth * depth)[:, None] * full.T

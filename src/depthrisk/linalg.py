@@ -191,20 +191,21 @@ def build_spd(entries, chol=None) -> SpdMatrix:
 def quad_forms(m: SpdMatrix, rows, center=None) -> np.ndarray:
     """Quadratic forms ``v' m^{-1} v`` of the rows v of an (n, dim) array,
     less ``center`` (a dim-vector) when one is given, through the Cholesky
-    factor; each is nonnegative, and zero exactly for a zero v.
-
-    The rows, centred or not, are copied once into one C-contiguous
-    (dim, n) buffer, whatever their layout; it is whitened in place and
-    its squares summed coordinate by coordinate (:func:`_column_norms`), so
-    the result depends neither on the input's memory order nor on the
-    number of rows: the form of one row is its form in any batch.
-    """
+    factor; each is nonnegative, and zero exactly for a zero v.  They are
+    the :func:`_column_forms` of the rows, so the result depends neither on
+    the input's memory order nor on the number of rows."""
     r = np.atleast_2d(np.asarray(rows, dtype=float))
     if r.ndim != 2 or r.shape[1] != m.dim:
         raise DimensionMismatch(f"expected vectors of length {m.dim}, got shape {r.shape}")
-    w = np.empty((m.dim, r.shape[0]))
-    if center is None:
-        w[...] = r.T
-    else:
-        np.subtract(r.T, np.asarray(center, dtype=float)[:, None], out=w)
-    return _column_norms(_whiten_in_place(m.chol, w))
+    return _column_forms(m.chol, r.T, 0.0 if center is None else center)
+
+
+def _column_forms(low, cols, center=0.0) -> np.ndarray:
+    """The forms |L^{-1} (x - center)|^2 of the columns x of ``cols``
+    (..., d, n), for lower factors L ``low`` (..., d, d) and locations
+    ``center`` (..., d).  The centred columns fill one C-contiguous buffer,
+    whitened in place and their squares summed by :func:`_column_norms`:
+    each step is elementwise, so a column's bits do not depend on n, the
+    stack or the memory layout."""
+    w = np.subtract(cols, np.asarray(center, dtype=float)[..., None], order="C")
+    return _column_norms(_whiten_in_place(low, w))
