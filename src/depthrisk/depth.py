@@ -20,8 +20,8 @@ from typing import TYPE_CHECKING
 import numpy as np
 from scipy.linalg import solve_triangular
 
-from .errors import DegenerateSample, DimensionMismatch, DomainError, NotPositiveDefinite
-from .io import check_dims, json_fields, json_floats, raise_problems
+from .errors import DegenerateSample, DimensionMismatch, NotPositiveDefinite
+from .io import check_dims, check_finite, json_fields, json_floats, raise_problems
 from .linalg import SpdMatrix, _column_forms, build_spd, cholesky_lower, quad_forms, whiten
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -42,15 +42,9 @@ class DepthModel:
     __slots__ = ("mu", "sigma")
 
     def __init__(self, mu, sigma: SpdMatrix):
-        loc = np.array(mu, dtype=float)
-        if loc.ndim != 1:
-            raise DimensionMismatch(f"mu must be a vector, got shape {loc.shape}")
-        if loc.shape[0] != sigma.dim:
-            raise DimensionMismatch(
-                f"mu has length {loc.shape[0]} but sigma has dimension {sigma.dim}"
-            )
-        if not np.all(np.isfinite(loc)):
-            raise DomainError(f"mu must be finite, got {loc.tolist()}")
+        loc = np.array(check_finite(mu, "mu"))
+        if loc.shape != (sigma.dim,):
+            raise DimensionMismatch(f"mu must have shape ({sigma.dim},) of sigma, got {loc.shape}")
         loc.setflags(write=False)
         self.mu = loc
         self.sigma = sigma
@@ -72,7 +66,7 @@ class DepthModel:
         :func:`~depthrisk.io.json_fields`: one ConfigError names every
         missing, unknown or wrong-typed key."""
         table = {
-            "mu": lambda v: np.array(json_floats(v)),
+            "mu": json_floats,
             "sigma": lambda rows: np.array([json_floats(row) for row in rows]),
         }
         problems: list[str] = []
@@ -82,7 +76,7 @@ class DepthModel:
 
 
 def _point_rows(x, model: DepthModel) -> tuple[np.ndarray, bool]:
-    pts = np.asarray(x, dtype=float)
+    pts = check_finite(x, "x")
     single = pts.ndim == 1
     if pts.ndim not in (1, 2) or pts.shape[-1] != model.dim:
         raise DimensionMismatch(
@@ -153,9 +147,10 @@ def fit_columns(cols) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def fit_model(s: "Sample") -> DepthModel:
     """Fit the plug-in depth model, sample mean and unbiased covariance:
     :func:`fit_columns` of one sample, raising DegenerateSample as it does
-    (n < d + 1, or points in an affine hyperplane).  The core's factor is
-    reused: the covariance is factored once."""
-    mu, cov, low = fit_columns(s.points.T[None])
+    (n < d + 1, or points in an affine hyperplane).  It fits C-contiguous
+    columns, so its bits are the core's in any memory layout.  The core's
+    factor is reused: the covariance is factored once."""
+    mu, cov, low = fit_columns(np.ascontiguousarray(s.points.T)[None])
     return DepthModel(mu[0], build_spd(cov[0], low[0]))
 
 

@@ -29,6 +29,7 @@ from .errors import DomainError, NonPositiveStatistic
 from .io import (
     atomic_write_text,
     check_count,
+    check_finite,
     check_level,
     csv_text,
     field_problems,
@@ -67,6 +68,12 @@ _TAG_CONV_MC = 102
 # temporaries stay within a 2 MB L2 cache.
 BLOCK_ROWS = 1 << 16
 
+# The rules of the fields both study configs have.
+_N_VALUES_CHECK = ("n_values",
+                   lambda v: all(is_count(n, 2) for n in v) and 0 < len(v) == len(set(v)),
+                   "must be a nonempty list of distinct integers >= 2")
+_MASTER_SEED_CHECK = ("master_seed", lambda v: is_count(v, 0), "must be a nonnegative integer")
+
 SUMMARY_HEADER = "n,alpha,truth,truth_se,mean,sigma_hat,rmae,degenerate_count"
 RATES_HEADER = "n,alpha,delta,V"
 CONVERGENCE_STATS = ("supnorm", "hausdorff", "symdiff")
@@ -97,8 +104,7 @@ class ExperimentConfig:
         ("data_cfg", lambda v: isinstance(getattr(v, "exact_model", None), DepthModel)
          and callable(getattr(v, "exact_truth", None)),
          "must be a law with an exact_model DepthModel and an exact_truth method"),
-        ("n_values", lambda v: all(is_count(n, 2) for n in v) and 0 < len(v) == len(set(v)),
-         "must be a nonempty list of distinct integers >= 2"),
+        _N_VALUES_CHECK,
         ("alpha_values", lambda v: all(check_level(a) for a in v) and 0 < len(v) == len(set(v)),
          "must be a nonempty list of distinct levels in (0, 1)"),
         ("delta_values", lambda v: all(map(is_real, v)), "wrong type"),
@@ -106,7 +112,7 @@ class ExperimentConfig:
         ("delta_values", lambda v: len(v) == len(set(v)), "must be a list of distinct numbers"),
         ("replications", lambda v: is_count(v, 2), "must be an integer >= 2"),
         ("truth_n_mc", lambda v: is_count(v, 100_000), "must be an integer >= 100000"),
-        ("master_seed", lambda v: is_count(v, 0), "must be a nonnegative integer"),
+        _MASTER_SEED_CHECK,
     )
 
     def __post_init__(self) -> None:
@@ -303,13 +309,13 @@ def _loglog_slope(ns, stats) -> float | None:
 def rate_slope(points: list[tuple[float, float]]) -> float:
     """Least-squares slope of log(stat) against log(n).
 
-    Needs at least three points; every statistic must be strictly positive
-    (a zero would send the log to -inf and poison the fit).
+    Needs at least three (n, stat) pairs of finite numbers; every statistic
+    must be strictly positive (a zero would send the log to -inf).
     """
-    if len(points) < 3:
-        raise DomainError("rate_slope needs at least 3 points")
-    ns = np.array([p[0] for p in points], dtype=float)
-    stats = np.array([p[1] for p in points], dtype=float)
+    pts = check_finite(points, "points")
+    if pts.ndim != 2 or pts.shape[1] != 2 or len(pts) < 3:
+        raise DomainError(f"rate_slope needs at least 3 (n, stat) pairs, got shape {pts.shape}")
+    ns, stats = pts.T
     if np.any(ns <= 0.0):
         raise DomainError("sample sizes must be positive")
     if np.any(stats <= 0.0):
@@ -390,13 +396,12 @@ class ConvergenceConfig:
     master_seed: int = 0
 
     _checks = (
-        ("n_values", lambda v: all(is_count(n, 2) for n in v) and 0 < len(v) == len(set(v)),
-         "must be a nonempty list of distinct integers >= 2"),
+        _N_VALUES_CHECK,
         ("seeds", lambda v: is_count(v, 1), "must be an integer >= 1"),
         ("alpha", check_level, "must lie in (0, 1)"),
         ("boundary_m", lambda v: is_count(v, 64), "must be an integer >= 64"),
         ("symdiff_n_mc", lambda v: is_count(v, 1000), "must be an integer >= 1000"),
-        ("master_seed", lambda v: is_count(v, 0), "must be a nonnegative integer"),
+        _MASTER_SEED_CHECK,
     )
 
     def __post_init__(self) -> None:

@@ -1,13 +1,15 @@
 """Input rules, numeric CSV tables, JSON config objects, atomic writes.
 
 Each argument rule is written here once, with one message: a count
-(:func:`check_count`), a level (:func:`check_level`) and two operands of one
-dimension (:func:`check_dims`).  Every table the package writes goes through
-:func:`csv_text` (shortest round-trip decimals, one LF per line) and
-:func:`atomic_write_text`; every JSON config is read by
-:func:`load_json_object` and converted field by field through
-:func:`json_fields`, so a bad file is reported in one message.  A config
-class checks its fields by a ``_checks`` table (:func:`field_problems`).
+(:func:`check_count`), a level (:func:`check_level`), two operands of one
+dimension (:func:`check_dims`) and an outside array of finite numbers
+(:func:`check_finite`).  A config class checks its fields by a ``_checks``
+table (:func:`field_problems`), and a function taking one of those values
+checks it by the same table, raising a DomainError.  Every table the
+package writes goes through :func:`csv_text` (shortest round-trip
+decimals, one LF per line) and :func:`atomic_write_text`; every JSON
+config is read by :func:`load_json_object` and converted field by field
+through :func:`json_fields`, so a bad file is reported in one message.
 """
 
 from __future__ import annotations
@@ -232,6 +234,22 @@ def check_dims(a, b, what: str) -> None:
         raise DimensionMismatch(f"{what} dimensions differ: {a.dim} vs {b.dim}")
 
 
+def check_finite(value, name: str) -> np.ndarray:
+    """``value`` as a float array, if it holds only finite real numbers (no
+    string, bool or other object, no ragged nesting, NaN or infinity); a
+    DomainError "<name> must be finite numbers" otherwise."""
+    try:
+        arr = np.asarray(value)
+        # a bool among numbers converts silently: nested lists are read entry by entry
+        ok = arr.dtype.kind in "iuf" and (isinstance(value, np.ndarray) or not any(
+            isinstance(x, (bool, np.bool_)) for x in np.asarray(value, dtype=object).flat))
+    except (TypeError, ValueError, OverflowError):  # ragged nesting
+        ok = False
+    if not (ok and np.isfinite(arr).all()):
+        raise DomainError(f"{name} must be finite numbers")
+    return arr.astype(float, copy=False)
+
+
 def field_problems(checks, values: dict, prefix: str = "") -> list[str]:
     """Problems of the fields present in ``values`` under a table of
     (field, check, reason), each naming ``prefix + field``: the reason where
@@ -253,10 +271,10 @@ def field_problems(checks, values: dict, prefix: str = "") -> list[str]:
     return list(problems.values())
 
 
-def raise_problems(problems: list[str]) -> None:
-    """Raise one ConfigError naming every problem, if there is any."""
+def raise_problems(problems: list[str], error=ConfigError) -> None:
+    """Raise one ``error`` naming every problem, if there is any."""
     if problems:
-        raise ConfigError("; ".join(problems))
+        raise error("; ".join(problems))
 
 
 def fields_from_json(cls, obj: dict, table: dict, required) -> dict:

@@ -27,7 +27,7 @@ from scipy.spatial import cKDTree
 
 from .depth import DepthModel, mhd
 from .errors import DimensionMismatch
-from .io import check_count, check_dims, check_level
+from .io import check_count, check_dims, check_finite, check_level
 from .linalg import _column_norms, whiten
 from .rng import RngStream, mix64
 
@@ -466,11 +466,9 @@ def sym_diff_probability(
     """
     check_dims(a, b, "level set")
     check_count(n_mc, 1, "n_mc")
-    pts = np.asarray(sampler(n_mc, rng), dtype=float)
+    pts = check_finite(sampler(n_mc, rng), "draws")
     if pts.shape != (n_mc, a.dim):
-        raise DimensionMismatch(
-            f"sampler returned shape {pts.shape}, expected ({n_mc}, {a.dim})"
-        )
+        raise DimensionMismatch(f"sampler returned shape {pts.shape}, expected ({n_mc}, {a.dim})")
     differ = in_lower_set(pts, a) ^ in_lower_set(pts, b)
     frac = float(np.count_nonzero(differ)) / n_mc
     se = np.sqrt(frac * (1.0 - frac) / n_mc)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DimensionMismatch, DomainError, NotPositiveDefinite, NotSymmetric
+from .io import check_finite
 
 SYMMETRY_TOL = 1e-12
 PIVOT_FLOOR = 1e-300
@@ -23,15 +24,12 @@ def _checked_symmetric(matrix) -> np.ndarray:
     Accumulated covariances carry last-bit asymmetry, so inputs within the
     absolute tolerance are symmetrized as (A + A.T) / 2 instead of rejected.
     """
-    a = np.asarray(matrix, dtype=float)
+    a = check_finite(matrix, "matrix entries")
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionMismatch(f"expected a square matrix, got shape {a.shape}")
     if a.shape[0] == 0:
         raise DimensionMismatch("matrix must have at least one row")
-    largest = float(np.max(np.abs(a)))
-    if not np.isfinite(largest):
-        raise DomainError("matrix entries must be finite")
-    if largest > _HALF_MAX:  # A + A.T would overflow
+    if float(np.max(np.abs(a))) > _HALF_MAX:  # A + A.T would overflow
         raise DomainError("matrix entries must be at most half the largest float")
     gap = float(np.max(np.abs(a - a.T)))
     if gap > SYMMETRY_TOL:
@@ -50,13 +48,11 @@ def cholesky_lower(matrices) -> np.ndarray:
     Raises
     ------
     DomainError
-        If any entry is NaN or infinite.
+        If an entry is not a finite number.
     NotPositiveDefinite
         If a pivot of some matrix is at or below the floor.
     """
-    a = np.asarray(matrices, dtype=float)
-    if not np.all(np.isfinite(a)):
-        raise DomainError("matrix entries must be finite")
+    a = check_finite(matrices, "matrix entries")
     stack = a.reshape(-1, *a.shape[-2:])
     try:
         low = np.linalg.cholesky(stack)
@@ -153,7 +149,7 @@ class SpdMatrix:
     Raises
     ------
     DomainError
-        If an entry is NaN or infinite.
+        If an entry of the matrix or of ``chol`` is not a finite number.
     NotSymmetric
         If the input is asymmetric beyond 1e-12 (absolute, entrywise).
     NotPositiveDefinite
@@ -169,7 +165,7 @@ class SpdMatrix:
         if chol is None:
             chol = cholesky_lower(a)
         else:
-            chol = np.array(chol, dtype=float)
+            chol = np.array(check_finite(chol, "chol"))
             if chol.shape != a.shape:
                 raise DimensionMismatch(f"factor shape {chol.shape} differs from {a.shape}")
             _check_pivots(chol)
@@ -194,10 +190,11 @@ def quad_forms(m: SpdMatrix, rows, center=None) -> np.ndarray:
     factor; each is nonnegative, and zero exactly for a zero v.  They are
     the :func:`_column_forms` of the rows, so the result depends neither on
     the input's memory order nor on the number of rows."""
-    r = np.atleast_2d(np.asarray(rows, dtype=float))
-    if r.ndim != 2 or r.shape[1] != m.dim:
-        raise DimensionMismatch(f"expected vectors of length {m.dim}, got shape {r.shape}")
-    return _column_forms(m.chol, r.T, 0.0 if center is None else center)
+    r = np.atleast_2d(check_finite(rows, "rows"))
+    c = np.zeros(m.dim) if center is None else check_finite(center, "center")
+    if r.ndim != 2 or r.shape[1] != m.dim or c.shape != (m.dim,):
+        raise DimensionMismatch(f"expected vectors of length {m.dim}, got {r.shape} and {c.shape}")
+    return _column_forms(m.chol, r.T, c)
 
 
 def _column_forms(low, cols, center=0.0) -> np.ndarray:

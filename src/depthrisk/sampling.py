@@ -31,6 +31,7 @@ from .errors import (
 )
 from .io import (
     check_count,
+    check_finite,
     check_level,
     field_problems,
     fields_from_json,
@@ -49,6 +50,12 @@ INDEPENDENCE_THETA = 1e-8
 
 _TINY = np.finfo(float).tiny
 _HUGE = np.finfo(float).max
+
+# The rule of the cost noise variance, read by both laws and attach_costs.
+_NOISE_VAR_CHECKS = (
+    ("noise_var", is_real, "wrong type"),
+    ("noise_var", lambda v: np.isfinite(v) and v >= 0.0, "must be finite and >= 0"),
+)
 
 
 class Law(Protocol):
@@ -83,15 +90,14 @@ class GaussianConfig:
         ("mu", lambda v: all(map(is_real, v)), "wrong type"),
         ("mu", lambda v: len(v) > 0 and np.all(np.isfinite(v)), "must be nonempty and finite"),
         ("sigma", lambda v: all(map(is_real, np.asarray(v, dtype=object).ravel())), "wrong type"),
-        ("noise_var", is_real, "wrong type"),
-        ("noise_var", lambda v: np.isfinite(v) and v >= 0.0, "must be finite and >= 0"),
+        *_NOISE_VAR_CHECKS,
     )
 
     def __post_init__(self) -> None:
         raise_problems(field_problems(self._checks, vars(self)))
         try:
-            model = DepthModel(np.array(self.mu, dtype=float), build_spd(self.sigma))
-        except (DepthRiskError, TypeError, ValueError) as exc:
+            model = DepthModel(self.mu, build_spd(self.sigma))
+        except DepthRiskError as exc:
             raise ConfigError(f"sigma: {exc}") from None
         # the moments of the exact truth: refused here rather than an inf there
         with np.errstate(over="ignore"):
@@ -148,7 +154,7 @@ class GumbelMarginal:
     """Location-scale parameters of a max-Gumbel marginal.
 
     The convention is the max-Gumbel CDF exp(-exp(-(x - mu) / beta)).  The
-    law that holds a marginal checks it.
+    law that holds a marginal, and :func:`gumbel_quantile`, check it by ``_checks``.
     """
 
     mu: float
@@ -183,9 +189,7 @@ class FrankGumbelConfig:
         ("theta", is_real, "wrong type"),
         ("theta", np.isfinite, "must be finite"),
         ("theta", lambda v: v != 0.0, "must be nonzero"),
-        ("noise_var", is_real, "wrong type"),
-        ("noise_var", np.isfinite, "must be finite"),
-        ("noise_var", lambda v: v >= 0, "must be >= 0"),
+        *_NOISE_VAR_CHECKS,
     )
 
     def __post_init__(self) -> None:
@@ -234,7 +238,7 @@ class FrankGumbelConfig:
             "marginals": _two_marginals,
             "noise_var": json_float,
         }
-        fields = _law_fields(cls, obj, table, ("theta", "marginals", "noise_var"))
+        fields = _law_fields(cls, obj, table, ("theta", "marginals"))
         marg1, marg2 = fields.pop("marginals")
         return cls(marg1=marg1, marg2=marg2, **fields)
 
@@ -391,21 +395,13 @@ class Sample:
     __slots__ = ("points", "costs")
 
     def __init__(self, points, costs=None):
-        pts = np.asarray(points, dtype=float)
-        if pts.ndim != 2:
-            raise DimensionMismatch(f"points must be 2-d (n, d), got shape {pts.shape}")
-        if pts.shape[0] < 1:
-            raise DimensionMismatch("a sample needs at least one point")
-        if not np.isfinite(pts).all():
-            raise DomainError("points must be finite")
+        pts = check_finite(points, "points")
+        if pts.ndim != 2 or 0 in pts.shape:
+            raise DimensionMismatch(f"points must be a nonempty (n, d) array, got {pts.shape}")
         if costs is not None:
-            costs = np.asarray(costs, dtype=float)
+            costs = check_finite(costs, "costs")
             if costs.shape != (pts.shape[0],):
-                raise DimensionMismatch(
-                    f"costs must have shape ({pts.shape[0]},), got {costs.shape}"
-                )
-            if not np.isfinite(costs).all():
-                raise DomainError("costs must be finite")
+                raise DimensionMismatch(f"costs must have shape ({len(pts)},), got {costs.shape}")
             if not costs.flags.owndata:
                 costs = costs.copy()
             costs.setflags(write=False)
@@ -429,8 +425,8 @@ class Sample:
 
 
 def _as_open_unit(p, name: str) -> np.ndarray:
-    arr = np.asarray(p, dtype=float)
-    if arr.size and (np.any(arr <= 0.0) or np.any(arr >= 1.0)):
+    arr = check_finite(p, name)
+    if np.any(arr <= 0.0) or np.any(arr >= 1.0):
         raise DomainError(f"{name} must lie strictly inside (0, 1)")
     return arr
 
@@ -443,7 +439,7 @@ def gumbel_quantile(p, mu: float, beta: float):
     p : float or array_like
         Probability level(s), strictly inside (0, 1).
     mu, beta : float
-        Location and scale; beta must be positive.
+        Location and scale, finite, and beta > 0 (:class:`GumbelMarginal`'s rules).
 
     Returns
     -------
@@ -454,8 +450,7 @@ def gumbel_quantile(p, mu: float, beta: float):
     Q(exp(-1)) equals mu exactly: log(exp(-1.0)) rounds to -1.0 in IEEE
     double precision, so the inner expression is log(1.0) == 0.0.
     """
-    if beta <= 0:
-        raise DomainError("beta must be > 0")
+    raise_problems(field_problems(GumbelMarginal._checks, {"mu": mu, "beta": beta}), DomainError)
     q = np.array(_as_open_unit(p, "p"))
     _gumbel_quantile(q, mu, beta, out=q)
     return float(q) if np.isscalar(p) else q
@@ -486,9 +481,10 @@ def frank_pair(u, w, theta: float):
     u, w : float or array_like
         Uniform draws, strictly inside (0, 1).
     theta : float
-        Dependence parameter; must be nonzero.  Magnitudes below 1e-8 are
-        routed to the exact independence limit (V = w) because the closed
-        form loses precision there.  Stable for any finite nonzero theta.
+        Dependence parameter, finite and nonzero (:class:`FrankGumbelConfig`'s
+        rule).  Magnitudes below 1e-8 are routed to the exact independence
+        limit (V = w), where the closed form loses precision; it is stable
+        at every other finite theta.
 
     Returns
     -------
@@ -497,10 +493,9 @@ def frank_pair(u, w, theta: float):
     Raises
     ------
     DomainError
-        If u or w leaves (0, 1), or theta == 0 exactly.
+        If u or w leaves (0, 1), or theta is not a finite nonzero number.
     """
-    if theta == 0.0:
-        raise DomainError("theta must be nonzero (theta -> 0 is the independence copula)")
+    raise_problems(field_problems(FrankGumbelConfig._checks, {"theta": theta}), DomainError)
     scalar = np.isscalar(u) and np.isscalar(w)
     uu = _as_open_unit(u, "u")
     ww = _as_open_unit(w, "w")
@@ -596,12 +591,6 @@ def sample_risk_factors(n: int, cfg: FrankGumbelConfig, rng: RngStream) -> Sampl
     return Sample(cfg.draw(n, [rng])[0].T.copy())  # (n, 2), C order
 
 
-def squared_norms(points) -> np.ndarray:
-    """Row-wise squared Euclidean norms, the noise-free cost map.  Summed
-    coordinate by coordinate, so the bits do not depend on memory order."""
-    return _column_norms(np.asarray(points, dtype=float).T)
-
-
 def attach_costs(s: Sample, noise_var: float, rng: RngStream) -> Sample:
     """Return a new sample with costs |x|^2 + eps, eps iid N(0, noise_var).
 
@@ -613,12 +602,11 @@ def attach_costs(s: Sample, noise_var: float, rng: RngStream) -> Sample:
     AlreadyHasCosts
         If ``s`` already carries costs.
     DomainError
-        If ``noise_var`` is negative.
+        If ``noise_var`` is not a finite number >= 0 (the laws' rule).
     """
     if s.costs is not None:
         raise AlreadyHasCosts("sample already has costs attached")
-    if noise_var < 0:
-        raise DomainError("noise_var must be >= 0")
+    raise_problems(field_problems(_NOISE_VAR_CHECKS, {"noise_var": noise_var}), DomainError)
     return Sample(s.points, _noisy_costs(s.points.T[None], noise_var, [rng])[0])
 
 
@@ -635,7 +623,7 @@ def _noisy_costs(cols: np.ndarray, noise_var: float, streams: list[RngStream]) -
 def sample_gaussian(n: int, model: DepthModel, rng: RngStream) -> Sample:
     """Draw n iid points from N(mu, Sigma) via the Cholesky transform: the
     one-stream case of :class:`GaussianConfig`'s ``draw``."""
-    # in F order, as the first release drew them: a fit's bits depend on it
+    # in F order, the layout the first release drew them in
     return Sample(_gaussian_columns(n, model, [rng])[0].T.copy(order="F"))
 
 

@@ -159,7 +159,7 @@ class TestDepthCommand:
         out = tmp_path / "out"
         code = main(["depth", "--model", str(path), "--grid=0:1:2,0:1:2", "-o", str(out)])
         assert code == 2
-        assert capsys.readouterr().err == f"error: model: {path}: mu must be finite, got [nan, 0.0]\n"
+        assert capsys.readouterr().err == f"error: model: {path}: mu must be finite numbers\n"
         assert not (out / "depths.csv").exists()
 
     def test_bad_model_file(self, tmp_path, capsys):

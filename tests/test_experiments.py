@@ -46,6 +46,7 @@ from depthrisk import (
     sym_diff_volume,
 )
 from depthrisk import experiments
+from depthrisk.depth import fit_columns
 from depthrisk.experiments import (
     _TAG_CONV_MC,
     _TAG_CONV_SAMPLE,
@@ -506,7 +507,7 @@ class TestConfigJson:
     def test_non_finite_model_mu(self):
         obj = {"model": {"mu": [float("nan"), 0.0], "sigma": [[1.0, 0.0], [0.0, 1.0]]},
                "n_values": [16], "seeds": 1}
-        with pytest.raises(ConfigError, match=r"^model: mu must be finite"):
+        with pytest.raises(ConfigError, match=r"^model: mu must be finite numbers$"):
             convergence_config_from_json(obj)
 
     def test_unknown_model_key(self):
@@ -656,11 +657,17 @@ class TestGaussianConfigFinite:
 
 
 def v0_replicate(law, n, alpha, stream):
-    """One replicate the unbatched way: fit_model, in_lower_set, ratio."""
+    """One replicate the unbatched way: fit_model, in_lower_set, ratio.  The
+    level sample is C-ordered, and its fit has the block core's bits."""
     cols = law.draw(2 * n, [stream])[0]
     level = Sample(cols[:, :n].T)
     cost = attach_costs(Sample(cols[:, n:].T), law.noise_var, stream)
-    return ccte_under_model(fit_model(level), cost, alpha, n1=n)
+    model = fit_model(level)
+    core_mu, _, core_low = fit_columns(cols[None, :, :n])
+    assert level.points.flags.c_contiguous
+    assert np.array_equal(model.mu, core_mu[0])
+    assert np.array_equal(model.sigma.chol, core_low[0])
+    return ccte_under_model(model, cost, alpha, n1=n)
 
 
 class TestBatchedCell:

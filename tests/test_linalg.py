@@ -115,6 +115,8 @@ class TestQuadForm:
             quad_forms(m, np.ones((2, 3)))
         with pytest.raises(DimensionMismatch):
             quad_forms(m, np.ones((2, 2, 2)))
+        with pytest.raises(DimensionMismatch):  # a center of another length
+            quad_forms(m, np.ones((2, 2)), np.ones(3))
 
     def test_batch_matches_single(self):
         rng = np.random.default_rng(17)

@@ -1,7 +1,8 @@
-"""Package surface: shipped configs parse, every exported name resolves,
-every name the benchmark harness calls or traces exists, every public count
-argument and every pair of operands follows one rule, no private helper or
-constant is left without a caller or reader, and the import stays light."""
+"""Package surface: shipped configs parse, every exported name resolves and
+has a use, every name the benchmark harness calls or traces exists, every
+public count argument, pair of operands, outside array and law parameter
+follows one rule, no private helper or constant is left without a caller
+or reader, and the import stays light."""
 
 import ast
 import importlib
@@ -18,14 +19,19 @@ import pytest
 import depthrisk
 import depthrisk.cli  # noqa: F401  (the harness calls depthrisk.cli.main)
 from depthrisk import (
+    ConvergenceConfig,
     DepthModel,
+    DepthRiskError,
     DimensionMismatch,
     DomainError,
+    ExperimentConfig,
     FrankGumbelConfig,
+    GaussianConfig,
     GumbelMarginal,
     LevelSetSpec,
     RngStream,
     Sample,
+    attach_costs,
     boundary_points,
     build_spd,
     ccte_true_oracle,
@@ -33,9 +39,17 @@ from depthrisk import (
     config_from_json,
     convergence_config_from_json,
     estimate_population_model,
+    frank_pair,
     gaussian_population,
+    gumbel_quantile,
     hausdorff_report,
+    in_lower_set,
+    mahalanobis_sq,
+    mhd,
+    mhd_gradient,
+    quad_forms,
     radial_sym_diff_volume,
+    rate_slope,
     sample_gaussian,
     sample_risk_factors,
     sup_norm_distance,
@@ -44,6 +58,7 @@ from depthrisk import (
 )
 from depthrisk.experiments import pool_size
 from depthrisk.io import load_json_object
+from depthrisk.linalg import cholesky_lower
 
 ROOT = Path(__file__).resolve().parent.parent
 CONFIGS = ROOT / "configs"
@@ -62,13 +77,18 @@ def test_configs_parse_and_exports_resolve():
     assert missing == []
 
 
-def test_benchmark_names_resolve():
+def benchmark_targets():
+    """The (span, module, attribute, counters) entries of perfbench's spans."""
     # spans.py imports only the standard library, so loading it by path is safe
     spec = importlib.util.spec_from_file_location("perfbench_spans", PERFBENCH / "spans.py")
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)
+    return spans.TARGETS
+
+
+def test_benchmark_names_resolve():
     missing = []
-    for _, module, attr, _ in spans.TARGETS:
+    for _, module, attr, _ in benchmark_targets():
         owner = importlib.import_module(module)
         for part in attr.split("."):  # "Class.method" is looked up on the class
             owner = getattr(owner, part, None)
@@ -148,6 +168,74 @@ def test_operands_of_two_dimensions_are_refused(entry):
         DIMS_ENTRY_POINTS[entry](SPEC, SPEC_3D)
 
 
+def config_texts(cls, field):
+    """The problem texts a config class's ``_checks`` table gives ``field``."""
+    return {f"{field}: wrong type"} | {f"{field}: {why}" for key, _, why in cls._checks
+                                       if key == field}
+
+
+# every public entry point of an outside array or a law parameter: the name
+# an array's message gives it, or the problem texts of the parameter's
+# config class, and a call putting a bad value in place of one good number
+VALUE_ENTRY_POINTS = {
+    "Sample.points": ("points", lambda v: Sample([[v, 0.0], [1.0, 2.0]])),
+    "Sample.costs": ("costs", lambda v: Sample(np.eye(2), [v, 1.0])),
+    "DepthModel": ("mu", lambda v: DepthModel([v, 0.0], MODEL.sigma)),
+    "build_spd": ("matrix entries", lambda v: build_spd([[1.0, v], [v, 1.0]])),
+    "build_spd.chol": ("chol", lambda v: build_spd(np.eye(2), chol=[[1.0, 0.0], [v, 1.0]])),
+    "cholesky_lower": ("matrix entries", lambda v: cholesky_lower([[1.0, 0.0], [v, 1.0]])),
+    "mhd": ("x", lambda v: mhd([v, 0.0], MODEL)),
+    "mahalanobis_sq": ("x", lambda v: mahalanobis_sq([[0.0, 0.0], [v, 0.0]], MODEL)),
+    "mhd_gradient": ("x", lambda v: mhd_gradient([0.0, v], MODEL)),
+    "in_lower_set": ("x", lambda v: in_lower_set([[0.0, 0.0], [v, 0.0]], SPEC)),
+    "quad_forms": ("rows", lambda v: quad_forms(MODEL.sigma, [[v, 0.0]])),
+    "quad_forms.center": ("center", lambda v: quad_forms(MODEL.sigma, [[0.0, 0.0]], [v, 0.0])),
+    "sym_diff_probability": ("draws", lambda v: sym_diff_probability(
+        SPEC, SPEC, lambda n, rng: [[v, 0.0]] * n, 1, RngStream(1))),
+    "rate_slope.n": ("points", lambda v: rate_slope([(v, 1.0), (2, 0.5), (4, 0.2)])),
+    "rate_slope.stat": ("points", lambda v: rate_slope([(1, v), (2, 0.5), (4, 0.2)])),
+    "frank_pair.u": ("u", lambda v: frank_pair(v, 0.5, 5.0)),
+    "frank_pair.w": ("w", lambda v: frank_pair([0.5, 0.5], [0.5, v], 5.0)),
+    "gumbel_quantile.p": ("p", lambda v: gumbel_quantile([0.5, v], 0.0, 1.0)),
+    "frank_pair.theta": (config_texts(FrankGumbelConfig, "theta"),
+                         lambda v: frank_pair(0.5, 0.5, v)),
+    "FrankGumbelConfig.theta": (config_texts(FrankGumbelConfig, "theta"),
+                                lambda v: FrankGumbelConfig(v, FRANK.marg1, FRANK.marg2)),
+    "gumbel_quantile.mu": (config_texts(GumbelMarginal, "mu"),
+                           lambda v: gumbel_quantile(0.5, v, 1.0)),
+    "gumbel_quantile.beta": (config_texts(GumbelMarginal, "beta"),
+                             lambda v: gumbel_quantile(0.5, 0.0, v)),
+    "attach_costs": (config_texts(GaussianConfig, "noise_var"),
+                     lambda v: attach_costs(Sample(np.eye(2)), v, RngStream(1))),
+    "GaussianConfig.noise_var": (config_texts(GaussianConfig, "noise_var"),
+                                 lambda v: GaussianConfig((0.0,), ((1.0,),), v)),
+    "FrankGumbelConfig.noise_var": (config_texts(FrankGumbelConfig, "noise_var"), lambda v:
+                                    FrankGumbelConfig(5.0, FRANK.marg1, FRANK.marg2, v)),
+    "ExperimentConfig.n_values": (config_texts(ExperimentConfig, "n_values"),
+                                  lambda v: ExperimentConfig(FRANK, (v, 8), (0.5,), 2)),
+    "ConvergenceConfig.n_values": (config_texts(ExperimentConfig, "n_values"),
+                                   lambda v: ConvergenceConfig(MODEL, (v, 8), 1)),
+    "ExperimentConfig.master_seed": (config_texts(ExperimentConfig, "master_seed"), lambda v:
+                                     ExperimentConfig(FRANK, (8,), (0.5,), 2, master_seed=v)),
+    "ConvergenceConfig.master_seed": (config_texts(ExperimentConfig, "master_seed"),
+                                      lambda v: ConvergenceConfig(MODEL, (8,), 1, master_seed=v)),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(VALUE_ENTRY_POINTS))
+def test_values_are_finite_numbers(entry):
+    rule, call = VALUE_ENTRY_POINTS[entry]
+    # NaN, both infinities, a numeric string and a bool: never a NaN result,
+    # a silent answer or a bare ValueError, TypeError or IndexError
+    for bad in (np.nan, np.inf, -np.inf, "0.5", True):
+        with pytest.raises(DepthRiskError) as exc:
+            call(bad)
+        if isinstance(rule, str):
+            assert str(exc.value) == f"{rule} must be finite numbers"
+        else:  # a law parameter: its config's text, one rule for both
+            assert str(exc.value) in rule
+
+
 def module_level_names(node):
     """Names a module-level statement defines: a def or class, or the plain
     targets of an assignment."""
@@ -160,6 +248,18 @@ def module_level_names(node):
     return []
 
 
+def names_read(trees):
+    """Names the syntax trees read: a name is read by a load or an attribute
+    access; assigning it is not a read."""
+    return {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for tree in trees
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        or (isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load))
+    }
+
+
 def test_every_private_helper_has_a_caller():
     trees = {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
     helpers = {
@@ -169,16 +269,27 @@ def test_every_private_helper_has_a_caller():
         for helper in module_level_names(node)
         if helper.startswith("_") and not helper.startswith("__")
     }
-    # a name is read by a load or an attribute access; assigning it is not a read
-    used = {
-        node.id if isinstance(node, ast.Name) else node.attr
-        for tree in trees.values()
-        for node in ast.walk(tree)
-        if isinstance(node, ast.Attribute)
-        or (isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load))
-    }
+    used = names_read(trees.values())
     assert sorted(f"{module}:{helper}" for helper, module in helpers.items()
                   if helper not in used) == []
+
+
+# exports that no library path, benchmark or acceptance claim reads, and why
+# they are public
+UNREAD_EXPORTS = {
+    "gumbel_quantile": "the one-stream reference the block Frank draw is tested against",
+    "radial_sym_diff_volume": "the one-pair reference the block volume kernel is tested against",
+}
+
+
+def test_every_export_has_a_use():
+    files = [path for path in sorted(SRC.glob("*.py")) if path.name != "__init__.py"]
+    files += [PERFBENCH / "run.py", PERFBENCH / "spans.py", ROOT / "tests" / "test_acceptance.py"]
+    used = names_read(ast.parse(path.read_text()) for path in files)
+    # the harness traces the names of its span targets, given as strings
+    used.update(part for _, _, attr, _ in benchmark_targets() for part in attr.split("."))
+    unread = sorted(name for name in depthrisk.__all__ if name not in used)
+    assert unread == sorted(UNREAD_EXPORTS)
 
 
 def test_import_loads_no_heavy_scipy_modules():

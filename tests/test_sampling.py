@@ -29,10 +29,9 @@ from depthrisk import (
     mix64,
     sample_gaussian,
     sample_risk_factors,
-    squared_norms,
 )
 from depthrisk import sampling
-from depthrisk.linalg import color
+from depthrisk.linalg import _column_norms, color
 
 EULER_GAMMA = 0.5772156649015329
 CFG = FrankGumbelConfig(
@@ -386,7 +385,8 @@ class TestAttachCosts:
     def test_zero_noise_is_exact_squared_norm(self):
         s = sample_risk_factors(200, CFG, RngStream(5, 0))
         out = attach_costs(s, 0.0, RngStream(5, 1))
-        assert np.array_equal(out.costs, squared_norms(s.points))
+        x, y = s.points.T
+        assert np.array_equal(out.costs, x * x + y * y)
 
     def test_zero_noise_consumes_no_stream(self):
         stream = RngStream(5, 1)
@@ -502,7 +502,7 @@ class TestBlockDraw:
             assert stream.uniforms(1)[0] == alone.uniforms(1)[0]
 
     def test_one_stream_samplers_keep_their_layouts(self):
-        # a fit's bits depend on the layout of the points it is given
+        # the first release's layouts: C for the Frank law, F for the Gaussian
         assert sample_risk_factors(9, CFG, RngStream(1)).points.flags.c_contiguous
         law = BLOCK_LAWS[-1]
         assert sample_gaussian(9, law.exact_model, RngStream(1)).points.flags.f_contiguous
@@ -517,11 +517,12 @@ class TestBlockDraw:
 class TestSquaredNorms:
     @pytest.mark.parametrize("d", [1, 2, 3, 5])
     def test_independent_of_layout(self, d):
-        pts = RngStream(4, d).normals(7 * d).reshape(7, d)
-        want = squared_norms(pts)
-        assert np.array_equal(squared_norms(np.asfortranarray(pts)), want)
-        assert np.array_equal(squared_norms(pts.T.copy().T), want)
-        assert np.allclose(want, np.sum(pts * pts, axis=1), rtol=1e-15, atol=0)
+        # the squared norms of (d, n) columns, the noise-free cost map
+        cols = RngStream(4, d).normals(7 * d).reshape(d, 7)
+        want = _column_norms(cols)
+        assert np.array_equal(_column_norms(np.asfortranarray(cols)), want)
+        assert np.array_equal(_column_norms(cols.T.copy().T), want)
+        assert np.allclose(want, np.sum(cols * cols, axis=0), rtol=1e-15, atol=0)
 
 
 class TestSample:
@@ -535,6 +536,8 @@ class TestSample:
             Sample([1.0, 2.0])
         with pytest.raises(DimensionMismatch):
             Sample(np.empty((0, 2)))
+        with pytest.raises(DimensionMismatch):  # points with no coordinates
+            Sample(np.zeros((3, 0)))
 
     def test_cost_length_validation(self):
         with pytest.raises(DimensionMismatch):
@@ -596,8 +599,13 @@ class TestFrankGumbelConfig:
         with pytest.raises(ConfigError) as exc:
             FrankGumbelConfig.from_json({})
         msg = str(exc.value)
-        for key in ("theta", "marginals", "noise_var"):
+        for key in ("theta", "marginals"):
             assert f"{key}: missing" in msg
+        # noise_var is optional, with the default the Gaussian's JSON has
+        assert "noise_var" not in msg
+        obj = CFG.to_json()
+        del obj["noise_var"]
+        assert FrankGumbelConfig.from_json(obj).noise_var == 0.005
 
     def test_missing_nested_marginal_fields(self):
         with pytest.raises(ConfigError) as exc:
