@@ -18,7 +18,6 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .errors import DegenerateSample, DimensionMismatch, NotPositiveDefinite
 from .io import check_dims, check_finite, json_fields, json_floats, raise_problems
@@ -114,8 +113,11 @@ def _column_depths(low, cols, mu=0.0) -> np.ndarray:
 def mhd_gradient(x, model: DepthModel):
     """Gradient of the depth: -2 * mhd(x)^2 * Sigma^{-1} (x - mu).
 
-    Zero exactly at x == mu, the unique critical point.
+    Zero exactly at x == mu, the unique critical point.  Loads
+    ``scipy.linalg`` on its first call, so ``import depthrisk`` needs numpy only.
     """
+    from scipy.linalg import solve_triangular
+
     pts, single = _point_rows(x, model)
     centered = pts - model.mu
     depth = _column_depths(model.sigma.chol, centered.T)

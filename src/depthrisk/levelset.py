@@ -23,7 +23,6 @@ from functools import cached_property, lru_cache
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .depth import DepthModel, mhd
 from .errors import DimensionMismatch
@@ -146,6 +145,8 @@ def _boundary_rows(sets: _Sets, m: int) -> np.ndarray:
 def _nn_gap(points: np.ndarray) -> float:
     """Max distance from any point of a sample to its nearest distinct-index
     neighbor."""
+    from scipy.spatial import cKDTree
+
     dist, _ = cKDTree(points).query(points, k=2)
     return float(np.max(dist[:, 1]))
 
@@ -247,7 +248,7 @@ class HausdorffResult:
     ``resolution`` is the larger of the two samples' maximum
     nearest-neighbor gaps; honest tolerances for comparisons against exact
     geometry should be at least this wide.  It is computed from ``samples``
-    on first access and then cached.
+    on first access, which loads ``scipy.spatial``, and then cached.
     """
 
     distance: float

@@ -18,7 +18,6 @@ from dataclasses import asdict, dataclass, field
 from typing import Protocol
 
 import numpy as np
-from scipy.special import chdtrc
 
 from .depth import DepthModel
 from .errors import (
@@ -115,7 +114,10 @@ class GaussianConfig:
         where |z|^2 > r^2 = 1/alpha - 1, so the truth is |mu|^2 + tr(Sigma)
         P(chi2_{d+2} > r^2) / P(chi2_d > r^2) (Johnson, Kotz & Balakrishnan,
         1994, ch. 18).  NoMass where P(chi2_d > r^2) underflows, a
-        DomainError naming ``sigma`` where the truth overflows."""
+        DomainError naming ``sigma`` where the truth overflows.  Loads
+        ``scipy.special`` on its first call."""
+        from scipy.special import chdtrc
+
         model = self.exact_model
         norm_sq = float(model.mu @ model.mu)
         trace = float(np.trace(model.sigma.entries))
@@ -390,6 +392,11 @@ class Sample:
     ----------
     points : ndarray, shape (n, d), read-only
     costs : ndarray, shape (n,), read-only, or None
+
+    A float array handed in that the caller can still write to, or a view,
+    is copied (in F order if it is F-contiguous, C order otherwise), so the
+    caller's array stays writable; a read-only float array that owns its
+    data is kept as it is.
     """
 
     __slots__ = ("points", "costs")
@@ -399,16 +406,11 @@ class Sample:
         if pts.ndim != 2 or 0 in pts.shape:
             raise DimensionMismatch(f"points must be a nonempty (n, d) array, got {pts.shape}")
         if costs is not None:
-            costs = check_finite(costs, "costs")
-            if costs.shape != (pts.shape[0],):
-                raise DimensionMismatch(f"costs must have shape ({len(pts)},), got {costs.shape}")
-            if not costs.flags.owndata:
-                costs = costs.copy()
-            costs.setflags(write=False)
-        if not pts.flags.owndata:
-            pts = pts.copy()
-        pts.setflags(write=False)
-        self.points = pts
+            vals = check_finite(costs, "costs")
+            if vals.shape != (pts.shape[0],):
+                raise DimensionMismatch(f"costs must have shape ({len(pts)},), got {vals.shape}")
+            costs = _read_only(vals, costs)
+        self.points = _read_only(pts, points)
         self.costs = costs
 
     @property
@@ -422,6 +424,16 @@ class Sample:
     def __repr__(self) -> str:  # pragma: no cover
         tag = "with costs" if self.costs is not None else "no costs"
         return f"Sample(n={self.n}, dim={self.dim}, {tag})"
+
+
+def _read_only(arr: np.ndarray, given) -> np.ndarray:
+    """``arr``, made of ``given`` by :func:`~depthrisk.io.check_finite`,
+    read-only; copied first (``order="A"``) if it is a view or the caller's
+    own writable ``given``, as :class:`Sample` documents."""
+    if not arr.flags.owndata or (arr is given and arr.flags.writeable):
+        arr = arr.copy(order="A")
+    arr.setflags(write=False)
+    return arr
 
 
 def _as_open_unit(p, name: str) -> np.ndarray:
@@ -588,7 +600,9 @@ def sample_risk_factors(n: int, cfg: FrankGumbelConfig, rng: RngStream) -> Sampl
     dependence is Frank with ``cfg.theta``.  The one-stream case of
     ``cfg.draw``; deterministic given the stream.
     """
-    return Sample(cfg.draw(n, [rng])[0].T.copy())  # (n, 2), C order
+    pts = cfg.draw(n, [rng])[0].T.copy()  # (n, 2), C order
+    pts.setflags(write=False)  # so Sample keeps it without a second copy
+    return Sample(pts)
 
 
 def attach_costs(s: Sample, noise_var: float, rng: RngStream) -> Sample:
@@ -623,8 +637,9 @@ def _noisy_costs(cols: np.ndarray, noise_var: float, streams: list[RngStream]) -
 def sample_gaussian(n: int, model: DepthModel, rng: RngStream) -> Sample:
     """Draw n iid points from N(mu, Sigma) via the Cholesky transform: the
     one-stream case of :class:`GaussianConfig`'s ``draw``."""
-    # in F order, the layout the first release drew them in
-    return Sample(_gaussian_columns(n, model, [rng])[0].T.copy(order="F"))
+    # a view in F order, the layout the first release drew them in, which
+    # Sample copies once in that layout
+    return Sample(_gaussian_columns(n, model, [rng])[0].T)
 
 
 def _gaussian_columns(n: int, model: DepthModel, streams: list[RngStream]) -> np.ndarray:

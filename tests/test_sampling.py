@@ -555,6 +555,24 @@ class TestSample:
         assert s.n == 7
         assert s.dim == 3
 
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_caller_arrays_stay_writable(self, order):
+        points, costs = np.zeros((3, 2), order=order), np.ones(3)
+        s = Sample(points, costs)
+        points[0, 0], costs[0] = 9.0, 9.0
+        assert s.points[0, 0] == 0.0 and s.costs[0] == 1.0
+        # the sample's own copies keep the caller's layout and stay read-only
+        assert s.points.flags[f"{order}_CONTIGUOUS"]
+        for own in (s.points, s.costs):
+            with pytest.raises(ValueError, match="read-only"):
+                own[0] = 5.0
+        assert s.points[0, 0] == 0.0 and s.costs[0] == 1.0
+
+    def test_read_only_arrays_are_kept(self):
+        # the library's samplers hand over frozen arrays: no second copy
+        s = sample_risk_factors(9, CFG, RngStream(1))
+        assert attach_costs(s, 0.1, RngStream(2)).points is s.points
+
 
 class TestFrankGumbelConfig:
     def test_all_violations_reported_together(self):
