@@ -18,7 +18,9 @@ replicates and sequences of levels.
 The studies score estimates against each law's exact truth
 (``exact_truth``, computed without draws).  :func:`ccte_true_oracle` is the
 independent Monte Carlo check of those truths: a large ratio estimate under
-the exact population model, with a delta-method standard error.
+the exact population model, with a delta-method standard error.  It draws
+every batch into buffers allocated once per call and scores it in
+cache-sized chunks, so its memory does not grow with ``n_mc``.
 """
 
 from __future__ import annotations
@@ -33,12 +35,13 @@ from .errors import DomainError, MissingCosts, NoMass
 from .io import check_count, check_dims, check_level
 from .levelset import depth_in_lower_set
 from .linalg import _column_norms, build_spd
-from .rng import RngStream
+from .rng import CHUNK, RngStream
 from .sampling import GaussianConfig, Law, Sample
 
 # Rows per batch of a population pass (the oracle's and
-# estimate_population_model's): small enough that the temporaries of a batch
-# stay a few MB each.  It also fixes which Philox words of the oracle's
+# estimate_population_model's).  The oracle draws each batch into buffers it
+# allocates once per call, 8 d + 8 + (levels) bytes per row, and scores it
+# CHUNK columns at a time.  It also fixes which Philox words of the oracle's
 # stream pair up in Box-Muller, so changing it changes the oracle's draws.
 BATCH_ROWS = 1 << 18
 
@@ -151,25 +154,20 @@ def gaussian_population(model: DepthModel) -> GaussianConfig:
     return GaussianConfig(tuple(mu), tuple(map(tuple, sigma)))
 
 
-def _batches(draw: Callable[[int, RngStream], np.ndarray], n_mc: int, rng: RngStream):
-    """Yield ``n_mc`` draws of ``draw`` from ``rng`` as float arrays of at
-    most ``BATCH_ROWS`` points each, in order."""
-    for start in range(0, n_mc, BATCH_ROWS):
-        yield np.asarray(draw(min(BATCH_ROWS, n_mc - start), rng), dtype=float)
-
-
 def estimate_population_model(
     draw: Callable[[int, RngStream], np.ndarray], n_mc: int, rng: RngStream
 ) -> DepthModel:
     """Approximate a population's (mu, Sigma) by a large Monte Carlo fit.
 
     No library path calls it: every law has an exact model.  Accumulates sums
-    in fixed-size batches (deterministic order) and normalizes the covariance
-    by 1/(n-1), matching :func:`~depthrisk.depth.fit_model`.
+    over batches of at most ``BATCH_ROWS`` (n, d) points of ``draw``, in
+    order, and normalizes the covariance by 1/(n-1), matching
+    :func:`~depthrisk.depth.fit_model`.
     """
     check_count(n_mc, 2, "n_mc")
     sum_x = sum_xx = 0.0
-    for pts in _batches(draw, n_mc, rng):
+    for start in range(0, n_mc, BATCH_ROWS):
+        pts = np.asarray(draw(min(BATCH_ROWS, n_mc - start), rng), dtype=float)
         sum_x += pts.sum(axis=0)
         sum_xx += pts.T @ pts
     mean = sum_x / n_mc
@@ -187,12 +185,16 @@ def ccte_true_oracle(law: Law, alpha, n_mc: int, rng: RngStream):
     must be at least 1e5 for a meaningful standard error.
 
     ``alpha`` is one level or a sequence of levels.  All levels share one
-    pass: each batch's (d, m) columns are drawn, and their depths (mhd's
-    column step) and costs computed, once, then thresholded per level.  A
-    level's member costs are gathered by their indices (``np.flatnonzero``),
-    the values and order that boolean indexing gives, so the sums keep their
-    bits.  One level returns ``(value, se)``; a sequence returns a list of
-    them in order, each equal to the one-level call on the same stream.
+    pass over batches of ``BATCH_ROWS`` points.  A call allocates one column
+    buffer, one cost buffer and one membership row per level, and draws
+    every batch into them (``out`` of ``law.draw``); no array of one batch
+    outlives it.  Each batch is scored ``CHUNK`` columns at a time: depths
+    (mhd's column step), costs and each level's membership.  Then a level's
+    member costs are gathered by their indices (``np.flatnonzero``), the
+    values and order that boolean indexing gives, and summed once per
+    batch, so the sums keep their bits.  One level returns ``(value, se)``;
+    a sequence returns a list of them in order, each equal to the one-level
+    call on the same stream.
 
     Raises
     ------
@@ -203,25 +205,43 @@ def ccte_true_oracle(law: Law, alpha, n_mc: int, rng: RngStream):
         raise DomainError("alpha must be one level or a nonempty sequence of levels")
     levels = [check_level(a) for a in np.atleast_1d(alpha).tolist()]
     check_count(n_mc, 100_000, "n_mc")
-    # accumulated over fixed-size batches in a fixed order: deterministic
-    count_in = [0.0] * len(levels)
-    sum_cost = [0.0] * len(levels)
-    sum_cost_sq = [0.0] * len(levels)
-    for cols in _batches(lambda m, stream: law.draw(m, [stream])[0], n_mc, rng):
-        depth = _column_depths(law.exact_model.sigma.chol, cols, law.exact_model.mu)
-        cost = _column_norms(cols)
-        for k, a in enumerate(levels):
-            # gathered by index, the index array freed at once
-            hit_cost = cost[np.flatnonzero(depth_in_lower_set(depth, a))]
-            count_in[k] += float(hit_cost.size)
-            sum_cost[k] += float(np.sum(hit_cost))
-            sum_cost_sq[k] += float(np.sum(hit_cost * hit_cost))
+    d, rows = law.exact_model.dim, min(BATCH_ROWS, n_mc)
+    cols, cost = np.empty(d * rows), np.empty(rows)
+    member = np.empty((len(levels), rows), dtype=bool)
+    # per level: hits, sum and sum of squares of the member costs, added up
+    # batch by batch in a fixed order: deterministic
+    totals = [(0.0, 0.0, 0.0)] * len(levels)
+    for start in range(0, n_mc, BATCH_ROWS):
+        m = min(BATCH_ROWS, n_mc - start)
+        batch = law.draw(m, [rng], out=cols[: d * m].reshape(1, d, m))[0]
+        sums = _batch_sums(law.exact_model, batch, cost[:m], member[:, :m], levels)
+        totals = [tuple(t + s for t, s in zip(total, part)) for total, part in zip(totals, sums)]
     results = []
-    for a, count, s1, s2 in zip(levels, count_in, sum_cost, sum_cost_sq):
+    for a, (count, s1, s2) in zip(levels, totals):
         if count == 0:
             raise NoMass(f"no draw out of {n_mc} landed in the level set at alpha={a}")
         results.append(_ratio_with_se(count, s1, s2, n_mc))
     return results[0] if np.ndim(alpha) == 0 else results
+
+
+def _batch_sums(model: DepthModel, cols, cost, member, levels) -> list[tuple]:
+    """Per level, the hits, sum and sum of squares of the costs of the
+    columns of ``cols`` (d, m) in its lower set of ``model``.  The costs and
+    the memberships (a row of ``member`` per level) are written into the
+    caller's buffers ``CHUNK`` columns at a time; every temporary is freed
+    on return."""
+    for start in range(0, cols.shape[1], CHUNK):
+        chunk = cols[:, start : start + CHUNK]
+        depth = _column_depths(model.sigma.chol, chunk, model.mu)
+        _column_norms(chunk, out=cost[start : start + CHUNK])
+        for row, a in zip(member, levels):
+            depth_in_lower_set(depth, a, out=row[start : start + CHUNK])
+    sums = []
+    for row in member:
+        hit_cost = cost[np.flatnonzero(row)]  # the index array freed at once
+        sums.append((float(hit_cost.size), float(np.sum(hit_cost)),
+                     float(np.sum(hit_cost * hit_cost))))
+    return sums
 
 
 def _ratio_with_se(count_in: float, sum_cost: float, sum_cost_sq: float, total: int):

@@ -72,10 +72,11 @@ def in_lower_set(x, spec: LevelSetSpec):
     return bool(member) if np.ndim(member) == 0 else member
 
 
-def depth_in_lower_set(depth, alpha: float):
+def depth_in_lower_set(depth, alpha: float, out=None):
     """The membership rule on depths already computed: ``depth <= alpha``,
-    with depths within 1e-12 above alpha counted in."""
-    return depth <= alpha + BOUNDARY_TOL
+    with depths within 1e-12 above alpha counted in; written into the bool
+    array ``out`` if one is given."""
+    return np.less_equal(depth, alpha + BOUNDARY_TOL, out=out)
 
 
 @lru_cache(maxsize=8)

@@ -102,11 +102,12 @@ def _whiten_in_place(low, w: np.ndarray) -> np.ndarray:
     return w
 
 
-def _column_norms(cols: np.ndarray) -> np.ndarray:
+def _column_norms(cols: np.ndarray, out=None) -> np.ndarray:
     """The squared norms of the columns of ``cols``, shape (..., d, n),
-    summed coordinate by coordinate: the order, and so the bits, of each
-    column's sum do not depend on n or on the memory layout."""
-    sq = cols[..., 0, :] * cols[..., 0, :]
+    summed coordinate by coordinate, into ``out`` (shape (..., n)) if given:
+    the order, and so the bits, of each column's sum do not depend on n or
+    on the memory layout."""
+    sq = np.multiply(cols[..., 0, :], cols[..., 0, :], out=out)
     for i in range(1, cols.shape[-2]):
         sq += cols[..., i, :] * cols[..., i, :]
     return sq

@@ -15,7 +15,8 @@ Reproducibility notes:
   [1, 2).  Subtracting 1 - 2**-53 leaves (2k + 1) * 2**-53, an odd multiple
   of 2**-53 that is exactly representable, so the subtraction does not round
   and no integer-to-float conversion is needed.
-* Normal variates use the Box-Muller transform on that uniform stream.
+* Normal variates use the Box-Muller transform on that uniform stream,
+  computed in place on the uniforms' buffer (:func:`normal_rows`).
 * :func:`uniform_rows` and :func:`normal_rows` draw one row per stream in
   one pass; row r is bit for bit what ``streams[r]`` alone gives, and the
   stream methods are their one-row case.  A draw count ``n`` is any integer
@@ -32,6 +33,11 @@ from .io import check_count, is_integer
 _MASK64 = (1 << 64) - 1
 _ONE_BITS = 0x3FF0000000000000  # the exponent field of 1.0
 _ONE_LESS_HALF_ULP = 1.0 - 2.0**-53
+
+# Columns per chunk of an elementwise pass over a long array (Box-Muller
+# here, the Gaussian coloring and the oracle's scoring): a few float arrays
+# of this many values fit in a 2 MiB L2 cache.
+CHUNK = 1 << 14
 
 
 def mix64(*parts: int) -> int:
@@ -132,18 +138,28 @@ def normal_rows(streams, n: int) -> np.ndarray:
     1) // 2 radius uniforms, then m angle uniforms; it holds the m cosine
     normals, then the first n - m sine normals, so an odd ``n`` still
     consumes a whole pair of uniforms and discards one normal.
+
+    The transform runs in place on the uniforms' own buffer, ``CHUNK``
+    columns at a time with one reused cosine scratch: each radius becomes its
+    cosine normal and each angle its sine normal, the same products as
+    forming them apart, so the same bits.  That buffer is returned; only k >
+    1 rows of an odd ``n`` are compacted by a copy.
     """
     n = check_count(n, 0, "n")
     m = (n + 1) // 2
     u = uniform_rows(streams, 2 * m)
-    radius, angle = u[:, :m], u[:, m:]
-    np.log(radius, out=radius)
-    radius *= -2.0
-    np.sqrt(radius, out=radius)
-    angle *= 2.0 * np.pi
-    z = np.empty((len(streams), n))
-    np.cos(angle, out=z[:, :m])
-    np.sin(angle[:, : n - m], out=z[:, m:])
-    z[:, :m] *= radius
-    z[:, m:] *= radius[:, : n - m]
-    return z
+    cos = np.empty((len(u), min(CHUNK, m)))
+    for start in range(0, m, CHUNK):
+        radius = u[:, start : min(start + CHUNK, m)]
+        angle = u[:, m + start : m + start + CHUNK]
+        scratch = cos[:, : angle.shape[1]]
+        np.log(radius, out=radius)
+        radius *= -2.0
+        np.sqrt(radius, out=radius)
+        angle *= 2.0 * np.pi
+        np.cos(angle, out=scratch)
+        np.sin(angle, out=angle)
+        angle *= radius
+        radius *= scratch
+    z = u[:, :n]
+    return z if z.flags.c_contiguous else z.copy()

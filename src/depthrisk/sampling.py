@@ -41,7 +41,7 @@ from .io import (
     raise_problems,
 )
 from .linalg import _column_norms, build_spd, color
-from .rng import RngStream, normal_rows, uniform_rows
+from .rng import CHUNK, RngStream, normal_rows, uniform_rows
 
 # Below this magnitude the Frank conditional inversion loses precision, so
 # theta is routed to the exact independence limit instead.
@@ -60,7 +60,9 @@ _NOISE_VAR_CHECKS = (
 class Law(Protocol):
     """A population law: ``draw(n, streams)`` returns a C-contiguous (k, d, n)
     array, for each of the k streams n iid risk-factor points as columns,
-    ``[r]`` drawn from ``streams[r]`` alone; ``noise_var`` is the variance of
+    ``[r]`` drawn from ``streams[r]`` alone, written into ``out`` when one is
+    given (see :func:`_check_out`) and otherwise into a fresh array, with
+    the same bits either way; ``noise_var`` is the variance of
     the Gaussian noise added to each cost, and ``exact_model`` is the law's
     exact depth model: its mean and covariance.  ``exact_truth(alphas)``
     returns, per level, the tail expectation E[|X|^2 | X in L(alpha)] over
@@ -71,7 +73,7 @@ class Law(Protocol):
     noise_var: float
     exact_model: DepthModel
 
-    def draw(self, n: int, streams: list[RngStream]) -> np.ndarray: ...
+    def draw(self, n: int, streams: list[RngStream], out=None) -> np.ndarray: ...
 
     def exact_truth(self, alphas) -> list[float]: ...
 
@@ -106,8 +108,8 @@ class GaussianConfig:
                             for name, value, what in moments if not np.isfinite(value)])
         object.__setattr__(self, "exact_model", model)
 
-    def draw(self, n: int, streams: list[RngStream]) -> np.ndarray:
-        return _gaussian_columns(n, self.exact_model, streams)
+    def draw(self, n: int, streams: list[RngStream], out=None) -> np.ndarray:
+        return _gaussian_columns(n, self.exact_model, streams, out)
 
     def exact_truth(self, alphas) -> list[float]:
         """Closed form: X = mu + L z with z standard normal lies in L(alpha)
@@ -204,17 +206,19 @@ class FrankGumbelConfig:
         except DepthRiskError as exc:  # a scale whose variance leaves the floats
             raise ConfigError(f"marginals: {exc}") from None
 
-    def draw(self, n: int, streams: list[RngStream]) -> np.ndarray:
+    def draw(self, n: int, streams: list[RngStream], out=None) -> np.ndarray:
         """Each stream draws n uniforms u, then n uniforms w; the point is
         the marginals' quantiles of (u, V), V the Frank conditional
         inversion of w given u (:func:`frank_pair`).  u and w are the two
         halves of each stream's 2n uniforms, drawn in one pass."""
         n = check_count(n, 1, "n")
+        shape = (len(streams), 2, n)
+        _check_out(out, shape)
         uw = uniform_rows(streams, 2 * n)
         u, w = uw[:, :n], uw[:, n:]
         # the stream's uniforms already lie in (0, 1): no range checks here
         v = w if abs(self.theta) < INDEPENDENCE_THETA else _frank_v(u, w, self.theta)
-        cols = np.empty((len(streams), 2, n))
+        cols = np.empty(shape) if out is None else out  # after _frank_v's temporaries
         _gumbel_quantile(u, self.marg1.mu, self.marg1.beta, out=cols[:, 0])
         _gumbel_quantile(v, self.marg2.mu, self.marg2.beta, out=cols[:, 1])
         return cols
@@ -642,14 +646,33 @@ def sample_gaussian(n: int, model: DepthModel, rng: RngStream) -> Sample:
     return Sample(_gaussian_columns(n, model, [rng])[0].T)
 
 
-def _gaussian_columns(n: int, model: DepthModel, streams: list[RngStream]) -> np.ndarray:
-    """The (k, d, n) columns of n points of N(mu, Sigma) per stream: each
-    stream's n * d normals, read as n points of d coordinates, colored by
-    the Cholesky factor."""
+def _gaussian_columns(n: int, model: DepthModel, streams: list[RngStream],
+                      out=None) -> np.ndarray:
+    """The (k, d, n) columns of n points of N(mu, Sigma) per stream, in
+    ``out`` if given (:func:`_check_out`): each stream's n * d normals,
+    read as n points of d coordinates, colored by the Cholesky factor
+    ``CHUNK`` points at a time.  Each point's coloring is elementwise, so
+    its bits do not depend on the chunk."""
     n = check_count(n, 1, "n")
     d = model.dim
-    z = normal_rows(streams, n * d).reshape(len(streams), n, d)
-    cols = np.empty((len(streams), d, n))
-    color(model.sigma.chol, z.transpose(0, 2, 1), out=cols)
-    cols += model.mu[:, None]
+    shape = (len(streams), d, n)
+    _check_out(out, shape)
+    z = normal_rows(streams, n * d).reshape(len(streams), n, d).transpose(0, 2, 1)
+    cols = np.empty(shape) if out is None else out
+    for start in range(0, n, CHUNK):
+        chunk = cols[..., start : start + CHUNK]
+        color(model.sigma.chol, z[..., start : start + CHUNK], out=chunk)
+        chunk += model.mu[:, None]
     return cols
+
+
+def _check_out(out, shape: tuple) -> None:
+    """The rule of a law's ``draw`` for its ``out``: None, or a writable
+    C-contiguous float64 ndarray of ``shape`` (DimensionMismatch otherwise),
+    checked before any stream is read."""
+    if out is None:
+        return
+    if not (isinstance(out, np.ndarray) and out.shape == shape and out.dtype == np.float64
+            and out.flags.c_contiguous and out.flags.writeable):
+        raise DimensionMismatch(
+            f"out must be a writable C-contiguous float64 array of shape {shape}")

@@ -1,6 +1,7 @@
 """Tail-expectation estimator, its oracles, population models and moment fitting."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -37,7 +38,7 @@ from depthrisk import (
     sample_risk_factors,
 )
 from depthrisk import sampling
-from depthrisk.ccte import _ratio_under_models
+from depthrisk.ccte import BATCH_ROWS, _ratio_under_models
 from depthrisk.depth import fit_columns
 from depthrisk.experiments import cell_estimates
 from depthrisk.levelset import BOUNDARY_TOL, depth_in_lower_set
@@ -380,6 +381,78 @@ class TestSplitMode:
             ccte_hat(Sample(np.eye(3)[:, :2] + 1.0), Sample([[1.0, 1.0]]), 0.5)
 
 
+# The oracle's output bits, pinned: repr of ccte_true_oracle(law, alpha,
+# n_mc, RngStream(21, i)) for law i of ORACLE_LAWS (Gaussian d = 1, 2, 3 and
+# the acceptance-07 Frank law), one pair per level.  Recorded from the oracle
+# that allocated fresh arrays for every batch; 2 * 2**18 + 17 draws end on a
+# short batch.
+ORACLE_LAWS = [
+    GaussianConfig((0.3,), ((2.0,),)),
+    GaussianConfig((1.0, -0.5), ((1.0, 0.6), (0.6, 2.0))),
+    GaussianConfig((0.5, -1.0, 0.25), ((2.0, 0.3, 0.1), (0.3, 1.0, -0.2), (0.1, -0.2, 0.5))),
+    FrankGumbelConfig(5.0, GumbelMarginal(0.0, 0.25), GumbelMarginal(-0.5, 0.25), 0.005),
+]
+ORACLE_LAW_INDEX = {"gauss1": 0, "gauss2": 1, "gauss3": 2, "frank": 3}
+ORACLE_BITS = [
+    ("gauss1", 100_000, 0.25, ["(9.553445458958446, 0.04403382324252177)"]),
+    ("gauss1", 100_000, (0.1, 0.5, 0.9), ["(21.47681732589798, 0.27024261781750897)",
+                                          "(5.154258399733161, 0.02017758522629734)",
+                                          "(2.7811239912930557, 0.011730491465473636)"]),
+    ("gauss1", 524_305, 0.25, ["(9.523352764644454, 0.019198127157751495)"]),
+    ("gauss1", 524_305, (0.1, 0.5, 0.9), ["(21.924072779918394, 0.12600035031335347)",
+                                          "(5.137895103395454, 0.008765089360712987)",
+                                          "(2.775133665091871, 0.005097639913164449)"]),
+    ("gauss1", 1_000_000, 0.25, ["(9.51030987918512, 0.013764918650583113)"]),
+    ("gauss1", 1_000_000, (0.1, 0.5, 0.9), ["(21.807706890987333, 0.08849655327557879)",
+                                            "(5.144718364838393, 0.0063342408183647185)",
+                                            "(2.7784736286844294, 0.0036903012844104726)"]),
+    ("gauss2", 100_000, 0.25, ["(8.706499615221784, 0.0344046012207706)"]),
+    ("gauss2", 100_000, (0.1, 0.5, 0.9), ["(17.660763188967948, 0.244797030132486)",
+                                          "(5.732880723379078, 0.01729162784216519)",
+                                          "(4.407689998092921, 0.012672227214976562)"]),
+    ("gauss2", 524_305, 0.25, ["(8.737886698804012, 0.015083392477536624)"]),
+    ("gauss2", 524_305, (0.1, 0.5, 0.9), ["(17.682506871400935, 0.10839818060031237)",
+                                          "(5.743659465043606, 0.0075756364569653095)",
+                                          "(4.410299040955225, 0.00555264903236992)"]),
+    ("gauss2", 1_000_000, 0.25, ["(8.75250654260779, 0.010930816706444161)"]),
+    ("gauss2", 1_000_000, (0.1, 0.5, 0.9), ["(17.708820561237324, 0.07798571526369903)",
+                                            "(5.752571649706126, 0.005493474703609763)",
+                                            "(4.417819162952409, 0.004027902529235366)"]),
+    ("gauss3", 100_000, 0.25, ["(7.596656399866276, 0.024574033566595318)"]),
+    ("gauss3", 100_000, (0.1, 0.5, 0.9), ["(14.448798680372414, 0.13285023745281424)",
+                                          "(5.521874752676283, 0.014991604483605148)",
+                                          "(4.856033769784471, 0.013000540808959937)"]),
+    ("gauss3", 524_305, 0.25, ["(7.56963803438987, 0.010651400867228045)"]),
+    ("gauss3", 524_305, (0.1, 0.5, 0.9), ["(14.401833371371215, 0.05773835697577258)",
+                                          "(5.5157746813379775, 0.0065123686323530425)",
+                                          "(4.842796695091758, 0.005643566029255708)"]),
+    ("gauss3", 1_000_000, 0.25, ["(7.56256389909868, 0.007704764549279569)"]),
+    ("gauss3", 1_000_000, (0.1, 0.5, 0.9), ["(14.401033124507835, 0.04199870005459025)",
+                                            "(5.5150039274935745, 0.004711167266567166)",
+                                            "(4.84327057892893, 0.0040844913715336615)"]),
+    ("frank", 100_000, 0.25, ["(0.6936681117350741, 0.004657705290165705)"]),
+    ("frank", 100_000, (0.1, 0.5, 0.9), ["(1.3172855132279022, 0.014965355935401211)",
+                                         "(0.48132290271619405, 0.0017245207131396645)",
+                                         "(0.3688293498557025, 0.001077851054662225)"]),
+    ("frank", 524_305, 0.25, ["(0.6928753478727274, 0.0020388794723247687)"]),
+    ("frank", 524_305, (0.1, 0.5, 0.9), ["(1.3256406625499029, 0.006523991618663997)",
+                                         "(0.47945895797104937, 0.0007539572338406481)",
+                                         "(0.36807504073176917, 0.0004702879025994409)"]),
+    ("frank", 1_000_000, 0.25, ["(0.6935710178283816, 0.0014802474202770877)"]),
+    ("frank", 1_000_000, (0.1, 0.5, 0.9), ["(1.3259442215040613, 0.004756365876959456)",
+                                           "(0.47992049217567384, 0.0005465615088078925)",
+                                           "(0.36822306871634086, 0.00034094850010533897)"]),
+]
+
+
+@pytest.mark.parametrize("law, n_mc, alpha, want", ORACLE_BITS,
+                         ids=[f"{row[0]}-{row[1]}-{len(row[3])}" for row in ORACLE_BITS])
+def test_oracle_bits(law, n_mc, alpha, want):
+    i = ORACLE_LAW_INDEX[law]
+    got = ccte_true_oracle(ORACLE_LAWS[i], alpha, n_mc, RngStream(21, i))
+    assert [repr(pair) for pair in ([got] if np.ndim(alpha) == 0 else got)] == want
+
+
 class TestTrueOracle:
     def test_gaussian_alpha_half(self):
         # E[|X|^2 given |X|^2 >= t] = t + 2 for chi-square(2); t = 1 here
@@ -408,6 +481,20 @@ class TestTrueOracle:
         pop = gaussian_population(std_model())
         with pytest.raises(DomainError):
             ccte_true_oracle(pop, 1.0, 100_000, RngStream(0))
+
+    def test_call_memory(self):
+        # one batch's 2-d columns are 4 MiB.  Drawn into buffers allocated
+        # once per call, a 1e6-draw call peaked at 10.4 MiB; with fresh
+        # arrays for every batch, at 19.2 MiB
+        pop = gaussian_population(std_model())
+        ccte_true_oracle(pop, 0.5, 100_000, RngStream(0))
+        tracemalloc.start()
+        try:
+            ccte_true_oracle(pop, 0.5, 1_000_000, RngStream(51, 0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * (2 * 8 * BATCH_ROWS)
 
     def test_deterministic(self):
         pop = gaussian_population(std_model())

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from depthrisk import DomainError, RngStream, mix64
-from depthrisk.rng import normal_rows, uniform_rows
+from depthrisk.rng import CHUNK, normal_rows, uniform_rows
 
 # Values pinned from the first release; any change here is a breaking
 # change to the reproducibility contract.
@@ -144,6 +144,23 @@ class TestRows:
 
     def test_no_streams(self):
         assert uniform_rows([], 5).shape == normal_rows([], 5).shape == (0, 5)
+
+
+class TestInPlaceBoxMuller:
+    """Box-Muller runs in place on the uniforms' buffer, CHUNK pairs at a
+    time: counts of none, one and an odd number of normals, about one and two
+    chunks of pairs, and one past a 2**18 batch."""
+
+    @pytest.mark.parametrize("k", [1, 3])
+    @pytest.mark.parametrize("n", [0, 1, 7, CHUNK + 1, 2 * CHUNK - 1, 2 * CHUNK + 2, 2**18 + 1])
+    def test_rows_are_first_release_stream_draws(self, k, n):
+        got = normal_rows([RngStream(11, j) for j in range(k)], n)
+        assert got.shape == (k, n) and got.flags.c_contiguous
+        m = (n + 1) // 2
+        for j, row in enumerate(got):
+            raw = _raw_words(11, j, 2 * m)
+            want = _normals_v0(_uniforms_v0(raw[:m]), _uniforms_v0(raw[m:]), n)
+            assert np.array_equal(row.view(np.uint64), want.view(np.uint64))
 
 
 class TestOpenInterval:

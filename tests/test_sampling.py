@@ -32,6 +32,7 @@ from depthrisk import (
 )
 from depthrisk import sampling
 from depthrisk.linalg import _column_norms, color
+from depthrisk.rng import CHUNK
 
 EULER_GAMMA = 0.5772156649015329
 CFG = FrankGumbelConfig(
@@ -512,6 +513,40 @@ class TestBlockDraw:
         for bad in (0, 1.5, True):
             with pytest.raises(DomainError):
                 law.draw(bad, [RngStream(0)])
+
+
+# The Gaussian law colors CHUNK points at a time: counts of one, odd, about
+# one chunk and one past a 2**18 batch
+DRAW_OUT_LAWS = {"frank": CFG, "gaussian": BLOCK_LAWS[-1]}
+
+
+class TestDrawOut:
+    @pytest.mark.parametrize("law", sorted(DRAW_OUT_LAWS))
+    @pytest.mark.parametrize("k", [1, 3])
+    @pytest.mark.parametrize("n", [1, 7, CHUNK - 1, CHUNK + 1, 2**18 + 1])
+    def test_out_gets_the_draw_bits(self, law, k, n):
+        law = DRAW_OUT_LAWS[law]
+        want = law.draw(n, [RngStream(12, j) for j in range(k)])
+        buf = np.full(want.shape, np.nan)
+        assert law.draw(n, [RngStream(12, j) for j in range(k)], out=buf) is buf
+        assert np.array_equal(buf.view(np.uint64), want.view(np.uint64))
+        reference = (_frank_points_one_stream if isinstance(law, FrankGumbelConfig)
+                     else _gaussian_points_one_stream)
+        first = reference(n, law, RngStream(12, 0))
+        assert np.array_equal(buf[0].T.view(np.uint64), first.view(np.uint64))
+
+    @pytest.mark.parametrize("law", sorted(DRAW_OUT_LAWS))
+    def test_bad_out_is_refused_before_drawing(self, law):
+        law = DRAW_OUT_LAWS[law]
+        shape = (2, law.exact_model.dim, 5)
+        read_only = np.empty(shape)
+        read_only.setflags(write=False)
+        for bad in (np.empty(shape[1:]), np.empty(shape, dtype=np.float32),
+                    np.empty(shape[::-1]).T, read_only, np.empty(shape).tolist()):
+            streams = [RngStream(13, j) for j in range(2)]
+            with pytest.raises(DimensionMismatch, match="^out must be a writable C-contiguous"):
+                law.draw(5, streams, out=bad)
+            assert streams[0].uniforms(1)[0] == RngStream(13, 0).uniforms(1)[0]
 
 
 class TestSquaredNorms:
