@@ -21,7 +21,8 @@ import numpy as np
 
 from .errors import DegenerateSample, DimensionMismatch, NotPositiveDefinite
 from .io import check_dims, check_finite, json_fields, json_floats, raise_problems
-from .linalg import SpdMatrix, _column_forms, build_spd, cholesky_lower, quad_forms, whiten
+from .linalg import (SpdMatrix, _column_forms, _column_norms, build_spd, cholesky_lower,
+                     quad_forms, whiten)
 
 if TYPE_CHECKING:  # pragma: no cover
     from .sampling import Sample
@@ -113,16 +114,16 @@ def _column_depths(low, cols, mu=0.0) -> np.ndarray:
 def mhd_gradient(x, model: DepthModel):
     """Gradient of the depth: -2 * mhd(x)^2 * Sigma^{-1} (x - mu).
 
-    Zero exactly at x == mu, the unique critical point.  Loads
-    ``scipy.linalg`` on its first call, so ``import depthrisk`` needs numpy only.
+    Zero exactly at x == mu, the unique critical point.  Sigma^{-1} (x - mu)
+    is L'^{-1} w for the whitened w = L^{-1} (x - mu): the back substitution
+    with L' is :func:`~depthrisk.linalg.whiten` with the factor and w in
+    reversed order.  The depth 1 / (1 + |w|^2) has the bits of :func:`mhd`.
     """
-    from scipy.linalg import solve_triangular
-
     pts, single = _point_rows(x, model)
-    centered = pts - model.mu
-    depth = _column_depths(model.sigma.chol, centered.T)
-    half = solve_triangular(model.sigma.chol, centered.T, lower=True, check_finite=False)
-    full = solve_triangular(model.sigma.chol.T, half, lower=False, check_finite=False)
+    low = model.sigma.chol
+    half = whiten(low, (pts - model.mu).T)
+    full = whiten(low.T[::-1, ::-1], half[::-1])[::-1]
+    depth = 1.0 / (1.0 + _column_norms(half))
     grad = (-2.0 * depth * depth)[:, None] * full.T
     return grad[0] if single else grad
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 import json
 import numbers
 import os
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -240,9 +241,12 @@ def check_finite(value, name: str) -> np.ndarray:
     DomainError "<name> must be finite numbers" otherwise."""
     try:
         arr = np.asarray(value)
-        # a bool among numbers converts silently: nested lists are read entry by entry
-        ok = arr.dtype.kind in "iuf" and (isinstance(value, np.ndarray) or not any(
-            isinstance(x, (bool, np.bool_)) for x in np.asarray(value, dtype=object).flat))
+        # a bool among numbers converts silently: nested entries are told apart by type
+        entries = [] if isinstance(value, np.ndarray) else [value]
+        for _ in range(arr.ndim):
+            entries = list(chain.from_iterable(entries))
+        ok = arr.dtype.kind in "iuf" and not any(
+            issubclass(kind, (bool, np.bool_)) for kind in set(map(type, entries)))
     except (TypeError, ValueError, OverflowError):  # ragged nesting
         ok = False
     if not (ok and np.isfinite(arr).all()):

@@ -145,11 +145,23 @@ def _boundary_rows(sets: _Sets, m: int) -> np.ndarray:
 
 def _nn_gap(points: np.ndarray) -> float:
     """Max distance from any point of a sample to its nearest distinct-index
-    neighbor."""
-    from scipy.spatial import cKDTree
-
-    dist, _ = cKDTree(points).query(points, k=2)
-    return float(np.max(dist[:, 1]))
+    neighbor, exactly.  The points, sorted along their widest axis, are
+    swept at offsets k = 1, 2, ...: a pair k apart can lower an end's
+    nearest squared distance only while its squared gap along that axis is
+    below it, and the gaps grow with k, so the sweep ends at the first k
+    where no pair can."""
+    axis = np.argmax(np.ptp(points, axis=0))
+    p = points[np.argsort(points[:, axis], kind="stable")]
+    best = np.full(len(p), np.inf)
+    for k in range(1, len(p)):
+        gap = p[k:, axis] - p[:-k, axis]
+        i = np.flatnonzero(gap * gap < np.maximum(best[:-k], best[k:]))
+        if not i.size:
+            break
+        sq = _column_norms((p[i + k] - p[i]).T)
+        best[i] = np.minimum(best[i], sq)
+        best[i + k] = np.minimum(best[i + k], sq)
+    return float(np.sqrt(best.max()))
 
 
 def _eigenframe(points: np.ndarray, sets: _Sets):
@@ -249,7 +261,7 @@ class HausdorffResult:
     ``resolution`` is the larger of the two samples' maximum
     nearest-neighbor gaps; honest tolerances for comparisons against exact
     geometry should be at least this wide.  It is computed from ``samples``
-    on first access, which loads ``scipy.spatial``, and then cached.
+    on first access, by :func:`_nn_gap`, and then cached.
     """
 
     distance: float

@@ -14,6 +14,7 @@ draws: the Gaussian in closed form, the Frank-Gumbel law by quadrature.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, field
 from typing import Protocol
 
@@ -78,6 +79,27 @@ class Law(Protocol):
     def exact_truth(self, alphas) -> list[float]: ...
 
 
+def _chi2_tails(d: int, x: float) -> tuple[float, float]:
+    """P(chi2_d > x) and the ratio P(chi2_{d+2} > x) / P(chi2_d > x), in
+    closed form by Q_{j+2} = Q_j + p_j with p_j = e^-t t^(j/2) / Gamma(j/2 + 1),
+    t = x/2, from Q_0 = 0 or Q_1 = erfc(sqrt(t)) (Abramowitz & Stegun, 26.4).
+    The sum s = Q_d / p_d runs down from the top term, so the ratio 1 + 1/s
+    holds neither e^-t nor a power of t.  The mass p_d s is formed in logs:
+    it is 0 exactly where it underflows."""
+    t, h = min(x, float(_HUGE)) / 2.0, d / 2.0  # 1/alpha overflows below alpha = 5.6e-309
+    s, b = 0.0, 1.0
+    for j in range(d - 2, -1, -2):  # b = p_j / p_d
+        b *= (j / 2.0 + 1.0) / t
+        s += b
+    if d % 2 and t < 700.0:  # Q_1 / p_1
+        s += b * math.erfc(math.sqrt(t)) * math.exp(t) * math.sqrt(math.pi / t) / 2.0
+    elif d % 2:  # where erfc nears underflow, by its asymptotic series (A&S 7.1.23)
+        s += b * float(1.0 + np.cumprod([(0.5 - k) / t for k in range(1, 9)]).sum()) / (2.0 * t)
+    # log Q_d <= 0: the clamp takes rounding, and s = inf (t far below d/2)
+    mass = math.exp(min(0.0, h * math.log(t) - t - math.lgamma(h + 1.0) + math.log(s)))
+    return mass, 1.0 + 1.0 / s
+
+
 @dataclass(frozen=True)
 class GaussianConfig:
     """Multivariate normal law N(mu, sigma); its exact depth model is built with it."""
@@ -115,21 +137,18 @@ class GaussianConfig:
         """Closed form: X = mu + L z with z standard normal lies in L(alpha)
         where |z|^2 > r^2 = 1/alpha - 1, so the truth is |mu|^2 + tr(Sigma)
         P(chi2_{d+2} > r^2) / P(chi2_d > r^2) (Johnson, Kotz & Balakrishnan,
-        1994, ch. 18).  NoMass where P(chi2_d > r^2) underflows, a
-        DomainError naming ``sigma`` where the truth overflows.  Loads
-        ``scipy.special`` on its first call."""
-        from scipy.special import chdtrc
-
+        1994, ch. 18), the ratio by :func:`_chi2_tails`.  NoMass where
+        P(chi2_d > r^2) underflows to 0, a DomainError naming ``sigma`` where
+        the truth overflows."""
         model = self.exact_model
         norm_sq = float(model.mu @ model.mu)
         trace = float(np.trace(model.sigma.entries))
         truths = []
         for alpha in map(check_level, alphas):
-            r_sq = 1.0 / alpha - 1.0
-            mass = chdtrc(model.dim, r_sq)
+            mass, ratio = _chi2_tails(model.dim, 1.0 / alpha - 1.0)
             if mass == 0.0:
                 raise NoMass(f"P(L(alpha)) underflows at alpha={alpha}")
-            truth = norm_sq + trace * float(chdtrc(model.dim + 2, r_sq) / mass)
+            truth = norm_sq + trace * ratio
             if not np.isfinite(truth):
                 raise DomainError(f"sigma: the tail expectation overflows at alpha={alpha}")
             truths.append(truth)

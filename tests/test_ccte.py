@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from scipy import stats
+from scipy import special, stats
 from scipy.integrate import dblquad
 
 from depthrisk import (
@@ -659,6 +659,31 @@ class TestExactTruth:
         expect = 1.0 + r * math.exp(-r * r / 2.0) / math.sqrt(2.0 * math.pi) / tail
         (truth,) = gaussian_population(std_model(1)).exact_truth([1.0 / (1.0 + r * r)])
         assert truth == pytest.approx(expect, rel=1e-12, abs=0.0)
+
+    def test_pinned_gaussian_values(self):
+        # the law of the pinned Gaussian study; at 0.2 the 40-digit value is
+        # 12.6045684071807487...
+        law = GaussianConfig(mu=(0.5, -1.0, 2.0), sigma=(
+            (2.0, 0.3, 0.1), (0.3, 1.0, 0.2), (0.1, 0.2, 0.5)))
+        assert list(map(repr, law.exact_truth([0.2, 0.5]))) == [
+            "12.604568407180748", "9.454645214714843"]
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6, 10, 51])
+    def test_gaussian_ratio_matches_chdtrc(self, d):
+        # identity covariance: the truth is d P(chi2_{d+2} > x) / P(chi2_d > x);
+        # past the grid, 1/alpha - 1 rounds to 1/2**52 and overflows
+        law = gaussian_population(std_model(d))
+        for alpha in [*np.geomspace(1e-12, 0.999, 120), 1.0 - 2.0**-53, 1e-300, 1e-310, 5e-324]:
+            x = 1.0 / alpha - 1.0
+            try:
+                (truth,) = law.exact_truth([alpha])
+            except NoMass:
+                truth = None
+            if special.chdtrc(d, x) > 0.0:
+                ratio = special.chdtrc(d + 2, x) / special.chdtrc(d, x)
+                assert truth == pytest.approx(d * ratio, rel=1e-12, abs=0.0)
+            else:
+                assert truth is None or math.isfinite(truth)
 
     def test_no_mass(self):
         with pytest.raises(NoMass):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import solve_triangular
 from scipy.optimize import minimize
 
 from depthrisk import (
@@ -165,6 +166,18 @@ class TestGradient:
     def test_batch_shape(self):
         g = mhd_gradient(np.zeros((5, 2)), std_model())
         assert g.shape == (5, 2)
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 5])
+    def test_matches_two_triangular_solves(self, d):
+        # Sigma^{-1} (x - mu) by scipy's forward and back substitutions
+        rng = np.random.default_rng(40 + d)
+        model = random_model(rng, d)
+        x = model.mu + 3.0 * rng.normal(size=(500, d))
+        low = model.sigma.chol
+        full = solve_triangular(low.T, solve_triangular(low, (x - model.mu).T, lower=True))
+        want = (-2.0 * mhd(x, model) ** 2)[:, None] * full.T
+        got = mhd_gradient(x, model)
+        assert np.all(np.abs(got - want) <= 1e-10 * np.linalg.norm(want, axis=1, keepdims=True))
 
 
 class TestFitModel:

@@ -864,8 +864,8 @@ PINNED_STUDIES = {
                  (2.0, 0.3, 0.1), (0.3, 1.0, 0.2), (0.1, 0.2, 0.5))),
              n_values=(32, 4000), alpha_values=(0.2, 0.5), replications=10,
              delta_values=(0.0,), master_seed=12),
-        "d7ad658a922275b712ab33905cd14c9a88599664056e75272d0c57e6083162ae",
-        "d23abd5989baaddbd305cf5e8387ce4385410fdc96a1b2ec53a002e5949a70e9",
+        "3af933827fb325c3e257927e4dc27cba3f1f53a78e8c83935d6c1bfacdc2c0c7",
+        "269e71d9a1cfb6d4e9f90b5d0ab0ca60f5cdd8e97c17a70afc7ec0aadc714e24",
     ),
 }
 

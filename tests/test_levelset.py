@@ -234,6 +234,22 @@ class TestHausdorff:
         assert coarse > fine
 
 
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    @pytest.mark.parametrize("m", [64, 4096])
+    def test_nn_gap_is_the_kdtree_gap(self, d, m):
+        # bit for bit, on an eccentric and a random ellipsoid's boundary
+        # (in d = 1, two points m/2 times over) and on a cloud with repeats
+        rng = np.random.default_rng(d * m)
+        eccentric = DepthModel(np.ones(d), build_spd(np.diag([4.0, 1.0, 0.25, 2.0][:d])))
+        r = rng.normal(size=(d, d))
+        samples = [boundary_points(LevelSetSpec(eccentric, 0.3), m),
+                   boundary_points(LevelSetSpec(DepthModel(rng.normal(size=d), build_spd(
+                       r @ r.T + 0.1 * np.eye(d))), 0.7), m),
+                   np.repeat(rng.normal(size=(m // 4, d)), [1, 2, 1, 0] * (m // 16), axis=0)]
+        for p in samples:
+            want = float(np.max(cKDTree(p).query(p, k=2)[0][:, 1]))
+            assert levelset_module._nn_gap(p) == want
+
     def test_resolution_is_computed_once_on_request(self, monkeypatch):
         calls = []
         nn_gap = levelset_module._nn_gap

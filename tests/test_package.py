@@ -293,10 +293,10 @@ def test_every_export_has_a_use():
     assert unread == sorted(UNREAD_EXPORTS)
 
 
-# one call of each of the package's three scipy users, each loading its
-# scipy module on first use; the reprs (of floats, so exact) must agree
-# between a process that loads nothing of scipy before them and this one
-SCIPY_USER_CALLS = """[
+# one call of each function whose math scipy also has (the tests' reference
+# for it): they load nothing of scipy, and their reprs (of floats, so exact)
+# agree between a fresh process and this one
+SCIPY_MATH_CALLS = """[
     repr(dr.mhd_gradient([[1.0, 2.0], [0.5, -1.5]], model).tolist()),
     repr(dr.GaussianConfig((0.5, -1.0), ((2.0, 0.3), (0.3, 1.0))).exact_truth([0.2, 0.5])),
     repr(dr.hausdorff_report(spec, dr.LevelSetSpec(model, 0.3), 64).resolution),
@@ -320,29 +320,30 @@ study = dr.ExperimentConfig(frank, (20, 40, 80), (0.5,), 2, delta_values=(0.5,))
 dr.emit_tables(dr.run_replications(study), None, sys.argv[1])
 dr.run_convergence(dr.ConvergenceConfig(model, (20, 40), 2, boundary_m=64))
 loaded.append(scipy_loaded())
-calls = {SCIPY_USER_CALLS}
-heavy = sorted(m for m in ("scipy.stats", "scipy.integrate") if m in sys.modules)
-print(json.dumps([loaded, calls, heavy]))
+calls = {SCIPY_MATH_CALLS}
+loaded.append(scipy_loaded())
+print(json.dumps([loaded, calls]))
 """
 
 
 def test_import_loads_no_heavy_scipy_modules(tmp_path):
-    # import depthrisk loads numpy and nothing of scipy, and the workload
-    # paths load none either.  On a 2-core host, with scipy.linalg,
-    # .special and .spatial imported at the top of the modules, a fresh
-    # `import depthrisk, depthrisk.cli` took 0.47 s and 67.5 MB (medians of
-    # 9), against 0.13 s and 31.2 MB without; the benchmark's setup_s fell
-    # by 0.28 to 0.31 s and its peak_rss_mb by 29 to 30 MB on each workload
-    # (perfbench/run.py, ten pairs).  The scipy users import their module on
-    # first call; even then scipy.stats and scipy.integrate, 0.1 to 0.6 s
-    # more, stay unloaded
+    # numpy is the one runtime dependency: import depthrisk, the workload
+    # paths and the functions whose math scipy also has load nothing of
+    # scipy.  On a 2-core host, with scipy.linalg, .special and .spatial
+    # imported at the top of the modules, a fresh `import depthrisk,
+    # depthrisk.cli` took 0.47 s and 67.5 MB (medians of 9), against 0.13 s
+    # and 31.2 MB without
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
         str(SRC.parent), os.environ.get("PYTHONPATH")])))
     out = subprocess.run([sys.executable, "-c", LIGHT_IMPORT_CODE, str(tmp_path)], env=env,
                          capture_output=True, text=True, check=True).stdout
-    loaded, calls, heavy = json.loads(out)
-    assert loaded == [[], []]
+    loaded, calls = json.loads(out)
+    assert loaded == [[], [], []]
     model = DepthModel([0.5, -1.0], build_spd([[2.0, 0.3], [0.3, 1.0]]))
     namespace = {"dr": depthrisk, "model": model, "spec": LevelSetSpec(model, 0.5)}
-    assert calls == eval(SCIPY_USER_CALLS, namespace)
-    assert heavy == []
+    assert calls == eval(SCIPY_MATH_CALLS, namespace)
+    if sys.version_info >= (3, 11):  # tomllib
+        import tomllib
+
+        project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+        assert project["dependencies"] == ["numpy>=1.24"]
