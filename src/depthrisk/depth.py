@@ -183,7 +183,10 @@ def _sup_norms(mu_a, low_a, mu_b, low_b) -> np.ndarray:
     means (k, d) and lower Cholesky factors (k, d, d); either side may be a
     single model (k = 1) shared by every pair.  Each step runs over the whole
     block with the pair as a leading axis, so row j depends on pair j alone
-    and has the bits of its one-pair call."""
+    and has the bits of its one-pair call.  The grid search makes one pass
+    per coordinate over (k, frame, branch, u) arrays, and sums the squares
+    |z|^2 in the order of :func:`_einsum_order_sum` and the terms of
+    sum_i m_i w_i^2 in coordinate order."""
     mu_a, mu_b = np.broadcast_arrays(mu_a, mu_b)
     low_a, low_b = np.broadcast_arrays(low_a, low_b)
     # axis 1 is the frame: a's, then b's
@@ -207,19 +210,36 @@ def _sup_norms(mu_a, low_a, mu_b, low_b) -> np.ndarray:
         np.fmax(best, np.abs(gap).max(axis=(1, 2)), out=best)
     # lambda = m_max (1 + r) on branch 0 and m_min / (1 + r) on branch 1,
     # r = exp(u), so m_i - lambda keeps its relative precision as r -> 0;
-    # u is searched on a grid, then on three grids of 65 about the best u,
-    # each 32 times finer
-    ref, sign = m[..., [-1, 0], None, None], np.array([[1.0], [-1.0]])
-    m, e = m[..., None, None, :], e[..., None, None, :]
-    grid, h = np.broadcast_to(np.linspace(-40.0, 40.0, 769), ref.shape[:-2] + (769,)), 80.0 / 768
+    # u is searched on a grid, then on three grids of 65 about each best u,
+    # each 32 times finer; the first grid is one row, both branches' (so row
+    # -1 is branch 1's), for every pair.  Arrays are (k, frame, branch, u),
+    # one pass per coordinate
+    ref, sign = m[..., [-1, 0], None], np.array([[1.0], [-1.0]])
+    grid, h = np.linspace(-40.0, 40.0, 769)[None], 80.0 / 768
     for _ in range(4):
         r = np.exp(grid)
-        step = np.stack([-r[..., 0, :], r[..., 1, :] / (1.0 + r[..., 1, :])], axis=-2)[..., None]
-        z = m * e / ((m - ref) + ref * step)
-        w = z - e
-        gap = sign * (1.0 / (1.0 + np.einsum("...i,...i->...", z, z))
-                      - 1.0 / (1.0 + np.einsum("...i,...i,...i->...", w, m, w)))
+        step = ref * np.stack([-r[..., 0, :], r[..., -1, :] / (1.0 + r[..., -1, :])], axis=-2)
+        squares, qb = [], 0.0
+        for i in range(m.shape[-1]):
+            mi, ei = m[..., i, None, None], e[..., i, None, None]
+            z = mi * ei / ((mi - ref) + step)
+            w = z - ei
+            squares.append(z * z)
+            qb = qb + w * mi * w
+        gap = sign * (1.0 / (1.0 + _einsum_order_sum(squares)) - 1.0 / (1.0 + qb))
         np.fmax(best, gap.max(axis=(1, 2, 3)), out=best)
-        center = np.take_along_axis(grid, gap.argmax(axis=-1)[..., None], axis=-1)
+        best_u = gap.argmax(axis=-1)[..., None]
+        center = np.take_along_axis(np.broadcast_to(grid, gap.shape), best_u, axis=-1)
         grid, h = center + h * np.linspace(-1.0, 1.0, 65), h / 32.0
     return best
+
+
+def _einsum_order_sum(terms):
+    """The sum of ``terms``, one array per coordinate, in the order of the
+    dot product of ``np.einsum`` over a contiguous last axis (numpy 2.4 on
+    x86-64): a sum of the even and one of the odd coordinates, each taking
+    full blocks of eight from the top down and then the rest, then added."""
+    d = len(terms)
+    top = d - d % 8
+    even = [b + j for b in range(0, top, 8) for j in (6, 4, 2, 0)] + [*range(top, d, 2)]
+    return sum(terms[i] for i in even) + sum(terms[i + 1] for i in even if i + 1 < d)

@@ -46,7 +46,7 @@ from .io import (
 from .levelset import (
     RADIAL_ANGLES,
     LevelSetSpec,
-    _boundary_rows,
+    _boundary_columns,
     _hausdorff_max,
     _radial_volumes,
     _Sets,
@@ -74,6 +74,17 @@ _N_VALUES_CHECK = ("n_values",
                    "must be a nonempty list of distinct integers >= 2")
 _MASTER_SEED_CHECK = ("master_seed", lambda v: is_count(v, 0), "must be a nonnegative integer")
 
+
+def _fit_size_problems(n_values, model: DepthModel) -> list[str]:
+    """The problem of sample sizes below d + 1, the fewest points a fit of
+    the model's dimension d takes: a study would raise DegenerateSample at
+    the first such size, after the sizes before it had run."""
+    d = model.dim
+    if min(n_values) > d:
+        return []
+    return [f"n_values: must be integers >= d + 1 = {d + 1} for a {d}-dimensional model"]
+
+
 SUMMARY_HEADER = "n,alpha,truth,truth_se,mean,sigma_hat,rmae,degenerate_count"
 RATES_HEADER = "n,alpha,delta,V"
 CONVERGENCE_STATS = ("supnorm", "hausdorff", "symdiff")
@@ -86,7 +97,8 @@ class ExperimentConfig:
     ``data_cfg`` is the population law; the study reads its ``draw``,
     ``noise_var``, ``exact_model`` (a DepthModel) and ``exact_truth``.
     ``delta_values`` may be empty (the rate table is then header-only); the
-    sample sizes and levels may not be.  None of the three may repeat.
+    sample sizes and levels may not be.  None of the three may repeat, and
+    no sample size may be below d + 1, the fewest points a fit takes.
 
     ``truth_n_mc`` is accepted, checked and echoed, but no study reads it:
     the truths are exact (``data_cfg.exact_truth``), with no Monte Carlo pass.
@@ -116,7 +128,8 @@ class ExperimentConfig:
     )
 
     def __post_init__(self) -> None:
-        raise_problems(field_problems(self._checks, vars(self)))
+        problems = field_problems(self._checks, vars(self))
+        raise_problems(problems or _fit_size_problems(self.n_values, self.data_cfg.exact_model))
 
 
 def config_to_json(cfg: ExperimentConfig) -> dict:
@@ -385,6 +398,7 @@ class ConvergenceConfig:
     the symmetric difference of the level sets.  That volume is a radial
     quadrature in d <= 2; ``symdiff_n_mc`` is the draw count of the Monte
     Carlo estimate that replaces it where the quadrature does not apply.
+    Every sample size must be at least d + 1, the fewest points a fit takes.
     """
 
     model: DepthModel
@@ -396,6 +410,7 @@ class ConvergenceConfig:
     master_seed: int = 0
 
     _checks = (
+        ("model", lambda v: isinstance(v, DepthModel), "must be a DepthModel"),
         _N_VALUES_CHECK,
         ("seeds", lambda v: is_count(v, 1), "must be an integer >= 1"),
         ("alpha", check_level, "must lie in (0, 1)"),
@@ -405,7 +420,8 @@ class ConvergenceConfig:
     )
 
     def __post_init__(self) -> None:
-        raise_problems(field_problems(self._checks, vars(self)))
+        problems = field_problems(self._checks, vars(self))
+        raise_problems(problems or _fit_size_problems(self.n_values, self.model))
 
 
 def convergence_config_from_json(obj: dict) -> ConvergenceConfig:
@@ -455,7 +471,7 @@ def run_convergence(
     say = progress if progress is not None else (lambda _msg: None)
     truth_spec = LevelSetSpec(cfg.model, cfg.alpha)
     truth = _stack(truth_spec)
-    truth_rows = _boundary_rows(truth, cfg.boundary_m)
+    truth_cols = _boundary_columns(truth, cfg.boundary_m)
     shape = (len(cfg.n_values), cfg.seeds)
     distances = {name: np.empty(shape) for name in CONVERGENCE_STATS}
     for k, n in enumerate(cfg.n_values):
@@ -468,7 +484,7 @@ def run_convergence(
             block = (k, slice(seeds.start, seeds.stop))
             distances["supnorm"][block] = _sup_norms(mu, low, truth.mu, truth.low)
             distances["hausdorff"][block] = _hausdorff_max(
-                fits, _boundary_rows(fits, cfg.boundary_m), truth, truth_rows
+                fits, _boundary_columns(fits, cfg.boundary_m), truth, truth_cols
             )
             volumes = _radial_volumes(fits, truth)
             for j in np.flatnonzero(np.isnan(volumes)):

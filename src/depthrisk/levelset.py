@@ -27,7 +27,7 @@ import numpy as np
 from .depth import DepthModel, mhd
 from .errors import DimensionMismatch
 from .io import check_count, check_dims, check_finite, check_level
-from .linalg import _column_norms, whiten
+from .linalg import _column_norms, _whiten_in_place, whiten
 from .rng import RngStream, mix64
 
 BOUNDARY_TOL = 1e-12
@@ -133,14 +133,16 @@ def boundary_points(spec: LevelSetSpec, m: int) -> np.ndarray:
     output satisfies |mhd(x) - alpha| < 1e-10.
     """
     check_count(m, 8, "m")
-    return _boundary_rows(_stack(spec), m)[0]
+    return _boundary_columns(_stack(spec), m)[0].T
 
 
-def _boundary_rows(sets: _Sets, m: int) -> np.ndarray:
-    """The (k, m, d) boundary points of :func:`boundary_points`, m for each
-    set of the stack."""
+def _boundary_columns(sets: _Sets, m: int) -> np.ndarray:
+    """The boundary points of :func:`boundary_points` as columns, m for each
+    set of the stack: shape (k, d, m).  L u is one BLAS product: a sum of
+    elementwise products would round differently, where BLAS fuses a
+    multiply and an add."""
     u = _sphere_directions(sets.mu.shape[-1], m)
-    return sets.mu[:, None, :] + np.sqrt(sets.radius_sq) * (u @ np.swapaxes(sets.low, -1, -2))
+    return sets.mu[:, :, None] + np.sqrt(sets.radius_sq) * (sets.low @ u.T)
 
 
 def _nn_gap(points: np.ndarray) -> float:
@@ -164,16 +166,18 @@ def _nn_gap(points: np.ndarray) -> float:
     return float(np.sqrt(best.max()))
 
 
-def _eigenframe(points: np.ndarray, sets: _Sets):
-    """The points (k, m, d) in the eigenframes of the stack's ellipsoids,
-    either side broadcast from k = 1: coordinates y (k, d, m) in the
-    eigenbasis of each Sigma, the squared semi-axes e2 = r^2 lambda (k, d),
-    ascending, and f0 = phi^2 - 1 (k, m), with phi = |diag(e2)^{-1/2} y| the
-    gauge of the ellipsoid (phi = 1 on its boundary)."""
+def _eigenframe(cols: np.ndarray, sets: _Sets):
+    """The points, columns (k, d, m), in the eigenframes of the stack's
+    ellipsoids, either side broadcast from k = 1: coordinates y (k, d, m) in
+    the eigenbasis of each Sigma, the squared semi-axes e2 = r^2 lambda
+    (k, d), ascending, and f0 = phi^2 - 1 (k, m), with
+    phi = |diag(e2)^{-1/2} y| the gauge of the ellipsoid (phi = 1 on its
+    boundary), summed coordinate by coordinate."""
     lam, basis = np.linalg.eigh(sets.sigma)
     e2 = sets.radius_sq * lam
-    y = np.swapaxes(basis, -1, -2) @ np.swapaxes(points - sets.mu[:, None, :], -1, -2)
-    f0 = np.einsum("...ij,...i,...ij->...j", y, 1.0 / e2, y) - 1.0
+    y = np.swapaxes(basis, -1, -2) @ (cols - sets.mu[:, :, None])
+    inv = 1.0 / e2[..., None]
+    f0 = sum(y[:, i] * inv[:, i] * y[:, i] for i in range(y.shape[1])) - 1.0
     return y, e2, f0
 
 
@@ -285,19 +289,19 @@ def hausdorff_report(a: LevelSetSpec, b: LevelSetSpec, m: int) -> HausdorffResul
     on request."""
     check_dims(a, b, "level set")
     check_count(m, 64, "m")
-    pa = boundary_points(a, m)
-    pb = boundary_points(b, m)
+    ca, cb = _boundary_columns(_stack(a), m), _boundary_columns(_stack(b), m)
+    distance = _hausdorff_max(_stack(a), ca, _stack(b), cb)[0]
+    pa, pb = ca[0].T, cb[0].T
     pa.setflags(write=False)
     pb.setflags(write=False)
-    distance = _hausdorff_max(_stack(a), pa[None], _stack(b), pb[None])[0]
     return HausdorffResult(float(distance), (pa, pb))
 
 
-def _hausdorff_max(a: _Sets, pa: np.ndarray, b: _Sets, pb: np.ndarray) -> np.ndarray:
+def _hausdorff_max(a: _Sets, ca: np.ndarray, b: _Sets, cb: np.ndarray) -> np.ndarray:
     """Per pair j of a block, the largest exact distance from the samples
-    ``pa[j]`` of a's boundary to b's boundary ellipsoid and from the samples
-    ``pb[j]`` of b's to a's: k values, each stack and each sample array
-    (k, m, d) broadcast from k = 1 where one side is shared.
+    ``ca[j]`` of a's boundary to b's boundary ellipsoid and from the samples
+    ``cb[j]`` of b's to a's: k values, each stack and each sample array
+    (columns (k, d, m)) broadcast from k = 1 where one side is shared.
 
     Every sample gets its eigenframe coordinates and f0 = phi^2 - 1 against
     the other ellipsoid, whose semi-axes run from a_min to a_max.  Its exact
@@ -311,7 +315,7 @@ def _hausdorff_max(a: _Sets, pa: np.ndarray, b: _Sets, pb: np.ndarray) -> np.nda
     their own semi-axes.  Each point stops on its own step, so the maximum
     has the bits of measuring every sample.
     """
-    frames = [_eigenframe(pa, b), _eigenframe(pb, a)]
+    frames = [_eigenframe(ca, b), _eigenframe(cb, a)]
     gauge_gaps = [np.abs(np.sqrt(f0 + 1.0) - 1.0) for _, _, f0 in frames]
     semi_axes = [np.sqrt(e2[:, [0, -1]]) for _, e2, _ in frames]  # a_min, a_max
     floor = np.maximum(*((axes[:, :1] * gap).max(axis=1)
@@ -348,12 +352,13 @@ def _radii(low: np.ndarray, w0: np.ndarray, room: np.ndarray, directions: np.nda
 
     In whitened coordinates the boundary is the sphere |w| = r, so the
     radius is the positive root of |v|^2 rho^2 + 2 (w0 . v) rho - room = 0,
-    with v the whitened direction.
+    with v the whitened directions, columns (k, d, directions), and |v|^2
+    summed coordinate by coordinate.
     """
-    # each (d, directions) block in the memory order of directions.T, whose
-    # BLAS product with w0 the bits follow
-    v = whiten(low, np.swapaxes(np.repeat(directions[None], len(low), axis=0), -1, -2))
-    vv = np.einsum("...ij,...ij->...j", v, v)
+    # one C-contiguous (d, directions) block per set, whitened in place; w0' v
+    # stays one BLAS product, as a sum of elementwise products rounds otherwise
+    v = _whiten_in_place(low, np.repeat(directions.T[None], len(low), axis=0))
+    vv = _column_norms(v)
     b = (np.swapaxes(w0, -1, -2) @ v)[:, 0, :]
     k = room[:, None]
     root = np.sqrt(b * b + vv * k)

@@ -513,6 +513,22 @@ class TestConvergenceCommand:
             tmp_path / "b" / "convergence.csv"
         ).read_bytes()
 
+    def test_sizes_below_a_fit_exit_2_before_any_work(self, tmp_path, capsys):
+        # a 3-d fit needs 4 points; both studies used to raise
+        # DegenerateSample mid-run, after the truths or earlier sizes
+        eye3 = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
+        experiment = dict(TestExperimentCommand.CONFIG, n_values=[64, 3],
+                          data={"kind": "gaussian", "mu": [0.0] * 3, "sigma": eye3})
+        convergence = {"model": {"mu": [0.0] * 3, "sigma": eye3}, "n_values": [3, 64],
+                       "seeds": 1}
+        for command, obj in (("experiment", experiment), ("convergence", convergence)):
+            path = tmp_path / f"{command}.json"
+            path.write_text(json.dumps(obj))
+            out = tmp_path / command
+            assert main([command, "--config", str(path), "-o", str(out)]) == 2
+            assert "n_values: must be integers >= d + 1 = 4" in capsys.readouterr().err
+            assert not out.exists()
+
     def test_config_problems_all_reported(self, tmp_path, capsys):
         path = tmp_path / "conv.json"
         path.write_text(json.dumps({"model": UNIT_MODEL, "alpha": 2.0}))

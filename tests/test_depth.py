@@ -22,6 +22,7 @@ from depthrisk import (
     mahalanobis_sq,
     mhd,
     mhd_gradient,
+    sample_gaussian,
     sup_norm_distance,
 )
 from depthrisk.depth import _sup_norms, fit_columns
@@ -409,6 +410,49 @@ class TestSupNorm:
         b = random_model(rng, 6)
         v = sup_norm_distance(a, b)
         assert v >= random_gaps(a, b, rng, 100_000).max()
+
+
+def bit_models(d, kind, seed):
+    """A pair of models of dimension d: random, concentric (the hard-case
+    rays) or a fit of 200 standard normal points against the standard
+    model."""
+    rng = np.random.default_rng(seed)
+    if kind == "fit":
+        return fit_model(sample_gaussian(200, std_model(d), RngStream(seed))), std_model(d)
+    a, b = random_model(rng, d), random_model(rng, d)
+    return (a, DepthModel(a.mu, b.sigma)) if kind == "concentric" else (a, b)
+
+
+# the repr of each sup-norm as the (..., d)-innermost search gave it; the
+# last four fits move if |z|^2 is summed in plain coordinate order
+SUP_NORM_BITS = [
+    (1, "random", 23, "0.984204193571629"),
+    (1, "concentric", 23, "0.3293391353201781"),
+    (1, "fit", 23, "0.061824026340362104"),
+    (2, "random", 23, "0.9298714564127173"),
+    (2, "concentric", 23, "0.6793169347906513"),
+    (2, "fit", 23, "0.033377417148551025"),
+    (3, "random", 23, "0.9382077528587316"),
+    (3, "concentric", 23, "0.7301902854867861"),
+    (3, "fit", 23, "0.06004254614578275"),
+    (4, "random", 23, "0.9597866982572275"),
+    (4, "concentric", 23, "0.8251124801569283"),
+    (4, "fit", 23, "0.10644707852293189"),
+    (8, "random", 23, "0.9855879168343178"),
+    (8, "concentric", 23, "0.7320421947370388"),
+    (8, "fit", 23, "0.21993698525844185"),
+    (3, "fit", 47, "0.06973283484951032"),
+    (4, "fit", 29, "0.07843124401860446"),
+    (5, "fit", 42, "0.12966809520024358"),
+    (7, "fit", 23, "0.11948048862095362"),
+]
+
+
+@pytest.mark.parametrize("d, kind, seed, want", SUP_NORM_BITS,
+                         ids=[f"d{row[0]}-{row[1]}-{row[2]}" for row in SUP_NORM_BITS])
+def test_sup_norm_bits(d, kind, seed, want):
+    a, b = bit_models(d, kind, seed)
+    assert repr(sup_norm_distance(a, b)) == want
 
 
 @given(

@@ -300,6 +300,34 @@ class TestExperimentConfig:
         with pytest.raises(ConfigError, match="^n_values: must be a nonempty list of distinct"):
             convergence_config_from_json(obj)
 
+    def test_sizes_below_a_fit_rejected(self):
+        # a 3-d fit needs 4 points: the study used to compute the truths and
+        # then raise DegenerateSample
+        law = GaussianConfig(mu=(0.0, 0.0, 0.0), sigma=tuple(map(tuple, np.eye(3).tolist())))
+        want = r"^n_values: must be integers >= d \+ 1 = 4 for a 3-dimensional model$"
+        with pytest.raises(ConfigError, match=want):
+            gaussian_cfg(data_cfg=law, n_values=(64, 3))
+        obj = dict(config_to_json(gaussian_cfg(data_cfg=law, n_values=(64, 4))), n_values=[64, 3])
+        with pytest.raises(ConfigError, match=want):
+            config_from_json(obj)
+        assert gaussian_cfg(n_values=(3,)).n_values == (3,)
+        with pytest.raises(ConfigError, match=r"^n_values: must be integers >= d \+ 1 = 3 "):
+            gaussian_cfg(n_values=(2, 8))
+
+    def test_convergence_sizes_below_a_fit_rejected(self):
+        # a 3-d fit needs 4 points: the study used to run the smaller sizes
+        # and then raise DegenerateSample
+        model = DepthModel(np.zeros(3), build_spd(np.eye(3)))
+        want = r"^n_values: must be integers >= d \+ 1 = 4 for a 3-dimensional model$"
+        with pytest.raises(ConfigError, match=want):
+            convergence_cfg(model=model, n_values=(64, 3))
+        obj = {"model": model.to_json(), "n_values": [3, 64], "seeds": 1}
+        with pytest.raises(ConfigError, match=want):
+            convergence_config_from_json(obj)
+        assert convergence_cfg(model=model, n_values=(4, 64)).n_values == (4, 64)
+        with pytest.raises(ConfigError, match="^model: must be a DepthModel$"):
+            convergence_cfg(model="standard", n_values=(3,))
+
 
 # every numeric field of the four config classes, given a string, and every
 # float field given a bool: (config maker, field, value, field name in the
@@ -392,11 +420,11 @@ def laws(draw):
 
 @st.composite
 def experiment_configs(draw):
+    law = draw(laws())
     return ExperimentConfig(
-        data_cfg=draw(laws()),
-        n_values=tuple(
-            draw(st.lists(st.integers(2, 10**6), min_size=1, max_size=4, unique=True))
-        ),
+        data_cfg=law,
+        n_values=tuple(draw(st.lists(st.integers(law.exact_model.dim + 1, 10**6),
+                                     min_size=1, max_size=4, unique=True))),
         alpha_values=tuple(
             draw(st.lists(st.floats(1e-6, 1.0 - 1e-6), min_size=1, max_size=4, unique=True))
         ),

@@ -1,5 +1,6 @@
 """Lower-set membership, boundary geometry, Hausdorff and symmetric difference."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -302,7 +303,7 @@ def test_hausdorff_lies_within_resolution_below_the_point_set_value(d, m, seed):
 def boundary_distances(points, spec):
     """Exact distance from each row of an (m, d) array to the boundary of
     ``spec``: the Newton iteration of every point, with nothing pruned."""
-    y, e2, f0 = levelset_module._eigenframe(points[None], levelset_module._stack(spec))
+    y, e2, f0 = levelset_module._eigenframe(points.T[None], levelset_module._stack(spec))
     return levelset_module._boundary_distances(y[0], e2[0][:, None], f0[0])
 
 
@@ -336,7 +337,7 @@ def test_pruned_hausdorff_is_the_full_maximum(d, m, seed, kind):
     pa, pb = report.samples
     full = []
     for points, spec in ((pa, b), (pb, a)):
-        y, e2, f0 = levelset_module._eigenframe(points[None], levelset_module._stack(spec))
+        y, e2, f0 = levelset_module._eigenframe(points.T[None], levelset_module._stack(spec))
         dist = levelset_module._boundary_distances(y[0], e2[0][:, None], f0[0])
         gauge_gap = np.abs(np.sqrt(f0[0] + 1.0) - 1.0)
         slack = 1e-12 * (1.0 + dist)
@@ -509,6 +510,54 @@ class TestRadialSymDiffVolume:
             want = radial_sym_diff_volume(a, b)
             est, se = sym_diff_volume(a, b, 20_000, RngStream(12, mix64(36, k)))
             assert abs(est - want) < 4.0 * se
+
+
+def bit_pair(kind, d, seed):
+    """A pair of level sets of dimension d: a kind of :func:`hausdorff_pair`,
+    or in the plane the second center inside the first ellipse
+    (overlapping) or far outside it (apart)."""
+    rng = np.random.default_rng(seed)
+    if kind == "overlapping":
+        return overlapping_pair(rng)
+    if kind == "apart":
+        a, b = hausdorff_pair("eccentric", d, rng)
+        return a, LevelSetSpec(DepthModel(a.model.mu + 100.0, b.model.sigma), b.alpha)
+    return hausdorff_pair(kind, d, rng)
+
+
+# the repr of each distance and volume, and the SHA-256 of the boundary
+# points' bytes, as the (..., d)-innermost kernels gave them
+GEOMETRY_BITS = [
+    ("hausdorff", "eccentric", 1, "0.5398758911554172"),
+    ("hausdorff", "fit", 1, "0.17489560330329867"),
+    ("hausdorff", "eccentric", 2, "5.501969756487854"),
+    ("hausdorff", "fit", 2, "0.17196883984253947"),
+    ("hausdorff", "eccentric", 3, "8.463935841122272"),
+    ("hausdorff", "fit", 3, "0.3157879564976482"),
+    ("radial", "concentric", 1, "0.06252022116380829"),
+    ("radial", "fit", 1, "0.3029794802142154"),
+    ("radial", "overlapping", 2, "13.413096946433594"),
+    ("radial", "fit", 2, "0.5544038888206811"),
+    ("radial", "apart", 2, "None"),
+    ("boundary", "eccentric", 1, "0318a818bc947e00564fa1df278ef6f0252043d5114279aa5712536cb039ec4c"),
+    ("boundary", "eccentric", 2, "4136937d51411081da6c327175c3c3cb85b8d5a5724e722336230baa91193b1d"),
+    ("boundary", "eccentric", 3, "265cecf4a732577b05d83474aaa4317af32d9d0fda40ffaa9646569077f7fa6b"),
+    ("boundary", "eccentric", 4, "6c32007e8736e2fa08673b3ca6e4e4e2b62a4d3a192982a351b2552f0901edfb"),
+]
+
+
+@pytest.mark.parametrize("name, kind, d, want", GEOMETRY_BITS,
+                         ids=[f"{row[0]}-{row[1]}-d{row[2]}" for row in GEOMETRY_BITS])
+def test_geometry_bits(name, kind, d, want):
+    a, b = bit_pair(kind, d, 23)
+    if name == "hausdorff":
+        got = repr(hausdorff_report(a, b, 256).distance)
+    elif name == "radial":
+        got = repr(radial_sym_diff_volume(a, b))
+    else:
+        points = np.concatenate([boundary_points(a, 1000), boundary_points(b, 257)])
+        got = hashlib.sha256(points.tobytes()).hexdigest()
+    assert got == want
 
 
 class TestSymDiffVolume:
