@@ -47,6 +47,7 @@ from .levelset import (
     RADIAL_ANGLES,
     LevelSetSpec,
     _boundary_columns,
+    _center_powers,
     _hausdorff_max,
     _radial_volumes,
     _Sets,
@@ -65,7 +66,8 @@ _TAG_CONV_MC = 102
 
 # Points per block of replicates (or of convergence seeds) that a study
 # draws, fits and scores in one pass: small enough that a block's
-# temporaries stay within a 2 MB L2 cache.
+# temporaries stay within a 2 MB L2 cache.  A replication block is also the
+# unit of scheduling: one pool task each.
 BLOCK_ROWS = 1 << 16
 
 # The rules of the fields both study configs have.
@@ -216,6 +218,13 @@ def _run_tasks(tasks: list[Callable[[], object]], threads: int) -> list:
         pool.shutdown(cancel_futures=True)
 
 
+def _replicate_blocks(n: int, count: int) -> list[range]:
+    """The blocks of ``count`` replicates at sample size n, in order: at most
+    ``BLOCK_ROWS`` points each, 2n per replicate."""
+    per_block = max(1, BLOCK_ROWS // (2 * n))
+    return [range(j, min(j + per_block, count)) for j in range(0, count, per_block)]
+
+
 def cell_estimates(
     law: Law, n: int, alphas, streams: list[RngStream]
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -230,10 +239,9 @@ def cell_estimates(
     level by the ratio kernel of :mod:`depthrisk.ccte`.  The arrays have
     shape (levels, k), one column per stream.
     """
-    per_block = max(1, BLOCK_ROWS // (2 * n))
     values, hits = [], []
-    for start in range(0, len(streams), per_block):
-        block = streams[start : start + per_block]
+    for replicates in _replicate_blocks(n, len(streams)):
+        block = streams[replicates.start : replicates.stop]
         cols = law.draw(2 * n, block)
         costs = _noisy_costs(cols[..., n:], law.noise_var, block)
         mu, _, low = fit_columns(cols[..., :n])
@@ -254,26 +262,37 @@ def run_replications(
     it is drawn and fitted once and scored at every level, so the cells at
     one n share their replicates across levels.  The truths of all levels
     come from the law's ``exact_truth``, with no draws, so ``truth_se`` is
-    0.0.  One task per sample size runs on one pool of ``pool_size(threads,
-    tasks)`` threads, gathered by task index, so results do not depend on
-    execution order or thread count.
+    0.0.  One pool of ``pool_size(threads, tasks)`` threads runs the truths
+    as task 0, so they come (and fail) first at one thread, then one task
+    per block of replicates (the blocks of :func:`cell_estimates`), largest
+    n first, so the longest tasks start first.  Results are gathered by
+    task index and joined per n, so they do not depend on execution order
+    or thread count.
     """
     t0 = time.monotonic()
     say = progress if progress is not None else (lambda _msg: None)
     law = cfg.data_cfg
-    say("exact truths for alpha in " + ", ".join(repr(a) for a in cfg.alpha_values))
-    truths = law.exact_truth(cfg.alpha_values)
     r = cfg.replications
+    blocks = [(n, replicates) for n in sorted(cfg.n_values, reverse=True)
+              for replicates in _replicate_blocks(n, r)]
 
-    def cells_at(n: int):
-        say(f"cells n={n}")
-        streams = [RngStream(cfg.master_seed, mix64(_TAG_REPLICATE, n, j)) for j in range(r)]
+    def exact_truths():
+        say("exact truths for alpha in " + ", ".join(repr(a) for a in cfg.alpha_values))
+        return law.exact_truth(cfg.alpha_values)
+
+    def block_cells(n: int, replicates: range):
+        if replicates.start == 0:
+            say(f"cells n={n}")
+        streams = [RngStream(cfg.master_seed, mix64(_TAG_REPLICATE, n, j)) for j in replicates]
         return cell_estimates(law, n, cfg.alpha_values, streams)
 
-    per_n = _run_tasks([partial(cells_at, n) for n in cfg.n_values], threads)
+    tasks = [exact_truths] + [partial(block_cells, *block) for block in blocks]
+    truths, *results = _run_tasks(tasks, threads)
+    per_n = {n: [res for (m, _), res in zip(blocks, results) if m == n] for n in cfg.n_values}
 
     cells = []
-    for n, (values, hit_rows) in zip(cfg.n_values, per_n):
+    for n in cfg.n_values:
+        values, hit_rows = (np.concatenate(parts, axis=1) for parts in zip(*per_n[n]))
         for alpha, truth, estimates, hits in zip(cfg.alpha_values, truths, values, hit_rows):
             mean = float(np.mean(estimates))
             sigma_hat = float(np.sqrt(np.sum((estimates - mean) ** 2) / (r - 1)))
@@ -472,6 +491,7 @@ def run_convergence(
     truth_spec = LevelSetSpec(cfg.model, cfg.alpha)
     truth = _stack(truth_spec)
     truth_cols = _boundary_columns(truth, cfg.boundary_m)
+    truth_powers = _center_powers(truth)
     shape = (len(cfg.n_values), cfg.seeds)
     distances = {name: np.empty(shape) for name in CONVERGENCE_STATS}
     for k, n in enumerate(cfg.n_values):
@@ -486,7 +506,7 @@ def run_convergence(
             distances["hausdorff"][block] = _hausdorff_max(
                 fits, _boundary_columns(fits, cfg.boundary_m), truth, truth_cols
             )
-            volumes = _radial_volumes(fits, truth)
+            volumes = _radial_volumes(fits, truth, truth_powers)
             for j in np.flatnonzero(np.isnan(volumes)):
                 fit_spec = LevelSetSpec(DepthModel(mu[j], build_spd(cov[j], low[j])), cfg.alpha)
                 mc_rng = RngStream(cfg.master_seed, mix64(_TAG_CONV_MC, n, seeds[j]))

@@ -389,23 +389,36 @@ def radial_sym_diff_volume(a: LevelSetSpec, b: LevelSetSpec) -> float | None:
     kernel :func:`_radial_volumes`.
     """
     check_dims(a, b, "level set")
-    volume = _radial_volumes(_stack(a), _stack(b))[0]
+    b_sets = _stack(b)
+    volume = _radial_volumes(_stack(a), b_sets, _center_powers(b_sets))[0]
     return None if np.isnan(volume) else float(volume)
 
 
-def _radial_volumes(a: _Sets, b: _Sets) -> np.ndarray:
+def _center_powers(b: _Sets) -> np.ndarray | None:
+    """rho_b(u)^d of the one set ``b`` (k = 1) about its own center, along
+    each direction u of the radial rule: shape (1, directions), or None in
+    dimension 3 and up, where the rule does not apply."""
+    d = b.mu.shape[-1]
+    if d > 2:
+        return None
+    directions = _sphere_directions(d, 2 if d == 1 else RADIAL_ANGLES)
+    return _radii(b.low, *_offsets(b, b.mu), directions) ** d
+
+
+def _radial_volumes(a: _Sets, b: _Sets, b_powers: np.ndarray | None) -> np.ndarray:
     """:func:`radial_sym_diff_volume` of each set of the stack ``a`` against
     the one set ``b`` (k = 1), about b's center, over the whole stack at
-    once: k volumes, NaN where the rule does not apply."""
+    once: k volumes, NaN where the rule does not apply.  ``b_powers`` is
+    :func:`_center_powers` of b, which a study computes once for all its
+    blocks."""
     d = a.mu.shape[-1]
     w0, room = _offsets(a, b.mu)
     volumes = np.full(len(room), np.nan)
     rows = np.flatnonzero(room > 0.0)
-    if d > 2 or not rows.size:
+    if b_powers is None or not rows.size:
         return volumes
-    directions = _sphere_directions(d, 2 if d == 1 else RADIAL_ANGLES)
-    g = (_radii(a.low[rows], w0[rows], room[rows], directions) ** d
-         - _radii(b.low, *_offsets(b, b.mu), directions) ** d)
+    directions = _sphere_directions(d, b_powers.shape[1])
+    g = _radii(a.low[rows], w0[rows], room[rows], directions) ** d - b_powers
     total = np.sum(np.abs(g), axis=1)
     if d == 1:
         volumes[rows] = total

@@ -5,6 +5,7 @@ import json
 import math
 import os
 import re
+import threading
 
 import numpy as np
 import pytest
@@ -861,19 +862,83 @@ class TestPool:
         assert made == [2]
         assert summary_csv_text(threaded) == summary_csv_text(run_replications(cfg))
 
-    def test_one_task_per_sample_size(self, monkeypatch):
-        import depthrisk.experiments as experiments
-
-        counts = []
-        run_tasks = experiments._run_tasks
+    def test_one_task_per_block_largest_n_first(self, monkeypatch):
+        # one pool: the truths, then each n's blocks of replicates, largest
+        # n first; a smaller block size changes the schedule, not the tables
+        cfg = gaussian_cfg(n_values=(16, 8, 32), alpha_values=(0.2, 0.5), replications=7)
+        want = summary_csv_text(run_replications(cfg))
+        counts, drawn = [], []
+        run_tasks, draw = experiments._run_tasks, GaussianConfig.draw
 
         def counting(tasks, threads):
             counts.append(len(tasks))
             return run_tasks(tasks, threads)
 
+        def recording(law, n, streams, out=None):
+            drawn.append((n // 2, len(streams)))
+            return draw(law, n, streams, out)
+
+        monkeypatch.setattr(experiments, "BLOCK_ROWS", 200)
         monkeypatch.setattr(experiments, "_run_tasks", counting)
-        run_replications(gaussian_cfg(n_values=(8, 16, 32), alpha_values=(0.2, 0.5)))
-        assert counts == [3]
+        monkeypatch.setattr(GaussianConfig, "draw", recording)
+        assert summary_csv_text(run_replications(cfg)) == want
+        per_block = {n: max(1, 200 // (2 * n)) for n in cfg.n_values}
+        assert counts == [1 + sum(-(-7 // k) for k in per_block.values())] == [7]
+        assert drawn == [(32, 3), (32, 3), (32, 1), (16, 6), (16, 1), (8, 7)]
+
+
+class TestSchedule:
+    def test_results_do_not_depend_on_completion_order(self, monkeypatch, tmp_path):
+        study, summary, rates = PINNED_STUDIES["frank"]
+        cfg = ExperimentConfig(**study)
+        assert max(1, BLOCK_ROWS // (2 * 5000)) < cfg.replications  # n = 5000 spans blocks
+        sizes = []
+
+        def reversed_pool(tasks, threads):
+            # last task first, results still by task index
+            sizes.append(len(tasks))
+            return [task() for task in reversed(tasks)][::-1]
+
+        monkeypatch.setattr(experiments, "_run_tasks", reversed_pool)
+        paths = emit_tables(run_replications(cfg), None, tmp_path)
+        digest = lambda key: hashlib.sha256(paths[key].read_bytes()).hexdigest()
+        assert (digest("summary"), digest("rates")) == (summary, rates)
+        assert sizes == [1 + 1 + 2]
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_truth_failure_comes_first(self, threads, monkeypatch):
+        futures, draws = [], []
+        draw = FrankGumbelConfig.draw
+
+        class Recording(experiments.ThreadPoolExecutor):
+            def submit(self, fn, /, *args, **kwargs):
+                futures.append(super().submit(fn, *args, **kwargs))
+                return futures[-1]
+
+        def counting(law, n, streams, out=None):
+            draws.append(n)
+            return draw(law, n, streams, out)
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        monkeypatch.setattr(experiments, "ThreadPoolExecutor", Recording)
+        monkeypatch.setattr(FrankGumbelConfig, "draw", counting)
+        cfg = frank_cfg(data_cfg=frank_law(theta=150.0), n_values=(5000,), replications=200)
+        blocks = -(-200 // max(1, BLOCK_ROWS // (2 * 5000)))
+        with pytest.raises(DomainError, match="^theta: ") as want:
+            cfg.data_cfg.exact_truth(cfg.alpha_values)
+        before = set(threading.enumerate())
+        with pytest.raises(DomainError) as got:
+            run_replications(cfg, threads=threads)
+        assert str(got.value) == str(want.value)
+        assert set(threading.enumerate()) == before
+        if threads == 1:
+            assert draws == [] and futures == []
+        else:
+            # the pending blocks were cancelled, and nothing is left running
+            assert len(futures) == 1 + blocks
+            assert all(f.done() for f in futures)
+            assert any(f.cancelled() for f in futures)
+            assert len(draws) < blocks
 
 
 PINNED_STUDIES = {

@@ -455,7 +455,9 @@ class TestRadialSymDiffVolume:
                                                 build_spd(np.eye(2) + r @ r.T)), 0.5))
         stack = levelset_module._Sets(*(np.stack(x) for x in zip(*(
             (f.model.mu, f.model.sigma.entries, f.model.sigma.chol) for f in fits))), 1.0)
-        got = levelset_module._radial_volumes(stack, levelset_module._stack(truth))
+        truth_sets = levelset_module._stack(truth)
+        got = levelset_module._radial_volumes(stack, truth_sets,
+                                              levelset_module._center_powers(truth_sets))
         want, kinks = zip(*(radial_reference(f, truth) for f in fits))
         assert got.tolist() == list(want)
         assert 4 in kinks
