@@ -236,19 +236,21 @@ def cell_estimates(
     of at most ``BLOCK_ROWS`` points: each block is drawn in one
     ``law.draw`` call into one (k, d, 2n) array, fitted at once by the
     fitting core (:func:`~depthrisk.depth.fit_columns`) and scored at every
-    level by the ratio kernel of :mod:`depthrisk.ccte`.  The arrays have
-    shape (levels, k), one column per stream.
+    level by the ratio kernel of :mod:`depthrisk.ccte`, and its arrays are
+    freed before the next block is drawn.  The arrays have shape (levels,
+    k), one column per stream.
     """
-    values, hits = [], []
-    for replicates in _replicate_blocks(n, len(streams)):
-        block = streams[replicates.start : replicates.stop]
-        cols = law.draw(2 * n, block)
-        costs = _noisy_costs(cols[..., n:], law.noise_var, block)
-        mu, _, low = fit_columns(cols[..., :n])
-        v, h = _ratio_under_models(mu, low, cols[..., n:], costs, alphas)
-        values.append(v)
-        hits.append(h)
+    values, hits = zip(*(_block_estimates(law, n, alphas, streams[b.start : b.stop])
+                         for b in _replicate_blocks(n, len(streams))))
     return np.concatenate(values, axis=1), np.concatenate(hits, axis=1)
+
+
+def _block_estimates(law: Law, n: int, alphas, block: list[RngStream]):
+    """:func:`cell_estimates` of one block of replicates."""
+    cols = law.draw(2 * n, block)
+    costs = _noisy_costs(cols[..., n:], law.noise_var, block)
+    mu, _, low = fit_columns(cols[..., :n])
+    return _ratio_under_models(mu, low, cols[..., n:], costs, alphas)
 
 
 def run_replications(

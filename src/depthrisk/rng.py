@@ -34,9 +34,10 @@ _MASK64 = (1 << 64) - 1
 _ONE_BITS = 0x3FF0000000000000  # the exponent field of 1.0
 _ONE_LESS_HALF_ULP = 1.0 - 2.0**-53
 
-# Columns per chunk of an elementwise pass over a long array (Box-Muller
-# here, the Gaussian coloring and the oracle's scoring): a few float arrays
-# of this many values fit in a 2 MiB L2 cache.
+# Values per chunk of an elementwise pass over a long array (Box-Muller
+# here, both laws' draws, the oracle's scoring, and the nodes of the
+# Frank-Gumbel model grid and truth quadrature): a few float arrays of this
+# many values fit in a 2 MiB L2 cache.
 CHUNK = 1 << 14
 
 

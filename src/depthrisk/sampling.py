@@ -229,17 +229,25 @@ class FrankGumbelConfig:
         """Each stream draws n uniforms u, then n uniforms w; the point is
         the marginals' quantiles of (u, V), V the Frank conditional
         inversion of w given u (:func:`frank_pair`).  u and w are the two
-        halves of each stream's 2n uniforms, drawn in one pass."""
+        halves of each stream's 2n uniforms, drawn in one pass.  V and both
+        quantiles are formed ``CHUNK`` columns at a time into the output:
+        each is elementwise, and :func:`_frank_v` runs the same operations
+        on an element whichever form its chunk takes, so the bits do not
+        depend on the chunk."""
         n = check_count(n, 1, "n")
         shape = (len(streams), 2, n)
         _check_out(out, shape)
         uw = uniform_rows(streams, 2 * n)
-        u, w = uw[:, :n], uw[:, n:]
-        # the stream's uniforms already lie in (0, 1): no range checks here
-        v = w if abs(self.theta) < INDEPENDENCE_THETA else _frank_v(u, w, self.theta)
-        cols = np.empty(shape) if out is None else out  # after _frank_v's temporaries
-        _gumbel_quantile(u, self.marg1.mu, self.marg1.beta, out=cols[:, 0])
-        _gumbel_quantile(v, self.marg2.mu, self.marg2.beta, out=cols[:, 1])
+        cols = out
+        for start in range(0, n, CHUNK):
+            stop = min(start + CHUNK, n)
+            # the stream's uniforms already lie in (0, 1): no range checks here
+            u, w = uw[:, start:stop], uw[:, n + start : n + stop]
+            v = w if abs(self.theta) < INDEPENDENCE_THETA else _frank_v(u, w, self.theta)
+            if cols is None:  # after the first chunk's temporaries
+                cols = np.empty(shape)
+            _gumbel_quantile(u, self.marg1.mu, self.marg1.beta, out=cols[:, 0, start:stop])
+            _gumbel_quantile(v, self.marg2.mu, self.marg2.beta, out=cols[:, 1, start:stop])
         return cols
 
     def exact_truth(self, alphas) -> list[float]:
@@ -274,7 +282,11 @@ def _frank_gumbel_model(cfg: FrankGumbelConfig) -> DepthModel:
     (pi beta_i)^2 / 6.  The covariance is beta_1 beta_2 (E[g(U) g(V)] - gamma^2),
     E[g(U) g(V)] the integral of s g(V) f(s) f(t) with V = _frank_v(F(s), F(t),
     theta) as the sampler draws it, F the standard Gumbel CDF and f its density:
-    smooth at every theta, so the trapezoid rule converges geometrically."""
+    smooth at every theta, so the trapezoid rule converges geometrically.
+    g(V) is formed in one 513 x 513 array, ``CHUNK // 513`` rows at a time:
+    it is elementwise, and :func:`_frank_v` runs the same operations on an
+    element whichever form its block takes, so the bits do not depend on
+    the block."""
     cov = 0.0
     if abs(cfg.theta) >= INDEPENDENCE_THETA:
         # [-4, 36] holds all but ~1e-14 of it, and 0 < F(s) < 1 there (F(40) == 1.0)
@@ -282,7 +294,10 @@ def _frank_gumbel_model(cfg: FrankGumbelConfig) -> DepthModel:
         cdf = np.exp(-np.exp(-s))
         weights = cdf * np.exp(-s) * (s[1] - s[0])  # f(s) ds
         weights[[0, -1]] *= 0.5
-        g_v = -np.log(-np.log(_frank_v(cdf[:, None], cdf[None, :], cfg.theta)))
+        g_v = np.empty((s.size, s.size))
+        for start in range(0, s.size, CHUNK // s.size):
+            rows = cdf[start : start + CHUNK // s.size, None]
+            g_v[start : start + len(rows)] = -np.log(-np.log(_frank_v(rows, cdf[None], cfg.theta)))
         cov = cfg.marg1.beta * cfg.marg2.beta * ((s * weights) @ g_v @ weights - np.euler_gamma**2)
     var = [np.pi**2 / 6 * m.beta * m.beta for m in (cfg.marg1, cfg.marg2)]
     mean = [m.mu + np.euler_gamma * m.beta for m in (cfg.marg1, cfg.marg2)]
@@ -311,6 +326,12 @@ def _frank_gumbel_truths(cfg: FrankGumbelConfig, levels) -> list[float]:
     variates s_i = gamma + (L z)_i / beta_i, which holds all but 1e-21 of the
     mass.  The integrand is smooth up to the circle |z| = r, so both rules
     converge geometrically.
+
+    The rays are taken max(1, ``CHUNK`` // nodes per ray) at a time, and
+    each ray's integrals of 1, |z| and |z|^2 over the radius are written
+    into per-ray arrays: every step is elementwise or a sum over one ray's
+    contiguous row of nodes, so the bits do not depend on the chunk.  The
+    mass check, the totals and the moments then take all rays at once.
     """
     grid = next((g for g in _FRANK_TRUTH_GRIDS if abs(cfg.theta) <= g[0]), None)
     if grid is None:
@@ -327,23 +348,28 @@ def _frank_gumbel_truths(cfg: FrankGumbelConfig, levels) -> list[float]:
         ends = np.min(np.where(slope > 0, 50.0 - np.euler_gamma, 4.0 + np.euler_gamma)
                       / np.abs(slope), axis=0)
     scale = low[0, 0] * low[1, 1] / (beta[0] * beta[1]) * (2.0 * np.pi / angles)
+    fractions = np.linspace(0.0, 1.0, panels + 1)
+    rays = max(1, CHUNK // (panels * _TRUTH_NODES.size))
     truths = []
     for alpha in levels:
         r = np.sqrt(1.0 / alpha - 1.0)
-        steps = np.log1p(np.maximum(ends - r, 0.0))[:, None] * np.linspace(0.0, 1.0, panels + 1)
-        edges = r + np.expm1(steps)  # (angles, panels + 1)
-        half = 0.5 * np.diff(edges, axis=1)[..., None]
-        rho = (edges[:, :-1, None] + half + half * _TRUTH_NODES).reshape(angles, -1)
-        w = (half * _TRUTH_WEIGHTS).reshape(angles, -1) * rho  # quadrature weight x |z|
-        w *= _frank_gumbel_pdf(
-            np.euler_gamma + slope[0][:, None] * rho,
-            np.euler_gamma + slope[1][:, None] * rho,
-            cfg.theta,
-        )
         # per ray, the integrals of 1, |z| and |z|^2 over the radius
-        ray_mass = np.sum(w, axis=1)
-        ray_first = np.sum(w * rho, axis=1)
-        ray_second = np.sum(w * np.square(rho), axis=1)
+        ray_mass, ray_first, ray_second = np.empty((3, angles))
+        for start in range(0, angles, rays):
+            part = slice(start, start + rays)
+            steps = np.log1p(np.maximum(ends[part] - r, 0.0))[:, None] * fractions
+            edges = r + np.expm1(steps)  # (rays, panels + 1)
+            half = 0.5 * np.diff(edges, axis=1)[..., None]
+            rho = (edges[:, :-1, None] + half + half * _TRUTH_NODES).reshape(len(edges), -1)
+            w = (half * _TRUTH_WEIGHTS).reshape(len(edges), -1) * rho  # quadrature weight x |z|
+            w *= _frank_gumbel_pdf(
+                np.euler_gamma + slope[0][part, None] * rho,
+                np.euler_gamma + slope[1][part, None] * rho,
+                cfg.theta,
+            )
+            ray_mass[part] = np.sum(w, axis=1)
+            ray_first[part] = np.sum(w * rho, axis=1)
+            ray_second[part] = np.sum(w * np.square(rho), axis=1)
         total = float(np.sum(ray_mass))
         if not scale * total >= _TRUTH_MASS_FLOOR:  # P(L(alpha))
             raise NoMass(f"P(L(alpha)) is below {_TRUTH_MASS_FLOOR:g} at alpha={alpha}")

@@ -67,6 +67,16 @@ def costed(points, costs):
     return Sample(np.asarray(points, dtype=float), np.asarray(costs, dtype=float))
 
 
+def traced_peak(call):
+    """The tracemalloc peak of one call, in bytes."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 class TestCcteUnderModel:
     def test_hand_case(self):
         # members at alpha = 0.5 are the points with squared distance >= 1
@@ -496,6 +506,13 @@ class TestTrueOracle:
             tracemalloc.stop()
         assert peak < 3 * (2 * 8 * BATCH_ROWS)
 
+    def test_frank_call_memory(self):
+        # the Gaussian bound: the Frank draw forms V and its quantiles CHUNK
+        # columns at a time.  Over whole batches a call peaked at 17.0 MiB
+        ccte_true_oracle(FRANK_CFG, 0.5, 100_000, RngStream(0))
+        peak = traced_peak(lambda: ccte_true_oracle(FRANK_CFG, 0.5, 1_000_000, RngStream(51, 0)))
+        assert peak < 3 * (2 * 8 * BATCH_ROWS)
+
     def test_deterministic(self):
         pop = gaussian_population(std_model())
         a = ccte_true_oracle(pop, 0.5, 100_000, RngStream(44, 9))
@@ -587,7 +604,34 @@ def correlation(model):
     return s[0, 1] / math.sqrt(s[0, 0] * s[1, 1])
 
 
+# repr of the exact model's covariance, recorded before the model's g(V)
+# grid was formed in blocks of rows: the direct, quotient and log-space
+# forms of the Frank kernel
+FRANK_COV_BITS = {
+    5.0: "0.0588438522211025",
+    -5.0: "-0.056433480379525544",
+    30.0: "0.09576119795345724",
+    -30.0: "-0.08709282194178943",
+    300.0: "0.1021705726892962",
+    -300.0: "-0.09085433013370932",
+    1e3: "0.10262064838682979",
+    -1e3: "-0.09102646564259963",
+    1e6: "0.10280819559939285",
+    -1e6: "-0.09108117295229563",
+}
+
+
 class TestFrankExactModel:
+    @pytest.mark.parametrize("theta", sorted(FRANK_COV_BITS))
+    def test_covariance_bits(self, theta):
+        assert repr(float(frank_law(theta).exact_model.sigma.entries[0, 1])) == (
+            FRANK_COV_BITS[theta])
+
+    def test_construction_memory(self):
+        # the 513 x 513 grid of g(V) is 2 MiB; formed whole, the law's
+        # construction peaked at 6.8 MiB
+        assert traced_peak(lambda: frank_law(5.0)) < 4 * 2**20
+
     def test_matches_quadrature_constants(self):
         model = FRANK_CFG.exact_model
         assert tuple(model.mu) == FRANK_MEANS
@@ -626,7 +670,45 @@ class TestFrankExactModel:
                 FrankGumbelConfig(5.0, GumbelMarginal(0.0, beta), FRANK_CFG.marg2)
 
 
+# repr of the Frank truths at TRUTH_BITS_LEVELS, recorded before the
+# quadrature took its rays in chunks ("NoMass" where it would be raised)
+TRUTH_BITS_LEVELS = (0.05, 0.1, 0.5, 0.9, 0.999)
+FRANK_TRUTH_BITS = {
+    -100.0: ["2.08130476685217", "1.5042846820259108", "0.6645811527785496",
+             "0.35298502550989413", "0.3529600868789321"],
+    -30.0: ["2.0235317702510214", "1.4442221186716984", "0.5933475304674992",
+            "0.3582623410006181", "0.35298501504239876"],
+    -5.0: ["2.332468620717482", "1.423603470999216", "0.48056537690102763",
+           "0.36621800068730676", "0.3530778595656661"],
+    0.5: ["2.559896482122355", "1.4175928143758232", "0.4657245890143412",
+          "0.36519139367690806", "0.3530699210491109"],
+    5.0: ["2.2093360867951137", "1.312742222446981", "0.4790220517374423",
+          "0.36768391800084965", "0.35309336949930914"],
+    30.0: ["1.8666307469286123", "1.394896671310171", "0.582386062995179",
+           "0.3847575583733949", "0.35325765418745436"],
+    100.0: ["2.1783685098958068", "1.6885945318546784", "0.6449885417021877",
+            "0.4028166247847301", "0.3534914971544325"],
+}
+
+
 class TestExactTruth:
+    @pytest.mark.parametrize("theta", sorted(FRANK_TRUTH_BITS))
+    def test_frank_truth_bits(self, theta):
+        law = frank_law(theta)
+        got = []
+        for alpha in TRUTH_BITS_LEVELS:
+            try:
+                got.append(repr(law.exact_truth([alpha])[0]))
+            except NoMass:
+                got.append("NoMass")
+        assert got == FRANK_TRUTH_BITS[theta]
+
+    def test_frank_truth_memory(self):
+        # the widest grid, 2048 rays of 192 nodes, is 3 MiB per array; over
+        # every ray at once a call peaked at 39.6 MiB
+        law = frank_law(100.0)
+        assert traced_peak(lambda: law.exact_truth([0.1, 0.5])) < 4 * 2**20
+
     @pytest.mark.parametrize("theta", [-100.0, -30.0, -5.0, 0.5, 5.0, 30.0, 100.0])
     def test_frank_resolution(self, theta, monkeypatch):
         # a grid twice as fine in the angle and the radius changes nothing

@@ -6,6 +6,7 @@ import math
 import os
 import re
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -747,6 +748,24 @@ class TestBatchedCell:
             assert np.array_equal(hits[i], one_hits[0])
         if n == 16:
             assert np.any(hits[0] == 0)
+
+    def test_blocks_freed_before_the_next(self):
+        # each block's draw, costs and fit are freed before the next block
+        # is drawn, so three blocks peak as one does (1.46x when they were not)
+        law, n = frank_cfg().data_cfg, 5000
+        per_block = BLOCK_ROWS // (2 * n)
+        streams = lambda r: [RngStream(97, mix64(n, j)) for j in range(r)]
+
+        def peak(r):
+            cell_estimates(law, n, [0.5], streams(r))
+            tracemalloc.start()
+            try:
+                cell_estimates(law, n, [0.5], streams(r))
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(3 * per_block) <= 1.15 * peak(per_block)
 
     def test_study_cells_use_replicate_streams(self):
         cfg = frank_cfg(n_values=(16, 32), alpha_values=(0.1, 0.5), replications=4)

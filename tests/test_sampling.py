@@ -1,5 +1,6 @@
 """Gumbel marginals, Frank coupling, and cost attachment."""
 
+import hashlib
 import math
 import tracemalloc
 from decimal import Decimal, localcontext
@@ -518,6 +519,30 @@ class TestBlockDraw:
 # The Gaussian law colors CHUNK points at a time: counts of one, odd, about
 # one chunk and one past a 2**18 batch
 DRAW_OUT_LAWS = {"frank": CFG, "gaussian": BLOCK_LAWS[-1]}
+
+
+# SHA-256 of a two-stream Frank draw, recorded before the draw formed V and
+# its quantiles CHUNK columns at a time: theta = 5 takes both forms of the
+# Frank kernel, theta = -700 the direct one alone
+FRANK_DRAW_DIGESTS = {
+    (5.0, 1): "92bc32cf154960c3344774d8bc2919d41f054ef136afa60bdf3b4bd767fb9f32",
+    (5.0, 7): "8f72d40a35ca149bddc5f0bdd9231ed6a29a33d79c2478f452b107ed87d906b3",
+    (5.0, CHUNK - 1): "cceebb78534c52ae74c232958e161a8422a8d12887dd792d82744dbdfde2e3ed",
+    (5.0, CHUNK + 1): "25edf79394636ce68d09039e5f8e521a2930cc0300771aec6c69a1bfcd22cf7a",
+    (5.0, 2**18 + 1): "ec0a4f7406651601b5eded20938493044efeb46efca3ab973c63194f8c5a4ef0",
+    (-700.0, 1): "b968359dca75af82e6b76035315e3ee171d50eb8c6caf28e0fe09295d76823bd",
+    (-700.0, 7): "dac42d57822827bfee3f08f822ba588f2e535fd7d2fd64caf591a50f4af938e1",
+    (-700.0, CHUNK - 1): "33b1d5fdded4b26b0ff6562fb95355fc34de9c4669c1d8d0a402b89370e12d47",
+    (-700.0, CHUNK + 1): "96102ddd5f525fb2e8e41880ef00b229fcf37b447878cbf20b00eda574cffb84",
+    (-700.0, 2**18 + 1): "270a4a8c7acf9d10128a4ebba07c06e3232ed77ecedb0bd09e6a07c73b89d3b8",
+}
+
+
+@pytest.mark.parametrize("theta, n", sorted(FRANK_DRAW_DIGESTS))
+def test_frank_draw_bits(theta, n):
+    cfg = FrankGumbelConfig(theta, CFG.marg1, CFG.marg2)
+    cols = cfg.draw(n, [RngStream(25, j) for j in range(2)])
+    assert hashlib.sha256(cols.tobytes()).hexdigest() == FRANK_DRAW_DIGESTS[theta, n]
 
 
 class TestDrawOut:
