@@ -281,7 +281,8 @@ class TestFrankKernel:
         assert np.array_equal(u, keep[0])
 
     def test_draw_memory(self):
-        # 2**18 rows of output are 4 MiB; the draw peaks at about 2.7x that
+        # 2**18 rows of output are 4 MiB; the draw peaks at about 2.1x that
+        # (2.7x when V and its quantiles were formed over all 2**18 columns)
         n = 2**18
         sample_risk_factors(64, CFG, RngStream(1))
         tracemalloc.start()
