@@ -3,10 +3,11 @@
 A replication study draws repeated two-part samples from a fixed population,
 estimates the depth-conditioned expectation on each replicate, and
 aggregates per-cell error statistics against the law's exact truth, which
-takes no draws.  A convergence study fits depth models to Gaussian samples
-of growing size and measures three fitted-vs-truth distances.  All
-randomness descends from one master seed through tagged substreams, so
-reruns (and threaded runs) reproduce output files byte for byte.
+takes no draws.  A convergence study fits depth models to samples of
+growing size from a population law and measures three distances from each
+fit to the law's exact model.  All randomness descends from one master seed
+through tagged substreams, so reruns (and threaded runs) reproduce output
+files byte for byte.
 """
 
 from __future__ import annotations
@@ -56,7 +57,7 @@ from .levelset import (
 )
 from .linalg import build_spd
 from .rng import RngStream, mix64
-from .sampling import Law, _gaussian_columns, _noisy_costs, law_from_json
+from .sampling import Law, _noisy_costs, law_from_json
 
 # Substream tags.  Each purpose gets a distinct tag so no two draws in a
 # study can collide even when (n, replicate) pairs repeat.
@@ -65,26 +66,32 @@ _TAG_CONV_SAMPLE = 101
 _TAG_CONV_MC = 102
 
 # Points per block of replicates (or of convergence seeds) that a study
-# draws, fits and scores in one pass: small enough that a block's
-# temporaries stay within a 2 MB L2 cache.  A replication block is also the
-# unit of scheduling: one pool task each.
+# draws, fits and scores in one pass (see _blocks): small enough that a
+# block's temporaries stay within a 2 MB L2 cache.  A replication block is
+# also the unit of scheduling: one pool task each.
 BLOCK_ROWS = 1 << 16
 
 # The rules of the fields both study configs have.
+_DATA_CFG_CHECK = (
+    "data_cfg", lambda v: isinstance(getattr(v, "exact_model", None), DepthModel)
+    and all(callable(getattr(v, m, None)) for m in ("draw", "exact_truth")),
+    "must be a law with an exact_model DepthModel, a draw and an exact_truth method")
 _N_VALUES_CHECK = ("n_values",
                    lambda v: all(is_count(n, 2) for n in v) and 0 < len(v) == len(set(v)),
                    "must be a nonempty list of distinct integers >= 2")
 _MASTER_SEED_CHECK = ("master_seed", lambda v: is_count(v, 0), "must be a nonnegative integer")
 
 
-def _fit_size_problems(n_values, model: DepthModel) -> list[str]:
-    """The problem of sample sizes below d + 1, the fewest points a fit of
-    the model's dimension d takes: a study would raise DegenerateSample at
-    the first such size, after the sizes before it had run."""
-    d = model.dim
-    if min(n_values) > d:
-        return []
-    return [f"n_values: must be integers >= d + 1 = {d + 1} for a {d}-dimensional model"]
+def _check_study(cfg) -> None:
+    """The ``__post_init__`` of both study configs: one ConfigError naming
+    the problems of the fields by the config's ``_checks`` or, when they
+    have none, of sample sizes below d + 1, the fewest points a fit of the
+    law's dimension d takes (a study would raise DegenerateSample at the
+    first such size, after the sizes before it had run)."""
+    problems = field_problems(cfg._checks, vars(cfg))
+    if not problems and min(cfg.n_values) <= (d := cfg.data_cfg.exact_model.dim):
+        problems = [f"n_values: must be integers >= d + 1 = {d + 1} for a {d}-dimensional model"]
+    raise_problems(problems)
 
 
 SUMMARY_HEADER = "n,alpha,truth,truth_se,mean,sigma_hat,rmae,degenerate_count"
@@ -115,9 +122,7 @@ class ExperimentConfig:
     master_seed: int = 0
 
     _checks = (
-        ("data_cfg", lambda v: isinstance(getattr(v, "exact_model", None), DepthModel)
-         and callable(getattr(v, "exact_truth", None)),
-         "must be a law with an exact_model DepthModel and an exact_truth method"),
+        _DATA_CFG_CHECK,
         _N_VALUES_CHECK,
         ("alpha_values", lambda v: all(check_level(a) for a in v) and 0 < len(v) == len(set(v)),
          "must be a nonempty list of distinct levels in (0, 1)"),
@@ -129,9 +134,7 @@ class ExperimentConfig:
         _MASTER_SEED_CHECK,
     )
 
-    def __post_init__(self) -> None:
-        problems = field_problems(self._checks, vars(self))
-        raise_problems(problems or _fit_size_problems(self.n_values, self.data_cfg.exact_model))
+    __post_init__ = _check_study
 
 
 def config_to_json(cfg: ExperimentConfig) -> dict:
@@ -218,10 +221,11 @@ def _run_tasks(tasks: list[Callable[[], object]], threads: int) -> list:
         pool.shutdown(cancel_futures=True)
 
 
-def _replicate_blocks(n: int, count: int) -> list[range]:
-    """The blocks of ``count`` replicates at sample size n, in order: at most
-    ``BLOCK_ROWS`` points each, 2n per replicate."""
-    per_block = max(1, BLOCK_ROWS // (2 * n))
+def _blocks(count: int, rows_each: int) -> list[range]:
+    """The blocks of ``count`` replicates (or seeds) of ``rows_each`` points
+    each, in order: at most ``BLOCK_ROWS`` points, and at least one
+    replicate, per block."""
+    per_block = max(1, BLOCK_ROWS // rows_each)
     return [range(j, min(j + per_block, count)) for j in range(0, count, per_block)]
 
 
@@ -241,7 +245,7 @@ def cell_estimates(
     k), one column per stream.
     """
     values, hits = zip(*(_block_estimates(law, n, alphas, streams[b.start : b.stop])
-                         for b in _replicate_blocks(n, len(streams))))
+                         for b in _blocks(len(streams), 2 * n)))
     return np.concatenate(values, axis=1), np.concatenate(hits, axis=1)
 
 
@@ -276,7 +280,7 @@ def run_replications(
     law = cfg.data_cfg
     r = cfg.replications
     blocks = [(n, replicates) for n in sorted(cfg.n_values, reverse=True)
-              for replicates in _replicate_blocks(n, r)]
+              for replicates in _blocks(r, 2 * n)]
 
     def exact_truths():
         say("exact truths for alpha in " + ", ".join(repr(a) for a in cfg.alpha_values))
@@ -412,17 +416,19 @@ def emit_tables(
 class ConvergenceConfig:
     """A fitted-vs-truth distance decay study.
 
+    ``data_cfg`` is the population law, checked as in :class:`ExperimentConfig`;
+    the study reads its ``draw`` and ``exact_model``, not its ``noise_var``.
     For each sample size in ``n_values`` and each of ``seeds`` seeds, a
-    sample is drawn from N(model) and fitted; the fit is compared with
-    ``model`` by depth sup-norm, boundary Hausdorff distance at level
-    ``alpha`` (``boundary_m`` boundary points per side) and the volume of
-    the symmetric difference of the level sets.  That volume is a radial
+    sample is drawn from the law and fitted; the fit is compared with the
+    exact model by depth sup-norm, boundary Hausdorff distance at level
+    ``alpha`` (``boundary_m`` boundary points per side) and the volume of the
+    symmetric difference of the level sets.  That volume is a radial
     quadrature in d <= 2; ``symdiff_n_mc`` is the draw count of the Monte
-    Carlo estimate that replaces it where the quadrature does not apply.
-    Every sample size must be at least d + 1, the fewest points a fit takes.
+    Carlo estimate that replaces it elsewhere.  Every sample size must be at
+    least d + 1, the fewest points a fit takes.
     """
 
-    model: DepthModel
+    data_cfg: Law
     n_values: tuple[int, ...]
     seeds: int
     alpha: float = 0.5
@@ -431,7 +437,7 @@ class ConvergenceConfig:
     master_seed: int = 0
 
     _checks = (
-        ("model", lambda v: isinstance(v, DepthModel), "must be a DepthModel"),
+        _DATA_CFG_CHECK,
         _N_VALUES_CHECK,
         ("seeds", lambda v: is_count(v, 1), "must be an integer >= 1"),
         ("alpha", check_level, "must lie in (0, 1)"),
@@ -440,18 +446,14 @@ class ConvergenceConfig:
         _MASTER_SEED_CHECK,
     )
 
-    def __post_init__(self) -> None:
-        problems = field_problems(self._checks, vars(self))
-        raise_problems(problems or _fit_size_problems(self.n_values, self.model))
+    __post_init__ = _check_study
 
 
 def convergence_config_from_json(obj: dict) -> ConvergenceConfig:
-    """Build a convergence study config from parsed JSON.
-
-    Raises ConfigError naming every problem found in one message.
-    """
+    """Build a convergence study config from parsed JSON, its ``data`` read
+    as in :func:`config_from_json`; one ConfigError names every problem."""
     table = {
-        "model": DepthModel.from_json,
+        "data": law_from_json,
         "n_values": json_ints,
         "seeds": json_int,
         "alpha": json_float,
@@ -459,8 +461,9 @@ def convergence_config_from_json(obj: dict) -> ConvergenceConfig:
         "symdiff_n_mc": json_int,
         "master_seed": json_int,
     }
-    required = ("model", "n_values", "seeds")
-    return ConvergenceConfig(**fields_from_json(ConvergenceConfig, obj, table, required))
+    required = ("data", "n_values", "seeds")
+    fields = fields_from_json(ConvergenceConfig, obj, table, required)
+    return ConvergenceConfig(data_cfg=fields.pop("data"), **fields)
 
 
 def run_convergence(
@@ -472,36 +475,35 @@ def run_convergence(
     per entry of ``cfg.n_values`` and one column per seed.  Seed s at size
     n draws its sample from its own substream hashed from (tag, n, s).
 
-    The seeds at one n are taken in blocks of at most ``BLOCK_ROWS`` points,
-    counting for each seed its n draws, the 2 * ``boundary_m`` boundary
-    samples of both sides and the ``RADIAL_ANGLES`` radial directions.  A
-    block is drawn in one (k, d, n) array, fitted in one
-    :func:`~depthrisk.depth.fit_columns` call, and measured by the block
-    kernels of the three one-pair functions: the sup-norm of
-    :func:`~depthrisk.depth.sup_norm_distance`, the Hausdorff maximum of
-    :func:`~depthrisk.levelset.hausdorff_report` (whose bounds
+    The seeds at one n are taken in blocks (see :func:`_blocks`), counting
+    for each seed its n draws, the 2 * ``boundary_m`` boundary samples of
+    both sides and the ``RADIAL_ANGLES`` radial directions.  A block is
+    drawn in one ``law.draw`` call into one (k, d, n) array, fitted in one
+    :func:`~depthrisk.depth.fit_columns` call, and measured against the
+    law's ``exact_model`` by the block kernels of the three distances: the
+    sup-norm of :func:`~depthrisk.depth.sup_norm_distance`, the Hausdorff
+    maximum of :func:`~depthrisk.levelset.hausdorff_report` (whose bounds
     a_min |phi - 1| <= distance <= a_max |phi - 1| leave Newton about 2% of
-    the boundary samples on the shipped config) and the volume of
-    :func:`~depthrisk.levelset.radial_sym_diff_volume` about the true center.
-    Each entry has the bits of those functions applied to the seed's
-    ``fit_model(sample_gaussian(n, cfg.model, stream))``.  Where the radial
+    the boundary samples on the shipped config) and the radial volume of
+    :func:`~depthrisk.levelset._radial_volumes` about the true center.
+    Each entry has the bits of those distances of the seed's own fit,
+    ``fit_model(Sample(law.draw(n, [stream])[0].T))``.  Where the radial
     rule does not apply (d >= 3, or the true center outside the fitted
     ellipsoid) the volume is a Monte Carlo estimate on a second substream of
     (n, s).
     """
     say = progress if progress is not None else (lambda _msg: None)
-    truth_spec = LevelSetSpec(cfg.model, cfg.alpha)
+    law = cfg.data_cfg
+    truth_spec = LevelSetSpec(law.exact_model, cfg.alpha)
     truth = _stack(truth_spec)
     truth_cols = _boundary_columns(truth, cfg.boundary_m)
     truth_powers = _center_powers(truth)
     shape = (len(cfg.n_values), cfg.seeds)
     distances = {name: np.empty(shape) for name in CONVERGENCE_STATS}
     for k, n in enumerate(cfg.n_values):
-        per_block = max(1, BLOCK_ROWS // (n + 2 * cfg.boundary_m + RADIAL_ANGLES))
-        for start in range(0, cfg.seeds, per_block):
-            seeds = range(start, min(start + per_block, cfg.seeds))
+        for seeds in _blocks(cfg.seeds, n + 2 * cfg.boundary_m + RADIAL_ANGLES):
             streams = [RngStream(cfg.master_seed, mix64(_TAG_CONV_SAMPLE, n, s)) for s in seeds]
-            mu, cov, low = fit_columns(_gaussian_columns(n, cfg.model, streams))
+            mu, cov, low = fit_columns(law.draw(n, streams))
             fits = _Sets(mu, cov, low, truth.radius_sq)
             block = (k, slice(seeds.start, seeds.stop))
             distances["supnorm"][block] = _sup_norms(mu, low, truth.mu, truth.low)

@@ -158,7 +158,8 @@ def json_floats(value) -> tuple[float, ...]:
 
 
 # Why a key no config object has is refused, where a reader may expect it.
-_UNKNOWN_KEY_HINTS = {"seed": " (a study is seeded by its master_seed)"}
+_UNKNOWN_KEY_HINTS = {"seed": " (a study is seeded by its master_seed)",
+                      "model": " (a study reads its population law from data)"}
 
 
 def json_fields(obj: dict, table: dict, required, problems: list[str], prefix: str = "") -> dict:

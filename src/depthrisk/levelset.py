@@ -7,9 +7,10 @@ The lower level set at level alpha collects the outlying points
 the complement of an open ellipsoid around the model location.  Its
 boundary is the ellipsoid of squared Mahalanobis radius 1/alpha - 1.  This
 module parametrizes that boundary and measures Hausdorff distances between
-boundaries through exact point-to-ellipsoid distances.  It computes
-symmetric-difference volumes by radial quadrature in d <= 2, and estimates
-volumes and probabilities by Monte Carlo in any dimension.
+boundaries through exact point-to-ellipsoid distances.  Its block
+kernel computes symmetric-difference volumes by radial quadrature in d <= 2
+for the convergence study, and it estimates volumes and probabilities by
+Monte Carlo in any dimension.
 
 Volume integrals route through the bounded complements U = { mhd >= alpha }:
 membership in exactly one of L_a, L_b is pointwise identical to membership
@@ -366,11 +367,25 @@ def _radii(low: np.ndarray, w0: np.ndarray, room: np.ndarray, directions: np.nda
     return np.where(b > 0.0, k / (b + root), (root - b) / vv)
 
 
-def radial_sym_diff_volume(a: LevelSetSpec, b: LevelSetSpec) -> float | None:
-    """Volume of the symmetric difference of two lower sets by radial
-    quadrature, or None where the rule does not apply: in dimension 3 and up,
-    or when the center c of ``b`` is not strictly inside the boundary
-    ellipsoid of ``a``.
+def _center_powers(b: _Sets) -> np.ndarray | None:
+    """rho_b(u)^d of the one set ``b`` (k = 1) about its own center, along
+    each direction u of the radial rule: shape (1, directions), or None in
+    dimension 3 and up, where the rule does not apply."""
+    d = b.mu.shape[-1]
+    if d > 2:
+        return None
+    directions = _sphere_directions(d, 2 if d == 1 else RADIAL_ANGLES)
+    return _radii(b.low, *_offsets(b, b.mu), directions) ** d
+
+
+def _radial_volumes(a: _Sets, b: _Sets, b_powers: np.ndarray | None) -> np.ndarray:
+    """Volumes of the symmetric differences of each lower set of the stack
+    ``a`` with the one set ``b`` (k = 1), by radial quadrature over the
+    whole stack at once: k volumes, NaN where the rule does not apply, in
+    dimension 3 and up or when the center c of ``b`` is not strictly inside
+    the boundary ellipsoid of a set of ``a``.  ``b_powers`` is
+    :func:`_center_powers` of b, which a study computes once for all its
+    blocks.
 
     The bounded complements U = { mhd >= alpha } are ellipsoids, so both are
     star-shaped about c and
@@ -385,32 +400,8 @@ def radial_sym_diff_volume(a: LevelSetSpec, b: LevelSetSpec) -> float | None:
     B2(s) = s^2 - s + 1/6, s the kink's place in its step and g' read off the
     step's ends.  On the fitted-vs-true pairs of the shipped convergence
     config it agrees with 16 times as many angles to 4e-10 relative, and on
-    random eccentric pairs to 2e-8.  This is the one-pair case of the block
-    kernel :func:`_radial_volumes`.
+    random eccentric pairs to 2e-8.
     """
-    check_dims(a, b, "level set")
-    b_sets = _stack(b)
-    volume = _radial_volumes(_stack(a), b_sets, _center_powers(b_sets))[0]
-    return None if np.isnan(volume) else float(volume)
-
-
-def _center_powers(b: _Sets) -> np.ndarray | None:
-    """rho_b(u)^d of the one set ``b`` (k = 1) about its own center, along
-    each direction u of the radial rule: shape (1, directions), or None in
-    dimension 3 and up, where the rule does not apply."""
-    d = b.mu.shape[-1]
-    if d > 2:
-        return None
-    directions = _sphere_directions(d, 2 if d == 1 else RADIAL_ANGLES)
-    return _radii(b.low, *_offsets(b, b.mu), directions) ** d
-
-
-def _radial_volumes(a: _Sets, b: _Sets, b_powers: np.ndarray | None) -> np.ndarray:
-    """:func:`radial_sym_diff_volume` of each set of the stack ``a`` against
-    the one set ``b`` (k = 1), about b's center, over the whole stack at
-    once: k volumes, NaN where the rule does not apply.  ``b_powers`` is
-    :func:`_center_powers` of b, which a study computes once for all its
-    blocks."""
     d = a.mu.shape[-1]
     w0, room = _offsets(a, b.mu)
     volumes = np.full(len(room), np.nan)

@@ -176,8 +176,9 @@ class GaussianConfig:
 class GumbelMarginal:
     """Location-scale parameters of a max-Gumbel marginal.
 
-    The convention is the max-Gumbel CDF exp(-exp(-(x - mu) / beta)).  The
-    law that holds a marginal, and :func:`gumbel_quantile`, check it by ``_checks``.
+    The convention is the max-Gumbel CDF exp(-exp(-(x - mu) / beta)), whose
+    quantile the law's draw takes (:func:`_gumbel_quantile`).  The law that
+    holds a marginal checks it by ``_checks``.
     """
 
     mu: float
@@ -492,34 +493,11 @@ def _as_open_unit(p, name: str) -> np.ndarray:
     return arr
 
 
-def gumbel_quantile(p, mu: float, beta: float):
-    """Max-Gumbel quantile Q(p) = mu - beta * ln(-ln p).
-
-    Parameters
-    ----------
-    p : float or array_like
-        Probability level(s), strictly inside (0, 1).
-    mu, beta : float
-        Location and scale, finite, and beta > 0 (:class:`GumbelMarginal`'s rules).
-
-    Returns
-    -------
-    float or ndarray
-
-    Notes
-    -----
-    Q(exp(-1)) equals mu exactly: log(exp(-1.0)) rounds to -1.0 in IEEE
-    double precision, so the inner expression is log(1.0) == 0.0.
-    """
-    raise_problems(field_problems(GumbelMarginal._checks, {"mu": mu, "beta": beta}), DomainError)
-    q = np.array(_as_open_unit(p, "p"))
-    _gumbel_quantile(q, mu, beta, out=q)
-    return float(q) if np.isscalar(p) else q
-
-
 def _gumbel_quantile(p: np.ndarray, mu: float, beta: float, out: np.ndarray) -> None:
-    """:func:`gumbel_quantile` of ``p`` into ``out``, unchecked; ``p`` is
-    overwritten.  Same operations in the same order, so the same bits."""
+    """The max-Gumbel quantile Q(p) = mu - beta ln(-ln p) of ``p`` into
+    ``out``, unchecked: ``p`` lies in (0, 1) and is overwritten, and (mu,
+    beta) follow :class:`GumbelMarginal`'s rules.  Q(exp(-1)) is mu exactly:
+    log(exp(-1.0)) rounds to -1.0, so the outer log is log(1.0) == 0.0."""
     np.log(p, out=p)
     np.negative(p, out=p)
     np.log(p, out=p)

@@ -413,7 +413,7 @@ class TestExperimentCommand:
 class TestConvergenceCommand:
     def _config_path(self, tmp_path, **overrides):
         obj = {
-            "model": UNIT_MODEL,
+            "data": dict(UNIT_MODEL, kind="gaussian"),
             "n_values": [16, 64, 256],
             "seeds": 3,
             "alpha": 0.5,
@@ -445,6 +445,25 @@ class TestConvergenceCommand:
         assert slope_row[0] == "slope"
         # distances shrink with n, so every slope is a negative number
         assert all(float(s) < 0.0 for s in slope_row[1:])
+
+    def test_frank_gumbel_law(self, tmp_path):
+        frank = {"kind": "frank_gumbel", "theta": 5.0,
+                 "marginals": [{"mu": 0.0, "beta": 0.25}, {"mu": -0.5, "beta": 0.25}]}
+        cfg = self._config_path(tmp_path, data=frank, n_values=[16, 64], seeds=2)
+        out = tmp_path / "out"
+        assert main(["convergence", "--config", str(cfg), "-o", str(out)]) == 0
+        lines = (out / "convergence.csv").read_text().splitlines()
+        assert [line.split(",")[0] for line in lines[1:]] == ["16", "64", "slope"]
+        assert all(math.isfinite(float(v)) for line in lines[1:] for v in line.split(",")[1:])
+
+    def test_model_key_exit_2(self, tmp_path, capsys):
+        # the population is read from data, as the experiment config reads it
+        cfg = self._config_path(tmp_path, model=UNIT_MODEL)
+        out = tmp_path / "out"
+        assert main(["convergence", "--config", str(cfg), "-o", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "model: unknown key (a study reads its population law from data)" in err
+        assert not out.exists()
 
     def test_quartiles_bracket_median(self, tmp_path):
         cfg = self._config_path(tmp_path, n_values=[64], seeds=5)
@@ -519,8 +538,7 @@ class TestConvergenceCommand:
         eye3 = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
         experiment = dict(TestExperimentCommand.CONFIG, n_values=[64, 3],
                           data={"kind": "gaussian", "mu": [0.0] * 3, "sigma": eye3})
-        convergence = {"model": {"mu": [0.0] * 3, "sigma": eye3}, "n_values": [3, 64],
-                       "seeds": 1}
+        convergence = {"data": experiment["data"], "n_values": [3, 64], "seeds": 1}
         for command, obj in (("experiment", experiment), ("convergence", convergence)):
             path = tmp_path / f"{command}.json"
             path.write_text(json.dumps(obj))
@@ -531,7 +549,7 @@ class TestConvergenceCommand:
 
     def test_config_problems_all_reported(self, tmp_path, capsys):
         path = tmp_path / "conv.json"
-        path.write_text(json.dumps({"model": UNIT_MODEL, "alpha": 2.0}))
+        path.write_text(json.dumps({"data": dict(UNIT_MODEL, kind="gaussian"), "alpha": 2.0}))
         code = main(["convergence", "--config", str(path), "-o", str(tmp_path)])
         assert code == 2
         err = capsys.readouterr().err

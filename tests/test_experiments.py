@@ -7,6 +7,7 @@ import os
 import re
 import threading
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -36,14 +37,13 @@ from depthrisk import (
     emit_tables,
     LevelSetSpec,
     fit_model,
+    gaussian_population,
     hausdorff_report,
     mix64,
-    radial_sym_diff_volume,
     rate_slope,
     rate_table,
     run_convergence,
     run_replications,
-    sample_gaussian,
     sup_norm_distance,
     sym_diff_volume,
 )
@@ -62,10 +62,13 @@ from depthrisk.experiments import (
     rates_csv_text,
     summary_csv_text,
 )
+from depthrisk.io import load_json_object
 from depthrisk.levelset import RADIAL_ANGLES
 from depthrisk.sampling import law_from_json
+from one_pair import radial_volume
 
 EYE2 = ((1.0, 0.0), (0.0, 1.0))
+SHIPPED_CONVERGENCE = Path(__file__).resolve().parent.parent / "configs" / "convergence_smoke.json"
 
 
 def gaussian_cfg(**overrides):
@@ -108,7 +111,7 @@ def frank_law(**overrides):
 
 
 def convergence_cfg(**overrides):
-    base = dict(model=DepthModel(np.zeros(2), build_spd(EYE2)), n_values=(16,), seeds=1)
+    base = dict(data_cfg=gaussian_law(), n_values=(16,), seeds=1)
     return ConvergenceConfig(**dict(base, **overrides))
 
 
@@ -121,8 +124,8 @@ class TestConvergenceVolume:
     @staticmethod
     def specs(cfg, n, seed):
         rng = RngStream(cfg.master_seed, mix64(_TAG_CONV_SAMPLE, n, seed))
-        fitted = fit_model(sample_gaussian(n, cfg.model, rng))
-        return LevelSetSpec(fitted, cfg.alpha), LevelSetSpec(cfg.model, cfg.alpha)
+        fitted = fit_model(Sample(cfg.data_cfg.draw(n, [rng])[0].T))
+        return LevelSetSpec(fitted, cfg.alpha), LevelSetSpec(cfg.data_cfg.exact_model, cfg.alpha)
 
     def monte_carlo(self, cfg, n, seed):
         stream = RngStream(cfg.master_seed, mix64(_TAG_CONV_MC, n, seed))
@@ -133,18 +136,18 @@ class TestConvergenceVolume:
         got = run_convergence(cfg)["symdiff"]
         for k, n in enumerate(cfg.n_values):
             for seed in range(cfg.seeds):
-                assert got[k, seed] == radial_sym_diff_volume(*self.specs(cfg, n, seed))
+                assert got[k, seed] == radial_volume(*self.specs(cfg, n, seed))
 
     def test_monte_carlo_in_three_dimensions(self):
-        model = DepthModel(np.zeros(3), build_spd(np.eye(3)))
-        cfg = convergence_cfg(model=model, boundary_m=64, symdiff_n_mc=1000)
+        law = gaussian_population(DepthModel(np.zeros(3), build_spd(np.eye(3))))
+        cfg = convergence_cfg(data_cfg=law, boundary_m=64, symdiff_n_mc=1000)
         assert run_convergence(cfg)["symdiff"][0, 0] == self.monte_carlo(cfg, 16, 0)
 
     def test_monte_carlo_when_the_true_center_is_outside_the_fit(self):
         # at alpha = 0.99 the fitted ellipse has Mahalanobis radius 0.1,
         # smaller than the fitted mean's offset at n = 16
         cfg = convergence_cfg(alpha=0.99, boundary_m=64, symdiff_n_mc=1000)
-        assert radial_sym_diff_volume(*self.specs(cfg, 16, 0)) is None
+        assert radial_volume(*self.specs(cfg, 16, 0)) is None
         assert run_convergence(cfg)["symdiff"][0, 0] == self.monte_carlo(cfg, 16, 0)
 
     @pytest.mark.parametrize("model, alpha", [
@@ -154,37 +157,58 @@ class TestConvergenceVolume:
                     build_spd([[2.0, 0.3, 0.1], [0.3, 1.0, 0.2], [0.1, 0.2, 0.5]])), 0.5),
     ])
     def test_entries_are_the_one_pair_values(self, model, alpha, monkeypatch):
+        fallbacks = self.check_entries(gaussian_population(model), alpha, monkeypatch)
+        assert 0 < fallbacks < 14 if model.dim == 2 else fallbacks == 14
+
+    def test_frank_entries_are_the_one_pair_values(self, monkeypatch):
+        assert 0 < self.check_entries(frank_law(), 0.9, monkeypatch) < 14
+
+    def check_entries(self, law, alpha, monkeypatch):
+        """Check each entry of a run against the one-pair values on that
+        seed's own fit; return the count of Monte Carlo volumes."""
         # three seeds per block, so seven seeds end in a block of one
         monkeypatch.setattr(experiments, "BLOCK_ROWS", 3 * RADIAL_ANGLES)
-        cfg = convergence_cfg(model=model, alpha=alpha, n_values=(16, 64), seeds=7,
+        cfg = convergence_cfg(data_cfg=law, alpha=alpha, n_values=(16, 64), seeds=7,
                               boundary_m=64, symdiff_n_mc=1000, master_seed=2)
         got = run_convergence(cfg)
         fallbacks = 0
         for k, n in enumerate(cfg.n_values):
             for seed in range(cfg.seeds):
                 fit, truth = self.specs(cfg, n, seed)
-                volume = radial_sym_diff_volume(fit, truth)
+                volume = radial_volume(fit, truth)
                 if volume is None:
                     fallbacks += 1
                     volume = self.monte_carlo(cfg, n, seed)
-                assert got["supnorm"][k, seed] == sup_norm_distance(fit.model, cfg.model)
+                assert got["supnorm"][k, seed] == sup_norm_distance(fit.model, truth.model)
                 assert got["hausdorff"][k, seed] == hausdorff_report(
                     fit, truth, cfg.boundary_m).distance
                 assert got["symdiff"][k, seed] == volume
-        assert 0 < fallbacks < 14 if model.dim == 2 else fallbacks == 14
+        return fallbacks
 
     def test_degenerate_fit_in_a_block_is_named(self, monkeypatch):
-        draw = experiments._gaussian_columns
+        draw = GaussianConfig.draw
 
-        def flat_second_sample(n, model, streams):
-            cols = draw(n, model, streams)
+        def flat_second_sample(law, n, streams, out=None):
+            cols = draw(law, n, streams, out)
             if len(streams) > 1:
                 cols[1, 1] = 0.0  # one coordinate of one sample is constant
             return cols
 
-        monkeypatch.setattr(experiments, "_gaussian_columns", flat_second_sample)
+        monkeypatch.setattr(GaussianConfig, "draw", flat_second_sample)
         with pytest.raises(DegenerateSample, match="matrix 1 of the stack"):
             run_convergence(convergence_cfg(seeds=3, boundary_m=64))
+
+
+class TestConvergenceOfAnyLaw:
+    def test_frank_slopes_near_root_n(self):
+        # the plug-in level set of the dependent, non-elliptical acceptance-07
+        # law: slopes -0.497, -0.486 and -0.516, in about 0.4 s on a 2-core host
+        cfg = convergence_cfg(data_cfg=frank_law(), n_values=(200, 800, 3200, 12800),
+                              seeds=40, master_seed=3)
+        distances = run_convergence(cfg)
+        for name in ("supnorm", "hausdorff", "symdiff"):
+            medians = np.median(distances[name], axis=1)
+            assert abs(rate_slope(list(zip(cfg.n_values, medians))) + 0.5) <= 0.1, name
 
 
 @pytest.fixture(scope="module")
@@ -297,8 +321,7 @@ class TestExperimentConfig:
         # equal rows and an undefined slope otherwise
         with pytest.raises(ConfigError, match="^n_values: must be a nonempty list of distinct"):
             convergence_cfg(n_values=(200, 200, 200))
-        obj = {"model": {"mu": [0.0, 0.0], "sigma": [list(r) for r in EYE2]},
-               "n_values": [200, 200, 200], "seeds": 1}
+        obj = {"data": gaussian_law().to_json(), "n_values": [200, 200, 200], "seeds": 1}
         with pytest.raises(ConfigError, match="^n_values: must be a nonempty list of distinct"):
             convergence_config_from_json(obj)
 
@@ -319,16 +342,16 @@ class TestExperimentConfig:
     def test_convergence_sizes_below_a_fit_rejected(self):
         # a 3-d fit needs 4 points: the study used to run the smaller sizes
         # and then raise DegenerateSample
-        model = DepthModel(np.zeros(3), build_spd(np.eye(3)))
+        law = GaussianConfig(mu=(0.0, 0.0, 0.0), sigma=tuple(map(tuple, np.eye(3).tolist())))
         want = r"^n_values: must be integers >= d \+ 1 = 4 for a 3-dimensional model$"
         with pytest.raises(ConfigError, match=want):
-            convergence_cfg(model=model, n_values=(64, 3))
-        obj = {"model": model.to_json(), "n_values": [3, 64], "seeds": 1}
+            convergence_cfg(data_cfg=law, n_values=(64, 3))
+        obj = {"data": law.to_json(), "n_values": [3, 64], "seeds": 1}
         with pytest.raises(ConfigError, match=want):
             convergence_config_from_json(obj)
-        assert convergence_cfg(model=model, n_values=(4, 64)).n_values == (4, 64)
-        with pytest.raises(ConfigError, match="^model: must be a DepthModel$"):
-            convergence_cfg(model="standard", n_values=(3,))
+        assert convergence_cfg(data_cfg=law, n_values=(4, 64)).n_values == (4, 64)
+        with pytest.raises(ConfigError, match="^data_cfg: must be a law with "):
+            convergence_cfg(data_cfg="standard", n_values=(3,))
 
 
 # every numeric field of the four config classes, given a string, and every
@@ -528,22 +551,35 @@ class TestConfigJson:
         with pytest.raises(ConfigError, match=r"data\.seed: unknown key .*master_seed"):
             config_from_json(obj)
 
+    CONVERGENCE = {"data": {"kind": "gaussian", "mu": [0.0], "sigma": [[1.0]]},
+                   "n_values": [16], "seeds": 1}
+
     def test_unknown_convergence_key(self):
-        obj = {"model": {"mu": [0.0], "sigma": [[1.0]]}, "n_values": [16], "seeds": 1,
-               "boundary_n": 128}
+        obj = dict(self.CONVERGENCE, boundary_n=128)
         with pytest.raises(ConfigError, match="boundary_n: unknown key"):
             convergence_config_from_json(obj)
 
     def test_non_finite_model_mu(self):
-        obj = {"model": {"mu": [float("nan"), 0.0], "sigma": [[1.0, 0.0], [0.0, 1.0]]},
-               "n_values": [16], "seeds": 1}
-        with pytest.raises(ConfigError, match=r"^model: mu must be finite numbers$"):
+        # the mean of the population law, read as the experiment's is
+        obj = dict(self.CONVERGENCE, data={"kind": "gaussian", "mu": [float("nan"), 0.0],
+                                           "sigma": [[1.0, 0.0], [0.0, 1.0]]})
+        with pytest.raises(ConfigError, match=r"^data\.mu: must be nonempty and finite$"):
             convergence_config_from_json(obj)
+        obj["n_values"], obj["alpha_values"], obj["replications"] = [16], [0.5], 2
+        del obj["seeds"]
+        with pytest.raises(ConfigError, match=r"^data\.mu: must be nonempty and finite$"):
+            config_from_json(obj)
 
     def test_unknown_model_key(self):
-        obj = {"model": {"mu": [0.0], "sigma": [[1.0]], "mean": [5.0]},
-               "n_values": [16], "seeds": 1}
-        with pytest.raises(ConfigError, match=r"^model\.mean: unknown key$"):
+        # the population is read from data: the key the convergence config
+        # used to read it from is refused, with a hint, beside the missing data
+        with pytest.raises(ConfigError, match=re.escape(
+                "model: unknown key (a study reads its population law from data); "
+                "data: missing")):
+            convergence_config_from_json({"model": {"mu": [0.0], "sigma": [[1.0]]},
+                                          "n_values": [16], "seeds": 1})
+        obj = dict(self.CONVERGENCE, data=dict(self.CONVERGENCE["data"], mean=[5.0]))
+        with pytest.raises(ConfigError, match=r"^data\.mean: unknown key$"):
             convergence_config_from_json(obj)
 
     def test_wrong_type_reported(self):
@@ -588,7 +624,7 @@ class TestStrictIntegers:
 
 class TestStrictFloats:
     CONVERGENCE = {
-        "model": {"mu": [0.0, 0.0], "sigma": [[1.0, 0.0], [0.0, 1.0]]},
+        "data": {"kind": "gaussian", "mu": [0.0, 0.0], "sigma": [[1.0, 0.0], [0.0, 1.0]]},
         "n_values": [16],
         "seeds": 1,
         "alpha": 0.5,
@@ -623,8 +659,8 @@ class TestStrictFloats:
     @pytest.mark.parametrize("name, edit", [
         ("alpha: wrong type", lambda o: o.update(alpha="0.5")),
         ("alpha: wrong type", lambda o: o.update(alpha=True)),
-        ("model.mu: wrong type",
-         lambda o: o.update(model={"mu": ["0", True], "sigma": [[1, 0], [0, 1]]})),
+        # the mean of the population's model, read from the data law
+        ("data.mu: wrong type", lambda o: o["data"].update(mu=["0", True])),
     ], ids=["alpha_str", "alpha_bool", "model_mu"])
     def test_convergence_fields(self, name, edit):
         obj = json.loads(json.dumps(self.CONVERGENCE))
@@ -835,6 +871,25 @@ class TestLawInterface:
         with pytest.raises(ConfigError, match="^data_cfg: .*exact_truth"):
             gaussian_cfg(data_cfg=law)
 
+    @pytest.mark.parametrize("make", [gaussian_cfg, convergence_cfg], ids=["experiment",
+                                                                          "convergence"])
+    def test_law_without_draw_refused(self, make):
+        # both studies check a law by one rule: without a draw method the
+        # replication study used to fail mid-run with a bare AttributeError
+        for draw in (None, "draw"):
+            law = ShiftedGaussian()
+            law.draw = draw
+            with pytest.raises(ConfigError, match="^data_cfg: .* a draw "):
+                make(data_cfg=law)
+
+    def test_duck_typed_law_runs_the_convergence_study(self):
+        # the same draws and the same model as the closed-form law: equal
+        # distances, with no truth read
+        study = dict(n_values=(16, 64), seeds=3, boundary_m=64)
+        got = run_convergence(convergence_cfg(data_cfg=ShiftedGaussian(), **study))
+        want = run_convergence(convergence_cfg(data_cfg=gaussian_law(mu=(1.0, -1.0)), **study))
+        assert all(np.array_equal(got[name], want[name]) for name in want)
+
     def test_truth_failure_raised_by_the_study(self):
         # a law whose truth cannot be computed round-trips as a config and
         # fails loudly when a study runs it, naming theta
@@ -986,13 +1041,13 @@ PINNED_CONVERGENCE = {
     # the SHA-256 digests of convergence.csv, as printed when each seed was
     # fitted and measured on its own; d = 3 takes the Monte Carlo volume
     "d2": (
-        dict(model=DepthModel(np.array([0.3, -1.0]), build_spd([[2.0, 0.4], [0.4, 0.7]])),
+        dict(data_cfg=GaussianConfig((0.3, -1.0), ((2.0, 0.4), (0.4, 0.7))),
              n_values=(64, 512), seeds=5, boundary_m=256, master_seed=5),
         "14e602a1d77a6d91306e3f4059ada5dd8f6803d1ae77737a86182db5e90e3409",
     ),
     "d3": (
-        dict(model=DepthModel(np.array([0.5, -1.0, 2.0]), build_spd(
-                 [[2.0, 0.3, 0.1], [0.3, 1.0, 0.2], [0.1, 0.2, 0.5]])),
+        dict(data_cfg=GaussianConfig((0.5, -1.0, 2.0), (
+                 (2.0, 0.3, 0.1), (0.3, 1.0, 0.2), (0.1, 0.2, 0.5))),
              n_values=(16, 200), seeds=3, boundary_m=128, symdiff_n_mc=2000, master_seed=9),
         "7694c61fa27f26226f09b98fa88636773826ef6b028cf057baeb47415dcb743d",
     ),
@@ -1020,6 +1075,14 @@ class TestPinnedOutputs:
         cfg = ConvergenceConfig(**study)
         text = convergence_csv_text(cfg.n_values, run_convergence(cfg))
         assert hashlib.sha256(text.encode()).hexdigest() == want
+
+    def test_shipped_convergence_config_digest(self):
+        # configs/convergence_smoke.json, as printed when it named its
+        # population by a bare "model" rather than a "data" law
+        cfg = convergence_config_from_json(load_json_object(SHIPPED_CONVERGENCE, "config"))
+        text = convergence_csv_text(cfg.n_values, run_convergence(cfg))
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "d993137c512ab307b58ef2dc534cc2c4ac2e3676622e14ead6d32569aa6b2820")
 
 
 class TestRunReplications:

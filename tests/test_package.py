@@ -42,14 +42,12 @@ from depthrisk import (
     estimate_population_model,
     frank_pair,
     gaussian_population,
-    gumbel_quantile,
     hausdorff_report,
     in_lower_set,
     mahalanobis_sq,
     mhd,
     mhd_gradient,
     quad_forms,
-    radial_sym_diff_volume,
     rate_slope,
     sample_gaussian,
     sample_risk_factors,
@@ -72,7 +70,7 @@ def test_configs_parse_and_exports_resolve():
     assert paths
     for path in paths:
         obj = load_json_object(path, "config")
-        parse = convergence_config_from_json if "model" in obj else config_from_json
+        parse = convergence_config_from_json if "seeds" in obj else config_from_json
         parse(obj)
     missing = [name for name in depthrisk.__all__ if not hasattr(depthrisk, name)]
     assert missing == []
@@ -105,6 +103,7 @@ MODEL = DepthModel(np.zeros(2), build_spd(np.eye(2)))
 SPEC = LevelSetSpec(MODEL, 0.5)
 FRANK = FrankGumbelConfig(theta=5.0, marg1=GumbelMarginal(0.0, 0.25),
                           marg2=GumbelMarginal(-0.5, 0.25))
+GAUSSIAN = GaussianConfig((0.0, 0.0), ((1.0, 0.0), (0.0, 1.0)))
 
 
 def _gaussian_rows(n, rng):
@@ -156,7 +155,6 @@ DIMS_ENTRY_POINTS = {
         a.model, Sample(np.zeros((2, b.dim)), np.ones(2)), 0.5, 1),
     "sup_norm_distance": lambda a, b: sup_norm_distance(a.model, b.model),
     "hausdorff_report": lambda a, b: hausdorff_report(a, b, 64),
-    "radial_sym_diff_volume": radial_sym_diff_volume,
     "sym_diff_volume": lambda a, b: sym_diff_volume(a, b, 1000, RngStream(1)),
     "sym_diff_probability": lambda a, b: sym_diff_probability(
         a, b, _gaussian_rows, 1, RngStream(1)),
@@ -169,10 +167,12 @@ def test_operands_of_two_dimensions_are_refused(entry):
         DIMS_ENTRY_POINTS[entry](SPEC, SPEC_3D)
 
 
-def config_texts(cls, field):
-    """The problem texts a config class's ``_checks`` table gives ``field``."""
-    return {f"{field}: wrong type"} | {f"{field}: {why}" for key, _, why in cls._checks
-                                       if key == field}
+def config_texts(cls, field, prefix=""):
+    """The problem texts a config class's ``_checks`` table gives ``field``,
+    named ``prefix + field``."""
+    name = prefix + field
+    return {f"{name}: wrong type"} | {f"{name}: {why}" for key, _, why in cls._checks
+                                      if key == field}
 
 
 # every public entry point of an outside array or a law parameter: the name
@@ -197,15 +197,16 @@ VALUE_ENTRY_POINTS = {
     "rate_slope.stat": ("points", lambda v: rate_slope([(1, v), (2, 0.5), (4, 0.2)])),
     "frank_pair.u": ("u", lambda v: frank_pair(v, 0.5, 5.0)),
     "frank_pair.w": ("w", lambda v: frank_pair([0.5, 0.5], [0.5, v], 5.0)),
-    "gumbel_quantile.p": ("p", lambda v: gumbel_quantile([0.5, v], 0.0, 1.0)),
     "frank_pair.theta": (config_texts(FrankGumbelConfig, "theta"),
                          lambda v: frank_pair(0.5, 0.5, v)),
     "FrankGumbelConfig.theta": (config_texts(FrankGumbelConfig, "theta"),
                                 lambda v: FrankGumbelConfig(v, FRANK.marg1, FRANK.marg2)),
-    "gumbel_quantile.mu": (config_texts(GumbelMarginal, "mu"),
-                           lambda v: gumbel_quantile(0.5, v, 1.0)),
-    "gumbel_quantile.beta": (config_texts(GumbelMarginal, "beta"),
-                             lambda v: gumbel_quantile(0.5, 0.0, v)),
+    "FrankGumbelConfig.marg1.mu": (config_texts(GumbelMarginal, "mu", "marginals[0]."),
+                                   lambda v: FrankGumbelConfig(5.0, GumbelMarginal(v, 1.0),
+                                                               FRANK.marg2)),
+    "FrankGumbelConfig.marg2.beta": (config_texts(GumbelMarginal, "beta", "marginals[1]."),
+                                     lambda v: FrankGumbelConfig(5.0, FRANK.marg1,
+                                                                 GumbelMarginal(0.0, v))),
     "attach_costs": (config_texts(GaussianConfig, "noise_var"),
                      lambda v: attach_costs(Sample(np.eye(2)), v, RngStream(1))),
     "GaussianConfig.noise_var": (config_texts(GaussianConfig, "noise_var"),
@@ -215,11 +216,12 @@ VALUE_ENTRY_POINTS = {
     "ExperimentConfig.n_values": (config_texts(ExperimentConfig, "n_values"),
                                   lambda v: ExperimentConfig(FRANK, (v, 8), (0.5,), 2)),
     "ConvergenceConfig.n_values": (config_texts(ExperimentConfig, "n_values"),
-                                   lambda v: ConvergenceConfig(MODEL, (v, 8), 1)),
+                                   lambda v: ConvergenceConfig(GAUSSIAN, (v, 8), 1)),
     "ExperimentConfig.master_seed": (config_texts(ExperimentConfig, "master_seed"), lambda v:
                                      ExperimentConfig(FRANK, (8,), (0.5,), 2, master_seed=v)),
     "ConvergenceConfig.master_seed": (config_texts(ExperimentConfig, "master_seed"),
-                                      lambda v: ConvergenceConfig(MODEL, (8,), 1, master_seed=v)),
+                                      lambda v: ConvergenceConfig(GAUSSIAN, (8,), 1,
+                                                                  master_seed=v)),
 }
 
 
@@ -277,10 +279,7 @@ def test_every_private_helper_has_a_caller():
 
 # exports that no library path, benchmark or acceptance claim reads, and why
 # they are public
-UNREAD_EXPORTS = {
-    "gumbel_quantile": "the one-stream reference the block Frank draw is tested against",
-    "radial_sym_diff_volume": "the one-pair reference the block volume kernel is tested against",
-}
+UNREAD_EXPORTS = {}
 
 
 def test_every_export_has_a_use():
@@ -318,7 +317,8 @@ dr.ccte_true_oracle(dr.gaussian_population(model), 0.5, 100_000, dr.RngStream(1)
 frank = dr.FrankGumbelConfig(5.0, dr.GumbelMarginal(0.0, 0.25), dr.GumbelMarginal(-0.5, 0.25))
 study = dr.ExperimentConfig(frank, (20, 40, 80), (0.5,), 2, delta_values=(0.5,))
 dr.emit_tables(dr.run_replications(study), None, sys.argv[1])
-dr.run_convergence(dr.ConvergenceConfig(model, (20, 40), 2, boundary_m=64))
+gaussian = dr.GaussianConfig((0.5, -1.0), ((2.0, 0.3), (0.3, 1.0)))
+dr.run_convergence(dr.ConvergenceConfig(gaussian, (20, 40), 2, boundary_m=64))
 loaded.append(scipy_loaded())
 calls = {SCIPY_MATH_CALLS}
 loaded.append(scipy_loaded())

@@ -26,7 +26,6 @@ from depthrisk import (
     attach_costs,
     build_spd,
     frank_pair,
-    gumbel_quantile,
     mix64,
     sample_gaussian,
     sample_risk_factors,
@@ -48,43 +47,56 @@ MEAN_2 = -0.5 + 0.25 * EULER_GAMMA
 VAR_MARGINAL = 0.0625 * math.pi**2 / 6.0
 
 
+def quantile_v0(p, marg):
+    """The first release's max-Gumbel quantile of a marginal, mu - beta log(-log p)."""
+    return marg.mu - marg.beta * np.log(-np.log(p))
+
+
+def gumbel_kernel(p, mu, beta):
+    """The block draw's unchecked quantile kernel, on a copy of ``p``."""
+    q = np.array(p, dtype=float)
+    sampling._gumbel_quantile(q, mu, beta, out=q)
+    return q
+
+
 class TestGumbelQuantile:
     def test_mode_probability_is_location_exactly(self):
         # log(exp(-1.0)) rounds to -1.0, so the nesting cancels exactly
-        assert gumbel_quantile(math.exp(-1.0), 0.0, 0.25) == 0.0
-        assert gumbel_quantile(math.exp(-1.0), -0.5, 0.25) == -0.5
+        assert gumbel_kernel(math.exp(-1.0), 0.0, 0.25) == 0.0
+        assert gumbel_kernel(math.exp(-1.0), -0.5, 0.25) == -0.5
 
     def test_median(self):
         expect = -math.log(math.log(2.0))
-        assert gumbel_quantile(0.5, 0.0, 1.0) == pytest.approx(expect, rel=1e-15)
+        assert gumbel_kernel(0.5, 0.0, 1.0) == pytest.approx(expect, rel=1e-15)
 
     def test_location_scale(self):
-        base = gumbel_quantile(0.3, 0.0, 1.0)
-        assert gumbel_quantile(0.3, 2.0, 3.0) == pytest.approx(
+        base = gumbel_kernel(0.3, 0.0, 1.0)
+        assert gumbel_kernel(0.3, 2.0, 3.0) == pytest.approx(
             2.0 + 3.0 * base, rel=1e-14
         )
 
     def test_monotone(self):
         p = np.linspace(0.01, 0.99, 99)
-        q = gumbel_quantile(p, 0.0, 0.25)
+        q = gumbel_kernel(p, 0.0, 0.25)
         assert np.all(np.diff(q) > 0)
+        assert np.array_equal(q, quantile_v0(p, GumbelMarginal(0.0, 0.25)))
 
     def test_round_trip_with_cdf(self):
         p = np.linspace(0.05, 0.95, 19)
-        x = gumbel_quantile(p, -0.5, 0.25)
+        x = gumbel_kernel(p, -0.5, 0.25)
         assert np.allclose(stats.gumbel_r.cdf(x, loc=-0.5, scale=0.25), p, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("p", [0.0, 1.0, -0.1, 1.5])
     def test_endpoint_rejected(self, p):
-        with pytest.raises(DomainError):
-            gumbel_quantile(p, 0.0, 1.0)
+        # the kernel is unchecked: a probability from outside is held to the
+        # open interval by the rule frank_pair applies to its u and w
+        with pytest.raises(DomainError, match=r"^p must lie strictly inside \(0, 1\)$"):
+            sampling._as_open_unit(p, "p")
 
     def test_bad_beta(self):
-        with pytest.raises(DomainError):
-            gumbel_quantile(0.5, 0.0, 0.0)
-
-    def test_scalar_in_scalar_out(self):
-        assert isinstance(gumbel_quantile(0.5, 0.0, 1.0), float)
+        # the marginal's rule, checked by the law that holds it
+        with pytest.raises(ConfigError, match=r"^marginals\[0\]\.beta: must be finite and > 0$"):
+            FrankGumbelConfig(5.0, GumbelMarginal(0.0, 0.0), CFG.marg2)
 
 
 class TestFrankPair:
@@ -256,9 +268,6 @@ class TestFrankKernel:
     def test_sampler_matches_frank_pair(self):
         # the sampler's unchecked kernels give frank_pair's V and the first
         # release's Gumbel quantiles, bit for bit
-        def quantile_v0(p, marg):
-            return marg.mu - marg.beta * np.log(-np.log(p))
-
         for theta in (5.0, -30.0, 1000.0, 1e-9):
             cfg = FrankGumbelConfig(theta, CFG.marg1, CFG.marg2)
             got = sample_risk_factors(3001, cfg, RngStream(6, 1)).points
@@ -267,7 +276,6 @@ class TestFrankKernel:
             assert got.flags.c_contiguous
             assert np.array_equal(got[:, 0], quantile_v0(u, CFG.marg1))
             assert np.array_equal(got[:, 1], quantile_v0(v, CFG.marg2))
-            assert np.array_equal(gumbel_quantile(v, CFG.marg2.mu, CFG.marg2.beta), got[:, 1])
 
     def test_inputs_untouched_and_broadcast(self):
         u = np.array([0.2, 0.5, 0.9])
@@ -277,8 +285,6 @@ class TestFrankKernel:
         assert np.array_equal(u, keep[0]) and np.array_equal(w, keep[1])
         _, row = frank_pair(u, 0.7, 5.0)
         assert row.shape == (3,) and row[1] == v[1]
-        assert np.array_equal(gumbel_quantile(u, 0.0, 1.0), gumbel_quantile(keep[0], 0.0, 1.0))
-        assert np.array_equal(u, keep[0])
 
     def test_draw_memory(self):
         # 2**18 rows of output are 4 MiB; the draw peaks at about 2.1x that
@@ -463,11 +469,11 @@ class TestSampleGaussian:
 
 def _frank_points_one_stream(n, cfg, stream):
     """The single-stream Frank-Gumbel draw before block draws: n uniforms u,
-    then n uniforms w, frank_pair's V, and the Gumbel quantiles of (u, V)."""
+    then n uniforms w, frank_pair's V, and the first release's Gumbel
+    quantiles of (u, V)."""
     u = stream.uniforms(n)
     _, v = frank_pair(u, stream.uniforms(n), cfg.theta)
-    return np.column_stack([gumbel_quantile(u, cfg.marg1.mu, cfg.marg1.beta),
-                            gumbel_quantile(v, cfg.marg2.mu, cfg.marg2.beta)])
+    return np.column_stack([quantile_v0(u, cfg.marg1), quantile_v0(v, cfg.marg2)])
 
 
 def _gaussian_points_one_stream(n, law, stream):
