@@ -45,7 +45,6 @@ from .io import (
     raise_problems,
 )
 from .levelset import (
-    RADIAL_ANGLES,
     LevelSetSpec,
     _boundary_columns,
     _center_powers,
@@ -53,17 +52,14 @@ from .levelset import (
     _radial_volumes,
     _Sets,
     _stack,
-    sym_diff_volume,
 )
-from .linalg import build_spd
 from .rng import RngStream, mix64
-from .sampling import Law, _noisy_costs, law_from_json
+from .sampling import _LAW_HINTS, Law, _noisy_costs, law_from_json
 
 # Substream tags.  Each purpose gets a distinct tag so no two draws in a
 # study can collide even when (n, replicate) pairs repeat.
 _TAG_REPLICATE = 3
 _TAG_CONV_SAMPLE = 101
-_TAG_CONV_MC = 102
 
 # Points per block of replicates (or of convergence seeds) that a study
 # draws, fits and scores in one pass (see _blocks): small enough that a
@@ -80,6 +76,8 @@ _N_VALUES_CHECK = ("n_values",
                    lambda v: all(is_count(n, 2) for n in v) and 0 < len(v) == len(set(v)),
                    "must be a nonempty list of distinct integers >= 2")
 _MASTER_SEED_CHECK = ("master_seed", lambda v: is_count(v, 0), "must be a nonnegative integer")
+# Why a study config refuses a key at its top level that a reader may expect.
+_STUDY_HINTS = dict(_LAW_HINTS, model=" (a study reads its population law from data)")
 
 
 def _check_study(cfg) -> None:
@@ -165,7 +163,7 @@ def config_from_json(obj: dict) -> ExperimentConfig:
         "master_seed": json_int,
     }
     required = ("data", "n_values", "alpha_values", "replications")
-    fields = fields_from_json(ExperimentConfig, obj, table, required)
+    fields = fields_from_json(ExperimentConfig, obj, table, required, _STUDY_HINTS)
     return ExperimentConfig(data_cfg=fields.pop("data"), **fields)
 
 
@@ -422,10 +420,9 @@ class ConvergenceConfig:
     sample is drawn from the law and fitted; the fit is compared with the
     exact model by depth sup-norm, boundary Hausdorff distance at level
     ``alpha`` (``boundary_m`` boundary points per side) and the volume of the
-    symmetric difference of the level sets.  That volume is a radial
-    quadrature in d <= 2; ``symdiff_n_mc`` is the draw count of the Monte
-    Carlo estimate that replaces it elsewhere.  Every sample size must be at
-    least d + 1, the fewest points a fit takes.
+    symmetric difference of the level sets, a radial quadrature that takes
+    no draws.  Every sample size must be at least d + 1, the fewest points a
+    fit takes.
     """
 
     data_cfg: Law
@@ -433,7 +430,6 @@ class ConvergenceConfig:
     seeds: int
     alpha: float = 0.5
     boundary_m: int = 4096
-    symdiff_n_mc: int = 100_000
     master_seed: int = 0
 
     _checks = (
@@ -442,7 +438,6 @@ class ConvergenceConfig:
         ("seeds", lambda v: is_count(v, 1), "must be an integer >= 1"),
         ("alpha", check_level, "must lie in (0, 1)"),
         ("boundary_m", lambda v: is_count(v, 64), "must be an integer >= 64"),
-        ("symdiff_n_mc", lambda v: is_count(v, 1000), "must be an integer >= 1000"),
         _MASTER_SEED_CHECK,
     )
 
@@ -458,11 +453,11 @@ def convergence_config_from_json(obj: dict) -> ConvergenceConfig:
         "seeds": json_int,
         "alpha": json_float,
         "boundary_m": json_int,
-        "symdiff_n_mc": json_int,
         "master_seed": json_int,
     }
     required = ("data", "n_values", "seeds")
-    fields = fields_from_json(ConvergenceConfig, obj, table, required)
+    fields = fields_from_json(ConvergenceConfig, obj, table, required, dict(
+        _STUDY_HINTS, symdiff_n_mc=" (the symmetric-difference volume takes no draws)"))
     return ConvergenceConfig(data_cfg=fields.pop("data"), **fields)
 
 
@@ -477,7 +472,7 @@ def run_convergence(
 
     The seeds at one n are taken in blocks (see :func:`_blocks`), counting
     for each seed its n draws, the 2 * ``boundary_m`` boundary samples of
-    both sides and the ``RADIAL_ANGLES`` radial directions.  A block is
+    both sides and the directions of the radial rule.  A block is
     drawn in one ``law.draw`` call into one (k, d, n) array, fitted in one
     :func:`~depthrisk.depth.fit_columns` call, and measured against the
     law's ``exact_model`` by the block kernels of the three distances: the
@@ -485,23 +480,20 @@ def run_convergence(
     maximum of :func:`~depthrisk.levelset.hausdorff_report` (whose bounds
     a_min |phi - 1| <= distance <= a_max |phi - 1| leave Newton about 2% of
     the boundary samples on the shipped config) and the radial volume of
-    :func:`~depthrisk.levelset._radial_volumes` about the true center.
-    Each entry has the bits of those distances of the seed's own fit,
-    ``fit_model(Sample(law.draw(n, [stream])[0].T))``.  Where the radial
-    rule does not apply (d >= 3, or the true center outside the fitted
-    ellipsoid) the volume is a Monte Carlo estimate on a second substream of
-    (n, s).
+    :func:`~depthrisk.levelset._radial_volumes` about the true center, in
+    any dimension and wherever that center lies.  Each entry has the bits of
+    those distances of the seed's own fit,
+    ``fit_model(Sample(law.draw(n, [stream])[0].T))``.
     """
     say = progress if progress is not None else (lambda _msg: None)
     law = cfg.data_cfg
-    truth_spec = LevelSetSpec(law.exact_model, cfg.alpha)
-    truth = _stack(truth_spec)
+    truth = _stack(LevelSetSpec(law.exact_model, cfg.alpha))
     truth_cols = _boundary_columns(truth, cfg.boundary_m)
     truth_powers = _center_powers(truth)
     shape = (len(cfg.n_values), cfg.seeds)
     distances = {name: np.empty(shape) for name in CONVERGENCE_STATS}
     for k, n in enumerate(cfg.n_values):
-        for seeds in _blocks(cfg.seeds, n + 2 * cfg.boundary_m + RADIAL_ANGLES):
+        for seeds in _blocks(cfg.seeds, n + 2 * cfg.boundary_m + truth_powers.shape[1]):
             streams = [RngStream(cfg.master_seed, mix64(_TAG_CONV_SAMPLE, n, s)) for s in seeds]
             mu, cov, low = fit_columns(law.draw(n, streams))
             fits = _Sets(mu, cov, low, truth.radius_sq)
@@ -510,12 +502,7 @@ def run_convergence(
             distances["hausdorff"][block] = _hausdorff_max(
                 fits, _boundary_columns(fits, cfg.boundary_m), truth, truth_cols
             )
-            volumes = _radial_volumes(fits, truth, truth_powers)
-            for j in np.flatnonzero(np.isnan(volumes)):
-                fit_spec = LevelSetSpec(DepthModel(mu[j], build_spd(cov[j], low[j])), cfg.alpha)
-                mc_rng = RngStream(cfg.master_seed, mix64(_TAG_CONV_MC, n, seeds[j]))
-                volumes[j], _ = sym_diff_volume(fit_spec, truth_spec, cfg.symdiff_n_mc, mc_rng)
-            distances["symdiff"][block] = volumes
+            distances["symdiff"][block] = _radial_volumes(fits, truth, truth_powers)
         say(f"n={n}: {cfg.seeds} seeds done")
     return distances
 

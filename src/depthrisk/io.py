@@ -157,17 +157,14 @@ def json_floats(value) -> tuple[float, ...]:
     return tuple(json_float(x) for x in value)
 
 
-# Why a key no config object has is refused, where a reader may expect it.
-_UNKNOWN_KEY_HINTS = {"seed": " (a study is seeded by its master_seed)",
-                      "model": " (a study reads its population law from data)"}
-
-
-def json_fields(obj: dict, table: dict, required, problems: list[str], prefix: str = "") -> dict:
+def json_fields(obj: dict, table: dict, required, problems: list[str], prefix: str = "",
+                hints: dict | None = None) -> dict:
     """Convert the fields of a parsed JSON object by a table of converters.
 
     ``table`` maps each key to its converter.  A key absent from ``obj`` is
     a problem when it is in ``required`` and is left out otherwise; a key of
-    ``obj`` that is not in ``table`` is an unknown key.  A converter raising
+    ``obj`` that is not in ``table`` is an unknown key, followed by its text
+    in ``hints`` (why this reader refuses it), if any.  A converter raising
     TypeError, ValueError or OverflowError makes the field the wrong type; a
     ConfigError's problems are each reported under the field as
     ``key.problem`` (``key[i].problem`` for a problem ``[i].problem`` of list
@@ -176,7 +173,7 @@ def json_fields(obj: dict, table: dict, required, problems: list[str], prefix: s
     ``problems``; the converted fields are returned by key.
     """
     problems.extend(
-        f"{prefix}{key}: unknown key{_UNKNOWN_KEY_HINTS.get(key, '')}"
+        f"{prefix}{key}: unknown key{(hints or {}).get(key, '')}"
         for key in obj if key not in table
     )
     fields = {}
@@ -282,12 +279,13 @@ def raise_problems(problems: list[str], error=ConfigError) -> None:
         raise error("; ".join(problems))
 
 
-def fields_from_json(cls, obj: dict, table: dict, required) -> dict:
+def fields_from_json(cls, obj: dict, table: dict, required, hints: dict | None = None) -> dict:
     """The fields of a config class ``cls`` converted from parsed JSON by a
     table of converters, naming in one ConfigError every missing required,
-    unconvertible or (by the class's ``_checks``) invalid field.  Absent
-    optional fields are left out, so they take the class defaults."""
+    unconvertible or (by the class's ``_checks``) invalid field, and every
+    unknown key with its text in ``hints``.  Absent optional fields are left
+    out, so they take the class defaults."""
     problems: list[str] = []
-    fields = json_fields(obj, table, required, problems)
+    fields = json_fields(obj, table, required, problems, hints=hints)
     raise_problems(problems + field_problems(cls._checks, fields))
     return fields

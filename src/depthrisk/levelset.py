@@ -8,9 +8,9 @@ the complement of an open ellipsoid around the model location.  Its
 boundary is the ellipsoid of squared Mahalanobis radius 1/alpha - 1.  This
 module parametrizes that boundary and measures Hausdorff distances between
 boundaries through exact point-to-ellipsoid distances.  Its block
-kernel computes symmetric-difference volumes by radial quadrature in d <= 2
-for the convergence study, and it estimates volumes and probabilities by
-Monte Carlo in any dimension.
+kernel computes symmetric-difference volumes by radial quadrature for the
+convergence study, and it estimates volumes and probabilities by Monte
+Carlo, both in any dimension.
 
 Volume integrals route through the bounded complements U = { mhd >= alpha }:
 membership in exactly one of L_a, L_b is pointwise identical to membership
@@ -19,6 +19,7 @@ in exactly one of U_a, U_b, and the U sets fit in a finite box.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from typing import Callable, NamedTuple
@@ -33,6 +34,7 @@ from .rng import RngStream, mix64
 
 BOUNDARY_TOL = 1e-12
 RADIAL_ANGLES = 4096
+SPHERE_DIRECTIONS = 1 << 16
 _DIRECTION_SEED = 0xD14EC7
 _NEWTON_STEPS = 100
 
@@ -346,14 +348,15 @@ def _offsets(sets: _Sets, center: np.ndarray):
 
 
 def _radii(low: np.ndarray, w0: np.ndarray, room: np.ndarray, directions: np.ndarray):
-    """Distance from a center to the boundary of each ellipsoid of a stack
-    (lower factors (k, d, d)) along each unit row of ``directions``, for
-    centers at whitened offsets w0 (k, d, 1) with room r^2 - |w0|^2 > 0
-    (k,), as :func:`_offsets` gives them: shape (k, directions).
+    """The stretch [near, far], each (k, directions), of the ray from a center
+    along each unit row of ``directions`` inside each ellipsoid of a stack
+    (lower factors (k, d, d)), for centers at whitened offsets w0 (k, d, 1)
+    with room r^2 - |w0|^2 (k,) (:func:`_offsets`): near = 0 from inside,
+    near = far = 0 where a ray misses.
 
-    In whitened coordinates the boundary is the sphere |w| = r, so the
-    radius is the positive root of |v|^2 rho^2 + 2 (w0 . v) rho - room = 0,
-    with v the whitened directions, columns (k, d, directions), and |v|^2
+    In whitened coordinates the boundary is the sphere |w| = r, so near and
+    far are the roots of |v|^2 rho^2 + 2 (w0 . v) rho - room = 0, clamped at
+    0, with v the whitened directions, columns (k, d, directions), and |v|^2
     summed coordinate by coordinate.
     """
     # one C-contiguous (d, directions) block per set, whitened in place; w0' v
@@ -362,69 +365,78 @@ def _radii(low: np.ndarray, w0: np.ndarray, room: np.ndarray, directions: np.nda
     vv = _column_norms(v)
     b = (np.swapaxes(w0, -1, -2) @ v)[:, 0, :]
     k = room[:, None]
-    root = np.sqrt(b * b + vv * k)
-    # each branch is the form of the root without cancellation
-    return np.where(b > 0.0, k / (b + root), (root - b) / vv)
+    disc = b * b + vv * k
+    root = np.sqrt(np.maximum(disc, 0.0))
+    # each branch of far is the form of the root without cancellation
+    far = (root - b) / vv
+    np.divide(k, b + root, out=far, where=b > 0.0)
+    near = np.zeros_like(far)
+    if room.min() <= 0.0:  # from outside, rays with b < 0 meet it at near, by that form
+        far[(disc < 0.0) | (far <= 0.0)] = 0.0
+        np.divide(-k, root - b, out=near, where=(k <= 0.0) & (far > 0.0))
+    return near, far
 
 
-def _center_powers(b: _Sets) -> np.ndarray | None:
+def _center_powers(b: _Sets) -> np.ndarray:
     """rho_b(u)^d of the one set ``b`` (k = 1) about its own center, along
-    each direction u of the radial rule: shape (1, directions), or None in
-    dimension 3 and up, where the rule does not apply."""
+    each direction u of the radial rule: shape (1, directions)."""
     d = b.mu.shape[-1]
-    if d > 2:
-        return None
-    directions = _sphere_directions(d, 2 if d == 1 else RADIAL_ANGLES)
-    return _radii(b.low, *_offsets(b, b.mu), directions) ** d
+    m = 2 if d == 1 else RADIAL_ANGLES if d == 2 else SPHERE_DIRECTIONS
+    return _radii(b.low, *_offsets(b, b.mu), _sphere_directions(d, m))[1] ** d
 
 
-def _radial_volumes(a: _Sets, b: _Sets, b_powers: np.ndarray | None) -> np.ndarray:
+def _radial_volumes(a: _Sets, b: _Sets, b_powers: np.ndarray) -> np.ndarray:
     """Volumes of the symmetric differences of each lower set of the stack
-    ``a`` with the one set ``b`` (k = 1), by radial quadrature over the
-    whole stack at once: k volumes, NaN where the rule does not apply, in
-    dimension 3 and up or when the center c of ``b`` is not strictly inside
-    the boundary ellipsoid of a set of ``a``.  ``b_powers`` is
-    :func:`_center_powers` of b, which a study computes once for all its
+    ``a`` with the one set ``b`` (k = 1), by radial quadrature about the
+    center c of ``b`` over the whole stack at once: k volumes.  ``b_powers``
+    is :func:`_center_powers` of b, which a study computes once for all its
     blocks.
 
-    The bounded complements U = { mhd >= alpha } are ellipsoids, so both are
-    star-shaped about c and
+    The ray from c along a unit u runs inside U_b = { mhd >= alpha } on
+    [0, rho_b] and inside U_a on [near, far] (:func:`_radii`), so in the
+    measure d t^(d-1) dt its part of the symmetric difference is
 
-        vol(A delta B) = (1/d) integral over unit u of |rho_a(u)^d - rho_b(u)^d|,
+        near^d + |far^d - rho_b^d|     where near <= rho_b,
+        rho_b^d + far^d - near^d       where the two are apart,
 
-    with rho the radius from c along u.  In d = 1 the directions are +1 and
-    -1 and the sum is exact.  In d = 2 it is a trapezoid rule over
-    ``RADIAL_ANGLES`` equal angles.  The integrand g = rho_a^2 - rho_b^2 is
-    smooth and periodic, and |g| has a kink where the boundaries cross; each
-    kink gets the Euler-Maclaurin correction h^2 B2(s) |g'|, with
-    B2(s) = s^2 - s + 1/6, s the kink's place in its step and g' read off the
-    step's ends.  On the fitted-vs-true pairs of the shipped convergence
-    config it agrees with 16 times as many angles to 4e-10 relative, and on
-    random eccentric pairs to 2e-8.
+    and vol(A delta B) = vol(U_a delta U_b) is 1/d of its integral over the
+    unit sphere.  In d = 1 the directions are +1 and -1 and the sum is exact.
+    In d = 2 it is a trapezoid rule over ``RADIAL_ANGLES`` equal angles.
+    Where c lies inside U_a, near = 0 and the integrand is |g|, with
+    g = rho_a^2 - rho_b^2 smooth and periodic and a kink where the
+    boundaries cross; each kink gets the Euler-Maclaurin correction
+    h^2 B2(s) |g'|, with B2(s) = s^2 - s + 1/6, s the kink's place in its
+    step and g' read off the step's ends: within 4e-10 relative on the
+    shipped convergence config's pairs, 2e-8 on eccentric ones.  With c
+    outside a fit, near and far meet at the tangent rays as a square root:
+    within about 1e-4 at alpha = 0.9 and 0.99.  In d >= 3 each of the
+    ``SPHERE_DIRECTIONS`` directions of :func:`_sphere_directions` has the
+    weight |S^(d-1)| / (d m): within 1e-5 in d = 3, about 0.3% (median) in
+    d = 4 and 5.
     """
     d = a.mu.shape[-1]
     w0, room = _offsets(a, b.mu)
-    volumes = np.full(len(room), np.nan)
-    rows = np.flatnonzero(room > 0.0)
-    if b_powers is None or not rows.size:
-        return volumes
-    directions = _sphere_directions(d, b_powers.shape[1])
-    g = _radii(a.low[rows], w0[rows], room[rows], directions) ** d - b_powers
-    total = np.sum(np.abs(g), axis=1)
+    m = b_powers.shape[1]
+    near, far = (x ** d for x in _radii(a.low, w0, room, _sphere_directions(d, m)))
+    g = far - b_powers
+    ray = np.abs(g)
+    if room.min() <= 0.0:  # else near = 0 on every row
+        ray = np.where(near <= b_powers, near + ray, b_powers + far - near)
+    total = np.sum(ray, axis=1)
     if d == 1:
-        volumes[rows] = total
-        return volumes
+        return total
+    if d > 2:
+        return 2.0 * np.pi ** (d / 2) / math.gamma(d / 2) / (d * m) * total
     h = 2.0 * np.pi / RADIAL_ANGLES
     g_next = np.roll(g, -1, axis=1)
-    row, col = np.nonzero((g < 0.0) != (g_next < 0.0))
+    row, col = np.nonzero(((g < 0.0) != (g_next < 0.0)) & (room > 0.0)[:, None])
     here, there = g[row, col], g_next[row, col]
     s = here / (here - there)
     terms = (s * s - s + 1.0 / 6.0) * np.abs(there - here)
     # one np.sum per row, as in the one-pair case: its order, and so its
     # bits, depend on the count summed
-    kinks = np.array([np.sum(terms[row == j]) for j in range(len(rows))])
-    volumes[rows] = 0.5 * (h * total + h * kinks)
-    return volumes
+    kinks = np.array([np.sum(terms[row == j]) for j in range(len(room))])
+    return 0.5 * (h * total + h * kinks)
 
 
 def _union_box(a: LevelSetSpec, b: LevelSetSpec) -> tuple[np.ndarray, np.ndarray]:

@@ -418,12 +418,15 @@ def _two_marginals(value) -> tuple[GumbelMarginal, GumbelMarginal]:
 
 
 _LAWS = {"gaussian": GaussianConfig, "frank_gumbel": FrankGumbelConfig}
+# Why a law refuses a key that a reader may expect: a law takes no seed.
+_LAW_HINTS = {"seed": " (a study is seeded by its master_seed)"}
 
 
 def _law_fields(cls, obj: dict, table: dict, required) -> dict:
     """:func:`~depthrisk.io.fields_from_json` of a law's JSON object, whose
     ``kind`` (read by :func:`law_from_json`) is not a field."""
-    return fields_from_json(cls, {k: v for k, v in obj.items() if k != "kind"}, table, required)
+    obj = {k: v for k, v in obj.items() if k != "kind"}
+    return fields_from_json(cls, obj, table, required, _LAW_HINTS)
 
 
 def law_from_json(obj) -> Law:

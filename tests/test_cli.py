@@ -418,7 +418,6 @@ class TestConvergenceCommand:
             "seeds": 3,
             "alpha": 0.5,
             "boundary_m": 256,
-            "symdiff_n_mc": 2000,
             "master_seed": 1,
         }
         obj.update(overrides)
@@ -463,6 +462,16 @@ class TestConvergenceCommand:
         assert main(["convergence", "--config", str(cfg), "-o", str(out)]) == 2
         err = capsys.readouterr().err
         assert "model: unknown key (a study reads its population law from data)" in err
+        assert not out.exists()
+
+    def test_symdiff_n_mc_key_exit_2(self, tmp_path, capsys):
+        # the volume is a radial quadrature: configs that set its former
+        # Monte Carlo draw count are refused, with a hint
+        cfg = self._config_path(tmp_path, symdiff_n_mc=100_000)
+        out = tmp_path / "out"
+        assert main(["convergence", "--config", str(cfg), "-o", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "symdiff_n_mc: unknown key (the symmetric-difference volume takes no draws)" in err
         assert not out.exists()
 
     def test_quartiles_bracket_median(self, tmp_path):
@@ -514,7 +523,6 @@ class TestConvergenceCommand:
         ("n_values", [250.7]),
         ("master_seed", True),
         ("boundary_m", "4096"),
-        ("symdiff_n_mc", 100000.5),
     ])
     def test_non_integer_fields_rejected(self, tmp_path, capsys, field, value):
         cfg = self._config_path(tmp_path, **{field: value})

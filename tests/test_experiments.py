@@ -39,18 +39,17 @@ from depthrisk import (
     fit_model,
     gaussian_population,
     hausdorff_report,
+    mhd,
     mix64,
     rate_slope,
     rate_table,
     run_convergence,
     run_replications,
     sup_norm_distance,
-    sym_diff_volume,
 )
-from depthrisk import experiments
+from depthrisk import experiments, levelset
 from depthrisk.depth import fit_columns
 from depthrisk.experiments import (
-    _TAG_CONV_MC,
     _TAG_CONV_SAMPLE,
     _TAG_REPLICATE,
     BLOCK_ROWS,
@@ -116,10 +115,10 @@ def convergence_cfg(**overrides):
 
 
 class TestConvergenceVolume:
-    """The symmetric-difference rule of each convergence seed: the radial
-    quadrature where it applies, else Monte Carlo on the seed's own stream.
-    Seeds are taken in blocks, and every entry has the bits of the one-pair
-    functions on that seed's own fit."""
+    """The symmetric-difference volume of each convergence seed: the radial
+    quadrature about the true center, in any dimension and wherever that
+    center lies.  Seeds are taken in blocks, and every entry has the bits of
+    the one-pair functions on that seed's own fit."""
 
     @staticmethod
     def specs(cfg, n, seed):
@@ -127,63 +126,80 @@ class TestConvergenceVolume:
         fitted = fit_model(Sample(cfg.data_cfg.draw(n, [rng])[0].T))
         return LevelSetSpec(fitted, cfg.alpha), LevelSetSpec(cfg.data_cfg.exact_model, cfg.alpha)
 
-    def monte_carlo(self, cfg, n, seed):
-        stream = RngStream(cfg.master_seed, mix64(_TAG_CONV_MC, n, seed))
-        return sym_diff_volume(*self.specs(cfg, n, seed), cfg.symdiff_n_mc, stream)[0]
-
     def test_quadrature_in_two_dimensions(self):
-        cfg = convergence_cfg(n_values=(16, 64), seeds=2, boundary_m=64, symdiff_n_mc=1000)
+        cfg = convergence_cfg(n_values=(16, 64), seeds=2, boundary_m=64)
         got = run_convergence(cfg)["symdiff"]
         for k, n in enumerate(cfg.n_values):
             for seed in range(cfg.seeds):
                 assert got[k, seed] == radial_volume(*self.specs(cfg, n, seed))
 
-    def test_monte_carlo_in_three_dimensions(self):
-        law = gaussian_population(DepthModel(np.zeros(3), build_spd(np.eye(3))))
-        cfg = convergence_cfg(data_cfg=law, boundary_m=64, symdiff_n_mc=1000)
-        assert run_convergence(cfg)["symdiff"][0, 0] == self.monte_carlo(cfg, 16, 0)
-
-    def test_monte_carlo_when_the_true_center_is_outside_the_fit(self):
+    @pytest.mark.parametrize("d, alpha", [(2, 0.99), (3, 0.5), (4, 0.5)])
+    def test_no_monte_carlo(self, d, alpha, monkeypatch):
         # at alpha = 0.99 the fitted ellipse has Mahalanobis radius 0.1,
         # smaller than the fitted mean's offset at n = 16
-        cfg = convergence_cfg(alpha=0.99, boundary_m=64, symdiff_n_mc=1000)
-        assert radial_volume(*self.specs(cfg, 16, 0)) is None
-        assert run_convergence(cfg)["symdiff"][0, 0] == self.monte_carlo(cfg, 16, 0)
+        def refuse(*args):
+            raise AssertionError("sym_diff_volume called")
+
+        for module in (levelset, experiments):  # at its home, and where a study may import it
+            monkeypatch.setattr(module, "sym_diff_volume", refuse, raising=False)
+        law = gaussian_population(DepthModel(np.zeros(d), build_spd(np.eye(d))))
+        cfg = convergence_cfg(data_cfg=law, alpha=alpha, boundary_m=64)
+        fit, truth = self.specs(cfg, 16, 0)
+        assert (d == 2) == (mhd(truth.model.mu, fit.model) < alpha)
+        assert run_convergence(cfg)["symdiff"][0, 0] == radial_volume(fit, truth)
+
+    def test_intervals_are_exact(self):
+        # in d = 1 each volume is the length of the symmetric difference of
+        # two intervals, read off both roots with no quadrature error; at
+        # alpha = 0.99 and n = 16 some fitted intervals miss the true center
+        law = gaussian_population(DepthModel(np.array([0.5]), build_spd([[2.0]])))
+        cfg = convergence_cfg(data_cfg=law, alpha=0.99, seeds=40, boundary_m=64)
+        r = math.sqrt(1.0 / cfg.alpha - 1.0)
+        got = run_convergence(cfg)["symdiff"][0]
+        outside = 0
+        for seed, volume in enumerate(got):
+            fit, truth = self.specs(cfg, 16, seed)
+            (lo_a, hi_a), (lo_b, hi_b) = (
+                (s.model.mu[0] - r * s.model.sigma.chol[0, 0],
+                 s.model.mu[0] + r * s.model.sigma.chol[0, 0]) for s in (fit, truth))
+            outside += not lo_a < truth.model.mu[0] < hi_a
+            common = max(0.0, min(hi_a, hi_b) - max(lo_a, lo_b))
+            assert volume == pytest.approx((hi_a - lo_a) + (hi_b - lo_b) - 2.0 * common,
+                                           rel=1e-12, abs=1e-15)
+        assert 0 < outside < cfg.seeds
 
     @pytest.mark.parametrize("model, alpha", [
-        # at alpha = 0.9 and n = 16 about half the seeds fall back to Monte Carlo
+        # at alpha = 0.9 and n = 16 the true center lies outside about half the fits
         (DepthModel(np.zeros(2), build_spd(EYE2)), 0.9),
         (DepthModel(np.array([0.5, -1.0, 2.0]),
                     build_spd([[2.0, 0.3, 0.1], [0.3, 1.0, 0.2], [0.1, 0.2, 0.5]])), 0.5),
     ])
     def test_entries_are_the_one_pair_values(self, model, alpha, monkeypatch):
-        fallbacks = self.check_entries(gaussian_population(model), alpha, monkeypatch)
-        assert 0 < fallbacks < 14 if model.dim == 2 else fallbacks == 14
+        outside = self.check_entries(gaussian_population(model), alpha, monkeypatch)
+        assert 0 < outside < 14 if model.dim == 2 else outside == 0
 
     def test_frank_entries_are_the_one_pair_values(self, monkeypatch):
         assert 0 < self.check_entries(frank_law(), 0.9, monkeypatch) < 14
 
     def check_entries(self, law, alpha, monkeypatch):
         """Check each entry of a run against the one-pair values on that
-        seed's own fit; return the count of Monte Carlo volumes."""
+        seed's own fit; return the count of fits that leave the true center
+        outside."""
         # three seeds per block, so seven seeds end in a block of one
         monkeypatch.setattr(experiments, "BLOCK_ROWS", 3 * RADIAL_ANGLES)
         cfg = convergence_cfg(data_cfg=law, alpha=alpha, n_values=(16, 64), seeds=7,
-                              boundary_m=64, symdiff_n_mc=1000, master_seed=2)
+                              boundary_m=64, master_seed=2)
         got = run_convergence(cfg)
-        fallbacks = 0
+        outside = 0
         for k, n in enumerate(cfg.n_values):
             for seed in range(cfg.seeds):
                 fit, truth = self.specs(cfg, n, seed)
-                volume = radial_volume(fit, truth)
-                if volume is None:
-                    fallbacks += 1
-                    volume = self.monte_carlo(cfg, n, seed)
+                outside += mhd(truth.model.mu, fit.model) < alpha
                 assert got["supnorm"][k, seed] == sup_norm_distance(fit.model, truth.model)
                 assert got["hausdorff"][k, seed] == hausdorff_report(
                     fit, truth, cfg.boundary_m).distance
-                assert got["symdiff"][k, seed] == volume
-        return fallbacks
+                assert got["symdiff"][k, seed] == radial_volume(fit, truth)
+        return outside
 
     def test_degenerate_fit_in_a_block_is_named(self, monkeypatch):
         draw = GaussianConfig.draw
@@ -375,7 +391,6 @@ STRING_FIELDS = [
     (convergence_cfg, "seeds", "1", "seeds"),
     (convergence_cfg, "alpha", "0.5", "alpha"),
     (convergence_cfg, "boundary_m", "4096", "boundary_m"),
-    (convergence_cfg, "symdiff_n_mc", "100000", "symdiff_n_mc"),
     (convergence_cfg, "master_seed", "0", "master_seed"),
     (gaussian_law, "mu", (True, 0.0), "mu"),
     (gaussian_law, "sigma", ((1.0, 0.0), (0.0, True)), "sigma"),
@@ -551,6 +566,21 @@ class TestConfigJson:
         with pytest.raises(ConfigError, match=r"data\.seed: unknown key .*master_seed"):
             config_from_json(obj)
 
+    def test_hints_are_the_readers(self):
+        # each reader hints at the keys it refuses that a user may expect:
+        # a study at its top level, a law in data; a bare depth model none
+        obj = dict(config_to_json(gaussian_cfg()), seed=3, model={})
+        with pytest.raises(ConfigError, match=re.escape(
+                "seed: unknown key (a study is seeded by its master_seed); "
+                "model: unknown key (a study reads its population law from data)")):
+            config_from_json(obj)
+        obj = config_to_json(gaussian_cfg())
+        obj["data"]["model"] = {}
+        with pytest.raises(ConfigError, match=r"^data\.model: unknown key$"):
+            config_from_json(obj)
+        with pytest.raises(ConfigError, match=r"^model: unknown key; seed: unknown key$"):
+            DepthModel.from_json({"mu": [0.0], "sigma": [[1.0]], "model": {}, "seed": 3})
+
     CONVERGENCE = {"data": {"kind": "gaussian", "mu": [0.0], "sigma": [[1.0]]},
                    "n_values": [16], "seeds": 1}
 
@@ -580,6 +610,18 @@ class TestConfigJson:
                                           "n_values": [16], "seeds": 1})
         obj = dict(self.CONVERGENCE, data=dict(self.CONVERGENCE["data"], mean=[5.0]))
         with pytest.raises(ConfigError, match=r"^data\.mean: unknown key$"):
+            convergence_config_from_json(obj)
+
+    def test_symdiff_n_mc_refused_with_a_hint_by_the_convergence_reader(self):
+        # the key of the Monte Carlo volume the convergence study no longer runs
+        with pytest.raises(ConfigError, match=re.escape(
+                "symdiff_n_mc: unknown key (the symmetric-difference volume takes no draws)")):
+            convergence_config_from_json(dict(self.CONVERGENCE, symdiff_n_mc=100_000))
+        obj = dict(config_to_json(gaussian_cfg()), symdiff_n_mc=100_000)
+        with pytest.raises(ConfigError, match=r"^symdiff_n_mc: unknown key$"):
+            config_from_json(obj)
+        obj = dict(self.CONVERGENCE, data=dict(self.CONVERGENCE["data"], symdiff_n_mc=1000))
+        with pytest.raises(ConfigError, match=r"^data\.symdiff_n_mc: unknown key$"):
             convergence_config_from_json(obj)
 
     def test_wrong_type_reported(self):
@@ -1039,7 +1081,8 @@ PINNED_STUDIES = {
 
 PINNED_CONVERGENCE = {
     # the SHA-256 digests of convergence.csv, as printed when each seed was
-    # fitted and measured on its own; d = 3 takes the Monte Carlo volume
+    # fitted and measured on its own; d = 3 as printed when its volume
+    # became the radial rule's
     "d2": (
         dict(data_cfg=GaussianConfig((0.3, -1.0), ((2.0, 0.4), (0.4, 0.7))),
              n_values=(64, 512), seeds=5, boundary_m=256, master_seed=5),
@@ -1048,8 +1091,8 @@ PINNED_CONVERGENCE = {
     "d3": (
         dict(data_cfg=GaussianConfig((0.5, -1.0, 2.0), (
                  (2.0, 0.3, 0.1), (0.3, 1.0, 0.2), (0.1, 0.2, 0.5))),
-             n_values=(16, 200), seeds=3, boundary_m=128, symdiff_n_mc=2000, master_seed=9),
-        "7694c61fa27f26226f09b98fa88636773826ef6b028cf057baeb47415dcb743d",
+             n_values=(16, 200), seeds=3, boundary_m=128, master_seed=9),
+        "1c8f1fba7ea2a9a4269fc8f1dfc801777454d3254937e598598eb0a1d052dd26",
     ),
 }
 

@@ -269,7 +269,7 @@ class TestHausdorff:
 
         monkeypatch.setattr(levelset_module, "_nn_gap", refuse)
         cfg = ConvergenceConfig(data_cfg=STD_LAW, n_values=(16, 32), seeds=2,
-                                boundary_m=256, symdiff_n_mc=1000)
+                                boundary_m=256)
         distances = run_convergence(cfg)
         assert np.all(distances["hausdorff"] > 0.0)
 
@@ -493,15 +493,47 @@ class TestRadialSymDiffVolume:
         assert radial_volume(interval(0.0, 1.0), interval(0.5, 2.0)) == 2.0
         assert radial_volume(interval(2.0, 2.0), interval(2.0, 3.0)) == 2.0
 
-    def test_none_in_three_dimensions(self):
-        spec = LevelSetSpec(std_model(3), 0.5)
-        assert radial_volume(spec, spec) is None
+    def test_balls_in_three_dimensions(self):
+        def ball(radius, center=(0.0, 0.0, 0.0)):
+            model = DepthModel(np.array(center), build_spd(np.eye(3)))
+            return LevelSetSpec(model, 1.0 / (1.0 + radius * radius))
 
-    def test_none_when_the_center_is_outside(self):
-        # the center (0, 0) of the second set lies outside the first disk,
-        # and on its boundary
-        assert radial_volume(circle_spec(1.0, (3.0, 0.0)), circle_spec(1.0)) is None
-        assert radial_volume(circle_spec(1.0, (1.0, 0.0)), circle_spec(1.0)) is None
+        spec = ball(1.0)
+        assert radial_volume(spec, spec) == 0.0
+        # concentric: every direction has the integrand 2^3 - 1, so this
+        # checks the weights |S^2| / (3 m)
+        assert radial_volume(ball(1.0), ball(2.0)) == pytest.approx(28.0 * math.pi / 3.0,
+                                                                     rel=1e-12)
+        # unit balls at center distance 1/2, which overlap in
+        # pi (4 + 1/2) (2 - 1/2)^2 / 12, and at distance 3, apart
+        overlap = math.pi * 4.5 * 1.5**2 / 12.0
+        want = 2.0 * (4.0 * math.pi / 3.0 - overlap)
+        assert radial_volume(ball(1.0, (0.5, 0.0, 0.0)), spec) == pytest.approx(want, rel=1e-4)
+        assert radial_volume(ball(1.0, (3.0, 0.0, 0.0)), spec) == pytest.approx(
+            8.0 * math.pi / 3.0, rel=1e-4)
+
+    def test_center_outside_or_on_the_boundary(self):
+        # unit disks about the second set's center (0, 0): apart, grazed by
+        # the ray along the x axis (at (2, 0)), and with each center on the
+        # other's boundary (the ray along the x axis touches the disk about
+        # (0, 1) at the origin).  A missed ray that warned would fail here.
+        lens = 2.0 * math.pi / 3.0 - math.sqrt(3.0) / 2.0
+        for center, want in [((3.0, 0.0), 2.0 * math.pi), ((2.0, 1.0), 2.0 * math.pi),
+                             ((1.0, 0.0), 2.0 * (math.pi - lens)),
+                             ((0.0, 1.0), 2.0 * (math.pi - lens))]:
+            got = radial_volume(circle_spec(1.0, center), circle_spec(1.0))
+            assert got == pytest.approx(want, rel=1e-4)
+
+    @pytest.mark.parametrize("d", [3, 4])
+    def test_fits_agree_with_monte_carlo(self, d):
+        # fitted-vs-true pairs at n = 16, the true center outside the fit in
+        # some of them at alpha = 0.9
+        truth = LevelSetSpec(std_model(d), 0.9)
+        for k in range(4):
+            sample = sample_gaussian(16, truth.model, RngStream(d, mix64(37, k)))
+            fit = LevelSetSpec(fit_model(sample), 0.9)
+            est, se = sym_diff_volume(fit, truth, 20_000, RngStream(d, mix64(38, k)))
+            assert abs(est - radial_volume(fit, truth)) < 4.0 * se
 
     def test_agrees_with_monte_carlo(self):
         rng = np.random.default_rng(12)
@@ -538,7 +570,7 @@ GEOMETRY_BITS = [
     ("radial", "fit", 1, "0.3029794802142154"),
     ("radial", "overlapping", 2, "13.413096946433594"),
     ("radial", "fit", 2, "0.5544038888206811"),
-    ("radial", "apart", 2, "None"),
+    ("radial", "apart", 2, "17.905002297512432"),
     ("boundary", "eccentric", 1, "0318a818bc947e00564fa1df278ef6f0252043d5114279aa5712536cb039ec4c"),
     ("boundary", "eccentric", 2, "4136937d51411081da6c327175c3c3cb85b8d5a5724e722336230baa91193b1d"),
     ("boundary", "eccentric", 3, "265cecf4a732577b05d83474aaa4317af32d9d0fda40ffaa9646569077f7fa6b"),
