@@ -75,7 +75,9 @@ _DATA_CFG_CHECK = (
 _N_VALUES_CHECK = ("n_values",
                    lambda v: all(is_count(n, 2) for n in v) and 0 < len(v) == len(set(v)),
                    "must be a nonempty list of distinct integers >= 2")
-_MASTER_SEED_CHECK = ("master_seed", lambda v: is_count(v, 0), "must be a nonnegative integer")
+# RngStream reads a seed's low 64 bits, so a larger seed would repeat a smaller one's study
+_MASTER_SEED_CHECK = ("master_seed", lambda v: is_count(v, 0) and v < 2**64,
+                      "must be an integer in [0, 2**64)")
 # Why a study config refuses a key at its top level that a reader may expect.
 _STUDY_HINTS = dict(_LAW_HINTS, model=" (a study reads its population law from data)")
 
@@ -231,26 +233,20 @@ def cell_estimates(
     law: Law, n: int, alphas, streams: list[RngStream]
 ) -> tuple[np.ndarray, np.ndarray]:
     """Estimates and hit counts at sample size n, one replicate per stream,
-    at each level of the sequence ``alphas``.
+    at each level of the sequence ``alphas``: arrays of shape (levels, k),
+    one column per stream.
 
     Each stream draws 2n points of the population ``law`` (level half, then
-    cost half) and then the cost noise.  The replicates are taken in blocks
-    of at most ``BLOCK_ROWS`` points: each block is drawn in one
+    cost half) and then the cost noise.  The k replicates are drawn in one
     ``law.draw`` call into one (k, d, 2n) array, fitted at once by the
     fitting core (:func:`~depthrisk.depth.fit_columns`) and scored at every
-    level by the ratio kernel of :mod:`depthrisk.ccte`, and its arrays are
-    freed before the next block is drawn.  The arrays have shape (levels,
-    k), one column per stream.
+    level by the ratio kernel of :mod:`depthrisk.ccte`.
+    :func:`run_replications` passes one block of replicates
+    (:func:`_blocks`) per call, so a study holds one block's arrays per
+    thread at a time.
     """
-    values, hits = zip(*(_block_estimates(law, n, alphas, streams[b.start : b.stop])
-                         for b in _blocks(len(streams), 2 * n)))
-    return np.concatenate(values, axis=1), np.concatenate(hits, axis=1)
-
-
-def _block_estimates(law: Law, n: int, alphas, block: list[RngStream]):
-    """:func:`cell_estimates` of one block of replicates."""
-    cols = law.draw(2 * n, block)
-    costs = _noisy_costs(cols[..., n:], law.noise_var, block)
+    cols = law.draw(2 * n, streams)
+    costs = _noisy_costs(cols[..., n:], law.noise_var, streams)
     mu, _, low = fit_columns(cols[..., :n])
     return _ratio_under_models(mu, low, cols[..., n:], costs, alphas)
 
@@ -268,10 +264,10 @@ def run_replications(
     come from the law's ``exact_truth``, with no draws, so ``truth_se`` is
     0.0.  One pool of ``pool_size(threads, tasks)`` threads runs the truths
     as task 0, so they come (and fail) first at one thread, then one task
-    per block of replicates (the blocks of :func:`cell_estimates`), largest
-    n first, so the longest tasks start first.  Results are gathered by
-    task index and joined per n, so they do not depend on execution order
-    or thread count.
+    per block of replicates (:func:`_blocks`), each one
+    :func:`cell_estimates` call, largest n first, so the longest tasks start
+    first.  Results are gathered by task index and joined per n, so they do
+    not depend on execution order or thread count.
     """
     t0 = time.monotonic()
     say = progress if progress is not None else (lambda _msg: None)

@@ -77,6 +77,15 @@ def make_out_dir(path) -> Path:
     return out
 
 
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object's pairs as a dict, refusing a key given twice (``json`` keeps the last)."""
+    keys = [key for key, _ in pairs]
+    twice = sorted({key for key in keys if keys.count(key) > 1})
+    if twice:
+        raise ValueError(f"keys given twice: {', '.join(twice)}")
+    return dict(pairs)
+
+
 def load_json_object(path, what: str) -> dict:
     """Parse a JSON file that must hold one object; ``what`` names it in errors."""
     try:
@@ -84,8 +93,8 @@ def load_json_object(path, what: str) -> dict:
     except OSError as exc:
         raise ConfigError(f"{what}: cannot read {path}: {exc}") from exc
     try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+        obj = json.loads(text, object_pairs_hook=_unique_keys)
+    except ValueError as exc:  # a JSONDecodeError, a repeated key, a too-long integer
         raise ConfigError(f"{what}: {path}: invalid JSON: {exc}") from exc
     if not isinstance(obj, dict):
         raise ConfigError(f"{what}: {path}: expected a JSON object")

@@ -9,8 +9,8 @@ boundary is the ellipsoid of squared Mahalanobis radius 1/alpha - 1.  This
 module parametrizes that boundary and measures Hausdorff distances between
 boundaries through exact point-to-ellipsoid distances.  Its block
 kernel computes symmetric-difference volumes by radial quadrature for the
-convergence study, and it estimates volumes and probabilities by Monte
-Carlo, both in any dimension.
+convergence study, and it estimates them by Monte Carlo for the CLI, both
+in any dimension.
 
 Volume integrals route through the bounded complements U = { mhd >= alpha }:
 membership in exactly one of L_a, L_b is pointwise identical to membership
@@ -22,13 +22,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
 from .depth import DepthModel, mhd
-from .errors import DimensionMismatch
-from .io import check_count, check_dims, check_finite, check_level
+from .io import check_count, check_dims, check_level
 from .linalg import _column_norms, _whiten_in_place, whiten
 from .rng import RngStream, mix64
 
@@ -400,19 +399,19 @@ def _radial_volumes(a: _Sets, b: _Sets, b_powers: np.ndarray) -> np.ndarray:
         rho_b^d + far^d - near^d       where the two are apart,
 
     and vol(A delta B) = vol(U_a delta U_b) is 1/d of its integral over the
-    unit sphere.  In d = 1 the directions are +1 and -1 and the sum is exact.
-    In d = 2 it is a trapezoid rule over ``RADIAL_ANGLES`` equal angles.
-    Where c lies inside U_a, near = 0 and the integrand is |g|, with
-    g = rho_a^2 - rho_b^2 smooth and periodic and a kink where the
-    boundaries cross; each kink gets the Euler-Maclaurin correction
-    h^2 B2(s) |g'|, with B2(s) = s^2 - s + 1/6, s the kink's place in its
-    step and g' read off the step's ends: within 4e-10 relative on the
-    shipped convergence config's pairs, 2e-8 on eccentric ones.  With c
-    outside a fit, near and far meet at the tangent rays as a square root:
-    within about 1e-4 at alpha = 0.9 and 0.99.  In d >= 3 each of the
-    ``SPHERE_DIRECTIONS`` directions of :func:`_sphere_directions` has the
-    weight |S^(d-1)| / (d m): within 1e-5 in d = 3, about 0.3% (median) in
-    d = 4 and 5.
+    unit sphere.  Each of the m directions of :func:`_sphere_directions`
+    has the weight |S^(d-1)| / (d m) = 2 pi^(d/2) / Gamma(d/2) / (d m): 1 in
+    d = 1, on +1 and -1, an exact sum; h / 2 in d = 2, the trapezoid rule
+    over ``RADIAL_ANGLES`` equal angles of step h.  Where c lies inside U_a,
+    near = 0 and the integrand is |g|, with g = rho_a^2 - rho_b^2 smooth and
+    periodic and a kink where the boundaries cross; each kink gets the
+    Euler-Maclaurin correction h^2 B2(s) |g'|, with B2(s) = s^2 - s + 1/6,
+    s the kink's place in its step and g' read off the step's ends: within
+    4e-10 relative on the shipped convergence config's pairs, 2e-8 on
+    eccentric ones.  With c outside a fit, near and far meet at the tangent
+    rays as a square root: within about 1e-4 at alpha = 0.9 and 0.99.  In
+    d >= 3 the ``SPHERE_DIRECTIONS`` directions give within 1e-5 in d = 3,
+    about 0.3% (median) in d = 4 and 5.
     """
     d = a.mu.shape[-1]
     w0, room = _offsets(a, b.mu)
@@ -422,21 +421,18 @@ def _radial_volumes(a: _Sets, b: _Sets, b_powers: np.ndarray) -> np.ndarray:
     ray = np.abs(g)
     if room.min() <= 0.0:  # else near = 0 on every row
         ray = np.where(near <= b_powers, near + ray, b_powers + far - near)
-    total = np.sum(ray, axis=1)
-    if d == 1:
-        return total
-    if d > 2:
-        return 2.0 * np.pi ** (d / 2) / math.gamma(d / 2) / (d * m) * total
-    h = 2.0 * np.pi / RADIAL_ANGLES
-    g_next = np.roll(g, -1, axis=1)
-    row, col = np.nonzero(((g < 0.0) != (g_next < 0.0)) & (room > 0.0)[:, None])
-    here, there = g[row, col], g_next[row, col]
-    s = here / (here - there)
-    terms = (s * s - s + 1.0 / 6.0) * np.abs(there - here)
-    # one np.sum per row, as in the one-pair case: its order, and so its
-    # bits, depend on the count summed
-    kinks = np.array([np.sum(terms[row == j]) for j in range(len(room))])
-    return 0.5 * (h * total + h * kinks)
+    weight = 2.0 * np.pi ** (d / 2) / math.gamma(d / 2) / (d * m)
+    volumes = weight * np.sum(ray, axis=1)
+    if d == 2:  # the Euler-Maclaurin correction at each kink
+        g_next = np.roll(g, -1, axis=1)
+        row, col = np.nonzero(((g < 0.0) != (g_next < 0.0)) & (room > 0.0)[:, None])
+        here, there = g[row, col], g_next[row, col]
+        s = here / (here - there)
+        terms = (s * s - s + 1.0 / 6.0) * np.abs(there - here)
+        # one np.sum per row, as in the one-pair case: its order, and so its
+        # bits, depend on the count summed
+        volumes += weight * np.array([np.sum(terms[row == j]) for j in range(len(room))])
+    return volumes
 
 
 def _union_box(a: LevelSetSpec, b: LevelSetSpec) -> tuple[np.ndarray, np.ndarray]:
@@ -472,39 +468,10 @@ def sym_diff_volume(
     check_dims(a, b, "level set")
     check_count(n_mc, 1_000, "n_mc")
     lo, hi = _union_box(a, b)
-    d = a.dim
-
-    def uniform_box(n: int, stream: RngStream) -> np.ndarray:
-        u = stream.uniforms(n * d).reshape(n, d)
-        for k in range(d):  # one pass per axis: a broadcast over short rows is slower
-            u[:, k] *= hi[k] - lo[k]
-            u[:, k] += lo[k]
-        return u
-
-    frac, se = sym_diff_probability(a, b, uniform_box, n_mc, rng)
+    pts = rng.uniforms(n_mc * a.dim).reshape(n_mc, a.dim)
+    for k in range(a.dim):  # one pass per axis: a broadcast over short rows is slower
+        pts[:, k] *= hi[k] - lo[k]
+        pts[:, k] += lo[k]
+    frac = float(np.count_nonzero(in_lower_set(pts, a) ^ in_lower_set(pts, b))) / n_mc
     box_vol = float(np.prod(hi - lo))
-    return box_vol * frac, box_vol * se
-
-
-def sym_diff_probability(
-    a: LevelSetSpec,
-    b: LevelSetSpec,
-    sampler: Callable[[int, RngStream], np.ndarray],
-    n_mc: int,
-    rng: RngStream,
-) -> tuple[float, float]:
-    """Probability mass of the symmetric difference under a data source.
-
-    ``sampler(n, rng)`` must return an (n, d) array of draws from the
-    probability law of interest.  Returns (estimate, binomial standard
-    error) of the fraction falling in exactly one of the two lower sets.
-    """
-    check_dims(a, b, "level set")
-    check_count(n_mc, 1, "n_mc")
-    pts = check_finite(sampler(n_mc, rng), "draws")
-    if pts.shape != (n_mc, a.dim):
-        raise DimensionMismatch(f"sampler returned shape {pts.shape}, expected ({n_mc}, {a.dim})")
-    differ = in_lower_set(pts, a) ^ in_lower_set(pts, b)
-    frac = float(np.count_nonzero(differ)) / n_mc
-    se = np.sqrt(frac * (1.0 - frac) / n_mc)
-    return frac, float(se)
+    return box_vol * frac, box_vol * math.sqrt(frac * (1.0 - frac) / n_mc)

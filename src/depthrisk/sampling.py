@@ -233,8 +233,8 @@ class FrankGumbelConfig:
         halves of each stream's 2n uniforms, drawn in one pass.  V and both
         quantiles are formed ``CHUNK`` columns at a time into the output:
         each is elementwise, and :func:`_frank_v` runs the same operations
-        on an element whichever form its chunk takes, so the bits do not
-        depend on the chunk."""
+        on an element whichever chunk holds it, so the bits do not depend
+        on the chunk."""
         n = check_count(n, 1, "n")
         shape = (len(streams), 2, n)
         _check_out(out, shape)
@@ -286,8 +286,8 @@ def _frank_gumbel_model(cfg: FrankGumbelConfig) -> DepthModel:
     smooth at every theta, so the trapezoid rule converges geometrically.
     g(V) is formed in one 513 x 513 array, ``CHUNK // 513`` rows at a time:
     it is elementwise, and :func:`_frank_v` runs the same operations on an
-    element whichever form its block takes, so the bits do not depend on
-    the block."""
+    element whichever block holds it, so the bits do not depend on the
+    block."""
     cov = 0.0
     if abs(cfg.theta) >= INDEPENDENCE_THETA:
         # [-4, 36] holds all but ~1e-14 of it, and 0 < F(s) < 1 there (F(40) == 1.0)
@@ -557,10 +557,10 @@ def _frank_v(u: np.ndarray, w: np.ndarray, theta: float) -> np.ndarray:
     V = -log1p(ratio) / theta = log(D / N) / theta, where the ratio is
     N / D - 1 = w (e^{-theta} - 1) / D.  Each element takes one form: the
     direct ``log1p`` one where the ratio lies in (-0.5, inf), the quotient
-    elsewhere.  When some element needs the quotient, it is formed in place
-    for the whole block, and the direct form runs only on the gathered
-    direct elements, which are then scattered back: the same operations per
-    element, so the same bits as forming both everywhere.
+    elsewhere.  The quotient is formed in place for the whole block, and the
+    direct form runs only on the gathered direct elements, which are then
+    scattered back: the same operations per element, so the same bits as
+    forming both everywhere.
     """
     shape = np.broadcast_shapes(u.shape, w.shape)
     d, n, v = np.empty(shape), np.empty(shape), np.empty(shape)
@@ -577,40 +577,31 @@ def _frank_v(u: np.ndarray, w: np.ndarray, theta: float) -> np.ndarray:
         # The one-shot log1p is exact while the ratio stays away from -1.
         direct = v > -0.5
         direct &= v < np.inf
-        if direct.all():
-            out = _frank_direct(v, theta)
-        else:
-            # Where the conditional mass concentrates the ratio rounds onto
-            # -1 (or overflows for strongly negative theta) and the direct
-            # form keeps only a few bits; D / N, of two sums of positive
-            # terms, has no cancellation there.  D lies between N and 1 + w,
-            # so it stays in range with N; where N over- or underflows
-            # (|theta| in the hundreds and beyond) the quotient is taken in
-            # log space instead.
-            spill = (n < _TINY) | (n > _HUGE)
-            spill &= ~direct
-            d /= n
-            del n  # released before the gather allocates
-            np.log(d, out=d)
-            d /= theta
-            where = np.flatnonzero(direct)
-            d.ravel()[where] = _frank_direct(v.ravel()[where], theta)
-            if spill.any():
-                d[spill] = _frank_v_log_space(
-                    np.broadcast_to(u, shape)[spill], np.broadcast_to(w, shape)[spill], theta
-                )
-            out = d
+        # Where the conditional mass concentrates the ratio rounds onto -1
+        # (or overflows for strongly negative theta) and the direct form
+        # keeps only a few bits; D / N, of two sums of positive terms, has no
+        # cancellation there.  D lies between N and 1 + w, so it stays in
+        # range with N; where N over- or underflows (|theta| in the hundreds
+        # and beyond) the quotient is taken in log space instead.
+        spill = (n < _TINY) | (n > _HUGE)
+        spill &= ~direct
+        d /= n
+        del n  # released before the gather allocates
+        np.log(d, out=d)
+        d /= theta
+        where = np.flatnonzero(direct)
+        ratio = v.ravel()[where]  # the direct form -log1p(ratio) / theta, in place
+        np.log1p(ratio, out=ratio)
+        np.negative(ratio, out=ratio)
+        ratio /= theta
+        d.ravel()[where] = ratio
+        if spill.any():
+            d[spill] = _frank_v_log_space(
+                np.broadcast_to(u, shape)[spill], np.broadcast_to(w, shape)[spill], theta
+            )
     # quantiles within half an ulp of an endpoint round onto it; pin those
     # to the open interval the uniform generator itself uses
-    return np.clip(out, 2.0**-53, 1.0 - 2.0**-53, out=out)
-
-
-def _frank_direct(ratio: np.ndarray, theta: float) -> np.ndarray:
-    """The direct form -log1p(ratio) / theta of :func:`_frank_v`, in place."""
-    np.log1p(ratio, out=ratio)
-    np.negative(ratio, out=ratio)
-    ratio /= theta
-    return ratio
+    return np.clip(d, 2.0**-53, 1.0 - 2.0**-53, out=d)
 
 
 def _frank_v_log_space(u: np.ndarray, w: np.ndarray, theta: float) -> np.ndarray:

@@ -566,6 +566,57 @@ class TestConvergenceCommand:
         assert "alpha" in err
 
 
+LAW_TEXT = '{"kind": "gaussian", "mu": [0.0, 0.0], "sigma": [[1.0, 0.0], [0.0, 1.0]]}'
+STUDY_TEXT = '{"data": %s, "n_values": [16], "alpha_values": [0.5], "replications": 2%s}'
+CONVERGENCE_TEXT = '{"data": %s, "n_values": [16], "seeds": 1%s}'
+
+
+class TestInputFiles:
+    # json alone keeps the last of a repeated key: a config with two
+    # "replications" ran the second count, a data block the second "mu"
+    REPEATED = {
+        "experiment": (["experiment"], STUDY_TEXT % (LAW_TEXT, ', "replications": 3'),
+                       "replications"),
+        "convergence": (["convergence"], CONVERGENCE_TEXT % (LAW_TEXT, ', "seeds": 2'), "seeds"),
+        "data": (["experiment"], STUDY_TEXT % (LAW_TEXT.replace('"mu"', '"mu": [1.0, 0.0], "mu"'),
+                                                ""), "mu"),
+        "model": (["depth", "--grid=0:1:2,0:1:2", "--model"],
+                  '{"mu": [0.0, 0.0], "sigma": [[1.0, 0.0], [0.0, 1.0]], "mu": [1.0, 0.0]}', "mu"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(REPEATED))
+    def test_repeated_key_exits_2(self, tmp_path, capsys, case):
+        args, text, key = self.REPEATED[case]
+        path = tmp_path / "in.json"
+        path.write_text(text)
+        out = tmp_path / "out"
+        flag = [] if args[-1] == "--model" else ["--config"]
+        assert main(args + flag + [str(path), "-o", str(out)]) == 2
+        assert f"invalid JSON: keys given twice: {key}\n" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_overlong_integer_exits_2(self, tmp_path, capsys):
+        # Python refuses to read an integer of more than 4300 digits: a raw
+        # ValueError before
+        path = tmp_path / "in.json"
+        path.write_text(STUDY_TEXT % (LAW_TEXT, ', "master_seed": 1' + "0" * 5000))
+        assert main(["experiment", "--config", str(path), "-o", str(tmp_path / "out")]) == 2
+        assert "invalid JSON: Exceeds the limit" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["experiment", "convergence"])
+    def test_seed_flag_past_64_bits_exits_2(self, tmp_path, capsys, command):
+        # the streams read a seed's low 64 bits: --seed 18446744073709551621
+        # ran seed 5's study
+        path = tmp_path / "in.json"
+        text = STUDY_TEXT if command == "experiment" else CONVERGENCE_TEXT
+        path.write_text(text % (LAW_TEXT, ""))
+        out = tmp_path / "out"
+        code = main([command, "--config", str(path), "--seed", str(5 + 2**64), "-o", str(out)])
+        assert code == 2
+        assert "master_seed: must be an integer in [0, 2**64)" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestTopLevel:
     def test_version_exits_zero(self, capsys):
         assert main(["--version"]) == 0

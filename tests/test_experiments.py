@@ -55,6 +55,7 @@ from depthrisk.experiments import (
     BLOCK_ROWS,
     RATES_HEADER,
     SUMMARY_HEADER,
+    _blocks,
     cell_estimates,
     convergence_csv_text,
     pool_size,
@@ -340,6 +341,22 @@ class TestExperimentConfig:
         obj = {"data": gaussian_law().to_json(), "n_values": [200, 200, 200], "seeds": 1}
         with pytest.raises(ConfigError, match="^n_values: must be a nonempty list of distinct"):
             convergence_config_from_json(obj)
+
+    @pytest.mark.parametrize("make", [gaussian_cfg, convergence_cfg])
+    def test_seeds_past_64_bits_rejected(self, make):
+        # the streams read a seed's low 64 bits: 5 + 2**64 ran seed 5's
+        # study and recorded the larger seed in the manifest
+        want = r"^master_seed: must be an integer in \[0, 2\*\*64\)$"
+        for seed in (2**64, 5 + 2**64):
+            with pytest.raises(ConfigError, match=want):
+                make(master_seed=seed)
+        for seed in (2**64 - 1, np.uint64(2**64 - 1)):
+            assert make(master_seed=seed).master_seed == 2**64 - 1
+        read = config_from_json if make is gaussian_cfg else convergence_config_from_json
+        obj = config_to_json(gaussian_cfg()) if make is gaussian_cfg else {
+            "data": gaussian_law().to_json(), "n_values": [16], "seeds": 1}
+        with pytest.raises(ConfigError, match=want):
+            read(dict(obj, master_seed=5 + 2**64))
 
     def test_sizes_below_a_fit_rejected(self):
         # a 3-d fit needs 4 points: the study used to compute the truths and
@@ -786,7 +803,7 @@ class TestBatchedCell:
             ("gaussian", 64, 0.5, 20),
             ("frank", 16, 0.05, 40),
             ("frank", 100, 0.1, 30),
-            ("frank", 5000, 0.5, 30),  # more than one block
+            ("frank", 5000, 0.5, 30),  # more points than one study block
         ],
     )
     def test_matches_per_replicate_path(self, kind, n, alpha, r):
@@ -809,7 +826,7 @@ class TestBatchedCell:
             ("gaussian", 16, 40),  # mostly zero-hit replicates at 0.05
             ("gaussian", 64, 20),
             ("frank", 16, 40),
-            ("frank", 5000, 30),  # more than one block
+            ("frank", 5000, 30),  # more points than one study block
         ],
     )
     def test_level_sequence_matches_one_level_calls(self, kind, n, r):
@@ -827,18 +844,19 @@ class TestBatchedCell:
         if n == 16:
             assert np.any(hits[0] == 0)
 
-    def test_blocks_freed_before_the_next(self):
-        # each block's draw, costs and fit are freed before the next block
-        # is drawn, so three blocks peak as one does (1.46x when they were not)
-        law, n = frank_cfg().data_cfg, 5000
+    def test_study_frees_each_block_before_the_next(self):
+        # a study draws, fits and scores one block of replicates per task
+        # and frees it before the next, so three blocks peak as one does
+        # (drawing all the replicates at once would peak about 3x higher)
+        n = 5000
         per_block = BLOCK_ROWS // (2 * n)
-        streams = lambda r: [RngStream(97, mix64(n, j)) for j in range(r)]
 
         def peak(r):
-            cell_estimates(law, n, [0.5], streams(r))
+            cfg = frank_cfg(n_values=(n,), replications=r)
+            run_replications(cfg)
             tracemalloc.start()
             try:
-                cell_estimates(law, n, [0.5], streams(r))
+                run_replications(cfg)
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -846,16 +864,19 @@ class TestBatchedCell:
         assert peak(3 * per_block) <= 1.15 * peak(per_block)
 
     def test_study_cells_use_replicate_streams(self):
-        cfg = frank_cfg(n_values=(16, 32), alpha_values=(0.1, 0.5), replications=4)
-        report = run_replications(cfg)
-        for n in cfg.n_values:
-            streams = [RngStream(cfg.master_seed, mix64(_TAG_REPLICATE, n, j))
-                       for j in range(cfg.replications)]
-            values, hits = cell_estimates(cfg.data_cfg, n, cfg.alpha_values, streams)
-            for i, alpha in enumerate(cfg.alpha_values):
-                cell = report.cell(n, alpha)
-                assert np.array_equal(cell.estimates, values[i])
-                assert cell.degenerate_count == int(np.sum(hits[i] == 0))
+        # the second study cuts its replicates into two blocks
+        for n_values, r in (((16, 32), 4), ((5000,), 8)):
+            cfg = frank_cfg(n_values=n_values, alpha_values=(0.1, 0.5), replications=r)
+            assert len(_blocks(r, 2 * max(n_values))) == (2 if r == 8 else 1)
+            report = run_replications(cfg)
+            for n in cfg.n_values:
+                streams = [RngStream(cfg.master_seed, mix64(_TAG_REPLICATE, n, j))
+                           for j in range(r)]
+                values, hits = cell_estimates(cfg.data_cfg, n, cfg.alpha_values, streams)
+                for i, alpha in enumerate(cfg.alpha_values):
+                    cell = report.cell(n, alpha)
+                    assert np.array_equal(cell.estimates, values[i])
+                    assert cell.degenerate_count == int(np.sum(hits[i] == 0))
 
 
 class ShiftedGaussian:

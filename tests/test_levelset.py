@@ -35,7 +35,6 @@ from depthrisk import (
     run_convergence,
     sample_gaussian,
     sup_norm_distance,
-    sym_diff_probability,
     sym_diff_volume,
 )
 from depthrisk.linalg import whiten
@@ -673,46 +672,6 @@ class TestSymDiffVolume:
         frac = np.count_nonzero(in_lower_set(pts, a) ^ in_lower_set(pts, b)) / 3000
         est, _ = sym_diff_volume(a, b, 3000, RngStream(5, 9))
         assert est == float(np.prod(hi - lo)) * frac
-
-
-class TestSymDiffProbability:
-    def test_identical_specs(self):
-        spec = LevelSetSpec(std_model(), 0.5)
-        est, se = sym_diff_probability(
-            spec, spec, lambda n, r: sample_gaussian(n, std_model(), r).points,
-            2000, RngStream(0),
-        )
-        assert est == 0.0
-        assert se == 0.0
-
-    def test_gaussian_annulus_mass(self):
-        # under the standard normal, |X|^2 is chi-square(2), so the annulus
-        # 1 <= |x| < 2 has probability e^{-1/2} - e^{-2}
-        expect = math.exp(-0.5) - math.exp(-2.0)
-        est, se = sym_diff_probability(
-            circle_spec(1.0),
-            circle_spec(2.0),
-            lambda n, r: sample_gaussian(n, std_model(), r).points,
-            100_000,
-            RngStream(13, mix64(35)),
-        )
-        assert abs(est - expect) < 3.0 * se
-        assert se < 0.002
-
-    def test_min_mc(self):
-        with pytest.raises(DomainError):
-            sym_diff_probability(
-                circle_spec(1.0), circle_spec(2.0),
-                lambda n, r: sample_gaussian(n, std_model(), r).points,
-                0, RngStream(0),
-            )
-
-    def test_bad_sampler_shape(self):
-        with pytest.raises(DimensionMismatch):
-            sym_diff_probability(
-                circle_spec(1.0), circle_spec(2.0),
-                lambda n, r: np.zeros((n, 3)), 1000, RngStream(0),
-            )
 
 
 class TestFittedGeometryScales:

@@ -1,8 +1,8 @@
 """Package surface: shipped configs parse, every exported name resolves and
-has a use, every name the benchmark harness calls or traces exists, every
-public count argument, pair of operands, outside array and law parameter
-follows one rule, no private helper or constant is left without a caller
-or reader, and the import stays light."""
+has a use, every name the benchmark harness calls or traces or the README
+names exists, every public count argument, pair of operands, outside array
+and law parameter follows one rule, no private helper or constant is left
+without a caller or reader, and the import stays light."""
 
 import ast
 import importlib
@@ -52,7 +52,6 @@ from depthrisk import (
     sample_gaussian,
     sample_risk_factors,
     sup_norm_distance,
-    sym_diff_probability,
     sym_diff_volume,
 )
 from depthrisk.experiments import pool_size
@@ -129,8 +128,6 @@ COUNT_ENTRY_POINTS = {
         _gaussian_rows, n_mc, RngStream(1))),
     "sym_diff_volume": ("n_mc", 1000, 1000,
                         lambda n_mc: sym_diff_volume(SPEC, SPEC, n_mc, RngStream(1))),
-    "sym_diff_probability": ("n_mc", 1, 1, lambda n_mc: sym_diff_probability(
-        SPEC, SPEC, _gaussian_rows, n_mc, RngStream(1))),
 }
 
 
@@ -156,8 +153,6 @@ DIMS_ENTRY_POINTS = {
     "sup_norm_distance": lambda a, b: sup_norm_distance(a.model, b.model),
     "hausdorff_report": lambda a, b: hausdorff_report(a, b, 64),
     "sym_diff_volume": lambda a, b: sym_diff_volume(a, b, 1000, RngStream(1)),
-    "sym_diff_probability": lambda a, b: sym_diff_probability(
-        a, b, _gaussian_rows, 1, RngStream(1)),
 }
 
 
@@ -191,8 +186,6 @@ VALUE_ENTRY_POINTS = {
     "in_lower_set": ("x", lambda v: in_lower_set([[0.0, 0.0], [v, 0.0]], SPEC)),
     "quad_forms": ("rows", lambda v: quad_forms(MODEL.sigma, [[v, 0.0]])),
     "quad_forms.center": ("center", lambda v: quad_forms(MODEL.sigma, [[0.0, 0.0]], [v, 0.0])),
-    "sym_diff_probability": ("draws", lambda v: sym_diff_probability(
-        SPEC, SPEC, lambda n, rng: [[v, 0.0]] * n, 1, RngStream(1))),
     "rate_slope.n": ("points", lambda v: rate_slope([(v, 1.0), (2, 0.5), (4, 0.2)])),
     "rate_slope.stat": ("points", lambda v: rate_slope([(1, v), (2, 0.5), (4, 0.2)])),
     "frank_pair.u": ("u", lambda v: frank_pair(v, 0.5, 5.0)),
@@ -290,6 +283,32 @@ def test_every_export_has_a_use():
     used.update(part for _, _, attr, _ in benchmark_targets() for part in attr.split("."))
     unread = sorted(name for name in depthrisk.__all__ if name not in used)
     assert unread == sorted(UNREAD_EXPORTS)
+
+
+def test_readme_names_resolve():
+    # a deleted or renamed name must not live on in the README: every
+    # `module.name` of a depthrisk module or export, and every name a
+    # python block imports from depthrisk, resolves
+    text = (ROOT / "README.md").read_text()
+    owners = {path.stem: f"depthrisk.{path.stem}" for path in SRC.glob("*.py")}
+    owners["depthrisk"] = "depthrisk"
+    missing = []
+    for owner, name in re.findall(r"`(?:depthrisk\.)?(\w+)\.(\w+)", text):
+        if owner in owners:
+            found = hasattr(importlib.import_module(owners[owner]), name)
+        elif owner in depthrisk.__all__:
+            found = hasattr(getattr(depthrisk, owner), name)
+        else:
+            continue
+        if not found:
+            missing.append(f"{owner}.{name}")
+    blocks = re.findall(r"```python\n(.*?)```", text, re.S)
+    assert blocks
+    for node in (node for block in blocks for node in ast.walk(ast.parse(block))):
+        if isinstance(node, ast.ImportFrom) and node.module.split(".")[0] == "depthrisk":
+            module = importlib.import_module(node.module)
+            missing += [f"{node.module}.{a.name}" for a in node.names if not hasattr(module, a.name)]
+    assert missing == []
 
 
 # one call of each function whose math scipy also has (the tests' reference
