@@ -26,6 +26,7 @@ from .ccte import ccte_hat
 from .depth import DepthModel, fit_model, mhd, mhd_gradient
 from .errors import ConfigError, DepthRiskError, IoError
 from .experiments import (
+    _MASTER_SEED_CHECK,
     config_from_json,
     convergence_config_from_json,
     convergence_csv_text,
@@ -105,6 +106,9 @@ def _cmd_depth(args) -> int:
 
 
 def _cmd_levelset(args) -> int:
+    _, seed_ok, seed_rule = _MASTER_SEED_CHECK
+    if not seed_ok(args.seed):
+        raise ConfigError(f"seed: {seed_rule}")
     model = _load_model(args.model)
     spec = LevelSetSpec(model, args.alpha)
     pts = boundary_points(spec, args.boundary_m)
@@ -120,6 +124,7 @@ def _cmd_levelset(args) -> int:
             "boundary_m": args.boundary_m,
             "hausdorff": report.distance,
             "resolution": report.resolution,
+            "seed": args.seed,
             "symdiff_n_mc": args.symdiff_n_mc,
             "symdiff_se": se,
             "symdiff_volume": volume,

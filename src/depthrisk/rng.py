@@ -16,7 +16,11 @@ Reproducibility notes:
   of 2**-53 that is exactly representable, so the subtraction does not round
   and no integer-to-float conversion is needed.
 * Normal variates use the Box-Muller transform on that uniform stream,
-  computed in place on the uniforms' buffer (:func:`normal_rows`).
+  computed in place on the uniforms' buffer (:func:`normal_rows`).  The
+  angle 2 pi u enters through the tangent of the half angle, t = tan(pi (u -
+  1/2)), whose rational forms give its cosine and sine: numpy runs float64
+  ``tan``, like ``log``, through a SIMD loop chosen by CPU, but ``sin`` and
+  ``cos`` as scalar libm on some hosts.
 * :func:`uniform_rows` and :func:`normal_rows` draw one row per stream in
   one pass; row r is bit for bit what ``streams[r]`` alone gives, and the
   stream methods are their one-row case.  A draw count ``n`` is any integer
@@ -135,32 +139,46 @@ def normal_rows(streams, n: int) -> np.ndarray:
     normal variates of ``streams[r]``, by Box-Muller.
 
     Box-Muller on the uniform stream (rather than a rejection method) keeps
-    the draw sequence identical on every platform.  Each row takes m = (n +
-    1) // 2 radius uniforms, then m angle uniforms; it holds the m cosine
-    normals, then the first n - m sine normals, so an odd ``n`` still
-    consumes a whole pair of uniforms and discards one normal.
+    the words each normal consumes the same on every platform.  Each row
+    takes m = (n + 1) // 2 radius uniforms, then m angle uniforms; it holds
+    the m cosine normals, then the first n - m sine normals, so an odd ``n``
+    still consumes a whole pair of uniforms and discards one normal.
+
+    The radius is r = sqrt(-2 log u1).  The angle u2 is evaluated by the
+    tangent half-angle t = tan(pi (u2 - 1/2)) = -cot(pi u2), so r cos 2 pi u2
+    = r (t - 1)(t + 1) / (1 + t^2) and r sin 2 pi u2 = -2 r t / (1 + t^2).
+    Against 40-digit arithmetic the two factors err by under 4 * 2**-53
+    absolute (libm's cos and sin of the rounded 2 pi u2 by up to 6 * 2**-53),
+    and |t| < 3e15 for the odd 53-bit uniforms, so t^2 is finite.
 
     The transform runs in place on the uniforms' own buffer, ``CHUNK``
-    columns at a time with one reused cosine scratch: each radius becomes its
-    cosine normal and each angle its sine normal, the same products as
-    forming them apart, so the same bits.  That buffer is returned; only k >
-    1 rows of an odd ``n`` are compacted by a copy.
+    columns at a time with one reused scratch row: each radius becomes its
+    cosine normal and each angle its sine normal, the same operations in the
+    same order as forming them apart, so the same bits.  That buffer is
+    returned; only k > 1 rows of an odd ``n`` are compacted by a copy.
     """
     n = check_count(n, 0, "n")
     m = (n + 1) // 2
     u = uniform_rows(streams, 2 * m)
-    cos = np.empty((len(u), min(CHUNK, m)))
+    row = np.empty((len(u), min(CHUNK, m)))
     for start in range(0, m, CHUNK):
         radius = u[:, start : min(start + CHUNK, m)]
         angle = u[:, m + start : m + start + CHUNK]
-        scratch = cos[:, : angle.shape[1]]
+        scratch = row[:, : angle.shape[1]]
         np.log(radius, out=radius)
         radius *= -2.0
         np.sqrt(radius, out=radius)
-        angle *= 2.0 * np.pi
-        np.cos(angle, out=scratch)
-        np.sin(angle, out=angle)
-        angle *= radius
+        angle -= 0.5
+        angle *= np.pi
+        np.tan(angle, out=angle)
+        np.multiply(angle, angle, out=scratch)
+        scratch += 1.0
+        np.divide(radius, scratch, out=scratch)
+        np.subtract(angle, 1.0, out=radius)
         radius *= scratch
+        scratch *= angle
+        angle += 1.0
+        radius *= angle
+        np.multiply(scratch, -2.0, out=angle)
     z = u[:, :n]
     return z if z.flags.c_contiguous else z.copy()

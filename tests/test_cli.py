@@ -196,10 +196,11 @@ class TestLevelsetCommand:
                      "--symdiff-n-mc", "20000", "--seed", "3", "-o", str(out)])
         assert code == 0
         doc = json.loads((out / "diagnostics.json").read_text())
-        assert sorted(doc) == ["alpha", "boundary_m", "hausdorff", "resolution",
+        assert sorted(doc) == ["alpha", "boundary_m", "hausdorff", "resolution", "seed",
                                "symdiff_n_mc", "symdiff_se", "symdiff_volume"]
         assert doc["alpha"] == 0.5
         assert doc["boundary_m"] == 1024
+        assert doc["seed"] == 3
         # translated unit circles: hausdorff equals the shift
         assert doc["hausdorff"] == pytest.approx(0.1, abs=doc["resolution"])
         # two unit disks with centers 0.1 apart: 2 * (pi - lens overlap)
@@ -614,6 +615,16 @@ class TestInputFiles:
         code = main([command, "--config", str(path), "--seed", str(5 + 2**64), "-o", str(out)])
         assert code == 2
         assert "master_seed: must be an integer in [0, 2**64)" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("seed", [5 + 2**64, -1])
+    def test_levelset_seed_outside_64_bits_exits_2(self, tmp_path, capsys, unit_model_path, seed):
+        # --seed 18446744073709551621 wrote seed 5's diagnostics.json
+        out = tmp_path / "out"
+        code = main(["levelset", "--model", str(unit_model_path), "--alpha", "0.5",
+                     "--model2", str(unit_model_path), "--seed", str(seed), "-o", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == "error: seed: must be an integer in [0, 2**64)\n"
         assert not out.exists()
 
 

@@ -1080,40 +1080,40 @@ class TestSchedule:
 
 PINNED_STUDIES = {
     # the SHA-256 digests of the tables, as printed when each replicate was
-    # drawn on its own
+    # drawn on its own, re-recorded for the half-angle Box-Muller normals
     "frank": (
         dict(data_cfg=FrankGumbelConfig(5.0, GumbelMarginal(0.0, 0.25),
                                          GumbelMarginal(-0.5, 0.25)),
              n_values=(16, 5000), alpha_values=(0.1, 0.5, 0.9), replications=8,
              delta_values=(0.0, 0.05), master_seed=11),
-        "1135618a538c4f77d52e759e9885949af114c0c4c509e9ed802369aabb90b09f",
-        "a0406885cf0d76b91c53702c93f29c4c476188c25764373624fafaf9f667762a",
+        "ce0ac658a20c4d314341807e34298a67fa871f594bb131f7c6b27fd9b3e3be7d",
+        "21dfb6cb110ee0bc629859a38b947cdee18514459aeb9ddcad0effb01171523b",
     ),
     "gaussian": (
         dict(data_cfg=GaussianConfig(mu=(0.5, -1.0, 2.0), sigma=(
                  (2.0, 0.3, 0.1), (0.3, 1.0, 0.2), (0.1, 0.2, 0.5))),
              n_values=(32, 4000), alpha_values=(0.2, 0.5), replications=10,
              delta_values=(0.0,), master_seed=12),
-        "3af933827fb325c3e257927e4dc27cba3f1f53a78e8c83935d6c1bfacdc2c0c7",
-        "269e71d9a1cfb6d4e9f90b5d0ab0ca60f5cdd8e97c17a70afc7ec0aadc714e24",
+        "e3099b49c0c63a3f2065059cf413611282503e2532d939b10500a188a6196514",
+        "dc63c5b00334d12ceb8511eb50ebcc9c22cbd60f531de60a000da414465732f0",
     ),
 }
 
 
 PINNED_CONVERGENCE = {
     # the SHA-256 digests of convergence.csv, as printed when each seed was
-    # fitted and measured on its own; d = 3 as printed when its volume
-    # became the radial rule's
+    # fitted and measured on its own (d = 3 when its volume became the radial
+    # rule's), re-recorded for the half-angle Box-Muller normals
     "d2": (
         dict(data_cfg=GaussianConfig((0.3, -1.0), ((2.0, 0.4), (0.4, 0.7))),
              n_values=(64, 512), seeds=5, boundary_m=256, master_seed=5),
-        "14e602a1d77a6d91306e3f4059ada5dd8f6803d1ae77737a86182db5e90e3409",
+        "ab516aa2e6f1111e46aa6aa2106bd1126338663f072dfb6ff71c0d84d35f5ce7",
     ),
     "d3": (
         dict(data_cfg=GaussianConfig((0.5, -1.0, 2.0), (
                  (2.0, 0.3, 0.1), (0.3, 1.0, 0.2), (0.1, 0.2, 0.5))),
              n_values=(16, 200), seeds=3, boundary_m=128, master_seed=9),
-        "1c8f1fba7ea2a9a4269fc8f1dfc801777454d3254937e598598eb0a1d052dd26",
+        "9f13adc740d7320956bf18eecea2504b82daa11b793e5dc51f9ebd4ca6bcfc00",
     ),
 }
 
@@ -1142,11 +1142,12 @@ class TestPinnedOutputs:
 
     def test_shipped_convergence_config_digest(self):
         # configs/convergence_smoke.json, as printed when it named its
-        # population by a bare "model" rather than a "data" law
+        # population by a bare "model" rather than a "data" law, re-recorded
+        # for the half-angle Box-Muller normals
         cfg = convergence_config_from_json(load_json_object(SHIPPED_CONVERGENCE, "config"))
         text = convergence_csv_text(cfg.n_values, run_convergence(cfg))
         assert hashlib.sha256(text.encode()).hexdigest() == (
-            "d993137c512ab307b58ef2dc534cc2c4ac2e3676622e14ead6d32569aa6b2820")
+            "0bf3df41bc85afa7457a3b5c53cf0505c37f8fa3e3e873174d035b0393fb7a32")
 
 
 class TestRunReplications:

@@ -1,5 +1,8 @@
 """Counter-based stream reproducibility and distribution sanity."""
 
+import tracemalloc
+
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,8 +12,9 @@ from scipy import stats
 from depthrisk import DomainError, RngStream, mix64
 from depthrisk.rng import CHUNK, normal_rows, uniform_rows
 
-# Values pinned from the first release; any change here is a breaking
-# change to the reproducibility contract.
+# Pinned values; any change here is a breaking change to the
+# reproducibility contract.  The uniforms are the first release's; the
+# normals are those of the half-angle Box-Muller.
 UNIFORMS_123_7 = [
     0.10398137582682854,
     0.9878583044780417,
@@ -18,10 +22,10 @@ UNIFORMS_123_7 = [
     0.5786930632312249,
 ]
 NORMALS_123_7 = [
-    2.125636546017807,
-    -0.1375869862414543,
-    -0.09357469296963344,
-    -0.07417437088508959,
+    2.1256365460178075,
+    -0.13758698624145432,
+    -0.0935746929696332,
+    -0.07417437088508963,
 ]
 
 
@@ -85,11 +89,21 @@ def _uniforms_v0(raw: np.ndarray) -> np.ndarray:
     return mant.astype(np.float64) * 2.0**-53
 
 
-def _normals_v0(u1: np.ndarray, u2: np.ndarray, n: int) -> np.ndarray:
-    """The first release's Box-Muller normals of two uniform halves."""
-    radius = np.sqrt(-2.0 * np.log(u1))
-    angle = (2.0 * np.pi) * u2
-    return np.concatenate([radius * np.cos(angle), radius * np.sin(angle)])[:n]
+def _half_angle(radius: np.ndarray, u2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """radius * (cos 2 pi u2, sin 2 pi u2) by the tangent half-angle, whole
+    arrays at once: t = tan(pi (u2 - 1/2)), cos = (t - 1)(t + 1) / (1 + t^2)
+    and sin = -2t / (1 + t^2), in the kernel's order of operations."""
+    t = np.tan((u2 - 0.5) * np.pi)
+    s = radius / (t * t + 1.0)
+    return (t - 1.0) * s * (t + 1.0), (s * t) * -2.0
+
+
+def _stream_normals_ref(seed: int, stream_id: int, n: int) -> np.ndarray:
+    """A stream's first n Box-Muller normals, unchunked: m radius uniforms,
+    then m angle uniforms."""
+    m = (n + 1) // 2
+    u = _uniforms_v0(_raw_words(seed, stream_id, 2 * m))
+    return np.concatenate(_half_angle(np.sqrt(-2.0 * np.log(u[:m])), u[m:]))[:n]
 
 
 WORDS = st.integers(0, (1 << 64) - 1)
@@ -102,7 +116,8 @@ DRAW_COUNTS = st.one_of(
 
 
 class TestV0Bits:
-    """The draws are the first release's formulas, bit for bit."""
+    """The draws of the first release's stream layout, bit for bit: its
+    uniforms, and the unchunked half-angle Box-Muller normals of them."""
 
     @given(seed=WORDS, stream_id=WORDS, n=DRAW_COUNTS)
     @settings(max_examples=40, deadline=None)
@@ -116,9 +131,7 @@ class TestV0Bits:
     @settings(max_examples=40, deadline=None)
     def test_normals(self, seed, stream_id, n):
         got = RngStream(seed, stream_id).normals(n)
-        m = (n + 1) // 2
-        raw = _raw_words(seed, stream_id, 2 * m)
-        want = _normals_v0(_uniforms_v0(raw[:m]), _uniforms_v0(raw[m:]), n)
+        want = _stream_normals_ref(seed, stream_id, n)
         assert got.dtype == np.float64 and got.shape == (n,)
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
@@ -148,19 +161,49 @@ class TestRows:
 
 class TestInPlaceBoxMuller:
     """Box-Muller runs in place on the uniforms' buffer, CHUNK pairs at a
-    time: counts of none, one and an odd number of normals, about one and two
-    chunks of pairs, and one past a 2**18 batch."""
+    time, with the bits of the unchunked reference on the first release's
+    stream layout: counts of none, one and an odd number of normals, about
+    one and two chunks of pairs, and one past a 2**18 batch."""
 
     @pytest.mark.parametrize("k", [1, 3])
     @pytest.mark.parametrize("n", [0, 1, 7, CHUNK + 1, 2 * CHUNK - 1, 2 * CHUNK + 2, 2**18 + 1])
     def test_rows_are_first_release_stream_draws(self, k, n):
         got = normal_rows([RngStream(11, j) for j in range(k)], n)
         assert got.shape == (k, n) and got.flags.c_contiguous
-        m = (n + 1) // 2
         for j, row in enumerate(got):
-            raw = _raw_words(11, j, 2 * m)
-            want = _normals_v0(_uniforms_v0(raw[:m]), _uniforms_v0(raw[m:]), n)
+            want = _stream_normals_ref(11, j, n)
             assert np.array_equal(row.view(np.uint64), want.view(np.uint64))
+
+    def test_working_set_is_the_buffer_and_one_scratch_row(self):
+        # 2**19 normals: the 4 MiB uniforms buffer, which becomes the result,
+        # and one CHUNK scratch row; a per-chunk temporary would add 128 KiB
+        stream = RngStream(11)
+        stream.normals(8)  # warm numpy's ufunc and Philox paths
+        tracemalloc.start()
+        try:
+            stream.normals(2**19)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * 2**19 + 8 * CHUNK + 16 * 2**10
+
+
+class TestHalfAngle:
+    """The half-angle form against 40-digit arithmetic."""
+
+    def test_angle_step_against_mpmath(self):
+        # odd 53-bit uniforms (2k + 1) * 2**-53: 3,000 random mantissas k and
+        # the extremes, at 0 and 1 and on either side of 1/2
+        k = np.random.default_rng(2929).integers(0, 2**52, 3000, dtype=np.uint64)
+        k = np.concatenate([k, np.array([0, 1, 2**51 - 1, 2**51, 2**52 - 1], dtype=np.uint64)])
+        u = (2 * k + 1).astype(np.float64) * 2.0**-53
+        cos, sin = _half_angle(np.ones_like(u), u)
+        assert np.all(np.isfinite(cos)) and np.all(np.isfinite(sin))
+        with mpmath.workdps(40):
+            for ui, c, s in zip(u.tolist(), cos.tolist(), sin.tolist()):
+                angle = 2 * mpmath.pi * mpmath.mpf(ui)
+                assert abs(c - mpmath.cos(angle)) <= 4 * 2.0**-53
+                assert abs(s - mpmath.sin(angle)) <= 4 * 2.0**-53
 
 
 class TestOpenInterval:
@@ -191,6 +234,8 @@ class TestDistributions:
         z = RngStream(7, 0).normals(1_000_000)
         assert abs(z.mean()) < 3.0 / np.sqrt(1e6)
         assert abs(z.var() - 1.0) < 3.0 * np.sqrt(2.0 / 1e6)
+        # and the whole law, on the same million
+        assert stats.kstest(z, stats.norm.cdf).pvalue > 0.01
 
     def test_normal_ks(self):
         z = RngStream(8, 0).normals(100_000)
