@@ -23,6 +23,7 @@ from .errors import DegenerateSample, DimensionMismatch, NotPositiveDefinite
 from .io import check_dims, check_finite, json_fields, json_floats, raise_problems
 from .linalg import (SpdMatrix, _column_forms, _column_norms, build_spd, cholesky_lower,
                      quad_forms, whiten)
+from .rng import CHUNK
 
 if TYPE_CHECKING:  # pragma: no cover
     from .sampling import Sample
@@ -182,11 +183,13 @@ def _sup_norms(mu_a, low_a, mu_b, low_b) -> np.ndarray:
     """:func:`sup_norm_distance` of k pairs of models at once, from their
     means (k, d) and lower Cholesky factors (k, d, d); either side may be a
     single model (k = 1) shared by every pair.  Each step runs over the whole
-    block with the pair as a leading axis, so row j depends on pair j alone
-    and has the bits of its one-pair call.  The grid search makes one pass
-    per coordinate over (k, frame, branch, u) arrays, and sums the squares
-    |z|^2 in the order of :func:`_einsum_order_sum` and the terms of
-    sum_i m_i w_i^2 in coordinate order."""
+    stack with the pair as a leading axis, so row j depends on pair j alone
+    and has the bits of its one-pair call; the first grid's (pairs, frame,
+    branch, 769) arrays alone are taken ``CHUNK // (4 * 769)`` = 5 pairs at a
+    time, so each holds at most ``CHUNK`` values at any k.  The grid search
+    makes one pass per coordinate, and sums the squares |z|^2 in the order of
+    :func:`_einsum_order_sum` and the terms of sum_i m_i w_i^2 in coordinate
+    order."""
     mu_a, mu_b = np.broadcast_arrays(mu_a, mu_b)
     low_a, low_b = np.broadcast_arrays(low_a, low_b)
     # axis 1 is the frame: a's, then b's
@@ -212,26 +215,34 @@ def _sup_norms(mu_a, low_a, mu_b, low_b) -> np.ndarray:
     # r = exp(u), so m_i - lambda keeps its relative precision as r -> 0;
     # u is searched on a grid, then on three grids of 65 about each best u,
     # each 32 times finer; the first grid is one row, both branches' (so row
-    # -1 is branch 1's), for every pair.  Arrays are (k, frame, branch, u),
-    # one pass per coordinate
-    ref, sign = m[..., [-1, 0], None], np.array([[1.0], [-1.0]])
+    # -1 is branch 1's), for every pair
     grid, h = np.linspace(-40.0, 40.0, 769)[None], 80.0 / 768
-    for _ in range(4):
-        r = np.exp(grid)
-        step = ref * np.stack([-r[..., 0, :], r[..., -1, :] / (1.0 + r[..., -1, :])], axis=-2)
-        squares, qb = [], 0.0
-        for i in range(m.shape[-1]):
-            mi, ei = m[..., i, None, None], e[..., i, None, None]
-            z = mi * ei / ((mi - ref) + step)
-            w = z - ei
-            squares.append(z * z)
-            qb = qb + w * mi * w
-        gap = sign * (1.0 / (1.0 + _einsum_order_sum(squares)) - 1.0 / (1.0 + qb))
-        np.fmax(best, gap.max(axis=(1, 2, 3)), out=best)
-        best_u = gap.argmax(axis=-1)[..., None]
-        center = np.take_along_axis(np.broadcast_to(grid, gap.shape), best_u, axis=-1)
+    per = CHUNK // (4 * grid.size)
+    rows = [slice(j, j + per) for j in range(0, len(m), per)]
+    center = np.concatenate([_grid_search(best[s], m[s], e[s], grid) for s in rows])
+    for _ in range(3):
         grid, h = center + h * np.linspace(-1.0, 1.0, 65), h / 32.0
+        center = _grid_search(best, m, e, grid)
     return best
+
+
+def _grid_search(best, m, e, grid):
+    """One grid of :func:`_sup_norms`: raise ``best`` (k,) in place to each
+    pair's largest gap on ``grid`` and return each row's best u (k, 2, 2, 1)."""
+    ref, sign = m[..., [-1, 0], None], np.array([[1.0], [-1.0]])
+    r = np.exp(grid)
+    step = ref * np.stack([-r[..., 0, :], r[..., -1, :] / (1.0 + r[..., -1, :])], axis=-2)
+    squares, qb = [], 0.0
+    for i in range(m.shape[-1]):
+        mi, ei = m[..., i, None, None], e[..., i, None, None]
+        z = mi * ei / ((mi - ref) + step)
+        w = z - ei
+        squares.append(z * z)
+        qb = qb + w * mi * w
+    gap = sign * (1.0 / (1.0 + _einsum_order_sum(squares)) - 1.0 / (1.0 + qb))
+    np.fmax(best, gap.max(axis=(1, 2, 3)), out=best)
+    best_u = gap.argmax(axis=-1)[..., None]
+    return np.take_along_axis(np.broadcast_to(grid, gap.shape), best_u, axis=-1)
 
 
 def _einsum_order_sum(terms):

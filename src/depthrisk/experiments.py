@@ -48,7 +48,8 @@ from .levelset import (
     LevelSetSpec,
     _boundary_columns,
     _center_powers,
-    _hausdorff_max,
+    _hausdorff_measure,
+    _hausdorff_screen,
     _radial_volumes,
     _Sets,
     _stack,
@@ -66,6 +67,10 @@ _TAG_CONV_SAMPLE = 101
 # block's temporaries stay within a 2 MB L2 cache.  A replication block is
 # also the unit of scheduling: one pool task each.
 BLOCK_ROWS = 1 << 16
+
+# Blocks per solve group of a convergence study (run_convergence): enough to
+# amortise its small solves, few enough to bound what a group holds.
+_SOLVE_GROUP_BLOCKS = 4
 
 # The rules of the fields both study configs have.
 _DATA_CFG_CHECK = (
@@ -468,17 +473,19 @@ def run_convergence(
 
     The seeds at one n are taken in blocks (see :func:`_blocks`), counting
     for each seed its n draws, the 2 * ``boundary_m`` boundary samples of
-    both sides and the directions of the radial rule.  A block is
-    drawn in one ``law.draw`` call into one (k, d, n) array, fitted in one
-    :func:`~depthrisk.depth.fit_columns` call, and measured against the
-    law's ``exact_model`` by the block kernels of the three distances: the
-    sup-norm of :func:`~depthrisk.depth.sup_norm_distance`, the Hausdorff
-    maximum of :func:`~depthrisk.levelset.hausdorff_report` (whose bounds
-    a_min |phi - 1| <= distance <= a_max |phi - 1| leave Newton about 2% of
-    the boundary samples on the shipped config) and the radial volume of
-    :func:`~depthrisk.levelset._radial_volumes` about the true center, in
-    any dimension and wherever that center lies.  Each entry has the bits of
-    those distances of the seed's own fit,
+    both sides and the directions of the radial rule.  A block is drawn in
+    one ``law.draw`` call into one (k, d, n) array, fitted in one
+    :func:`~depthrisk.depth.fit_columns` call and measured against the law's
+    ``exact_model`` by the radial volume of
+    :func:`~depthrisk.levelset._radial_volumes` about the true center, in any
+    dimension and wherever that center lies, and by the Hausdorff screen of
+    :func:`~depthrisk.levelset._hausdorff_screen` (about 2% of the boundary
+    samples pass it on the shipped config).  The two small solves, bound by
+    numpy's per-call overhead, run once per solve group of up to
+    ``_SOLVE_GROUP_BLOCKS`` blocks: the sup-norm search of
+    :func:`~depthrisk.depth.sup_norm_distance` and the Newton pass of
+    :func:`~depthrisk.levelset._hausdorff_measure`.  Each entry has the bits
+    of those distances of the seed's own fit,
     ``fit_model(Sample(law.draw(n, [stream])[0].T))``.
     """
     say = progress if progress is not None else (lambda _msg: None)
@@ -489,16 +496,26 @@ def run_convergence(
     shape = (len(cfg.n_values), cfg.seeds)
     distances = {name: np.empty(shape) for name in CONVERGENCE_STATS}
     for k, n in enumerate(cfg.n_values):
-        for seeds in _blocks(cfg.seeds, n + 2 * cfg.boundary_m + truth_powers.shape[1]):
-            streams = [RngStream(cfg.master_seed, mix64(_TAG_CONV_SAMPLE, n, s)) for s in seeds]
-            mu, cov, low = fit_columns(law.draw(n, streams))
-            fits = _Sets(mu, cov, low, truth.radius_sq)
-            block = (k, slice(seeds.start, seeds.stop))
-            distances["supnorm"][block] = _sup_norms(mu, low, truth.mu, truth.low)
-            distances["hausdorff"][block] = _hausdorff_max(
-                fits, _boundary_columns(fits, cfg.boundary_m), truth, truth_cols
-            )
-            distances["symdiff"][block] = _radial_volumes(fits, truth, truth_powers)
+        blocks = _blocks(cfg.seeds, n + 2 * cfg.boundary_m + truth_powers.shape[1])
+        for g in range(0, len(blocks), _SOLVE_GROUP_BLOCKS):
+            group = blocks[g : g + _SOLVE_GROUP_BLOCKS]
+            first = group[0].start
+            fitted, screened = [], []
+            for seeds in group:
+                streams = [RngStream(cfg.master_seed, mix64(_TAG_CONV_SAMPLE, n, s)) for s in seeds]
+                mu, cov, low = fit_columns(law.draw(n, streams))
+                fits = _Sets(mu, cov, low, truth.radius_sq)
+                distances["symdiff"][k, seeds.start : seeds.stop] = _radial_volumes(
+                    fits, truth, truth_powers)
+                *candidates, owner = _hausdorff_screen(
+                    fits, _boundary_columns(fits, cfg.boundary_m), truth, truth_cols)
+                screened.append((*candidates, owner + (seeds.start - first)))
+                fitted.append((mu, low))
+            mu, low = (np.concatenate(part) for part in zip(*fitted))
+            span = (k, slice(first, group[-1].stop))
+            distances["supnorm"][span] = _sup_norms(mu, low, truth.mu, truth.low)
+            distances["hausdorff"][span] = _hausdorff_measure(
+                *(np.concatenate(part, axis=-1) for part in zip(*screened)), len(mu))
         say(f"n={n}: {cfg.seeds} seeds done")
     return distances
 

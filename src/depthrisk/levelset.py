@@ -263,7 +263,7 @@ class HausdorffResult:
     is a lower bound of the true boundary Hausdorff distance, short of it by
     at most the samples' covering radius.  Only the samples whose distance
     bounds can reach the largest one are measured exactly
-    (:func:`_hausdorff_max`); the result is that of measuring them all.
+    (:func:`_hausdorff_screen`); the result is that of measuring them all.
     ``resolution`` is the larger of the two samples' maximum
     nearest-neighbor gaps; honest tolerances for comparisons against exact
     geometry should be at least this wide.  It is computed from ``samples``
@@ -282,28 +282,25 @@ def hausdorff_report(a: LevelSetSpec, b: LevelSetSpec, m: int) -> HausdorffResul
     """Two-sided Hausdorff distance between the boundaries of two lower
     sets, from m boundary samples of each: each directed term is the largest
     exact distance from one side's samples to the other boundary ellipsoid.
-    The distance is the one-pair case of the block kernel
-    :func:`_hausdorff_max`, which measures only the samples that can hold
-    the maximum: a sample's distance to an ellipsoid of semi-axes a_min to
-    a_max lies in [a_min |phi - 1|, a_max |phi - 1|], with phi the
-    ellipsoid's gauge, because phi is 1/a_min-Lipschitz and the radial point
-    x / phi lies on the boundary.  The result gives the samples' resolution
-    on request."""
+    The distance is the one-pair case of the block kernels
+    :func:`_hausdorff_screen` and :func:`_hausdorff_measure`, which measure
+    only the samples whose distance bounds can reach the maximum.  The
+    result gives the samples' resolution on request."""
     check_dims(a, b, "level set")
     check_count(m, 64, "m")
     ca, cb = _boundary_columns(_stack(a), m), _boundary_columns(_stack(b), m)
-    distance = _hausdorff_max(_stack(a), ca, _stack(b), cb)[0]
+    distance = _hausdorff_measure(*_hausdorff_screen(_stack(a), ca, _stack(b), cb), 1)[0]
     pa, pb = ca[0].T, cb[0].T
     pa.setflags(write=False)
     pb.setflags(write=False)
     return HausdorffResult(float(distance), (pa, pb))
 
 
-def _hausdorff_max(a: _Sets, ca: np.ndarray, b: _Sets, cb: np.ndarray) -> np.ndarray:
-    """Per pair j of a block, the largest exact distance from the samples
-    ``ca[j]`` of a's boundary to b's boundary ellipsoid and from the samples
-    ``cb[j]`` of b's to a's: k values, each stack and each sample array
-    (columns (k, d, m)) broadcast from k = 1 where one side is shared.
+def _hausdorff_screen(a: _Sets, ca: np.ndarray, b: _Sets, cb: np.ndarray):
+    """The samples that can hold each pair's Hausdorff maximum, for a block
+    of pairs j: the samples ``ca[j]`` of a's boundary against b's boundary
+    ellipsoid and ``cb[j]`` of b's against a's, each stack and each sample
+    array (columns (k, d, m)) broadcast from k = 1 where one side is shared.
 
     Every sample gets its eigenframe coordinates and f0 = phi^2 - 1 against
     the other ellipsoid, whose semi-axes run from a_min to a_max.  Its exact
@@ -312,10 +309,9 @@ def _hausdorff_max(a: _Sets, ca: np.ndarray, b: _Sets, cb: np.ndarray) -> np.nda
     point x / phi lies on the boundary at most a_max from the center.  So
     only the samples whose upper bound reaches the pair's largest lower
     bound can hold the maximum, within a relative slack of 1e-6 and an
-    absolute one of 1e-12 a_max for rounding; they alone take the Newton
-    iterations of :func:`_boundary_distances`, all pairs' in one loop, with
-    their own semi-axes.  Each point stops on its own step, so the maximum
-    has the bits of measuring every sample.
+    absolute one of 1e-12 a_max for rounding.  Returns those candidates as
+    :func:`_boundary_distances` reads them, y (d, M), e2 (d, M) and f0 (M,),
+    and the pair each belongs to, ``owner`` (M,).
     """
     frames = [_eigenframe(ca, b), _eigenframe(cb, a)]
     gauge_gaps = [np.abs(np.sqrt(f0 + 1.0) - 1.0) for _, _, f0 in frames]
@@ -327,14 +323,20 @@ def _hausdorff_max(a: _Sets, ca: np.ndarray, b: _Sets, cb: np.ndarray) -> np.nda
     ys, e2s, f0s, owners = [], [], [], []
     for (y, e2, f0), axes, gap in zip(frames, semi_axes, gauge_gaps):
         pair, sample = np.nonzero(axes[:, 1:] * gap >= cut)
-        ys.append(y[pair, :, sample])
-        e2s.append(np.broadcast_to(e2, (len(y), e2.shape[1]))[pair])
+        ys.append(y[pair, :, sample].T)
+        e2s.append(np.broadcast_to(e2, (len(y), e2.shape[1]))[pair].T)
         f0s.append(f0[pair, sample])
         owners.append(pair)
-    distances = _boundary_distances(np.concatenate(ys).T, np.concatenate(e2s).T,
-                                     np.concatenate(f0s))
-    best = np.zeros(len(cut))
-    np.maximum.at(best, np.concatenate(owners), distances)
+    return tuple(np.concatenate(part, axis=-1) for part in (ys, e2s, f0s, owners))
+
+
+def _hausdorff_measure(y, e2, f0, owner, k: int) -> np.ndarray:
+    """The Hausdorff maxima of k pairs from the candidates of one screen, or
+    of several joined along their last axis with owners offset: one Newton
+    loop of :func:`_boundary_distances` over them all.  Each point stops on
+    its own step, so each maximum has the bits of its pair's alone."""
+    best = np.zeros(k)
+    np.maximum.at(best, owner, _boundary_distances(y, e2, f0))
     return best
 
 

@@ -387,13 +387,15 @@ class TestSupNorm:
     def test_block_rows_are_the_pair_values(self, d):
         # concentric rows (the hard-case rays) mixed with general ones, each
         # row against the one-pair call, in both orders and against a model
-        # shared by the whole block
+        # shared by the whole block; thirteen pairs cross the first grid's
+        # slices of five twice
         rng = np.random.default_rng(80 + d)
-        a = [random_model(rng, d) for _ in range(6)]
-        b = [random_model(rng, d) for _ in range(6)]
-        for j in (1, 4):
+        a = [random_model(rng, d) for _ in range(13)]
+        b = [random_model(rng, d) for _ in range(13)]
+        for j in (1, 4, 7, 10):
             b[j] = DepthModel(a[j].mu, b[j].sigma)
         b[5] = a[5]
+        b[12] = a[12]
         stack = lambda models: (np.stack([m.mu for m in models]),
                                 np.stack([m.sigma.chol for m in models]))
         want = [sup_norm_distance(p, q) for p, q in zip(a, b)]

@@ -177,18 +177,21 @@ class TestConvergenceVolume:
     ])
     def test_entries_are_the_one_pair_values(self, model, alpha, monkeypatch):
         outside = self.check_entries(gaussian_population(model), alpha, monkeypatch)
-        assert 0 < outside < 14 if model.dim == 2 else outside == 0
+        assert 0 < outside < 26 if model.dim == 2 else outside == 0
 
     def test_frank_entries_are_the_one_pair_values(self, monkeypatch):
-        assert 0 < self.check_entries(frank_law(), 0.9, monkeypatch) < 14
+        assert 0 < self.check_entries(frank_law(), 0.9, monkeypatch) < 26
 
     def check_entries(self, law, alpha, monkeypatch):
-        """Check each entry of a run against the one-pair values on that
-        seed's own fit; return the count of fits that leave the true center
-        outside."""
-        # three seeds per block, so seven seeds end in a block of one
-        monkeypatch.setattr(experiments, "BLOCK_ROWS", 3 * RADIAL_ANGLES)
-        cfg = convergence_cfg(data_cfg=law, alpha=alpha, n_values=(16, 64), seeds=7,
+        """Check each of the 26 entries of a run against the one-pair values
+        on that seed's own fit; return the count of fits that leave the true
+        center outside."""
+        # three 2-d seeds per block at n = 16 and 64 (one 3-d seed: its rule
+        # takes 2**16 directions), so thirteen seeds end in a block of one,
+        # and each n spans two solve groups: four blocks (twelve pairs, past
+        # the sup-norm's first-grid slice of five), then that one
+        monkeypatch.setattr(experiments, "BLOCK_ROWS", 3 * (64 + 2 * 64 + RADIAL_ANGLES))
+        cfg = convergence_cfg(data_cfg=law, alpha=alpha, n_values=(16, 64), seeds=13,
                               boundary_m=64, master_seed=2)
         got = run_convergence(cfg)
         outside = 0
@@ -226,6 +229,25 @@ class TestConvergenceOfAnyLaw:
         for name in ("supnorm", "hausdorff", "symdiff"):
             medians = np.median(distances[name], axis=1)
             assert abs(rate_slope(list(zip(cfg.n_values, medians))) + 0.5) <= 0.1, name
+
+
+class TestConvergenceWorkingSet:
+    def test_peak_does_not_grow_with_seeds(self):
+        # a 2-d study at boundary_m = 4096 holds one geometry block's arrays
+        # and one solve group's fits and candidates at a time: it peaked at
+        # 2.08 and 2.19 MiB traced, at 20 and 100 seeds, where a first
+        # sup-norm grid over the whole group read 4.6 MiB and one solve group
+        # for all 100 seeds 6.5 MiB
+        run_convergence(convergence_cfg(n_values=(200,), boundary_m=4096))
+        for seeds in (20, 100):
+            cfg = convergence_cfg(n_values=(200,), seeds=seeds, boundary_m=4096)
+            tracemalloc.start()
+            try:
+                run_convergence(cfg)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 2.5 * 2**20, seeds
 
 
 @pytest.fixture(scope="module")
