@@ -30,6 +30,7 @@ Reproducibility notes:
 from __future__ import annotations
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from .errors import DomainError
 from .io import check_count, is_integer
@@ -94,8 +95,7 @@ class RngStream:
     def __init__(self, seed: int, stream_id: int = 0):
         self.seed = _word(seed, "seed")
         self.stream_id = _word(stream_id, "stream_id")
-        key = np.array([self.seed, self.stream_id], dtype=np.uint64)
-        self._bitgen = np.random.Philox(key=key)
+        self._bitgen = np.random.Philox(_Key(self.seed, self.stream_id))
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"RngStream(seed={self.seed}, stream_id={self.stream_id})"
@@ -109,6 +109,18 @@ class RngStream:
         """Draw ``n`` standard normal variates: the one-row case of
         :func:`normal_rows`."""
         return normal_rows([self], n)[0]
+
+
+class _Key(ISeedSequence):
+    """Hands Philox the key (seed, stream_id) as its seed state: the same
+    generator as ``Philox(key=...)``, which would first build a
+    ``SeedSequence`` from OS entropy and then discard it."""
+
+    def __init__(self, seed: int, stream_id: int):
+        self._key = np.array([seed, stream_id], dtype=np.uint64)
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self._key
 
 
 def uniform_rows(streams, n: int) -> np.ndarray:

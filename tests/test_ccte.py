@@ -395,8 +395,10 @@ class TestSplitMode:
 # n_mc, RngStream(21, i)) for law i of ORACLE_LAWS (Gaussian d = 1, 2, 3 and
 # the acceptance-07 Frank law), one pair per level.  Recorded from the oracle
 # that allocated fresh arrays for every batch, the Gaussian rows again when
-# Box-Muller took the half-angle form; 2 * 2**18 + 17 draws end on a short
-# batch.
+# Box-Muller took the half-angle form, the Frank rows again for the one-form
+# Frank kernel; 2 * 2**18 + 17 draws end on a short batch.  Bit signature:
+# numpy 2.4.6; dispatch features X86_V3, X86_V4, AVX512_ICL and AVX512_SPR
+# on; OpenBLAS core SkylakeX.
 ORACLE_LAWS = [
     GaussianConfig((0.3,), ((2.0,),)),
     GaussianConfig((1.0, -0.5), ((1.0, 0.6), (0.6, 2.0))),
@@ -441,18 +443,18 @@ ORACLE_BITS = [
     ("gauss3", 1_000_000, (0.1, 0.5, 0.9), ["(14.401033124507835, 0.04199870005459025)",
                                             "(5.5150039274935745, 0.004711167266567166)",
                                             "(4.84327057892893, 0.0040844913715336615)"]),
-    ("frank", 100_000, 0.25, ["(0.6936681117350741, 0.004657705290165705)"]),
-    ("frank", 100_000, (0.1, 0.5, 0.9), ["(1.3172855132279022, 0.014965355935401211)",
-                                         "(0.48132290271619405, 0.0017245207131396645)",
-                                         "(0.3688293498557025, 0.001077851054662225)"]),
-    ("frank", 524_305, 0.25, ["(0.6928753478727274, 0.0020388794723247687)"]),
-    ("frank", 524_305, (0.1, 0.5, 0.9), ["(1.3256406625499029, 0.006523991618663997)",
-                                         "(0.47945895797104937, 0.0007539572338406481)",
-                                         "(0.36807504073176917, 0.0004702879025994409)"]),
-    ("frank", 1_000_000, 0.25, ["(0.6935710178283816, 0.0014802474202770877)"]),
-    ("frank", 1_000_000, (0.1, 0.5, 0.9), ["(1.3259442215040613, 0.004756365876959456)",
-                                           "(0.47992049217567384, 0.0005465615088078925)",
-                                           "(0.36822306871634086, 0.00034094850010533897)"]),
+    ("frank", 100_000, 0.25, ["(0.6936681117350741, 0.004657705290165706)"]),
+    ("frank", 100_000, (0.1, 0.5, 0.9), ["(1.3172855132279024, 0.014965355935401218)",
+                                         "(0.48132290271619405, 0.0017245207131396652)",
+                                         "(0.3688293498557025, 0.0010778510546622252)"]),
+    ("frank", 524_305, 0.25, ["(0.6928753478727304, 0.0020388794723249135)"]),
+    ("frank", 524_305, (0.1, 0.5, 0.9), ["(1.325640662549917, 0.006523991618664903)",
+                                         "(0.4794589579710503, 0.0007539572338406853)",
+                                         "(0.3680750407317696, 0.0004702879025994602)"]),
+    ("frank", 1_000_000, 0.25, ["(0.6935710178283832, 0.0014802474202771424)"]),
+    ("frank", 1_000_000, (0.1, 0.5, 0.9), ["(1.3259442215040687, 0.004756365876959796)",
+                                           "(0.4799204921756743, 0.0005465615088079067)",
+                                           "(0.3682230687163411, 0.00034094850010534607)"]),
 ]
 
 
@@ -606,13 +608,15 @@ def correlation(model):
 
 
 # repr of the exact model's covariance, recorded before the model's g(V)
-# grid was formed in blocks of rows: the direct, quotient and log-space
-# forms of the Frank kernel
+# grid was formed in blocks of rows, +-30 re-recorded for the one-form Frank
+# kernel (+-1e3 and +-1e6 take its log-space fix-up).  Bit signature: numpy
+# 2.4.6; dispatch features X86_V3, X86_V4, AVX512_ICL and AVX512_SPR on;
+# OpenBLAS core SkylakeX.
 FRANK_COV_BITS = {
     5.0: "0.0588438522211025",
     -5.0: "-0.056433480379525544",
-    30.0: "0.09576119795345724",
-    -30.0: "-0.08709282194178943",
+    30.0: "0.09576119795345722",
+    -30.0: "-0.08709282194178941",
     300.0: "0.1021705726892962",
     -300.0: "-0.09085433013370932",
     1e3: "0.10262064838682979",
@@ -672,21 +676,24 @@ class TestFrankExactModel:
 
 
 # repr of the Frank truths at TRUTH_BITS_LEVELS, recorded before the
-# quadrature took its rays in chunks ("NoMass" where it would be raised)
+# quadrature took its rays in chunks ("NoMass" where it would be raised), +-30
+# re-recorded for the one-form Frank kernel.  Bit signature: numpy 2.4.6;
+# dispatch features X86_V3, X86_V4, AVX512_ICL and AVX512_SPR on; OpenBLAS
+# core SkylakeX.
 TRUTH_BITS_LEVELS = (0.05, 0.1, 0.5, 0.9, 0.999)
 FRANK_TRUTH_BITS = {
     -100.0: ["2.08130476685217", "1.5042846820259108", "0.6645811527785496",
              "0.35298502550989413", "0.3529600868789321"],
-    -30.0: ["2.0235317702510214", "1.4442221186716984", "0.5933475304674992",
-            "0.3582623410006181", "0.35298501504239876"],
+    -30.0: ["2.0235317702510227", "1.4442221186716986", "0.5933475304674993",
+            "0.3582623410006182", "0.35298501504239876"],
     -5.0: ["2.332468620717482", "1.423603470999216", "0.48056537690102763",
            "0.36621800068730676", "0.3530778595656661"],
     0.5: ["2.559896482122355", "1.4175928143758232", "0.4657245890143412",
           "0.36519139367690806", "0.3530699210491109"],
     5.0: ["2.2093360867951137", "1.312742222446981", "0.4790220517374423",
           "0.36768391800084965", "0.35309336949930914"],
-    30.0: ["1.8666307469286123", "1.394896671310171", "0.582386062995179",
-           "0.3847575583733949", "0.35325765418745436"],
+    30.0: ["1.8666307469286145", "1.3948966713101718", "0.582386062995179",
+           "0.38475755837339487", "0.3532576541874545"],
     100.0: ["2.1783685098958068", "1.6885945318546784", "0.6449885417021877",
             "0.4028166247847301", "0.3534914971544325"],
 }

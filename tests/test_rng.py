@@ -119,6 +119,11 @@ class TestV0Bits:
     """The draws of the first release's stream layout, bit for bit: its
     uniforms, and the unchunked half-angle Box-Muller normals of them."""
 
+    @pytest.mark.parametrize("seed, stream_id", [(0, 0), (7, 123), (2**64 - 1, 2**63 + 5)])
+    def test_raw_words_are_the_keyed_philox(self, seed, stream_id):
+        got = RngStream(seed, stream_id)._bitgen.random_raw(64)
+        assert np.array_equal(got, _raw_words(seed, stream_id, 64))
+
     @given(seed=WORDS, stream_id=WORDS, n=DRAW_COUNTS)
     @settings(max_examples=40, deadline=None)
     def test_uniforms(self, seed, stream_id, n):

@@ -180,34 +180,16 @@ class TestFrankPair:
             assert abs(float(np.mean(v < t)) - t) < 3.0 * se
 
 
-def _frank_v0(u, w, theta):
-    """The first release's Frank quantile, and where its direct form applied.
-
-    Returns (v, direct, spill): ``spill`` marks the log-space entries where
-    N = t + w e^{-theta} leaves [tiny, max], which still take this formula.
-    """
-    with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
-        t = np.exp(-theta * u) * (1.0 - w)
-        ratio = w * np.expm1(-theta) / (w + t)
-        v_direct = -np.log1p(ratio) / theta
-        n = t + w * np.exp(-theta)
-    log_w = np.log(w)
-    log_scaled = -theta * u + np.log1p(-w)
-    log_n = np.logaddexp(log_scaled, log_w - theta)
-    log_d = np.logaddexp(log_w, log_scaled)
-    direct = (ratio > -0.5) & (ratio < np.inf)
-    v = np.where(direct, v_direct, -(log_n - log_d) / theta)
-    spill = ~direct & ~((n >= np.finfo(float).tiny) & (n <= np.finfo(float).max))
-    return np.clip(v, 2.0**-53, 1.0 - 2.0**-53), direct, spill
-
-
 def _frank_v_exact(u: float, w: float, theta: float) -> Decimal:
-    """log(D / N) / theta in 40-digit decimal arithmetic."""
+    """log(D / N) / theta in 40-digit decimal arithmetic, D = w + e^(-theta u)
+    (1 - w) and N = e^(-theta u) (1 - w) + w e^-theta, clipped to the open
+    interval of the uniforms."""
     with localcontext() as ctx:
         ctx.prec = 40
         u, w, theta = Decimal(u), Decimal(w), Decimal(theta)
         t = (-theta * u).exp() * (1 - w)
-        return ((w + t) / (t + w * (-theta).exp())).ln() / theta
+        v = ((w + t) / (t + w * (-theta).exp())).ln() / theta
+        return min(max(v, Decimal(2.0**-53)), Decimal(1.0 - 2.0**-53))
 
 
 EPS = 2.0**-52
@@ -216,54 +198,37 @@ OPEN_EDGES = np.array([2.0**-53, 1e-3, 0.5, 1.0 - 1e-3, 1.0 - 2.0**-53])
 
 
 def _frank_uniforms(seed, stream_id, n):
-    """n stream uniforms for u and for w, then every pair of OPEN_EDGES."""
+    """n stream uniforms for u and for w, then every pair of OPEN_EDGES, then
+    20 u within 1e-12 of 0 and 20 within 1e-12 of 1, each with a stream w."""
     s = RngStream(seed, stream_id)
     edge_u, edge_w = np.meshgrid(OPEN_EDGES, OPEN_EDGES)
-    return (np.concatenate([s.uniforms(n), edge_u.ravel()]),
-            np.concatenate([s.uniforms(n), edge_w.ravel()]))
+    tails = s.uniforms(40) * 1e-12
+    return (np.concatenate([s.uniforms(n), edge_u.ravel(), tails[:20], 1.0 - tails[20:]]),
+            np.concatenate([s.uniforms(n), edge_w.ravel(), s.uniforms(40)]))
 
 
 class TestFrankKernel:
-    """frank_pair against the first release's formula and exact values.
+    """frank_pair against exact values and the copula's reflection."""
 
-    The log branch (ratio <= -0.5, N in range) forms log(D / N) where the
-    first release subtracted two logaddexp results of magnitude up to
-    |theta|.  Against 40-digit decimal values the first release's log branch
-    errs by up to about 6 eps (relative, eps = 2**-52) at theta = 30 and the
-    quotient by under 3, so the two may differ by up to the sum of their
-    errors: each is allowed 8 eps.
-    """
+    def test_every_element_within_8_eps_of_exact(self):
+        # relative error; the u tails catch a theta u rounded at full
+        # magnitude as u -> 1, which erred by 2.2e8 eps at theta = -1e6
+        u, w = _frank_uniforms(9, 3, 300)
+        for theta in FRANK_THETAS + [-50.0, -100.0, -300.0, -700.0, -710.0, -5000.0, -1e6]:
+            got_u, got = frank_pair(u, w, theta)
+            assert got_u is u
+            for i in range(len(u)):
+                exact = _frank_v_exact(u[i], w[i], theta)
+                assert abs(Decimal(got[i]) - exact) <= Decimal(8 * EPS) * exact, (theta, u[i], w[i])
 
-    @given(seed=st.integers(0, (1 << 64) - 1), stream_id=st.integers(0, 1000),
-           n=st.integers(0, 4000), theta=st.sampled_from(FRANK_THETAS))
-    @settings(max_examples=80, deadline=None)
-    def test_agrees_with_v0(self, seed, stream_id, n, theta):
-        u, w = _frank_uniforms(seed, stream_id, n)
-        got_u, got = frank_pair(u, w, theta)
-        want, direct, spill = _frank_v0(u, w, theta)
-        assert got_u is u
-        assert np.array_equal(got[direct], want[direct])
-        assert np.array_equal(got[spill], want[spill])
-        rest = ~direct & ~spill
-        assert np.all(np.abs(got[rest] - want[rest]) <= 16 * EPS * want[rest])
-
-    @pytest.mark.parametrize("theta", [1000.0, -1000.0, 1e6])
-    def test_spill_entries_take_the_v0_formula(self, theta):
-        u, w = _frank_uniforms(8, 2, 20_000)
-        _, got = frank_pair(u, w, theta)
-        want, _, spill = _frank_v0(u, w, theta)
-        assert spill.sum() > 100
-        assert np.array_equal(got[spill], want[spill])
-
-    @given(seed=st.integers(0, (1 << 64) - 1), theta=st.sampled_from(FRANK_THETAS))
-    @settings(max_examples=40, deadline=None)
-    def test_log_branch_within_8_eps_of_exact(self, seed, theta):
-        u, w = _frank_uniforms(seed, 3, 40)
-        _, got = frank_pair(u, w, theta)
-        _, direct, spill = _frank_v0(u, w, theta)
-        for i in np.flatnonzero(~direct & ~spill):
-            exact = _frank_v_exact(u[i], w[i], theta)
-            assert abs(Decimal(got[i]) - exact) <= Decimal(8 * EPS) * exact
+    @pytest.mark.parametrize("theta", [0.5, 5.0, 30.0, 700.0, 710.0, 1000.0, 1e6])
+    def test_reflection(self, theta):
+        # C_-theta(u, v) = u - C_theta(u, 1 - v), so V(u, w; -theta) = 1 -
+        # V(u, 1 - w; theta); 1 - w is exact for the stream's uniforms
+        s = RngStream(5, 6)
+        u, w = s.uniforms(4000), s.uniforms(4000)
+        mirrored = 1.0 - frank_pair(u, 1.0 - w, theta)[1]
+        assert np.all(np.abs(frank_pair(u, w, -theta)[1] - mirrored) <= 16 * 2.0**-53)
 
     def test_sampler_matches_frank_pair(self):
         # the sampler's unchecked kernels give frank_pair's V and the first
@@ -300,55 +265,24 @@ class TestFrankKernel:
         assert peak < 3 * (16 * n)
 
 
-def _frank_v_both_branches(u, w, theta):
-    """The Frank kernel as it was before it took one form per element: the
-    direct form and the quotient log(D / N) / theta over the whole block,
-    then ``np.where``; the log-space entries as in :func:`_frank_v0`.
-    Returns (v, direct)."""
-    v0, direct, spill = _frank_v0(u, w, theta)
-    with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
-        t = np.exp(u * -theta) * (1.0 - w)
-        quotient = np.log((t + w) / (w * np.exp(-theta) + t)) / theta
-    quotient = np.clip(quotient, 2.0**-53, 1.0 - 2.0**-53)
-    return np.where(direct | spill, v0, quotient), direct
-
-
 class TestFrankOneFormPerElement:
-    """The kernel forms the quotient in place and the direct form only on
-    the gathered direct elements: the bits of forming both everywhere."""
-
-    @staticmethod
-    def check(u, w, theta):
-        got = sampling._frank_v(u, w, theta)
-        want, direct = _frank_v_both_branches(u, w, theta)
-        assert got.shape == want.shape
-        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
-        return direct
+    """An element's V has the same bits in any block that holds it: the
+    draw and the model grid rely on it when they take blocks of columns."""
 
     @given(theta=st.sampled_from([5.0, -5.0, 30.0, -700.0, 1000.0, -1000.0]),
            seed=st.integers(0, (1 << 64) - 1), k=st.integers(1, 3), n=st.integers(1, 400))
     @settings(max_examples=60, deadline=None)
     def test_blocks_of_every_mix(self, theta, seed, k, n):
-        # (k, n) halves of one row of 2n uniforms, as a law's draw takes them
+        # (k, n) halves of one row of 2n uniforms, as a law's draw takes them;
+        # at |theta| = 1000 both parts mix log-space entries with the others
         uw = RngStream(seed, 17).uniforms(k * 2 * n).reshape(k, 2 * n)
         u, w = uw[:, :n], uw[:, n:]
-        direct = self.check(u, w, theta)
-        self.check(u[direct], w[direct], theta)  # every element direct
-        self.check(u[~direct], w[~direct], theta)  # none direct
+        got = sampling._frank_v(u, w, theta)
+        for part in (u < 0.5, u >= 0.5):
+            alone = sampling._frank_v(u[part], w[part], theta)
+            assert np.array_equal(alone.view(np.uint64), got[part].view(np.uint64))
         for i in range(min(n, 3)):  # 0-d inputs, through frank_pair
-            want, _ = _frank_v_both_branches(u[0, i], w[0, i], theta)
-            assert frank_pair(float(u[0, i]), float(w[0, i]), theta)[1] == want
-
-    @pytest.mark.parametrize("theta, direct_share, spills",
-                             [(5.0, "some", False), (30.0, "some", False),
-                              (1000.0, "some", True), (-5.0, "all", False),
-                              (-700.0, "all", False), (-1000.0, "none", True)])
-    def test_branches_reached(self, theta, direct_share, spills):
-        u, w = _frank_uniforms(11, 4, 20_000)
-        direct = self.check(u, w, theta)
-        _, _, spill = _frank_v0(u, w, theta)
-        share = "all" if direct.all() else "some" if direct.any() else "none"
-        assert (share, bool(spill.any())) == (direct_share, spills)
+            assert frank_pair(float(u[0, i]), float(w[0, i]), theta)[1] == got[0, i]
 
 
 class TestRiskFactors:
@@ -484,8 +418,8 @@ def _gaussian_points_one_stream(n, law, stream):
     return model.mu + color(model.sigma.chol, z.T).T
 
 
-# theta = -1000 and 1000 take the log-space spill branch of the Frank
-# inversion, 30 its D / N branch, 1e-9 the independence limit
+# theta = -1000 and 1000 take the log-space fix-up of the Frank inversion
+# for some entries, 1e-9 the independence limit
 BLOCK_LAWS = [
     *(FrankGumbelConfig(theta, CFG.marg1, CFG.marg2)
       for theta in (5.0, -5.0, -700.0, 30.0, 1000.0, -1000.0, 1e-9)),
@@ -529,19 +463,20 @@ DRAW_OUT_LAWS = {"frank": CFG, "gaussian": BLOCK_LAWS[-1]}
 
 
 # SHA-256 of a two-stream Frank draw, recorded before the draw formed V and
-# its quantiles CHUNK columns at a time: theta = 5 takes both forms of the
-# Frank kernel, theta = -700 the direct one alone
+# its quantiles CHUNK columns at a time, re-recorded for the one-form Frank
+# kernel.  Bit signature: numpy 2.4.6; dispatch features X86_V3, X86_V4,
+# AVX512_ICL and AVX512_SPR on; OpenBLAS core SkylakeX.
 FRANK_DRAW_DIGESTS = {
     (5.0, 1): "92bc32cf154960c3344774d8bc2919d41f054ef136afa60bdf3b4bd767fb9f32",
-    (5.0, 7): "8f72d40a35ca149bddc5f0bdd9231ed6a29a33d79c2478f452b107ed87d906b3",
-    (5.0, CHUNK - 1): "cceebb78534c52ae74c232958e161a8422a8d12887dd792d82744dbdfde2e3ed",
-    (5.0, CHUNK + 1): "25edf79394636ce68d09039e5f8e521a2930cc0300771aec6c69a1bfcd22cf7a",
-    (5.0, 2**18 + 1): "ec0a4f7406651601b5eded20938493044efeb46efca3ab973c63194f8c5a4ef0",
-    (-700.0, 1): "b968359dca75af82e6b76035315e3ee171d50eb8c6caf28e0fe09295d76823bd",
-    (-700.0, 7): "dac42d57822827bfee3f08f822ba588f2e535fd7d2fd64caf591a50f4af938e1",
-    (-700.0, CHUNK - 1): "33b1d5fdded4b26b0ff6562fb95355fc34de9c4669c1d8d0a402b89370e12d47",
-    (-700.0, CHUNK + 1): "96102ddd5f525fb2e8e41880ef00b229fcf37b447878cbf20b00eda574cffb84",
-    (-700.0, 2**18 + 1): "270a4a8c7acf9d10128a4ebba07c06e3232ed77ecedb0bd09e6a07c73b89d3b8",
+    (5.0, 7): "1ec8ea06cf762f266729e47444109e06c8a3e9527a0cca0aaff657ca136b75ad",
+    (5.0, CHUNK - 1): "5e6b18155ca2e12664128db56288daee23e9c19c5eefd2cc7479ded618fc233d",
+    (5.0, CHUNK + 1): "af516705e53bb798e3ec4737fb715aaa031ca75cc39d38e77ed58bc1d583ff2f",
+    (5.0, 2**18 + 1): "c6822fa7c0d7e1f143f3b0ec1c8db41325af973ca14199ed2a7d643a464f57da",
+    (-700.0, 1): "543c0d859e86c51ed0210d3dc42b55f147fc80528512b42467a84e814f142b67",
+    (-700.0, 7): "9b8cb0b545bde32eec5458705ef00749433fc78eefafef831fecd1759f342c25",
+    (-700.0, CHUNK - 1): "142bec1a416acd22534f39c92ad476df6a60531688dda648d1a169cf5073c2ce",
+    (-700.0, CHUNK + 1): "8250d026ea56682e8fafb0a015838d78cf8272f2bcaba999149ca5cd30a70eb1",
+    (-700.0, 2**18 + 1): "06ca2c1a56658e4d31dd566479070838ac4ca0ac9513021b3774634d8151bf47",
 }
 
 
